@@ -119,8 +119,8 @@ pub fn obs_fold_solver(solver: &dotm_sim::SimStats) {
     }
 }
 
-/// Finishes a traced run: prints the per-phase profile to **stderr**
-/// (stdout stays byte-identical to an untraced run) and exports
+/// Finishes a traced run: prints the per-phase profile and the counters
+/// to **stderr** (stdout stays byte-identical to an untraced run) and exports
 /// `<label>.ndjson` + `<label>.trace.json` into `DOTM_TRACE_DIR`
 /// (default: the current directory). No-op with the recorder off.
 pub fn obs_finish(label: &str) {
@@ -129,6 +129,10 @@ pub fn obs_finish(label: &str) {
     }
     eprintln!();
     eprint!("{}", dotm_obs::phase_table());
+    eprintln!("counters:");
+    for (name, value) in dotm_obs::counters_snapshot() {
+        eprintln!("  {name:<28} {value:>12}");
+    }
     let dir = dotm_core::env::trace_dir().unwrap_or_else(|| std::path::PathBuf::from("."));
     let ndjson = dir.join(format!("{label}.ndjson"));
     let chrome = dir.join(format!("{label}.trace.json"));
@@ -165,7 +169,6 @@ pub fn standard_config() -> PipelineConfig {
         rank_update: dotm_core::env::rank_update(),
         batch_assembly: dotm_core::env::batch_assembly(),
         variant_lockstep: dotm_core::env::variant_lockstep(),
-        tran_step_carry: dotm_core::env::tran_step_carry(),
         ..PipelineConfig::default()
     }
 }

@@ -25,7 +25,6 @@
 //! | `DOTM_BATCH_ASSEMBLY` | split-plan batched assembly + shared class baselines | on |
 //! | `DOTM_VARIANT_LOCKSTEP` | lockstep SoA priming of a class's variant lanes | on |
 //! | `DOTM_VARIANT_MIN_SPEEDUP` | `variant_speedup` phase-cut ratio gate (`0` = identity only) | 0.0 |
-//! | `DOTM_TRAN_STEP_CARRY` | carry accepted transient steps across the grid | off |
 //! | `DOTM_SIM_FAILURE_POLICY` | accounting for never-converged classes | assume-detected |
 //! | `DOTM_STORE_DIR` | persistent campaign-store directory | unset |
 //! | `DOTM_SHARDS` | total worker shards of a sharded campaign | unset |
@@ -212,18 +211,6 @@ pub fn batch_assembly() -> bool {
 /// On a malformed value.
 pub fn variant_lockstep() -> bool {
     bool_knob("DOTM_VARIANT_LOCKSTEP", true)
-}
-
-/// The `DOTM_TRAN_STEP_CARRY` knob (default off): carry the last
-/// accepted transient step size forward (×2 ramp) instead of restarting
-/// every step from the full remaining interval. Cuts rejected Newton
-/// solves at sharp edges but changes the step sequence and therefore
-/// round-off, hence off by default.
-///
-/// # Panics
-/// On a malformed value.
-pub fn tran_step_carry() -> bool {
-    bool_knob("DOTM_TRAN_STEP_CARRY", false)
 }
 
 /// The `DOTM_SIM_FAILURE_POLICY` knob (default: the paper-parity

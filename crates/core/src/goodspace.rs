@@ -49,8 +49,9 @@ pub struct GoodSpaceConfig {
     /// perturbed devices break the prefix invariant fall back to a local
     /// split. Bitwise-invisible; on by default.
     pub batch_assembly: bool,
-    /// Transient step-carry heuristic (overrides the harness's base
-    /// [`SimOptions`]). Round-off-changing; off by default.
+    /// No effect. Transient step carry is unconditional since store
+    /// `FORMAT_VERSION` 4; the field remains so callers that set it keep
+    /// compiling.
     pub tran_step_carry: bool,
 }
 
@@ -78,7 +79,6 @@ fn sim_options_for(harness: &dyn MacroHarness, cfg: &GoodSpaceConfig) -> SimOpti
     opts.factor_reuse = cfg.factor_reuse;
     opts.rank_update = cfg.rank_update;
     opts.batch_assembly = cfg.batch_assembly;
-    opts.tran_step_carry = cfg.tran_step_carry;
     opts
 }
 

@@ -113,13 +113,19 @@ impl MacroHarness for BiasHarness {
         let mut stim = ComparatorStimulus::dc_offset(VREF_MID, 0.0);
         stim.bias = bias;
         let nl = comparator_testbench(ComparatorConfig::default(), &stim);
+        // These transients run outside the measurement plumbing, so their
+        // Newton solves reach no `SimStats`; the span and counter show
+        // them in the phase profile instead.
+        let _span = dotm_obs::span("bias propagation", "propagation");
         let mut decisions = Vec::new();
         for dv in DECISION_DVS {
             let mut sim = Simulator::new(&nl);
             if sim.override_source("VIN", VREF_MID + dv).is_err() {
                 return VoltageSignature::Mixed;
             }
-            match sim.transient(decision_sim_time(), self.dt) {
+            let run = sim.transient(decision_sim_time(), self.dt);
+            dotm_obs::counter("bias.propagation_solves", sim.stats().nr_solves);
+            match run {
                 Ok(tr) => decisions.push(read_decision(&nl, &tr)),
                 Err(_) => return VoltageSignature::Mixed,
             }

@@ -176,11 +176,9 @@ pub struct PipelineConfig {
     /// Bitwise-identical to the scalar path by construction (the
     /// determinism suite enforces this), so it is on by default.
     pub batch_assembly: bool,
-    /// Carry the last accepted transient step size forward (×2 ramp)
-    /// instead of restarting every step from the full remaining output
-    /// interval. Cuts rejected Newton solves on sharp comparator edges
-    /// but changes the step sequence and therefore round-off; off by
-    /// default, verdict-gated like `rank_update`.
+    /// No effect. Transient step carry is unconditional since store
+    /// `FORMAT_VERSION` 4; the field remains so callers that set it keep
+    /// compiling, and it is not part of the pipeline context.
     pub tran_step_carry: bool,
     /// Lockstep SoA evaluation of one class's variant lanes: a stats-free
     /// pre-pass captures each lane's first DC Newton iteration, factors
@@ -835,7 +833,6 @@ pub fn run_macro_path_with_faults_hooked(
     gs_cfg.factor_reuse = cfg.factor_reuse;
     gs_cfg.rank_update = cfg.rank_update;
     gs_cfg.batch_assembly = cfg.batch_assembly;
-    gs_cfg.tran_step_carry = cfg.tran_step_carry;
     let good = GoodSpace::compile(harness, &cfg.process, gs_cfg).map_err(PathError::GoodCircuit)?;
     let injector = Injector::default();
     let shared: HashSet<&str> = harness.shared_nets().into_iter().collect();
@@ -1121,7 +1118,6 @@ fn class_base_opts(harness: &dyn MacroHarness, cfg: &PipelineConfig) -> SimOptio
     base_opts.factor_reuse = cfg.factor_reuse;
     base_opts.rank_update = cfg.rank_update;
     base_opts.batch_assembly = cfg.batch_assembly;
-    base_opts.tran_step_carry = cfg.tran_step_carry;
     base_opts
 }
 

@@ -239,7 +239,14 @@ pub fn counter(name: &str, delta: u64) {
         return;
     }
     let mut map = r.counters.lock().unwrap_or_else(|e| e.into_inner());
-    *map.entry(name.to_string()).or_insert(0) += delta;
+    // Look up before inserting: hot counters (one per Newton iteration)
+    // must not allocate a key on every bump.
+    match map.get_mut(name) {
+        Some(v) => *v += delta,
+        None => {
+            map.insert(name.to_string(), delta);
+        }
+    }
 }
 
 /// Snapshot of every named counter, sorted by name (the registry is a

@@ -62,12 +62,6 @@ pub struct SimOptions {
     /// addition order is preserved exactly, so the assembled matrix is
     /// bit-identical to the interpretive walk and this defaults on.
     pub batch_assembly: bool,
-    /// Carry the accepted transient step size across the step loop with a
-    /// ×2 ramp-up instead of restarting every step at the full remaining
-    /// interval. Avoids paying repeated rejected Newton solves on sharp
-    /// edges, but takes different (smaller) steps — round-off-changing,
-    /// so it defaults off and is verdict-gated like `rank_update`.
-    pub tran_step_carry: bool,
 }
 
 impl Default for SimOptions {
@@ -84,7 +78,6 @@ impl Default for SimOptions {
             factor_reuse: true,
             rank_update: false,
             batch_assembly: true,
-            tran_step_carry: false,
         }
     }
 }
@@ -240,6 +233,28 @@ enum NrOutcome {
     Singular,
 }
 
+/// Chord iterations one transient Newton solve may spend on factors
+/// built for an earlier iterate or time step before it refactors.
+const CHORD_BUDGET: usize = 2;
+
+/// The companion-stamp parameters of a transient step: factors built for
+/// one step may serve chord iterations of another only if these match.
+#[derive(Debug, Clone, Copy)]
+struct ChordBasis {
+    h: f64,
+    trap: bool,
+}
+
+impl ChordBasis {
+    /// Same integration rule and the same step size. "Same" forgives the
+    /// last-bit jitter of the step loop's `t_target − t` arithmetic, which
+    /// gives consecutive full-grid steps sizes a few ULPs apart; a halving
+    /// or the BE → trapezoidal switch never matches.
+    fn matches(self, other: ChordBasis) -> bool {
+        self.trap == other.trap && (self.h - other.h).abs() <= 1e-9 * other.h
+    }
+}
+
 /// One step of the compiled stamp plan.
 ///
 /// The netlist is immutable for the life of a [`Simulator`], so the
@@ -322,6 +337,10 @@ pub struct Simulator<'a> {
     /// factored from. Valid only when `factor_fresh` is set.
     factor_key: Vec<f64>,
     factor_fresh: bool,
+    /// The transient step `lu` was last factored for, while those factors
+    /// may serve chord iterations; `None` after any DC solve and after a
+    /// failed factorisation.
+    chord_basis: Option<ChordBasis>,
     /// Nominal-circuit factors for the rank-update path, installed by
     /// the warm-start machinery via [`Simulator::install_nominal_factors`].
     nominal: Option<Arc<NominalFactors>>,
@@ -401,6 +420,7 @@ impl<'a> Simulator<'a> {
             lu: LuFactors::new(),
             factor_key: Vec::new(),
             factor_fresh: false,
+            chord_basis: None,
             nominal: None,
             smw_plan: None,
             smw_key: Vec::new(),
@@ -827,6 +847,15 @@ impl<'a> Simulator<'a> {
         outcome
     }
 
+    /// One Newton solve. DC solves factor the assembled Jacobian on every
+    /// iteration (through the exact factor cache, rank update and
+    /// lockstep prime). Transient solves run *chord* (modified) Newton:
+    /// while `lu` holds factors built for the same step size and
+    /// integration rule, an iteration solves `A_old·d = z − A·x` for the
+    /// update instead of refactoring. It refactors when the solve has
+    /// spent its [`CHORD_BUDGET`] without converging, on the first step
+    /// after a DC solve, when the step size or rule changed
+    /// ([`ChordBasis::matches`]), and after a failed factorisation.
     fn newton_inner(
         &mut self,
         x: &mut [f64],
@@ -838,6 +867,16 @@ impl<'a> Simulator<'a> {
         let n_v = self.n_nodes - 1;
         let mut xnext = vec![0.0; self.n_unknowns];
         self.stats.nr_solves += 1;
+        let basis = tran.map(|c| ChordBasis {
+            h: c.h,
+            trap: c.trap,
+        });
+        if basis.is_none() {
+            // A DC solve may replace `lu` or bypass it (rank update): the
+            // first transient step after it factors its own matrix.
+            self.chord_basis = None;
+        }
+        let mut chord_left = CHORD_BUDGET;
         for iter in 0..self.opts.max_iter {
             self.stats.nr_iterations += 1;
             // Lockstep prime: iteration 0 of a DC solve may adopt the
@@ -866,13 +905,36 @@ impl<'a> Simulator<'a> {
             }
             xnext.copy_from_slice(&self.z);
 
+            // Chord iteration: reuse the factors of an earlier transient
+            // Jacobian with this step's (h, trap). The update solves
+            // against the fresh residual, so the fixed point — and the
+            // clamp and convergence test below — are those of full
+            // Newton; only the rate of approach differs.
+            let mut solved = false;
+            if chord_left > 0
+                && matches!((self.chord_basis, basis), (Some(held), Some(b)) if held.matches(b))
+            {
+                // The basis is only set after factoring this simulator's
+                // own matrix, whose dimension the netlist fixes.
+                debug_assert_eq!(self.lu.dim(), self.n_unknowns);
+                chord_left -= 1;
+                let t_lu = dotm_obs::start();
+                self.a.sub_mul_vec(x, &mut xnext);
+                self.lu.solve(&mut xnext);
+                for (xn, xi) in xnext.iter_mut().zip(x.iter()) {
+                    *xn += xi;
+                }
+                dotm_obs::phase(dotm_obs::Phase::Lu, t_lu);
+                dotm_obs::counter("lu.chord_solves", 1);
+                solved = true;
+            }
+
             // Rank-update fast path: when nominal factors are installed
             // and this is a DC solve at the nominal gmin, try to solve
             // the variant system as a low-rank update before paying for
             // a factorisation. Transient solves are excluded (companion
             // stamps perturb many columns), as is any homotopy gmin —
             // those perturb every node diagonal.
-            let mut solved = false;
             if self.opts.rank_update && tran.is_none() {
                 if let Some(nominal) = self.nominal.clone() {
                     if nominal.gmin() == gmin {
@@ -953,9 +1015,11 @@ impl<'a> Simulator<'a> {
                     // The key goes stale the moment a refactor starts
                     // (even a reuse-off refactor replaces the factors).
                     self.factor_fresh = false;
+                    dotm_obs::counter("lu.refactors", 1);
                     if self.lu.refactor(&self.a).is_err() {
                         dotm_obs::phase(dotm_obs::Phase::Lu, t_lu);
                         self.stats.singular_pivots += 1;
+                        self.chord_basis = None;
                         return NrOutcome::Singular;
                     }
                     if self.opts.factor_reuse {
@@ -964,6 +1028,7 @@ impl<'a> Simulator<'a> {
                         self.factor_fresh = true;
                     }
                 }
+                self.chord_basis = basis;
                 self.lu.solve(&mut xnext);
                 dotm_obs::phase(dotm_obs::Phase::Lu, t_lu);
             }
@@ -1489,13 +1554,13 @@ impl<'a> Simulator<'a> {
         let trap_ok = self.opts.integration == Integration::Trapezoidal;
         let mut first_step = true;
         let mut t = 0.0;
-        // Step-carry (`DOTM_TRAN_STEP_CARRY`): once halvings find a working
-        // `h` at a sharp edge, restarting the next step from the full
-        // remaining interval repeats up to `max_step_halvings` rejected
-        // Newton solves per accepted step. Carrying the accepted `h`
-        // forward with a ×2 ramp (capped at the remaining interval) keeps
-        // the step near the edge-resolving size. Off by default: the step
-        // sequence changes, which perturbs round-off.
+        // Step carry: once halvings find a working `h` at a sharp edge,
+        // restarting the next step from the full remaining interval would
+        // repeat up to `max_step_halvings` rejected Newton solves per
+        // accepted step. Carrying the accepted `h` forward with a ×2 ramp
+        // (capped at the remaining interval) keeps the step near the
+        // edge-resolving size; without halvings every step is the full
+        // remaining interval either way.
         let mut carried: Option<f64> = None;
         for k in 1..=n_out {
             let t_target = if !exact && k == n_out {
@@ -1505,10 +1570,7 @@ impl<'a> Simulator<'a> {
             };
             while t < t_target - 1e-18 * t_target.max(1.0) {
                 let remaining = t_target - t;
-                let mut h = match carried {
-                    Some(c) if self.opts.tran_step_carry => c.min(remaining),
-                    _ => remaining,
-                };
+                let mut h = carried.map_or(remaining, |c| c.min(remaining));
                 let mut halvings = 0;
                 loop {
                     // BE on the very first step (no stored cap current yet).
@@ -1538,9 +1600,7 @@ impl<'a> Simulator<'a> {
                             t += h;
                             first_step = false;
                             self.stats.tran_steps += 1;
-                            if self.opts.tran_step_carry {
-                                carried = Some(2.0 * h);
-                            }
+                            carried = Some(2.0 * h);
                             break;
                         }
                         NrOutcome::Singular => {

@@ -108,6 +108,18 @@ impl DenseMatrix {
             .collect()
     }
 
+    /// Subtracts `self · x` from `r` in place: with `z` on entry, `r`
+    /// leaves holding the residual `z − self·x` of the system `self·x = z`.
+    /// Rows are reduced with the same fixed four-way association as
+    /// [`LuFactors::solve`], so the result is deterministic.
+    pub(crate) fn sub_mul_vec(&self, x: &[f64], r: &mut [f64]) {
+        assert_eq!(x.len(), self.n);
+        assert_eq!(r.len(), self.n);
+        for (ri, row) in r.iter_mut().zip(self.data.chunks_exact(self.n)) {
+            *ri -= dot4(row, x);
+        }
+    }
+
     /// Factors the matrix in place (LU with partial pivoting) and solves
     /// `A·x = b`, overwriting `b` with `x`.
     ///

@@ -1,7 +1,9 @@
 //! Batched-assembly equivalence: the split-plan path (`batch_assembly`),
 //! with and without a class-shared nominal baseline, must be
 //! bitwise-identical to the scalar interpretive re-walk — that identity
-//! is why `DOTM_BATCH_ASSEMBLY` can default on.
+//! is why `DOTM_BATCH_ASSEMBLY` can default on. Transient solves run
+//! chord Newton, so the transient legs also pin that the chord residual
+//! and solve see bit-identical systems on both paths.
 
 use dotm_netlist::{DiodeParams, MosType, MosfetParams, Netlist, NodeId, SwitchParams, Waveform};
 use dotm_sim::{SharedAssembly, SimOptions, SimStats, Simulator};
@@ -102,11 +104,27 @@ fn run_bits(
     (bits, *sim.stats())
 }
 
+fn chord_solves() -> u64 {
+    dotm_obs::counters_snapshot()
+        .into_iter()
+        .find(|(n, _)| n == "lu.chord_solves")
+        .map_or(0, |(_, v)| v)
+}
+
 #[test]
 fn batch_dc_and_transient_bitwise_identical_to_scalar() {
     let nl = mixed_bench();
+    // The recorder is process-global and other tests in this binary may
+    // add to the counter concurrently, so this only proves that chord
+    // iterations ran at all — which a disabled chord path cannot fake.
+    dotm_obs::set_enabled(true);
+    let before = chord_solves();
     let (scalar, s_stats) = run_bits(&nl, opts(false), None);
     let (batched, b_stats) = run_bits(&nl, opts(true), None);
+    assert!(
+        chord_solves() > before,
+        "transients ran no chord iterations"
+    );
     assert_eq!(scalar, batched, "batched assembly changed solution bits");
     assert_eq!(
         (

@@ -9,7 +9,7 @@
 use dotm_netlist::{DiodeParams, MosType, MosfetParams, Netlist, NodeId, Waveform};
 use dotm_sim::soa::prime_lanes;
 use dotm_sim::{LanePrime, SimOptions, SimStats, Simulator};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A small nonlinear bench: CMOS inverter with a resistive divider load,
 /// enough nonlinearity for a few Newton iterations without escalation.
@@ -90,6 +90,17 @@ fn primes_for(variants: &[Netlist]) -> Vec<Option<Arc<LanePrime>>> {
     prime_lanes(systems)
 }
 
+/// Turns the recorder on and serialises the caller against every other
+/// test here: the test harness runs tests on parallel threads and the
+/// `lockstep.prime_hits` counter is process-global, so a test's counter
+/// delta is its own only while it holds this lock.
+fn recording() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    dotm_obs::set_enabled(true);
+    guard
+}
+
 /// Counter snapshot helper: total adopted primes so far.
 fn prime_hits() -> u64 {
     dotm_obs::counters_snapshot()
@@ -101,7 +112,7 @@ fn prime_hits() -> u64 {
 
 #[test]
 fn primed_dc_bitwise_identical_per_variant() {
-    dotm_obs::set_enabled(true);
+    let _serial = recording();
     let variants = bridge_variants();
     let primes = primes_for(&variants);
     assert!(primes.iter().all(Option::is_some), "every lane must prime");
@@ -123,6 +134,7 @@ fn primed_dc_bitwise_identical_per_variant() {
 
 #[test]
 fn adoption_survives_gmin_escalation_bitwise() {
+    let _serial = recording();
     // A diode-loaded variant under an iteration budget plain Newton
     // cannot meet from zeros: the solve falls into the gmin homotopy
     // *after* iteration 0 adopted the prime. Escalation re-assembles at
@@ -168,7 +180,7 @@ fn adoption_survives_gmin_escalation_bitwise() {
 
 #[test]
 fn diverging_lane_falls_back_to_scalar_bitwise() {
-    dotm_obs::set_enabled(true);
+    let _serial = recording();
     // The capture ran from the zero iterate, but the measuring solve
     // starts from a warm seed: x0 differs bitwise, the guard refuses the
     // prime, and the scalar path must produce an untouched result.
@@ -202,7 +214,7 @@ fn diverging_lane_falls_back_to_scalar_bitwise() {
 
 #[test]
 fn rewired_variants_group_by_dimension_and_still_prime() {
-    dotm_obs::set_enabled(true);
+    let _serial = recording();
     // One append-only bridge plus one rewired variant that adds a new
     // node (different unknown count): `prime_lanes` must factor them in
     // separate dimension groups and both must still adopt bitwise.
@@ -235,7 +247,7 @@ fn rewired_variants_group_by_dimension_and_still_prime() {
 
 #[test]
 fn single_lane_class_primes_bitwise() {
-    dotm_obs::set_enabled(true);
+    let _serial = recording();
     // K = 1: a class with one measurable variant still goes through the
     // blocked kernel (as a singleton group) and adopts bitwise.
     let nl = bridge_variants().remove(1);

@@ -6,9 +6,11 @@ use crate::fnv::Fnv128;
 use dotm_core::{MacroHarness, MeasureKind, PipelineConfig, SimFailurePolicy};
 use dotm_sim::Integration;
 
-/// Bumped whenever any persisted encoding changes shape, so old stores
-/// and journals age out as misses instead of decoding wrongly.
-pub const FORMAT_VERSION: u64 = 3;
+/// Bumped whenever any persisted encoding changes shape, or the solver
+/// changes the values it persists (4: chord Newton in transient solves),
+/// so old stores and journals age out as misses instead of decoding
+/// wrongly or replaying another solver's numbers.
+pub const FORMAT_VERSION: u64 = 4;
 
 /// Computes the context fingerprint of one `(harness, config)` pair.
 ///
@@ -18,7 +20,7 @@ pub const FORMAT_VERSION: u64 = 3;
 /// defect statistics); the process-variation sigmas; the good-space
 /// Monte-Carlo sizes and seed; the escalation ladder; the sim-failure
 /// policy; and the solver-effort knobs (`warm_start`, `measure_cache`,
-/// `factor_reuse`, `rank_update`, `batch_assembly`, `tran_step_carry`)
+/// `factor_reuse`, `rank_update`, `batch_assembly`)
 /// whose telemetry — or, for the round-off-changing ones, whose solution
 /// bits — lands in persisted solver-stats deltas and measurements.
 ///
@@ -107,7 +109,6 @@ pub fn pipeline_context(harness: &dyn MacroHarness, cfg: &PipelineConfig) -> u12
     h.bool(cfg.factor_reuse);
     h.bool(cfg.rank_update);
     h.bool(cfg.batch_assembly);
-    h.bool(cfg.tran_step_carry);
 
     h.finish()
 }
@@ -171,10 +172,6 @@ mod tests {
         let mut cfg = base_cfg();
         cfg.batch_assembly = false;
         assert_ne!(pipeline_context(&h, &cfg), base, "batch assembly");
-
-        let mut cfg = base_cfg();
-        cfg.tran_step_carry = true;
-        assert_ne!(pipeline_context(&h, &cfg), base, "step carry");
 
         let mut cfg = base_cfg();
         cfg.defects += 1;

@@ -308,5 +308,21 @@ cargo run --release --locked -p dotm-bench --bin tracecheck -- \
     "$trace_dir/fig4.ndjson" || {
     echo "FAIL: exported NDJSON is structurally invalid"; exit 1; }
 echo "    traced stdout identical, NDJSON validates"
+# Chord Newton must carry the transient solves: fewer factorisations than
+# Newton iterations, and chord iterations present at all — a silently
+# disabled chord path fails here.
+counter() {
+    grep -o "\"name\":\"$1\",\"value\":[0-9]*" "$trace_dir/fig4.ndjson" | grep -o '[0-9]*$' || true
+}
+refactors=$(counter lu.refactors)
+chords=$(counter lu.chord_solves)
+iters=$(counter sim.nr_iterations)
+if [ -z "$refactors" ] || [ -z "$chords" ] || [ -z "$iters" ] \
+    || [ "$refactors" -ge "$iters" ] || [ "$chords" -eq 0 ]; then
+    echo "FAIL: chord Newton inactive: lu.refactors=$refactors" \
+        "lu.chord_solves=$chords sim.nr_iterations=$iters"
+    exit 1
+fi
+echo "    $refactors factorisations, $chords chord solves, $iters NR iterations"
 
 echo "==> verify: all green"
