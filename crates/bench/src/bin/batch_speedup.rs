@@ -5,8 +5,8 @@
 //! baselines, variants replaying only the dynamic delta), then
 //!
 //! * asserts the two reports are **bit-for-bit identical** — batching
-//!   preserves the per-cell addition sequence exactly, so unlike the
-//!   rank-update bench this is an equality gate, not a verdict-band gate,
+//!   preserves the per-cell addition sequence exactly, so this is an
+//!   equality gate, not a verdict-band gate,
 //! * counts detection-verdict flips per class anyway (always 0 when the
 //!   fingerprints match; kept as an explicit counter so the baseline
 //!   comparison pins it), and

@@ -1,5 +1,6 @@
 //! Perf-trajectory comparator: diffs a bench summary JSON (as written by
-//! `lu_speedup` via `DOTM_BENCH_JSON`) against a committed baseline.
+//! `batch_speedup`, `shard_speedup` or `serve_roundtrip` via
+//! `DOTM_BENCH_JSON`) against a committed baseline.
 //!
 //! Only the *deterministic counter* metrics are compared — solve and
 //! iteration counts, reuse occupancy, verdict flips. Wall-clock and
@@ -52,10 +53,6 @@ const COUNTER_FIELDS: &[&str] = &[
     "cached_dedup",
     "warm_solver_free",
     "shutdown_clean",
-    // variant_speedup counter: how many variant lanes the lockstep
-    // pre-pass primed on the fixed-seed anchor — deterministic; a drift
-    // means the adoption guards (or the class population) changed.
-    "prime_hits",
 ];
 
 /// Parses the flat one-level JSON object the bench bins emit: string,
@@ -144,17 +141,11 @@ fn main() {
     // bin's timing fields — absent ones are simply skipped, so one
     // comparator serves all the summaries.
     for field in [
-        "base_lu_ns",
-        "fast_lu_ns",
-        "fast_rank_update_ns",
-        "lu_speedup",
         "bitwise_identical",
         "base_assembly_ns",
         "fast_assembly_ns",
         "fast_batch_assembly_ns",
         "batch_speedup",
-        "fast_lockstep_ns",
-        "variant_speedup",
         "single_wall_ms",
         "sharded_wall_ms",
         "shard_speedup",

@@ -31,11 +31,7 @@
 //! identical either way, and the cache replays solver telemetry so
 //! cache-on reports are bit-identical to cache-off at any thread count.
 //! `DOTM_FACTOR_REUSE` (`1`/`0`, default on: bitwise-exact LU factor
-//! cache — only the occupancy counters in the accounting move) and
-//! `DOTM_RANK_UPDATE` (`1`/`0`, default off: Sherman–Morrison–Woodbury
-//! rank-k updates of the nominal factorisation; changes round-off, so the
-//! `lu_speedup` bench gates verdict preservation before it is enabled
-//! anywhere).
+//! cache — only the occupancy counters in the accounting move).
 //!
 //! The `campaign` binary additionally understands the sharding knobs:
 //! `DOTM_SHARD`/`DOTM_SHARDS` (equivalent to `--shard i/N` — evaluate
@@ -166,9 +162,7 @@ pub fn standard_config() -> PipelineConfig {
         warm_start: dotm_core::env::warm_start(),
         measure_cache: dotm_core::env::measure_cache(),
         factor_reuse: dotm_core::env::factor_reuse(),
-        rank_update: dotm_core::env::rank_update(),
         batch_assembly: dotm_core::env::batch_assembly(),
-        variant_lockstep: dotm_core::env::variant_lockstep(),
         ..PipelineConfig::default()
     }
 }

@@ -21,10 +21,7 @@
 //! | `DOTM_WARM_START` | seed Newton from nominal operating points | on |
 //! | `DOTM_MEASURE_CACHE` | in-memory measurement memoization | on |
 //! | `DOTM_FACTOR_REUSE` | bitwise-exact LU factor cache in the solver | on |
-//! | `DOTM_RANK_UPDATE` | rank-k nominal-factor updates (SMW) | off |
 //! | `DOTM_BATCH_ASSEMBLY` | split-plan batched assembly + shared class baselines | on |
-//! | `DOTM_VARIANT_LOCKSTEP` | lockstep SoA priming of a class's variant lanes | on |
-//! | `DOTM_VARIANT_MIN_SPEEDUP` | `variant_speedup` phase-cut ratio gate (`0` = identity only) | 0.0 |
 //! | `DOTM_SIM_FAILURE_POLICY` | accounting for never-converged classes | assume-detected |
 //! | `DOTM_STORE_DIR` | persistent campaign-store directory | unset |
 //! | `DOTM_SHARDS` | total worker shards of a sharded campaign | unset |
@@ -176,17 +173,6 @@ pub fn factor_reuse() -> bool {
     bool_knob("DOTM_FACTOR_REUSE", true)
 }
 
-/// The `DOTM_RANK_UPDATE` knob (default off): Sherman–Morrison–Woodbury
-/// rank-k updates of the nominal factorisation for fault variants.
-/// Changes floating-point round-off (verdict preservation is gated
-/// empirically by the `lu_speedup` bench), hence off by default.
-///
-/// # Panics
-/// On a malformed value.
-pub fn rank_update() -> bool {
-    bool_knob("DOTM_RANK_UPDATE", false)
-}
-
 /// The `DOTM_BATCH_ASSEMBLY` knob (default on): split-plan batched
 /// assembly — static stamps hoisted into a per-gmin baseline, fault
 /// variants of a class embedding the shared nominal baseline plus a
@@ -197,20 +183,6 @@ pub fn rank_update() -> bool {
 /// On a malformed value.
 pub fn batch_assembly() -> bool {
     bool_knob("DOTM_BATCH_ASSEMBLY", true)
-}
-
-/// The `DOTM_VARIANT_LOCKSTEP` knob (default on): lockstep SoA variant
-/// evaluation — the first DC Newton iteration of every variant lane of a
-/// fault class is captured in a stats-free pre-pass and factored by one
-/// blocked multi-matrix LU kernel, with per-lane pivoting and per-lane
-/// fallback to the scalar path. Bitwise-identical to the sequential walk
-/// by construction (the determinism suite and the `variant_speedup`
-/// bench enforce this), hence on by default.
-///
-/// # Panics
-/// On a malformed value.
-pub fn variant_lockstep() -> bool {
-    bool_knob("DOTM_VARIANT_LOCKSTEP", true)
 }
 
 /// The `DOTM_SIM_FAILURE_POLICY` knob (default: the paper-parity
@@ -333,18 +305,6 @@ pub fn expect_warm() -> bool {
 /// On a malformed value.
 pub fn shard_min_speedup() -> f64 {
     f64_knob("DOTM_SHARD_MIN_SPEEDUP", 0.0)
-}
-
-/// The `DOTM_VARIANT_MIN_SPEEDUP` knob (default 0.0): the
-/// `variant_speedup` bench's class-evaluation phase-cut ratio gate
-/// (sequential assembly+LU work over lockstep assembly+LU+priming work).
-/// `0.0` means identity-only — always honest numbers, never a flaky
-/// timing failure in CI; `scripts/verify.sh` and CI set `1.3`.
-///
-/// # Panics
-/// On a malformed value.
-pub fn variant_min_speedup() -> f64 {
-    f64_knob("DOTM_VARIANT_MIN_SPEEDUP", 0.0)
 }
 
 /// The `DOTM_PROGRESS` knob (default off): emit one `[progress]` line to

@@ -10,12 +10,13 @@
 //! supply pin).
 
 use crate::exec::{self, ExecConfig};
-use crate::harness::{Batch, MacroHarness, Warm, WarmCapture, WarmStart};
+use crate::harness::{MacroHarness, Warm, WarmCapture, WarmStart};
 use crate::measure::MeasureKind;
 use crate::processvar::ProcessModel;
 use crate::signature::{CurrentFlags, CurrentKind};
 use dotm_rng::rngs::StdRng;
-use dotm_sim::{SimError, SimOptions, SimStats};
+use dotm_sim::{SharedAssembly, SimError, SimOptions, SimStats};
+use std::sync::Arc;
 
 /// Monte-Carlo sizes for good-space compilation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,9 +40,8 @@ pub struct GoodSpaceConfig {
     /// Bitwise-exact LU factor reuse inside the solver (overrides the
     /// harness's base [`SimOptions`]). May never change a reported bit.
     pub factor_reuse: bool,
-    /// Sherman–Morrison–Woodbury rank-k updates of the nominal
-    /// factorisation (overrides the harness's base [`SimOptions`]).
-    /// Changes floating-point round-off; off by default.
+    /// No effect. The rank-update solve path is retired; the field
+    /// remains so callers that set it keep compiling.
     pub rank_update: bool,
     /// Split-plan batched assembly (overrides the harness's base
     /// [`SimOptions`]). The nominal measurement and every Monte-Carlo
@@ -77,7 +77,6 @@ impl Default for GoodSpaceConfig {
 fn sim_options_for(harness: &dyn MacroHarness, cfg: &GoodSpaceConfig) -> SimOptions {
     let mut opts = harness.sim_options();
     opts.factor_reuse = cfg.factor_reuse;
-    opts.rank_update = cfg.rank_update;
     opts.batch_assembly = cfg.batch_assembly;
     opts
 }
@@ -94,7 +93,7 @@ fn compile_common_sample(
     m: usize,
     si: u64,
     warm: Option<&WarmStart>,
-    batch: Batch<'_>,
+    shared: Option<&Arc<SharedAssembly>>,
 ) -> Result<(Vec<Vec<f64>>, SimStats, u64), SimError> {
     let opts = sim_options_for(harness, cfg);
     let mut rng = StdRng::seed_from_stream(cfg.seed, si);
@@ -109,7 +108,7 @@ fn compile_common_sample(
             let mut nl = harness.testbench();
             harness.perturb(&mut nl, model, &common, &mut rng);
             let w = warm.map_or(Warm::Cold, Warm::Seed);
-            match harness.measure_with(&nl, &opts, &mut stats, w, batch) {
+            match harness.measure_with(&nl, &opts, &mut stats, w, shared) {
                 Ok(v) => per_mm.push(v),
                 Err(e) => {
                     corner_error = Some(e);
@@ -173,8 +172,7 @@ impl GoodSpace {
         let testbench = harness.testbench();
         let shared_asm = cfg
             .batch_assembly
-            .then(|| std::sync::Arc::new(dotm_sim::SharedAssembly::compile(&testbench)));
-        let batch = Batch::shared(shared_asm.as_ref());
+            .then(|| Arc::new(SharedAssembly::compile(&testbench)));
         // The nominal measurement is single-threaded; in warm-start mode
         // it doubles as the capture run for the per-analysis operating
         // points, frozen into an immutable seed table before any parallel
@@ -190,7 +188,7 @@ impl GoodSpace {
             &sim_options_for(harness, &cfg),
             &mut solver,
             nominal_warm,
-            batch,
+            shared_asm.as_ref(),
         )?;
         let warm = cfg.warm_start.then(|| capture.freeze());
         let n = nominal.len();
@@ -205,7 +203,15 @@ impl GoodSpace {
         // retries) rather than failing the whole compilation.
         let per_sample: Vec<(Vec<Vec<f64>>, SimStats, u64)> =
             exec::par_map_indices(&cfg.exec, s, |si| {
-                compile_common_sample(harness, model, &cfg, m, si as u64, warm.as_ref(), batch)
+                compile_common_sample(
+                    harness,
+                    model,
+                    &cfg,
+                    m,
+                    si as u64,
+                    warm.as_ref(),
+                    shared_asm.as_ref(),
+                )
             })
             .into_iter()
             .collect::<Result<_, _>>()?;

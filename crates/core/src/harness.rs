@@ -14,64 +14,8 @@ use crate::signature::{CurrentKind, VoltageSignature};
 use dotm_layout::Layout;
 use dotm_netlist::Netlist;
 use dotm_rng::rngs::StdRng;
-use dotm_sim::{
-    LanePrime, NominalFactors, OpPoint, SharedAssembly, SimError, SimOptions, SimStats, Simulator,
-};
+use dotm_sim::{OpPoint, SharedAssembly, SimError, SimOptions, SimStats, Simulator};
 use std::sync::{Arc, Mutex};
-
-/// The class-shared solver context threaded through
-/// [`MacroHarness::measure_with`].
-///
-/// `shared` hands every simulator the nominal testbench's compiled stamp
-/// split so device-prefix-equal fault variants assemble as
-/// `shared baseline + delta` (see [`SharedAssembly`]); `None` leaves each
-/// simulator to split locally (still batched when
-/// [`SimOptions::batch_assembly`] is on).
-///
-/// `prime` carries this specific variant lane's primed first DC Newton
-/// iteration from the lockstep pre-pass ([`prime_lockstep_lanes`]); it is
-/// installed into analysis slot 0 only, and the engine adopts it only
-/// under bitwise guards, so it is a pure speed-up.
-#[derive(Clone, Copy, Default)]
-pub struct Batch<'b> {
-    /// Class-shared compiled assembly baseline, if one was built.
-    pub shared: Option<&'b Arc<SharedAssembly>>,
-    /// This lane's primed first DC iteration, if the pre-pass built one.
-    pub prime: Option<&'b Arc<LanePrime>>,
-}
-
-impl<'b> Batch<'b> {
-    /// No shared context at all.
-    pub const fn none() -> Self {
-        Batch {
-            shared: None,
-            prime: None,
-        }
-    }
-
-    /// Only the class-shared assembly (the pre-lockstep constructor; most
-    /// call sites thread no prime).
-    pub fn shared(shared: Option<&'b Arc<SharedAssembly>>) -> Self {
-        Batch {
-            shared,
-            prime: None,
-        }
-    }
-
-    /// This context with `prime` attached.
-    pub fn with_prime(self, prime: Option<&'b Arc<LanePrime>>) -> Self {
-        Batch { prime, ..self }
-    }
-}
-
-/// One captured analysis slot: the nominal operating point plus (when the
-/// rank-update path is enabled) the nominal system's LU factorisation,
-/// shared across every fault variant of the same slot via `Arc`.
-#[derive(Debug, Clone)]
-struct SlotSeed {
-    op: OpPoint,
-    factors: Option<Arc<NominalFactors>>,
-}
 
 /// Collects the good-circuit operating point of every DC-rooted analysis a
 /// harness runs, indexed by *analysis slot* — the position of the analysis
@@ -80,7 +24,7 @@ struct SlotSeed {
 /// measurement, then frozen into a read-only [`WarmStart`].
 #[derive(Debug, Default)]
 pub struct WarmCapture {
-    slots: Mutex<Vec<Option<SlotSeed>>>,
+    slots: Mutex<Vec<Option<OpPoint>>>,
 }
 
 impl WarmCapture {
@@ -89,15 +33,13 @@ impl WarmCapture {
         Self::default()
     }
 
-    /// Records the operating point solved for analysis slot `slot`,
-    /// together with the nominal LU factors when the capture run holds
-    /// them (rank-update mode only).
-    pub fn record(&self, slot: usize, op: OpPoint, factors: Option<Arc<NominalFactors>>) {
+    /// Records the operating point solved for analysis slot `slot`.
+    pub fn record(&self, slot: usize, op: OpPoint) {
         let mut slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
         if slots.len() <= slot {
             slots.resize(slot + 1, None);
         }
-        slots[slot] = Some(SlotSeed { op, factors });
+        slots[slot] = Some(op);
     }
 
     /// Freezes the captured points into an immutable seed table.
@@ -117,22 +59,13 @@ impl WarmCapture {
 /// chain whenever the seed does not converge.
 #[derive(Debug, Clone, Default)]
 pub struct WarmStart {
-    seeds: Vec<Option<SlotSeed>>,
+    seeds: Vec<Option<OpPoint>>,
 }
 
 impl WarmStart {
     /// The captured nominal operating point for analysis slot `slot`.
     pub fn seed(&self, slot: usize) -> Option<&OpPoint> {
-        self.seeds.get(slot).and_then(|s| s.as_ref()).map(|s| &s.op)
-    }
-
-    /// The captured nominal LU factorisation for analysis slot `slot`
-    /// (present only when the capture run had rank updates enabled).
-    pub fn factors(&self, slot: usize) -> Option<&Arc<NominalFactors>> {
-        self.seeds
-            .get(slot)
-            .and_then(|s| s.as_ref())
-            .and_then(|s| s.factors.as_ref())
+        self.seeds.get(slot).and_then(|s| s.as_ref())
     }
 
     /// Number of analysis slots that captured a point.
@@ -213,17 +146,6 @@ pub trait MacroHarness: Sync {
         SimOptions::default()
     }
 
-    /// Whether this harness's measurement procedure *starts* with a plain
-    /// DC operating-point solve of the (possibly faulted) testbench at
-    /// the base options — the exact shape the lockstep variant pre-pass
-    /// ([`prime_lockstep_lanes`]) primes. A pure performance hint: the
-    /// engine adopts a prime only under bitwise guards, so a wrong `true`
-    /// merely wastes the pre-pass and a wrong `false` only forgoes the
-    /// speed-up; neither can move a bit.
-    fn lockstep_dc(&self) -> bool {
-        false
-    }
-
     /// Runs the macro's measurement procedure on a (possibly faulted,
     /// possibly perturbed) netlist with the harness's base options.
     ///
@@ -237,7 +159,7 @@ pub trait MacroHarness: Sync {
             &self.sim_options(),
             &mut SimStats::default(),
             Warm::Cold,
-            Batch::none(),
+            None,
         )
     }
 
@@ -252,6 +174,12 @@ pub trait MacroHarness: Sync {
     /// exit paths), threading `warm` plus a fresh [`WarmCursor`] through
     /// every analysis so capture and seed runs agree on slot numbering.
     ///
+    /// `shared` is the nominal testbench's compiled stamp split: every
+    /// simulator installs it so device-prefix-equal fault variants
+    /// assemble as `shared baseline + delta` (see [`SharedAssembly`]).
+    /// `None` leaves each simulator to split locally (still batched when
+    /// [`SimOptions::batch_assembly`] is on).
+    ///
     /// # Errors
     /// Propagates simulator failures.
     fn measure_with(
@@ -260,7 +188,7 @@ pub trait MacroHarness: Sync {
         opts: &SimOptions,
         stats: &mut SimStats,
         warm: Warm<'_>,
-        batch: Batch<'_>,
+        shared: Option<&Arc<SharedAssembly>>,
     ) -> Result<Vec<f64>, SimError>;
 
     /// Applies one process Monte-Carlo sample. The default perturbs every
@@ -318,10 +246,11 @@ pub fn with_instrumented_sim<R>(
 }
 
 /// Warm-start-aware variant of [`with_instrumented_sim`]: claims the next
-/// analysis slot from `cursor`, seeds the simulator's first DC solve from
-/// the nominal operating point (in [`Warm::Seed`] mode) or records the
-/// solved point after `f` (in [`Warm::Capture`] mode), and merges solver
-/// telemetry into `stats` on every exit path.
+/// analysis slot from `cursor`, installs the class-shared assembly,
+/// seeds the simulator's first DC solve from the nominal operating point
+/// (in [`Warm::Seed`] mode) or records the solved point after `f` (in
+/// [`Warm::Capture`] mode), and merges solver telemetry into `stats` on
+/// every exit path.
 ///
 /// The cursor advances even when `f` fails so subsequent analyses keep
 /// their slot alignment between the capture run and seeded runs.
@@ -333,35 +262,20 @@ pub fn with_instrumented_sim_warm<R>(
     opts: &SimOptions,
     stats: &mut SimStats,
     warm: Warm<'_>,
-    batch: Batch<'_>,
+    shared: Option<&Arc<SharedAssembly>>,
     cursor: &mut WarmCursor,
     f: impl FnOnce(&mut Simulator<'_>) -> Result<R, SimError>,
 ) -> Result<R, SimError> {
     let slot = cursor.next_slot();
     let mut sim = Simulator::with_options(nl, opts.clone());
-    if let Some(sh) = batch.shared {
+    if let Some(sh) = shared {
         sim.install_shared_assembly(Arc::clone(sh));
-    }
-    if slot == 0 {
-        if let Some(p) = batch.prime {
-            // The lockstep pre-pass captured analysis slot 0's first DC
-            // iteration; later slots start from different state and
-            // would only refuse the prime at adoption time.
-            sim.install_lane_prime(Arc::clone(p));
-        }
     }
     if let Warm::Seed(start) = warm {
         if let Some(op) = start.seed(slot) {
             // seed_dc_from rejects seeds that violate the append-only
-            // invariant; a rejected seed just means a cold start — and
-            // the nominal factors only embed into circuits that satisfy
-            // the same invariant, so they are installed only when the
-            // seed was accepted.
-            if sim.seed_dc_from(op) {
-                if let Some(factors) = start.factors(slot) {
-                    sim.install_nominal_factors(factors.clone());
-                }
-            }
+            // invariant; a rejected seed just means a cold start.
+            sim.seed_dc_from(op);
         }
     }
     let span = dotm_obs::span_with("analysis", || format!("analysis {slot} [{}]", nl.name()));
@@ -369,56 +283,9 @@ pub fn with_instrumented_sim_warm<R>(
     drop(span);
     if let Warm::Capture(capture) = warm {
         if let Some(op) = sim.last_dc_op() {
-            // Factorising the nominal system costs one extra assembly +
-            // LU per analysis slot; only pay it when the rank-update
-            // path that consumes the factors is enabled.
-            let factors = if opts.rank_update {
-                sim.capture_nominal_factors()
-            } else {
-                None
-            };
-            capture.record(slot, op, factors);
+            capture.record(slot, op);
         }
     }
     stats.merge(sim.stats());
     result
-}
-
-/// The lockstep variant pre-pass: captures the first DC Newton iteration
-/// of every lane netlist — setting each scratch simulator up exactly as
-/// [`with_instrumented_sim_warm`] sets up the measuring simulator for
-/// analysis slot 0 (shared assembly installed, slot-0 warm seed applied)
-/// — and factors all captured systems in one blocked SoA pass
-/// (`dotm_sim::soa`).
-///
-/// The scratch simulators' telemetry is deliberately discarded: the
-/// pre-pass does no solver work the measurement would count, and the
-/// measuring simulator's stats must be bit-identical lockstep on or off.
-/// The whole pass is attributed to the `variant_lockstep` obs phase.
-pub fn prime_lockstep_lanes(
-    lanes: &[&Netlist],
-    opts: &SimOptions,
-    warm: Warm<'_>,
-    shared: Option<&Arc<SharedAssembly>>,
-) -> Vec<Option<Arc<LanePrime>>> {
-    let t0 = dotm_obs::start();
-    let mut systems = Vec::with_capacity(lanes.len());
-    for nl in lanes {
-        let mut sim = Simulator::with_options(nl, opts.clone());
-        if let Some(sh) = shared {
-            sim.install_shared_assembly(Arc::clone(sh));
-        }
-        if let Warm::Seed(start) = warm {
-            if let Some(op) = start.seed(0) {
-                // Acceptance mirrors the measuring run: a rejected seed
-                // means both the capture and the measurement start from
-                // zeros, so the capture stays bit-faithful either way.
-                let _ = sim.seed_dc_from(op);
-            }
-        }
-        systems.push(sim.lockstep_capture());
-    }
-    let primes = dotm_sim::soa::prime_lanes(systems);
-    dotm_obs::phase(dotm_obs::Phase::VariantLockstep, t0);
-    primes
 }

@@ -1,6 +1,6 @@
 //! Harness for the bias generator.
 
-use crate::harness::{with_instrumented_sim_warm, Batch, MacroHarness, Warm, WarmCursor};
+use crate::harness::{with_instrumented_sim_warm, MacroHarness, Warm, WarmCursor};
 use crate::measure::{MeasureKind, MeasureLabel, MeasurementPlan};
 use crate::signature::{CurrentKind, VoltageSignature};
 use dotm_adc::comparator::{
@@ -9,7 +9,8 @@ use dotm_adc::comparator::{
 use dotm_adc::process::BiasValues;
 use dotm_layout::Layout;
 use dotm_netlist::Netlist;
-use dotm_sim::{SimError, SimOptions, SimStats, Simulator};
+use dotm_sim::{SharedAssembly, SimError, SimOptions, SimStats, Simulator};
+use std::sync::Arc;
 
 use super::comparator::{DECISION_DVS, VREF_MID};
 
@@ -61,22 +62,16 @@ impl MacroHarness for BiasHarness {
         MeasurementPlan { labels }
     }
 
-    // The first (and only) analysis is a plain base-gmin DC operating
-    // point, so a lockstep-primed first iteration is always adoptable.
-    fn lockstep_dc(&self) -> bool {
-        true
-    }
-
     fn measure_with(
         &self,
         nl: &Netlist,
         opts: &SimOptions,
         stats: &mut SimStats,
         warm: Warm<'_>,
-        batch: Batch<'_>,
+        shared: Option<&Arc<SharedAssembly>>,
     ) -> Result<Vec<f64>, SimError> {
         let mut cursor = WarmCursor::new();
-        let op = with_instrumented_sim_warm(nl, opts, stats, warm, batch, &mut cursor, |sim| {
+        let op = with_instrumented_sim_warm(nl, opts, stats, warm, shared, &mut cursor, |sim| {
             sim.dc_op()
         })?;
         let mut out = Vec::with_capacity(5);

@@ -1,14 +1,15 @@
 //! Harness for the clock generator — the digital cell whose quiescent
 //! supply current is the IDDQ measurement.
 
-use crate::harness::{with_instrumented_sim_warm, Batch, MacroHarness, Warm, WarmCursor};
+use crate::harness::{with_instrumented_sim_warm, MacroHarness, Warm, WarmCursor};
 use crate::measure::{MeasureKind, MeasureLabel, MeasurementPlan};
 use crate::signature::{CurrentKind, VoltageSignature};
 use dotm_adc::clockgen::clockgen_testbench;
 use dotm_adc::process::{Phase, CLOCK_PERIOD};
 use dotm_layout::Layout;
 use dotm_netlist::Netlist;
-use dotm_sim::{SimError, SimOptions, SimStats};
+use dotm_sim::{SharedAssembly, SimError, SimOptions, SimStats};
+use std::sync::Arc;
 
 /// Level deviation that still counts as a working (but shifted) clock.
 const LEVEL_DEV: f64 = 0.30;
@@ -76,10 +77,10 @@ impl MacroHarness for ClockgenHarness {
         opts: &SimOptions,
         stats: &mut SimStats,
         warm: Warm<'_>,
-        batch: Batch<'_>,
+        shared: Option<&Arc<SharedAssembly>>,
     ) -> Result<Vec<f64>, SimError> {
         let mut cursor = WarmCursor::new();
-        let tr = with_instrumented_sim_warm(nl, opts, stats, warm, batch, &mut cursor, |sim| {
+        let tr = with_instrumented_sim_warm(nl, opts, stats, warm, shared, &mut cursor, |sim| {
             sim.transient(CLOCK_PERIOD, self.dt)
         })?;
         let mut out = Vec::new();

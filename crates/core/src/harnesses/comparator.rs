@@ -1,7 +1,7 @@
 //! Harness for the comparator macro — the cell the paper analyses in
 //! depth (§3.2).
 
-use crate::harness::{with_instrumented_sim_warm, Batch, MacroHarness, Warm, WarmCursor};
+use crate::harness::{with_instrumented_sim_warm, MacroHarness, Warm, WarmCursor};
 use crate::measure::{MeasureKind, MeasureLabel, MeasurementPlan};
 use crate::processvar::{CommonSample, ProcessModel};
 use crate::signature::{CurrentKind, VoltageSignature};
@@ -13,7 +13,8 @@ use dotm_adc::process::{Phase, CLOCK_PERIOD, VREF_HI, VREF_LO};
 use dotm_layout::Layout;
 use dotm_netlist::{DeviceKind, Netlist, Waveform};
 use dotm_rng::rngs::StdRng;
-use dotm_sim::{SimError, SimOptions, SimStats, Simulator};
+use dotm_sim::{SharedAssembly, SimError, SimOptions, SimStats, Simulator};
+use std::sync::Arc;
 
 /// The differential drive points probed by the voltage test, in volts
 /// around the reference. ±8 mV is the paper's one-LSB offset bound.
@@ -167,7 +168,7 @@ impl MacroHarness for ComparatorHarness {
         opts: &SimOptions,
         stats: &mut SimStats,
         warm: Warm<'_>,
-        batch: Batch<'_>,
+        shared: Option<&Arc<SharedAssembly>>,
     ) -> Result<Vec<f64>, SimError> {
         let mut cursor = WarmCursor::new();
         let mut out = Vec::new();
@@ -175,7 +176,7 @@ impl MacroHarness for ComparatorHarness {
         // pair at each range extreme.
         for dv in DECISION_DVS {
             let tr =
-                with_instrumented_sim_warm(nl, opts, stats, warm, batch, &mut cursor, |sim| {
+                with_instrumented_sim_warm(nl, opts, stats, warm, shared, &mut cursor, |sim| {
                     sim.override_source("VIN", VREF_MID + dv)?;
                     sim.transient(decision_sim_time(), self.dt)
                 })?;
@@ -183,12 +184,19 @@ impl MacroHarness for ComparatorHarness {
         }
         for vref in EXTREME_VREFS {
             for dv in [-EXTREME_DV, EXTREME_DV] {
-                let tr =
-                    with_instrumented_sim_warm(nl, opts, stats, warm, batch, &mut cursor, |sim| {
+                let tr = with_instrumented_sim_warm(
+                    nl,
+                    opts,
+                    stats,
+                    warm,
+                    shared,
+                    &mut cursor,
+                    |sim| {
                         sim.override_source("VREF", vref)?;
                         sim.override_source("VIN", vref + dv)?;
                         sim.transient(decision_sim_time(), self.dt)
-                    })?;
+                    },
+                )?;
                 out.push(read_decision(nl, &tr));
             }
         }
@@ -197,7 +205,7 @@ impl MacroHarness for ComparatorHarness {
         let mut clock_levels = Vec::new();
         for (ci, vin) in CURRENT_VINS.iter().enumerate() {
             let tr =
-                with_instrumented_sim_warm(nl, opts, stats, warm, batch, &mut cursor, |sim| {
+                with_instrumented_sim_warm(nl, opts, stats, warm, shared, &mut cursor, |sim| {
                     sim.override_source("VIN", *vin)?;
                     sim.transient(2.0 * CLOCK_PERIOD, self.dt)
                 })?;

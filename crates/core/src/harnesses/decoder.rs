@@ -1,12 +1,13 @@
 //! Harness for the decoder column section.
 
-use crate::harness::{with_instrumented_sim_warm, Batch, MacroHarness, Warm, WarmCursor};
+use crate::harness::{with_instrumented_sim_warm, MacroHarness, Warm, WarmCursor};
 use crate::measure::{MeasureKind, MeasureLabel, MeasurementPlan};
 use crate::signature::{CurrentKind, VoltageSignature};
 use dotm_adc::decoder::{decoder_slice_testbench, SLICE_CODES, SLICE_INPUTS};
 use dotm_layout::Layout;
 use dotm_netlist::Netlist;
-use dotm_sim::{SimError, SimOptions, SimStats};
+use dotm_sim::{SharedAssembly, SimError, SimOptions, SimStats};
+use std::sync::Arc;
 
 /// Bitline deviation counting as a corrupted code (V).
 const BIT_DEV: f64 = 1.0;
@@ -81,13 +82,13 @@ impl MacroHarness for DecoderHarness {
         opts: &SimOptions,
         stats: &mut SimStats,
         warm: Warm<'_>,
-        batch: Batch<'_>,
+        shared: Option<&Arc<SharedAssembly>>,
     ) -> Result<Vec<f64>, SimError> {
         let mut cursor = WarmCursor::new();
         let mut out = Vec::new();
         for h in HEIGHTS {
             let tr =
-                with_instrumented_sim_warm(nl, opts, stats, warm, batch, &mut cursor, |sim| {
+                with_instrumented_sim_warm(nl, opts, stats, warm, shared, &mut cursor, |sim| {
                     for i in 0..SLICE_INPUTS {
                         let level = if i < h { 5.0 } else { 0.0 };
                         sim.override_source(&format!("VT{i}"), level)?;

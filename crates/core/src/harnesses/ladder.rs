@@ -1,13 +1,14 @@
 //! Harness for the dual-ladder reference string.
 
-use crate::harness::{with_instrumented_sim_warm, Batch, MacroHarness, Warm, WarmCursor};
+use crate::harness::{with_instrumented_sim_warm, MacroHarness, Warm, WarmCursor};
 use crate::measure::{MeasureKind, MeasureLabel, MeasurementPlan};
 use crate::signature::{CurrentKind, VoltageSignature};
 use dotm_adc::behavior::FlashAdc;
 use dotm_adc::ladder::{ideal_tap_voltage, ladder_testbench, tap_node, TAPS};
 use dotm_layout::Layout;
 use dotm_netlist::Netlist;
-use dotm_sim::{SimError, SimOptions, SimStats};
+use dotm_sim::{SharedAssembly, SimError, SimOptions, SimStats};
+use std::sync::Arc;
 
 /// Deviation treated as a hard (stuck) reference failure (V).
 const RAIL_DEV: f64 = 0.5;
@@ -58,22 +59,16 @@ impl MacroHarness for LadderHarness {
         MeasurementPlan { labels }
     }
 
-    // The first (and only) analysis is a plain base-gmin DC operating
-    // point, so a lockstep-primed first iteration is always adoptable.
-    fn lockstep_dc(&self) -> bool {
-        true
-    }
-
     fn measure_with(
         &self,
         nl: &Netlist,
         opts: &SimOptions,
         stats: &mut SimStats,
         warm: Warm<'_>,
-        batch: Batch<'_>,
+        shared: Option<&Arc<SharedAssembly>>,
     ) -> Result<Vec<f64>, SimError> {
         let mut cursor = WarmCursor::new();
-        let op = with_instrumented_sim_warm(nl, opts, stats, warm, batch, &mut cursor, |sim| {
+        let op = with_instrumented_sim_warm(nl, opts, stats, warm, shared, &mut cursor, |sim| {
             sim.dc_op()
         })?;
         let mut out = Vec::with_capacity(TAPS + 2);

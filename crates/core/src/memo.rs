@@ -91,19 +91,6 @@ impl MeasureCache {
             .or_insert(value);
     }
 
-    /// Whether `key` is present, *without* counting a lookup.
-    ///
-    /// [`MeasureCache::lookups`] is a report-visible total determined by
-    /// the fault list alone, so the lockstep pre-pass — which only wants
-    /// to avoid priming lanes a warm cache will answer anyway — must not
-    /// perturb it.
-    pub(crate) fn peek(&self, key: u128) -> bool {
-        self.shard(key)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .contains_key(&key)
-    }
-
     /// Total `get` calls made against this cache. Thread-invariant: one
     /// lookup happens per (variant, severity, rung) measurement attempt,
     /// which is fixed by the fault list.

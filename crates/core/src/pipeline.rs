@@ -5,7 +5,7 @@
 
 use crate::exec::{self, ExecConfig};
 use crate::goodspace::{GoodSpace, GoodSpaceConfig};
-use crate::harness::{prime_lockstep_lanes, Batch, MacroHarness, Warm, WarmStart};
+use crate::harness::{MacroHarness, Warm, WarmStart};
 use crate::memo::{CachedMeasurement, MeasureCache};
 use crate::signature::{CurrentFlags, DetectionSet, VoltageSignature};
 use dotm_defects::{
@@ -13,7 +13,7 @@ use dotm_defects::{
 };
 use dotm_faults::{InjectError, Injector, Severity};
 use dotm_netlist::{DeviceKind, Netlist};
-use dotm_sim::{Integration, LanePrime, SimError, SimOptions, SimStats};
+use dotm_sim::{Integration, SharedAssembly, SimError, SimOptions, SimStats};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -162,12 +162,9 @@ pub struct PipelineConfig {
     /// Toggling it may never change a reported bit (only the occupancy
     /// counters in the solver telemetry move).
     pub factor_reuse: bool,
-    /// Sherman–Morrison–Woodbury rank-k updates: factor the nominal
-    /// circuit once per analysis slot, apply each fault variant's
-    /// append-only delta as a low-rank update, and fall back to a full
-    /// refactorisation when the delta is not low-rank or the update is
-    /// ill-conditioned. Changes floating-point round-off, so it is off by
-    /// default; the `lu_speedup` bench gates verdict preservation.
+    /// No effect. The rank-update solve path is retired; the field
+    /// remains so callers that set it keep compiling, and it is not part
+    /// of the pipeline context.
     pub rank_update: bool,
     /// Split-plan batched assembly: static stamps are hoisted into a
     /// per-gmin baseline and each macro's fault variants embed the
@@ -180,14 +177,6 @@ pub struct PipelineConfig {
     /// `FORMAT_VERSION` 4; the field remains so callers that set it keep
     /// compiling, and it is not part of the pipeline context.
     pub tran_step_carry: bool,
-    /// Lockstep SoA evaluation of one class's variant lanes: a stats-free
-    /// pre-pass captures each lane's first DC Newton iteration, factors
-    /// all lanes in one blocked `[cell][lane]` LU kernel, and the
-    /// measuring simulators adopt the primed systems under bitwise
-    /// guards. Bitwise-identical to the sequential walk by construction
-    /// (every divergence falls a lane back to the scalar path), so it is
-    /// on by default like `batch_assembly`.
-    pub variant_lockstep: bool,
 }
 
 impl Default for PipelineConfig {
@@ -209,7 +198,6 @@ impl Default for PipelineConfig {
             rank_update: false,
             batch_assembly: true,
             tran_step_carry: false,
-            variant_lockstep: true,
         }
     }
 }
@@ -273,10 +261,10 @@ pub trait MeasurementStore: Sync {
     fn store(&self, key: u128, value: &CachedMeasurement);
 
     /// Whether an entry exists for `key`, as cheaply as the backend can
-    /// answer. Consulted only by performance heuristics — the lockstep
-    /// pre-pass skips priming lanes the store will answer — never for
-    /// correctness, so a conservative default (full load) is fine and a
-    /// backend may answer from metadata alone (file existence).
+    /// answer. The pipeline never calls it; it stays for backends and
+    /// wrappers that forward or time it. Never a correctness input, so a
+    /// conservative default (full load) is fine and a backend may answer
+    /// from metadata alone (file existence).
     fn contains(&self, key: u128) -> bool {
         self.load(key).is_some()
     }
@@ -475,7 +463,7 @@ impl<'a> ObserverDispatch<'a> {
             state.next += 1;
             // The aborting class still counts as delivered: the observer
             // has already processed (e.g. journaled) it, so `completed`
-            // stays in lockstep with the checkpoint prefix length.
+            // always equals the checkpoint prefix length.
             state.delivered += 1;
             if !keep_going {
                 self.aborted.store(true, Ordering::Relaxed);
@@ -831,7 +819,6 @@ pub fn run_macro_path_with_faults_hooked(
     let mut gs_cfg = cfg.goodspace;
     gs_cfg.warm_start = gs_cfg.warm_start && cfg.warm_start;
     gs_cfg.factor_reuse = cfg.factor_reuse;
-    gs_cfg.rank_update = cfg.rank_update;
     gs_cfg.batch_assembly = cfg.batch_assembly;
     let good = GoodSpace::compile(harness, &cfg.process, gs_cfg).map_err(PathError::GoodCircuit)?;
     let injector = Injector::default();
@@ -842,7 +829,7 @@ pub fn run_macro_path_with_faults_hooked(
     // adopts the nominal baseline and assembles as `baseline + delta`.
     let shared_asm = cfg
         .batch_assembly
-        .then(|| std::sync::Arc::new(dotm_sim::SharedAssembly::compile(&base)));
+        .then(|| Arc::new(SharedAssembly::compile(&base)));
     // The seed table is frozen before any parallel work: every worker sees
     // the same seeds, so warm-started measurements stay scheduling-free.
     let warm = if cfg.warm_start {
@@ -902,20 +889,25 @@ pub fn run_macro_path_with_faults_hooked(
         if cfg.non_catastrophic && injector.supports_non_catastrophic(effect) {
             severities.push(Severity::NonCatastrophic);
         }
-        let evaluated = evaluate_severities(
-            harness,
-            &injector,
-            &good,
-            &base,
-            effect,
-            &severities,
-            is_shared,
-            cfg,
-            warm,
-            cache.as_ref(),
-            store,
-            Batch::shared(shared_asm.as_ref()),
-        );
+        let evaluated: Vec<Evaluated> = severities
+            .iter()
+            .map(|&severity| {
+                evaluate_class(
+                    harness,
+                    &injector,
+                    &good,
+                    &base,
+                    effect,
+                    severity,
+                    is_shared,
+                    cfg,
+                    warm,
+                    cache.as_ref(),
+                    store,
+                    shared_asm.as_ref(),
+                )
+            })
+            .collect();
         let outcomes: Vec<ClassOutcome> = severities
             .into_iter()
             .zip(evaluated)
@@ -1015,21 +1007,16 @@ fn measure_rung(
     opts: &SimOptions,
     solver: &mut SimStats,
     warm: Option<&WarmStart>,
-    batch: Batch<'_>,
-    prime: Option<&Arc<LanePrime>>,
+    shared: Option<&Arc<SharedAssembly>>,
     cache: Option<&MeasureCache>,
     store: Option<&dyn MeasurementStore>,
     digest: Option<u128>,
     rung: u8,
 ) -> Result<Vec<f64>, SimError> {
     let w = warm.map_or(Warm::Cold, Warm::Seed);
-    // The lane prime only reaches the solver path: a cache or store hit
-    // below replays without ever touching a simulator, and the pre-pass
-    // avoids priming lanes it can tell will hit.
-    let batch = batch.with_prime(prime);
     let digest = match digest {
         Some(d) => d,
-        None => return harness.measure_with(nl, opts, solver, w, batch),
+        None => return harness.measure_with(nl, opts, solver, w, shared),
     };
     let key = cache_key(digest, rung);
     if let Some(c) = cache {
@@ -1056,7 +1043,7 @@ fn measure_rung(
         }
     }
     let mut delta = SimStats::default();
-    let result = harness.measure_with(nl, opts, &mut delta, w, batch);
+    let result = harness.measure_with(nl, opts, &mut delta, w, shared);
     if let Some(c) = cache {
         c.insert(key, (result.clone(), delta));
     }
@@ -1079,8 +1066,7 @@ fn measure_escalated(
     ladder: EscalationLadder,
     solver: &mut SimStats,
     warm: Option<&WarmStart>,
-    batch: Batch<'_>,
-    prime: Option<&Arc<LanePrime>>,
+    shared: Option<&Arc<SharedAssembly>>,
     cache: Option<&MeasureCache>,
     store: Option<&dyn MeasurementStore>,
 ) -> Option<(Vec<f64>, u8)> {
@@ -1088,16 +1074,12 @@ fn measure_escalated(
     let digest = (cache.is_some() || store.is_some()).then(|| nl.content_digest());
     for rung in 0..=ladder.max_rung {
         let opts = EscalationLadder::options_at(base_opts, rung);
-        // The prime captured rung 0's base options; an escalated rung
-        // solves with different options, so a diverging lane falls back
-        // to the scalar path from rung 1 on.
-        let rung_prime = if rung == 0 { prime } else { None };
         // Per-rung escalation timing: each retry of the same variant gets
         // its own span, so the trace shows how much wall-clock the ladder
         // itself costs (rung 0 is the ordinary first attempt).
         let rung_span = dotm_obs::span_with("rung", || format!("rung {rung}"));
         let outcome = measure_rung(
-            harness, nl, &opts, solver, warm, batch, rung_prime, cache, store, digest, rung,
+            harness, nl, &opts, solver, warm, shared, cache, store, digest, rung,
         );
         drop(rung_span);
         match outcome {
@@ -1111,12 +1093,10 @@ fn measure_escalated(
 
 /// Resolves measurement-time simulator options for one class evaluation:
 /// the harness's rung-0 base options with the pipeline's solver knobs
-/// applied. Shared by the sequential and lockstep paths so both measure
-/// with identical options.
+/// applied.
 fn class_base_opts(harness: &dyn MacroHarness, cfg: &PipelineConfig) -> SimOptions {
     let mut base_opts = harness.sim_options();
     base_opts.factor_reuse = cfg.factor_reuse;
-    base_opts.rank_update = cfg.rank_update;
     base_opts.batch_assembly = cfg.batch_assembly;
     base_opts
 }
@@ -1133,8 +1113,7 @@ fn variant_score(v: &VariantEval) -> u32 {
 /// Folds one candidate into the running worst-case (minimum-score)
 /// selection. The comparison is strictly `<`, so on a tie the
 /// earliest-folded variant wins: the selection depends only on the fold
-/// *order*, which both the sequential walk and the lockstep path produce
-/// identically (severity-major, variant-minor) — pinned by the
+/// *order* (variant index), never on scheduling — pinned by the
 /// `worst_case_tie_break_prefers_earliest_variant` regression test.
 fn compete(best: Option<(u32, VariantEval)>, candidate: VariantEval) -> Option<(u32, VariantEval)> {
     let score = variant_score(&candidate);
@@ -1256,59 +1235,6 @@ fn finish_class(
     }
 }
 
-/// Evaluates one class at every requested severity, returning one
-/// [`Evaluated`] per severity in order.
-///
-/// Dispatches between the sequential per-severity walk
-/// ([`evaluate_class`]) and the lockstep SoA path
-/// ([`evaluate_class_lockstep`]); both share the same measurement,
-/// scoring and competition code in the same severity-major,
-/// variant-minor order, so their results are identical — the lockstep
-/// path only adds a guarded, bitwise-invisible solver speed-up.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_severities(
-    harness: &dyn MacroHarness,
-    injector: &Injector,
-    good: &GoodSpace,
-    base: &Netlist,
-    effect: &FaultEffect,
-    severities: &[Severity],
-    shared: bool,
-    cfg: &PipelineConfig,
-    warm: Option<&WarmStart>,
-    cache: Option<&MeasureCache>,
-    store: Option<&dyn MeasurementStore>,
-    batch: Batch<'_>,
-) -> Vec<Evaluated> {
-    let expected_lanes = severities.len() * injector.variant_count(effect);
-    // The pre-pass pays off when a class fans out into several lanes
-    // (multi-variant models, catastrophic + near-miss severities); a
-    // single-lane class takes the plain sequential walk. The harness
-    // hint gates circuits whose first analysis is not a base-gmin DC
-    // solve — priming those could never be adopted.
-    let lockstep = cfg.variant_lockstep
-        && cfg.batch_assembly
-        && batch.shared.is_some()
-        && harness.lockstep_dc()
-        && expected_lanes >= 2;
-    if lockstep {
-        evaluate_class_lockstep(
-            harness, injector, good, base, effect, severities, shared, cfg, warm, cache, store,
-            batch,
-        )
-    } else {
-        severities
-            .iter()
-            .map(|&severity| {
-                evaluate_class(
-                    harness, injector, good, base, effect, severity, shared, cfg, warm, cache,
-                    store, batch,
-                )
-            })
-            .collect()
-    }
-}
-
 /// Evaluates one class at one severity, keeping the worst-case (hardest
 /// to detect) model variant. Variants that fail to simulate at every
 /// ladder rung enter the selection per `policy`.
@@ -1325,7 +1251,7 @@ fn evaluate_class(
     warm: Option<&WarmStart>,
     cache: Option<&MeasureCache>,
     store: Option<&dyn MeasurementStore>,
-    batch: Batch<'_>,
+    shared_asm: Option<&Arc<SharedAssembly>>,
 ) -> Evaluated {
     let policy = cfg.sim_failure_policy;
     let ladder = cfg.escalation;
@@ -1355,8 +1281,7 @@ fn evaluate_class(
             ladder,
             &mut solver,
             warm,
-            batch,
-            None,
+            shared_asm,
             cache,
             store,
         ) {
@@ -1369,131 +1294,6 @@ fn evaluate_class(
         best = compete(best.take(), candidate);
     }
     finish_class(best, any_injected, inject_errors, solver)
-}
-
-/// Lockstep SoA evaluation of one class across all its severities: the
-/// variant lanes are injected up front (severity-major, variant-minor —
-/// the sequential walk's exact order), a stats-free pre-pass captures
-/// each unanswered lane's first DC Newton iteration and factors all of
-/// them in one blocked `[cell][lane]` LU kernel, and the lanes are then
-/// measured in the same order as the sequential walk with their primed
-/// systems attached.
-///
-/// Injection order vs. measurement order: the sequential walk interleaves
-/// (inject v0, measure v0, inject v1, …) while this path injects every
-/// lane first. Injection edits a private clone of `base`, so the
-/// interleaving is unobservable; measurements — the only side-effecting
-/// steps (stats folds, cache/store population) — run in the identical
-/// sequence.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_class_lockstep(
-    harness: &dyn MacroHarness,
-    injector: &Injector,
-    good: &GoodSpace,
-    base: &Netlist,
-    effect: &FaultEffect,
-    severities: &[Severity],
-    shared: bool,
-    cfg: &PipelineConfig,
-    warm: Option<&WarmStart>,
-    cache: Option<&MeasureCache>,
-    store: Option<&dyn MeasurementStore>,
-    batch: Batch<'_>,
-) -> Vec<Evaluated> {
-    let policy = cfg.sim_failure_policy;
-    let ladder = cfg.escalation;
-    let n_variants = injector.variant_count(effect);
-    let base_opts = class_base_opts(harness, cfg);
-
-    struct Lane {
-        sev: usize,
-        nl: Netlist,
-    }
-    let mut lanes: Vec<Lane> = Vec::new();
-    let mut any_injected = vec![false; severities.len()];
-    let mut inject_errors = vec![0usize; severities.len()];
-    for (si, &severity) in severities.iter().enumerate() {
-        for variant in 0..n_variants {
-            let mut nl = base.clone();
-            match injector.inject(&mut nl, effect, severity, variant, "flt") {
-                Ok(()) => {
-                    any_injected[si] = true;
-                    lanes.push(Lane { sev: si, nl });
-                }
-                Err(InjectError::NotApplicable(_)) => continue,
-                Err(_) => {
-                    inject_errors[si] += 1;
-                    continue;
-                }
-            }
-        }
-    }
-
-    // Pre-pass: prime the rung-0 DC iteration of every lane a warm
-    // cache/store will not answer (priming an answered lane would be
-    // wasted work — the prime never reaches a simulator on a replay).
-    // The existence probes are deliberately uncounted so warm-run
-    // accounting stays identical to the sequential walk.
-    let mut primes: Vec<Option<Arc<LanePrime>>> = (0..lanes.len()).map(|_| None).collect();
-    let to_prime: Vec<usize> = lanes
-        .iter()
-        .enumerate()
-        .filter(|(_, lane)| {
-            if cache.is_none() && store.is_none() {
-                return true;
-            }
-            let key = cache_key(lane.nl.content_digest(), 0);
-            let answered =
-                cache.is_some_and(|c| c.peek(key)) || store.is_some_and(|s| s.contains(key));
-            !answered
-        })
-        .map(|(i, _)| i)
-        .collect();
-    if !to_prime.is_empty() {
-        let prime_opts = EscalationLadder::options_at(&base_opts, 0);
-        let nls: Vec<&Netlist> = to_prime.iter().map(|&i| &lanes[i].nl).collect();
-        let w = warm.map_or(Warm::Cold, Warm::Seed);
-        for (i, p) in
-            to_prime
-                .into_iter()
-                .zip(prime_lockstep_lanes(&nls, &prime_opts, w, batch.shared))
-        {
-            primes[i] = p;
-        }
-    }
-
-    // Measurement and worst-case competition, lane by lane in the same
-    // severity-major order — per-severity stats folds, cache evolution
-    // and the tie-break all replay the sequential walk by construction.
-    let mut best: Vec<Option<(u32, VariantEval)>> = severities.iter().map(|_| None).collect();
-    let mut solver: Vec<SimStats> = severities.iter().map(|_| SimStats::default()).collect();
-    for (lane, prime) in lanes.iter().zip(primes) {
-        let si = lane.sev;
-        let candidate = match measure_escalated(
-            harness,
-            &lane.nl,
-            &base_opts,
-            ladder,
-            &mut solver[si],
-            warm,
-            batch,
-            prime.as_ref(),
-            cache,
-            store,
-        ) {
-            Some((meas, used_rung)) => measured_eval(harness, good, shared, &meas, used_rung),
-            None => match policy_eval(policy) {
-                Some(v) => v,
-                None => continue,
-            },
-        };
-        best[si] = compete(best[si].take(), candidate);
-    }
-    best.into_iter()
-        .zip(solver)
-        .enumerate()
-        .map(|(si, (b, s))| finish_class(b, any_injected[si], inject_errors[si], s))
-        .collect()
 }
 
 #[cfg(test)]
@@ -1557,7 +1357,7 @@ mod tests {
             opts: &SimOptions,
             stats: &mut SimStats,
             warm: Warm<'_>,
-            batch: Batch<'_>,
+            shared: Option<&Arc<SharedAssembly>>,
         ) -> Result<Vec<f64>, dotm_sim::SimError> {
             let mut cursor = crate::harness::WarmCursor::new();
             let op = crate::harness::with_instrumented_sim_warm(
@@ -1565,7 +1365,7 @@ mod tests {
                 opts,
                 stats,
                 warm,
-                batch,
+                shared,
                 &mut cursor,
                 |sim| sim.dc_op(),
             )?;
@@ -1781,7 +1581,7 @@ mod tests {
             opts: &SimOptions,
             stats: &mut SimStats,
             warm: Warm<'_>,
-            batch: Batch<'_>,
+            shared: Option<&Arc<SharedAssembly>>,
         ) -> Result<Vec<f64>, dotm_sim::SimError> {
             let faulted = nl.devices().any(|(_, d)| d.name.starts_with("flt"));
             if faulted && opts.max_iter < self.needs_iters {
@@ -1793,7 +1593,7 @@ mod tests {
                     iterations: opts.max_iter,
                 });
             }
-            DividerHarness.measure_with(nl, opts, stats, warm, batch)
+            DividerHarness.measure_with(nl, opts, stats, warm, shared)
         }
 
         fn classify_voltage(&self, nominal: &[f64], faulty: &[f64]) -> VoltageSignature {
@@ -2015,7 +1815,7 @@ mod tests {
             opts: &SimOptions,
             stats: &mut SimStats,
             _warm: Warm<'_>,
-            _batch: Batch<'_>,
+            _shared: Option<&Arc<SharedAssembly>>,
         ) -> Result<Vec<f64>, dotm_sim::SimError> {
             if nl.device("flt.gd").is_some() && opts.max_iter < 600 {
                 stats.nr_solves += 1;
@@ -2229,11 +2029,10 @@ mod tests {
 
     #[test]
     fn worst_case_tie_break_prefers_earliest_variant() {
-        // The worst-case selection must depend only on the fold order —
-        // the contract that lets the lockstep path (severity-major,
-        // variant-minor, same as the sequential walk) pick bit-identical
-        // winners. Equal scores keep the incumbent; a strictly lower
-        // score replaces it regardless of position.
+        // The worst-case selection must depend only on the fold order,
+        // so every run picks bit-identical winners. Equal scores keep the
+        // incumbent; a strictly lower score replaces it regardless of
+        // position.
         let eval = |voltage, missing_code| VariantEval {
             voltage,
             currents: CurrentFlags::default(),

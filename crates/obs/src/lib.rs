@@ -44,7 +44,7 @@ use std::time::Instant;
 /// Fixed hot-path phases, each backed by one `(calls, ns)` accumulator.
 ///
 /// `Newton` times whole Newton–Raphson solves and therefore *includes*
-/// the `Assembly`, `Lu` and `RankUpdate` time spent inside them;
+/// the `Assembly` and `Lu` time spent inside them;
 /// [`phase_table`] prints the exclusive remainder as `newton (other)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
@@ -56,11 +56,7 @@ pub enum Phase {
     BatchAssembly,
     /// Dense LU factor + solve, real (DC/transient) and complex (AC).
     Lu,
-    /// Sherman–Morrison–Woodbury rank-update solve attempts (delta scan,
-    /// triangular solves, residual check) — hits, misses and fallbacks
-    /// alike. Exact factor-cache hits still run through `Lu`.
-    RankUpdate,
-    /// A whole Newton–Raphson solve (includes Assembly, Lu, RankUpdate).
+    /// A whole Newton–Raphson solve (includes Assembly and Lu).
     Newton,
     /// In-memory measurement-cache lookup.
     CacheLookup,
@@ -70,21 +66,18 @@ pub enum Phase {
     StoreWrite,
     /// Checkpoint-journal record append.
     Journal,
-    /// Lockstep variant priming: per-lane first-iteration DC system
-    /// capture plus the blocked multi-matrix LU factor over the class's
-    /// variant lanes, and the primed-system adoption inside Newton.
-    /// Work recorded here replaces `Assembly`/`Lu` work the primed
-    /// lanes no longer do.
+    /// Always empty: nothing records it since lockstep variant priming
+    /// was retired. It stays registered as `"variant_lockstep"` because
+    /// the campaign benchmark's tracer reads that phase by name.
     VariantLockstep,
 }
 
 /// All phases, in display order.
-pub const PHASES: [Phase; 10] = [
+pub const PHASES: [Phase; 9] = [
     Phase::Newton,
     Phase::Assembly,
     Phase::BatchAssembly,
     Phase::Lu,
-    Phase::RankUpdate,
     Phase::VariantLockstep,
     Phase::CacheLookup,
     Phase::StoreLoad,
@@ -99,7 +92,6 @@ impl Phase {
             Phase::Assembly => "assembly",
             Phase::BatchAssembly => "batch_assembly",
             Phase::Lu => "lu",
-            Phase::RankUpdate => "rank_update",
             Phase::Newton => "newton",
             Phase::CacheLookup => "cache_lookup",
             Phase::StoreLoad => "store_load",
@@ -113,19 +105,18 @@ impl Phase {
         match self {
             Phase::Assembly => 0,
             Phase::Lu => 1,
-            Phase::RankUpdate => 2,
-            Phase::Newton => 3,
-            Phase::CacheLookup => 4,
-            Phase::StoreLoad => 5,
-            Phase::StoreWrite => 6,
-            Phase::Journal => 7,
-            Phase::BatchAssembly => 8,
-            Phase::VariantLockstep => 9,
+            Phase::Newton => 2,
+            Phase::CacheLookup => 3,
+            Phase::StoreLoad => 4,
+            Phase::StoreWrite => 5,
+            Phase::Journal => 6,
+            Phase::BatchAssembly => 7,
+            Phase::VariantLockstep => 8,
         }
     }
 }
 
-const N_PHASES: usize = 10;
+const N_PHASES: usize = 9;
 
 #[derive(Default)]
 struct PhaseSlot {
@@ -380,7 +371,7 @@ fn fmt_secs(ns: u64) -> String {
 }
 
 /// Renders the per-phase summary table (calls, total, mean per call).
-/// `Newton` includes its `Assembly`/`Lu`/`RankUpdate` children, so the
+/// `Newton` includes its `Assembly`/`Lu` children, so the
 /// exclusive remainder is shown as `newton (other)`.
 pub fn phase_table() -> String {
     let totals = phase_totals();
@@ -399,7 +390,7 @@ pub fn phase_table() -> String {
         }
         match *name {
             "newton" => newton = (*calls, *ns),
-            "assembly" | "lu" | "rank_update" => inner += ns,
+            "assembly" | "lu" => inner += ns,
             _ => {}
         }
         let mean = *ns as f64 / (*calls).max(1) as f64 / 1e9;

@@ -3,10 +3,8 @@
 
 use crate::batch::{self, BatchState, SharedAssembly};
 use crate::error::SimError;
-use crate::factor::{NominalFactors, SmwOutcome, SmwPlan};
 use crate::matrix::{DenseMatrix, LuFactors};
 use crate::models::{diode_eval, mosfet_eval, switch_eval};
-use crate::soa::{LanePrime, LaneSystem};
 use crate::stats::SimStats;
 use dotm_netlist::{Device, DeviceId, DeviceKind, DiodeParams, Netlist, NodeId, Waveform};
 use std::collections::HashMap;
@@ -51,11 +49,6 @@ pub struct SimOptions {
     /// reused factors are of the *same* matrix — so this defaults on and
     /// only the occupancy counters betray it.
     pub factor_reuse: bool,
-    /// Solve fault-variant systems as rank-k updates of installed
-    /// nominal factors (see [`crate::NominalFactors`]). Changes solution
-    /// ULPs relative to a fresh factorisation, so it defaults off and is
-    /// gated end-to-end by verdict-equality checks in the bench harness.
-    pub rank_update: bool,
     /// Assemble through the split stamp plan: constant stamps are summed
     /// once into a gmin-keyed baseline and every iteration replays only
     /// the x-dependent ops (see [`crate::SharedAssembly`]). The per-cell
@@ -76,7 +69,6 @@ impl Default for SimOptions {
             integration: Integration::BackwardEuler,
             max_step_halvings: 10,
             factor_reuse: true,
-            rank_update: false,
             batch_assembly: true,
         }
     }
@@ -341,17 +333,6 @@ pub struct Simulator<'a> {
     /// may serve chord iterations; `None` after any DC solve and after a
     /// failed factorisation.
     chord_basis: Option<ChordBasis>,
-    /// Nominal-circuit factors for the rank-update path, installed by
-    /// the warm-start machinery via [`Simulator::install_nominal_factors`].
-    nominal: Option<Arc<NominalFactors>>,
-    /// Cached Sherman–Morrison–Woodbury plan for the rank-update path,
-    /// keyed by the raw entries of the matrix it was prepared from.
-    /// Valid only when `smw_fresh` is set. Replaying a plan is
-    /// arithmetic-identical to rebuilding it, so this cache — like the
-    /// exact factor cache — is invisible outside the phase profile.
-    smw_plan: Option<SmwPlan>,
-    smw_key: Vec<f64>,
-    smw_fresh: bool,
     /// Split-plan batched-assembly state (replay list plus gmin-keyed
     /// baselines), built lazily on the first assembly when
     /// [`SimOptions::batch_assembly`] is set.
@@ -360,12 +341,6 @@ pub struct Simulator<'a> {
     /// compatible variants embed its baseline instead of re-summing their
     /// own static stamps.
     shared_assembly: Option<Arc<SharedAssembly>>,
-    /// One-shot primed first DC Newton iteration (captured system plus
-    /// blocked-kernel LU factors) installed by the lockstep variant
-    /// plumbing ([`Simulator::install_lane_prime`]). Adopted only when
-    /// every first-iteration precondition matches the capture bitwise;
-    /// spent either way on the first iteration it could have applied to.
-    lane_prime: Option<Arc<LanePrime>>,
 }
 
 impl<'a> std::fmt::Debug for Simulator<'a> {
@@ -421,13 +396,8 @@ impl<'a> Simulator<'a> {
             factor_key: Vec::new(),
             factor_fresh: false,
             chord_basis: None,
-            nominal: None,
-            smw_plan: None,
-            smw_key: Vec::new(),
-            smw_fresh: false,
             batch: None,
             shared_assembly: None,
-            lane_prime: None,
         }
     }
 
@@ -848,14 +818,15 @@ impl<'a> Simulator<'a> {
     }
 
     /// One Newton solve. DC solves factor the assembled Jacobian on every
-    /// iteration (through the exact factor cache, rank update and
-    /// lockstep prime). Transient solves run *chord* (modified) Newton:
-    /// while `lu` holds factors built for the same step size and
-    /// integration rule, an iteration solves `A_old·d = z − A·x` for the
-    /// update instead of refactoring. It refactors when the solve has
-    /// spent its [`CHORD_BUDGET`] without converging, on the first step
-    /// after a DC solve, when the step size or rule changed
-    /// ([`ChordBasis::matches`]), and after a failed factorisation.
+    /// iteration, skipping the factorisation only when the exact factor
+    /// cache holds factors of a bit-identical matrix. Transient solves
+    /// run *chord* (modified) Newton: while `lu` holds factors built for
+    /// the same step size and integration rule, an iteration solves
+    /// `A_old·d = z − A·x` for the update instead of refactoring. It
+    /// refactors when the solve has spent its [`CHORD_BUDGET`] without
+    /// converging, on the first step after a DC solve, when the step size
+    /// or rule changed ([`ChordBasis::matches`]), and after a failed
+    /// factorisation.
     fn newton_inner(
         &mut self,
         x: &mut [f64],
@@ -872,37 +843,16 @@ impl<'a> Simulator<'a> {
             trap: c.trap,
         });
         if basis.is_none() {
-            // A DC solve may replace `lu` or bypass it (rank update): the
-            // first transient step after it factors its own matrix.
+            // A DC solve may replace `lu`: the first transient step after
+            // it factors its own matrix.
             self.chord_basis = None;
         }
         let mut chord_left = CHORD_BUDGET;
         for iter in 0..self.opts.max_iter {
             self.stats.nr_iterations += 1;
-            // Lockstep prime: iteration 0 of a DC solve may adopt the
-            // system the variant pre-pass captured and factored in the
-            // blocked SoA kernel instead of assembling it again. The
-            // guards demand a bitwise match of every input the assembly
-            // depends on, so the loaded `(A, z)` equals what `assemble`
-            // would have produced — and any divergence (escalated rung,
-            // transient initial point, different seed, source override)
-            // falls through to the untouched scalar path.
-            let primed = if iter == 0 {
-                self.take_matching_prime(x, t, tran, gmin, src_scale)
-            } else {
-                None
-            };
-            if let Some(p) = primed.as_deref() {
-                let t_ls = dotm_obs::start();
-                self.a.load_entries(&p.entries);
-                self.z.copy_from_slice(&p.z);
-                dotm_obs::phase(dotm_obs::Phase::VariantLockstep, t_ls);
-                dotm_obs::counter("lockstep.prime_hits", 1);
-            } else {
-                let t_asm = dotm_obs::start();
-                self.assemble(x, t, tran, gmin, src_scale);
-                dotm_obs::phase(dotm_obs::Phase::Assembly, t_asm);
-            }
+            let t_asm = dotm_obs::start();
+            self.assemble(x, t, tran, gmin, src_scale);
+            dotm_obs::phase(dotm_obs::Phase::Assembly, t_asm);
             xnext.copy_from_slice(&self.z);
 
             // Chord iteration: reuse the factors of an earlier transient
@@ -910,7 +860,6 @@ impl<'a> Simulator<'a> {
             // against the fresh residual, so the fixed point — and the
             // clamp and convergence test below — are those of full
             // Newton; only the rate of approach differs.
-            let mut solved = false;
             if chord_left > 0
                 && matches!((self.chord_basis, basis), (Some(held), Some(b)) if held.matches(b))
             {
@@ -926,64 +875,7 @@ impl<'a> Simulator<'a> {
                 }
                 dotm_obs::phase(dotm_obs::Phase::Lu, t_lu);
                 dotm_obs::counter("lu.chord_solves", 1);
-                solved = true;
-            }
-
-            // Rank-update fast path: when nominal factors are installed
-            // and this is a DC solve at the nominal gmin, try to solve
-            // the variant system as a low-rank update before paying for
-            // a factorisation. Transient solves are excluded (companion
-            // stamps perturb many columns), as is any homotopy gmin —
-            // those perturb every node diagonal.
-            if self.opts.rank_update && tran.is_none() {
-                if let Some(nominal) = self.nominal.clone() {
-                    if nominal.gmin() == gmin {
-                        let t_ru = dotm_obs::start();
-                        // The update plan (changed columns, update
-                        // solves, factored capacitance matrix) depends
-                        // only on the assembled matrix, which linear
-                        // variants re-assemble bit-identically for every
-                        // measurement — so cache it keyed by the raw
-                        // matrix entries and only rescan when they move.
-                        if !(self.smw_fresh && self.smw_key == self.a.entries()) {
-                            self.smw_fresh = false;
-                            self.smw_plan = None;
-                            match nominal.prepare(&self.a, self.n_nodes) {
-                                Ok(plan) => {
-                                    self.smw_plan = Some(plan);
-                                    self.smw_key.clear();
-                                    self.smw_key.extend_from_slice(self.a.entries());
-                                    self.smw_fresh = true;
-                                }
-                                // A delta that is not low-rank is a
-                                // plain miss; an ill-conditioned update
-                                // is an accounted fallback.
-                                Err(SmwOutcome::IllConditioned) => {
-                                    self.stats.factor_refactor_fallbacks += 1;
-                                }
-                                Err(_) => {}
-                            }
-                        }
-                        if let Some(plan) = &self.smw_plan {
-                            match nominal.solve_with(plan, &self.a, &self.z, &mut xnext) {
-                                SmwOutcome::Solved => {
-                                    self.stats.factor_reuse_hits += 1;
-                                    solved = true;
-                                }
-                                // A failed residual check is verdict-
-                                // affecting divergence: an accounted
-                                // fallback to full refactorisation.
-                                _ => {
-                                    self.stats.factor_refactor_fallbacks += 1;
-                                }
-                            }
-                        }
-                        dotm_obs::phase(dotm_obs::Phase::RankUpdate, t_ru);
-                    }
-                }
-            }
-
-            if !solved {
+            } else {
                 let t_lu = dotm_obs::start();
                 // Exact factor cache: if the assembled matrix is
                 // bit-identical to the one `lu` holds factors for, skip
@@ -995,22 +887,6 @@ impl<'a> Simulator<'a> {
                     && self.factor_key == self.a.entries();
                 if reuse {
                     self.stats.factor_reuse_hits += 1;
-                } else if let Some(p) = primed.as_deref() {
-                    // Adopt the pre-pass factors: bitwise what
-                    // `refactor(&self.a)` would compute (the SoA kernel
-                    // mirrors it per lane), leaving exactly the
-                    // post-refactor cache state. Like a successful
-                    // refactor, this increments no SimStats counter, so
-                    // the lockstep knob is stats-invisible. Singular
-                    // lanes never get a prime and re-discover the
-                    // failure through the scalar branch below.
-                    self.factor_fresh = false;
-                    self.lu.clone_from(&p.lu);
-                    if self.opts.factor_reuse {
-                        self.factor_key.clear();
-                        self.factor_key.extend_from_slice(self.a.entries());
-                        self.factor_fresh = true;
-                    }
                 } else {
                     // The key goes stale the moment a refactor starts
                     // (even a reuse-off refactor replaces the factors).
@@ -1096,40 +972,6 @@ impl<'a> Simulator<'a> {
         })
     }
 
-    /// Assembles and factors the MNA matrix at the most recent solved DC
-    /// point — for the *nominal* circuit this is the matrix every fault
-    /// variant is a low-rank perturbation of. Returns `None` when no DC
-    /// point has been solved yet or the matrix is singular.
-    ///
-    /// The capture runs its own assembly (the Newton loop's last
-    /// assembled matrix is linearised at the pre-update iterate, not at
-    /// the accepted solution) at the DC conditions: no transient
-    /// companions, the target `gmin`, full source scale.
-    pub fn capture_nominal_factors(&mut self) -> Option<Arc<NominalFactors>> {
-        let x = self.last_dc.clone()?;
-        self.assemble(&x, None, None, self.opts.gmin, 1.0);
-        NominalFactors::capture(
-            self.a.clone(),
-            self.n_nodes,
-            self.vsrc.len(),
-            self.opts.gmin,
-        )
-        .map(Arc::new)
-    }
-
-    /// Installs nominal-circuit factors (captured on the fault-free
-    /// netlist by [`Simulator::capture_nominal_factors`]) for the
-    /// rank-update solve path. Only consulted when
-    /// [`SimOptions::rank_update`] is set.
-    pub fn install_nominal_factors(&mut self, factors: Arc<NominalFactors>) {
-        self.nominal = Some(factors);
-        // A cached update plan embeds solves against the previous
-        // nominal factors; it cannot outlive them.
-        self.smw_plan = None;
-        self.smw_key.clear();
-        self.smw_fresh = false;
-    }
-
     /// Installs a class-shared assembly compiled from the nominal
     /// (fault-free) netlist by [`SharedAssembly::compile`]. Variants
     /// whose device list is a prefix-extension of the shared base adopt
@@ -1140,74 +982,6 @@ impl<'a> Simulator<'a> {
     pub fn install_shared_assembly(&mut self, shared: Arc<SharedAssembly>) {
         self.shared_assembly = Some(shared);
         self.batch = None;
-    }
-
-    /// Installs a one-shot primed first DC Newton iteration produced by
-    /// the lockstep variant pre-pass (`crate::soa::prime_lanes`).
-    ///
-    /// The prime is only a speed-up, never a correctness dependency:
-    /// the first Newton iteration adopts it solely when every input the
-    /// assembly depends on matches the capture bitwise (DC solve, base
-    /// gmin, unit source scale, no source overrides, identical starting
-    /// iterate and dimensions); otherwise it is dropped and the scalar
-    /// assemble + factor path runs untouched.
-    pub fn install_lane_prime(&mut self, prime: Arc<LanePrime>) {
-        self.lane_prime = Some(prime);
-    }
-
-    /// Captures the exact system the first Newton iteration of the next
-    /// DC operating-point solve would assemble: the warm-seed (or zero)
-    /// starting iterate plus the MNA matrix and RHS assembled at it with
-    /// the base options gmin and unit source scale. Run on a scratch
-    /// simulator by the lockstep variant pre-pass; the scratch stats are
-    /// discarded by the caller.
-    ///
-    /// Returns `None` while a source override is active — the override
-    /// lives outside the netlist, so the capture could not prove itself
-    /// equal to a later measurement assembly.
-    pub fn lockstep_capture(&mut self) -> Option<LaneSystem> {
-        if !self.source_override.is_empty() {
-            return None;
-        }
-        let x0 = match &self.dc_seed {
-            Some(seed) => seed.clone(),
-            None => vec![0.0; self.n_unknowns],
-        };
-        self.assemble(&x0, None, None, self.opts.gmin, 1.0);
-        Some(LaneSystem::new(
-            x0,
-            self.opts.gmin,
-            self.a.entries().to_vec(),
-            self.z.clone(),
-        ))
-    }
-
-    /// Consumes the installed lane prime iff the state of this first
-    /// Newton iteration matches the capture bitwise. Either way the
-    /// prime is spent: `x` moves after iteration 0, so a prime that did
-    /// not match this solve's first iteration can never match again.
-    fn take_matching_prime(
-        &mut self,
-        x: &[f64],
-        t: Option<f64>,
-        tran: Option<&TranCtx<'_>>,
-        gmin: f64,
-        src_scale: f64,
-    ) -> Option<Arc<LanePrime>> {
-        let p = self.lane_prime.take()?;
-        let matches = t.is_none()
-            && tran.is_none()
-            && src_scale == 1.0
-            && self.source_override.is_empty()
-            && p.dim() == self.n_unknowns
-            && p.gmin.to_bits() == gmin.to_bits()
-            && p.x0.len() == x.len()
-            && p.x0.iter().zip(x).all(|(a, b)| a.to_bits() == b.to_bits());
-        if matches {
-            Some(p)
-        } else {
-            None
-        }
     }
 
     /// Splits this simulator's stamp plan into static (hoistable) and

@@ -50,18 +50,14 @@ mod ac;
 mod batch;
 mod engine;
 mod error;
-mod factor;
 mod matrix;
 mod models;
-pub mod soa;
 mod stats;
 
 pub use ac::{log_sweep, AcResult, Complex};
 pub use batch::SharedAssembly;
 pub use engine::{Integration, OpPoint, SimOptions, Simulator, TranResult};
 pub use error::SimError;
-pub use factor::{NominalFactors, SmwOutcome, SmwPlan, SMW_MAX_RANK, SMW_RESIDUAL_RTOL};
 pub use matrix::{DenseMatrix, LuFactors, SingularInfo};
 pub use models::{diode_eval, mosfet_eval, switch_eval, MosChannel, VT_THERMAL};
-pub use soa::{LanePrime, LaneSystem};
 pub use stats::SimStats;

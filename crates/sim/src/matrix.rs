@@ -20,9 +20,9 @@
 /// magnitude `pivot_mag`, vanishingly small relative to the largest
 /// magnitude in that factored column.
 ///
-/// Carried by every solve/factor failure so callers — the rank-update
-/// fallback, the escalation ladder — can report *why* a matrix was deemed
-/// singular instead of collapsing the cause into a bare `bool`.
+/// Carried by every solve/factor failure so callers can report *why* a
+/// matrix was deemed singular instead of collapsing the cause into a bare
+/// `bool`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SingularInfo {
     /// Elimination column at which no acceptable pivot existed.
@@ -78,8 +78,7 @@ impl DenseMatrix {
     }
 
     /// The raw row-major entries (read-only). Used by the factor-reuse
-    /// layer to compare assembled matrices byte-for-byte and by the
-    /// rank-update delta scan.
+    /// layer to compare assembled matrices byte-for-byte.
     #[inline]
     pub fn entries(&self) -> &[f64] {
         &self.data
@@ -231,24 +230,6 @@ impl LuFactors {
         LuFactors::default()
     }
 
-    /// Assembles a factorisation from raw parts. Used by the lockstep
-    /// SoA kernel (`crate::soa`), which factors many same-dimension
-    /// matrices in a blocked `[cell][lane]` layout and unpacks each
-    /// lane into a standalone `LuFactors` whose `solve` replays are
-    /// indistinguishable from a scalar `refactor` of the same matrix.
-    pub(crate) fn from_parts(n: usize, lu: Vec<f64>, piv: Vec<usize>) -> Self {
-        debug_assert_eq!(lu.len(), n * n);
-        debug_assert_eq!(piv.len(), n);
-        LuFactors { n, lu, piv }
-    }
-
-    /// Raw `(dim, packed factors, pivots)` view for in-crate bitwise
-    /// equivalence tests.
-    #[cfg(test)]
-    pub(crate) fn parts(&self) -> (usize, &[f64], &[usize]) {
-        (self.n, &self.lu, &self.piv)
-    }
-
     /// Factored dimension.
     #[inline]
     pub fn dim(&self) -> usize {
@@ -361,54 +342,6 @@ impl LuFactors {
             let row = &lu[k * n..(k + 1) * n];
             let acc = b[k] - dot4(&row[k + 1..], &b[k + 1..]);
             b[k] = acc / row[k];
-        }
-    }
-
-    /// Solves `A·X = B` for `k` right-hand sides stored column-major and
-    /// contiguous in `b` (`b.len() == k·dim`), overwriting them with the
-    /// solutions. Per column this performs exactly the arithmetic of
-    /// [`LuFactors::solve`] — the batching only shares each pass over
-    /// the packed factors across all columns, which matters because one
-    /// sweep streams the whole factor array through the cache whether it
-    /// serves one right-hand side or eight.
-    ///
-    /// # Panics
-    /// Panics if `b.len()` is not a multiple of `self.dim()`.
-    pub fn solve_block(&self, b: &mut [f64]) {
-        let n = self.n;
-        if n == 0 {
-            assert!(b.is_empty());
-            return;
-        }
-        assert_eq!(b.len() % n, 0);
-        let k = b.len() / n;
-        if k == 1 {
-            return self.solve(b);
-        }
-        let lu = &self.lu;
-        for j in 0..k {
-            let col = &mut b[j * n..(j + 1) * n];
-            for i in 0..n {
-                let piv = self.piv[i];
-                if piv != i {
-                    col.swap(i, piv);
-                }
-            }
-        }
-        for i in 1..n {
-            let row = &lu[i * n..i * n + i];
-            for j in 0..k {
-                let col = &mut b[j * n..(j + 1) * n];
-                col[i] -= dot4(row, &col[..i]);
-            }
-        }
-        for i in (0..n).rev() {
-            let row = &lu[i * n..(i + 1) * n];
-            for j in 0..k {
-                let col = &mut b[j * n..(j + 1) * n];
-                let acc = col[i] - dot4(&row[i + 1..], &col[i + 1..]);
-                col[i] = acc / row[i];
-            }
         }
     }
 }

@@ -47,14 +47,13 @@ pub struct SimStats {
     /// DC solves where a warm-start seed failed and the cold homotopy
     /// chain ran instead.
     pub warm_misses: u64,
-    /// Newton linear solves served by a reused factorisation — either an
-    /// exact factor-cache hit (identical matrix) or a successful rank-k
-    /// update against the nominal factors — instead of a fresh `O(n³)`
-    /// factorisation.
+    /// Newton linear solves served by the exact factor cache (a matrix
+    /// bit-identical to the one last factored) instead of a fresh
+    /// `O(n³)` factorisation.
     pub factor_reuse_hits: u64,
-    /// Rank-update attempts abandoned for an ill-conditioned or
-    /// inaccurate update, falling back to a full refactorisation. (Deltas
-    /// that are simply not low-rank are plain misses, not fallbacks.)
+    /// Always 0. It counted the retired rank-update path's fallbacks to a
+    /// full refactorisation; the word stays because store entries persist
+    /// all fifteen counters.
     pub factor_refactor_fallbacks: u64,
 }
 

@@ -20,9 +20,8 @@ pub const FORMAT_VERSION: u64 = 4;
 /// defect statistics); the process-variation sigmas; the good-space
 /// Monte-Carlo sizes and seed; the escalation ladder; the sim-failure
 /// policy; and the solver-effort knobs (`warm_start`, `measure_cache`,
-/// `factor_reuse`, `rank_update`, `batch_assembly`)
-/// whose telemetry — or, for the round-off-changing ones, whose solution
-/// bits — lands in persisted solver-stats deltas and measurements.
+/// `factor_reuse`, `batch_assembly`) whose telemetry lands in persisted
+/// solver-stats deltas.
 ///
 /// Deliberately *excluded*:
 ///
@@ -31,11 +30,8 @@ pub const FORMAT_VERSION: u64 = 4;
 /// - `max_classes` — truncation selects *which* classes run, it never
 ///   changes any class's evaluation, so smoke runs share entries with
 ///   full runs (the journal guards its own class count separately);
-/// - `variant_lockstep` — the lockstep pre-pass is bitwise- *and*
-///   stats-invisible (a primed lane adopts the exact system and factors
-///   the scalar walk would have computed, and adoption bumps no
-///   [`dotm_sim::SimStats`] counter), so both settings produce identical
-///   persisted entries and must share them.
+/// - `rank_update` and `tran_step_carry` — inert fields that no longer
+///   change any solve, so both settings must share entries.
 pub fn pipeline_context(harness: &dyn MacroHarness, cfg: &PipelineConfig) -> u128 {
     let mut h = Fnv128::new();
     h.u64(FORMAT_VERSION);
@@ -107,7 +103,6 @@ pub fn pipeline_context(harness: &dyn MacroHarness, cfg: &PipelineConfig) -> u12
     h.bool(cfg.warm_start);
     h.bool(cfg.measure_cache);
     h.bool(cfg.factor_reuse);
-    h.bool(cfg.rank_update);
     h.bool(cfg.batch_assembly);
 
     h.finish()
@@ -166,10 +161,6 @@ mod tests {
         assert_ne!(pipeline_context(&h, &cfg), base, "factor reuse");
 
         let mut cfg = base_cfg();
-        cfg.rank_update = true;
-        assert_ne!(pipeline_context(&h, &cfg), base, "rank update");
-
-        let mut cfg = base_cfg();
         cfg.batch_assembly = false;
         assert_ne!(pipeline_context(&h, &cfg), base, "batch assembly");
 
@@ -200,8 +191,13 @@ mod tests {
         cfg.max_classes = Some(3);
         assert_eq!(pipeline_context(&h, &cfg), base, "class truncation");
 
+        // Inert fields: they no longer change any solve.
         let mut cfg = base_cfg();
-        cfg.variant_lockstep = false;
-        assert_eq!(pipeline_context(&h, &cfg), base, "variant lockstep");
+        cfg.rank_update = !cfg.rank_update;
+        assert_eq!(pipeline_context(&h, &cfg), base, "rank update");
+
+        let mut cfg = base_cfg();
+        cfg.tran_step_carry = !cfg.tran_step_carry;
+        assert_eq!(pipeline_context(&h, &cfg), base, "step carry");
     }
 }

@@ -225,9 +225,8 @@ impl MeasurementStore for DiskStore {
     /// file-existence check — no decode, no checksum, and none of the
     /// session counters the warm-resume gates read. A corrupt entry can
     /// answer `true` here and still degrade to a miss on the real
-    /// [`MeasurementStore::load`]; the only consequence is one lane the
-    /// lockstep pre-pass declined to prime, which is a lost optimisation,
-    /// never a wrong result.
+    /// [`MeasurementStore::load`], so the answer is a hint, never a
+    /// correctness input. The pipeline does not call it.
     fn contains(&self, key: u128) -> bool {
         let mixed = mix(self.context, key);
         if self

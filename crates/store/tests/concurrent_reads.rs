@@ -8,9 +8,9 @@
 //!   byte halves and snapshots between the halves, proving the parser
 //!   treats a half-written line as end-of-prefix;
 //! * a **threaded race** where a real [`JournalWriter`] appends flushed
-//!   records while a reader polls [`load_journal`] and
-//!   [`journal_progress`] as fast as it can, asserting every observed
-//!   prefix is monotonic and payload-exact.
+//!   records while a reader copies the live file as fast as it can and
+//!   runs [`load_journal`] and [`journal_progress`] on each copy,
+//!   asserting every observed prefix is monotonic and payload-exact.
 
 use dotm_core::{ClassOutcome, CurrentFlags, DetectionSet, VoltageSignature};
 use dotm_defects::FaultMechanism;
@@ -168,10 +168,16 @@ fn half_written_records_never_enter_the_prefix() {
 /// Threaded race: a real writer appends flushed records while a reader
 /// polls as fast as it can. Every observed prefix must be valid and the
 /// sequence of observed lengths monotonic.
+///
+/// Each poll reads the live file once and checks a snapshot of those
+/// bytes: run on the live file, the two readers inside
+/// [`assert_valid_prefix`] would see two different moments of the
+/// append stream and could disagree by the records landed in between.
 #[test]
 fn polling_reader_races_a_live_writer() {
     let dir = tmpdir("race");
     let path = dir.join("comparator.jnl");
+    let snapshot = dir.join("snapshot.jnl");
     let classes = 200;
     let expect = header(classes);
 
@@ -193,8 +199,12 @@ fn polling_reader_races_a_live_writer() {
         let mut observations = 0u64;
         loop {
             let sealed = done.load(Ordering::Acquire);
-            if path.exists() {
-                let prefix = assert_valid_prefix(&path, &expect);
+            // The file exists from `create` on, but it is a journal only
+            // once its header line has fully landed.
+            let bytes = fs::read(&path).unwrap_or_default();
+            if bytes.contains(&b'\n') {
+                fs::write(&snapshot, &bytes).expect("write snapshot");
+                let prefix = assert_valid_prefix(&snapshot, &expect);
                 assert!(
                     prefix >= last,
                     "prefix went backwards: {last} -> {prefix} (single writer, append-only)"

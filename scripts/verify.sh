@@ -68,9 +68,7 @@ echo "    reports identical modulo solver accounting"
 echo "==> equivalence: factor reuse is bitwise-invisible (fig4, 1 and 4 threads)"
 # The exact factor cache replays identical solution bytes, so toggling
 # DOTM_FACTOR_REUSE may change nothing but the reuse-occupancy
-# accounting line, at any thread count. (Rank updates are a separate,
-# default-off knob gated by lu_speedup below — they change round-off
-# and are deliberately NOT part of this bitwise gate.)
+# accounting line, at any thread count.
 for threads in 1 4; do
     reuse_on=$(DOTM_DEFECTS=3000 DOTM_MAX_CLASSES=10 DOTM_GS_COMMON=3 DOTM_GS_MM=2 \
         DOTM_THREADS=$threads DOTM_FACTOR_REUSE=1 \
@@ -100,43 +98,11 @@ for threads in 1 4; do
 done
 echo "    reports byte-identical with the batch knob on and off"
 
-echo "==> equivalence: lockstep variant evaluation is bitwise-invisible (fig4, 1 and 4 threads)"
-# An adopted lane prime replays the exact bytes the scalar walk would
-# have assembled and factored, and bumps no report counter, so toggling
-# DOTM_VARIANT_LOCKSTEP may change nothing at all. Raw byte diff, no
-# accounting strip — same bar as the batch-assembly gate.
-for threads in 1 4; do
-    lockstep_on=$(DOTM_DEFECTS=3000 DOTM_MAX_CLASSES=10 DOTM_GS_COMMON=3 DOTM_GS_MM=2 \
-        DOTM_THREADS=$threads DOTM_VARIANT_LOCKSTEP=1 \
-        cargo run --release --locked -p dotm-bench --bin fig4)
-    lockstep_off=$(DOTM_DEFECTS=3000 DOTM_MAX_CLASSES=10 DOTM_GS_COMMON=3 DOTM_GS_MM=2 \
-        DOTM_THREADS=$threads DOTM_VARIANT_LOCKSTEP=0 \
-        cargo run --release --locked -p dotm-bench --bin fig4)
-    diff <(echo "$lockstep_on") <(echo "$lockstep_off") || {
-        echo "FAIL: DOTM_VARIANT_LOCKSTEP changed the report ($threads threads)"; exit 1; }
-done
-echo "    reports byte-identical with the lockstep knob on and off"
-
-echo "==> equivalence + perf: rank updates never flip a verdict (ladder anchor)"
-# Factors the nominal circuit once per analysis slot and applies each
-# fault variant as a rank-k update; asserts every class verdict matches
-# the full-refactorisation baseline, gates the LU-phase reduction and
-# the reuse hit rate, and writes the counter summary for the
-# perf-trajectory comparison. The speedup gate is relaxed here (the
-# dedicated perf job tracks the trajectory); counters stay exact.
-bench_json="${DOTM_BENCH_JSON:-$(mktemp)}"
-DOTM_BENCH_JSON="$bench_json" DOTM_LU_MIN_SPEEDUP="${DOTM_LU_MIN_SPEEDUP:-1}" \
-    cargo run --release --locked -p dotm-bench --bin lu_speedup
-
-echo "==> perf trajectory: counter metrics vs committed baseline (soft)"
-cargo run --release --locked -p dotm-bench --bin bench_compare -- \
-    scripts/bench_baseline_6.json "$bench_json"
-
 echo "==> equivalence + perf: batched assembly is bit-identical and faster (ladder anchor)"
 # Runs the anchor with scalar and batched assembly; asserts the two
 # reports are bit-for-bit identical, then gates the assembly-phase
-# reduction. The speedup gate is relaxed here like the LU one (the perf
-# job tracks the trajectory); the bitwise gate is absolute.
+# reduction. The speedup gate is relaxed here (the perf job tracks the
+# trajectory); the bitwise gate is absolute.
 batch_json="${DOTM_BATCH_BENCH_JSON:-$(mktemp)}"
 DOTM_BENCH_JSON="$batch_json" DOTM_BATCH_MIN_SPEEDUP="${DOTM_BATCH_MIN_SPEEDUP:-1}" \
     cargo run --release --locked -p dotm-bench --bin batch_speedup
@@ -144,22 +110,6 @@ DOTM_BENCH_JSON="$batch_json" DOTM_BATCH_MIN_SPEEDUP="${DOTM_BATCH_MIN_SPEEDUP:-
 echo "==> perf trajectory: batch counter metrics vs committed baseline (soft)"
 cargo run --release --locked -p dotm-bench --bin bench_compare -- \
     scripts/bench_baseline_7.json "$batch_json"
-
-echo "==> equivalence + perf: lockstep variant evaluation is bit-identical and faster (ladder anchor)"
-# Runs the anchor with the sequential walk and the lockstep SoA path;
-# asserts the two reports are bit-for-bit identical and the pre-pass
-# actually primed lanes, then gates the class-eval (assembly+LU) phase
-# cut. Unlike the wall-clock gates this ratio compares two in-process
-# phase accumulators from the same run pair, so the full 1.3x floor
-# holds even on shared runners; the pre-pass cost is reported beside it
-# in the JSON.
-variant_json="${DOTM_VARIANT_BENCH_JSON:-$(mktemp)}"
-DOTM_BENCH_JSON="$variant_json" DOTM_VARIANT_MIN_SPEEDUP="${DOTM_VARIANT_MIN_SPEEDUP:-1.3}" \
-    cargo run --release --locked -p dotm-bench --bin variant_speedup
-
-echo "==> perf trajectory: lockstep counter metrics vs committed baseline (soft)"
-cargo run --release --locked -p dotm-bench --bin bench_compare -- \
-    scripts/bench_baseline_10.json "$variant_json"
 
 echo "==> persistence: campaign store cold -> warm -> kill/resume -> corrupt"
 # The persistent-campaign gate, on a small fixed-seed configuration:

@@ -171,70 +171,6 @@ fn batch_assembly_is_invisible_in_the_report() {
 }
 
 #[test]
-fn variant_lockstep_is_invisible_in_the_report() {
-    // The lockstep pre-pass captures each variant lane's first DC Newton
-    // system and factors all lanes in one blocked kernel with per-lane
-    // pivoting; an adopted prime replays the exact bytes the scalar walk
-    // would have assembled and factored, and adoption bumps no solver
-    // counter. Toggling `DOTM_VARIANT_LOCKSTEP` must therefore leave
-    // every reported bit unchanged — no scrub at all. The ladder macro is
-    // the harness that opts in (single plain-DC analysis), and
-    // `non_catastrophic: true` gives bridge classes two severity lanes so
-    // the blocked kernel actually runs.
-    let with_lockstep = |threads: usize, variant_lockstep: bool| {
-        let cfg = PipelineConfig {
-            defects: 4_000,
-            seed: 1995,
-            goodspace: GoodSpaceConfig {
-                common_samples: 3,
-                mismatch_samples: 2,
-                seed: 1995 ^ 0xD07,
-                exec: ExecConfig::with_threads(threads),
-                ..GoodSpaceConfig::default()
-            },
-            max_classes: Some(24),
-            non_catastrophic: true,
-            exec: ExecConfig::with_threads(threads),
-            variant_lockstep,
-            ..PipelineConfig::default()
-        };
-        run_macro_path(&LadderHarness, &cfg).expect("ladder path")
-    };
-    let on_serial = with_lockstep(1, true);
-    let off_serial = with_lockstep(1, false);
-    let on_parallel = with_lockstep(4, true);
-    let off_parallel = with_lockstep(4, false);
-    assert_eq!(on_serial.solver_totals(), off_serial.solver_totals());
-    assert_eq!(on_serial.fingerprint(), off_serial.fingerprint());
-    assert_eq!(on_serial.fingerprint(), on_parallel.fingerprint());
-    assert_eq!(on_serial.fingerprint(), off_parallel.fingerprint());
-}
-
-#[test]
-fn rank_update_report_is_thread_count_invariant() {
-    // Rank updates change round-off relative to full refactorisation (the
-    // `lu_speedup` bench gates verdict preservation), but within the
-    // rank-update configuration every class is still a pure function of
-    // its inputs — the determinism contract must hold at every thread
-    // count with both factorisation knobs on.
-    let with_knobs = |threads| {
-        run_comparator_cfg(PipelineConfig {
-            factor_reuse: true,
-            rank_update: true,
-            ..comparator_config(threads, true)
-        })
-    };
-    let serial = with_knobs(1);
-    let parallel = with_knobs(4);
-    assert!(
-        serial.solver_totals().factor_reuse_hits > 0,
-        "the factor-reuse path must actually be exercised"
-    );
-    assert_eq!(serial.solver_totals(), parallel.solver_totals());
-    assert_eq!(serial.fingerprint(), parallel.fingerprint());
-}
-
-#[test]
 fn fixed_seed_anchor_invariants() {
     let cfg = PipelineConfig {
         defects: 20_000,
