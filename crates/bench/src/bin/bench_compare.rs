@@ -1,11 +1,11 @@
 //! Perf-trajectory comparator: diffs a bench summary JSON (as written by
-//! `batch_speedup`, `shard_speedup` or `serve_roundtrip` via
-//! `DOTM_BENCH_JSON`) against a committed baseline.
+//! `shard_speedup` or `serve_roundtrip` via `DOTM_BENCH_JSON`) against a
+//! committed baseline.
 //!
-//! Only the *deterministic counter* metrics are compared — solve and
-//! iteration counts, reuse occupancy, verdict flips. Wall-clock and
-//! nanosecond fields vary with the runner and are reported but never
-//! diffed; the trajectory of those lives in the uploaded CI artifacts.
+//! Only the *deterministic counter* metrics are compared — byte-identity
+//! verdicts, store/journal occupancy, event and report sizes. Wall-clock
+//! fields vary with the runner and are reported but never diffed; the
+//! trajectory of those lives in the uploaded CI artifacts.
 //!
 //! ```text
 //! bench_compare <baseline.json> <current.json>
@@ -24,17 +24,6 @@ use std::process::exit;
 /// in the summary (timings, ratios derived from timings) is informational.
 const COUNTER_FIELDS: &[&str] = &[
     "bench",
-    "defects",
-    "seed",
-    "classes",
-    "base_nr_solves",
-    "base_nr_iterations",
-    "fast_nr_solves",
-    "fast_nr_iterations",
-    "factor_reuse_hits",
-    "factor_refactor_fallbacks",
-    "verdict_flips",
-    "hit_pct",
     // shard_speedup counters: byte-identity verdicts and deterministic
     // store/journal occupancy of the sharded-vs-single comparison.
     "workers",
@@ -141,11 +130,6 @@ fn main() {
     // bin's timing fields — absent ones are simply skipped, so one
     // comparator serves all the summaries.
     for field in [
-        "bitwise_identical",
-        "base_assembly_ns",
-        "fast_assembly_ns",
-        "fast_batch_assembly_ns",
-        "batch_speedup",
         "single_wall_ms",
         "sharded_wall_ms",
         "shard_speedup",

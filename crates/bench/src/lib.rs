@@ -162,7 +162,6 @@ pub fn standard_config() -> PipelineConfig {
         warm_start: dotm_core::env::warm_start(),
         measure_cache: dotm_core::env::measure_cache(),
         factor_reuse: dotm_core::env::factor_reuse(),
-        batch_assembly: dotm_core::env::batch_assembly(),
         ..PipelineConfig::default()
     }
 }

@@ -180,7 +180,6 @@ mod tests {
             _opts: &dotm_sim::SimOptions,
             _stats: &mut dotm_sim::SimStats,
             _warm: crate::harness::Warm<'_>,
-            _shared: Option<&std::sync::Arc<dotm_sim::SharedAssembly>>,
         ) -> Result<Vec<f64>, dotm_sim::SimError> {
             Ok(vec![0.0; 5])
         }

@@ -21,7 +21,6 @@
 //! | `DOTM_WARM_START` | seed Newton from nominal operating points | on |
 //! | `DOTM_MEASURE_CACHE` | in-memory measurement memoization | on |
 //! | `DOTM_FACTOR_REUSE` | bitwise-exact LU factor cache in the solver | on |
-//! | `DOTM_BATCH_ASSEMBLY` | split-plan batched assembly + shared class baselines | on |
 //! | `DOTM_SIM_FAILURE_POLICY` | accounting for never-converged classes | assume-detected |
 //! | `DOTM_STORE_DIR` | persistent campaign-store directory | unset |
 //! | `DOTM_SHARDS` | total worker shards of a sharded campaign | unset |
@@ -171,18 +170,6 @@ pub fn measure_cache() -> bool {
 /// On a malformed value.
 pub fn factor_reuse() -> bool {
     bool_knob("DOTM_FACTOR_REUSE", true)
-}
-
-/// The `DOTM_BATCH_ASSEMBLY` knob (default on): split-plan batched
-/// assembly — static stamps hoisted into a per-gmin baseline, fault
-/// variants of a class embedding the shared nominal baseline plus a
-/// stamp delta. Bitwise-identical to the scalar path by construction
-/// (the determinism suite enforces this), hence on by default.
-///
-/// # Panics
-/// On a malformed value.
-pub fn batch_assembly() -> bool {
-    bool_knob("DOTM_BATCH_ASSEMBLY", true)
 }
 
 /// The `DOTM_SIM_FAILURE_POLICY` knob (default: the paper-parity

@@ -15,8 +15,7 @@ use crate::measure::MeasureKind;
 use crate::processvar::ProcessModel;
 use crate::signature::{CurrentFlags, CurrentKind};
 use dotm_rng::rngs::StdRng;
-use dotm_sim::{SharedAssembly, SimError, SimOptions, SimStats};
-use std::sync::Arc;
+use dotm_sim::{SimError, SimOptions, SimStats};
 
 /// Monte-Carlo sizes for good-space compilation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,11 +42,8 @@ pub struct GoodSpaceConfig {
     /// No effect. The rank-update solve path is retired; the field
     /// remains so callers that set it keep compiling.
     pub rank_update: bool,
-    /// Split-plan batched assembly (overrides the harness's base
-    /// [`SimOptions`]). The nominal measurement and every Monte-Carlo
-    /// corner share the testbench's compiled stamp split; corners whose
-    /// perturbed devices break the prefix invariant fall back to a local
-    /// split. Bitwise-invisible; on by default.
+    /// No effect. Batched assembly is retired; the field remains so
+    /// callers that set it keep compiling.
     pub batch_assembly: bool,
     /// No effect. Transient step carry is unconditional since store
     /// `FORMAT_VERSION` 4; the field remains so callers that set it keep
@@ -77,7 +73,6 @@ impl Default for GoodSpaceConfig {
 fn sim_options_for(harness: &dyn MacroHarness, cfg: &GoodSpaceConfig) -> SimOptions {
     let mut opts = harness.sim_options();
     opts.factor_reuse = cfg.factor_reuse;
-    opts.batch_assembly = cfg.batch_assembly;
     opts
 }
 
@@ -93,7 +88,6 @@ fn compile_common_sample(
     m: usize,
     si: u64,
     warm: Option<&WarmStart>,
-    shared: Option<&Arc<SharedAssembly>>,
 ) -> Result<(Vec<Vec<f64>>, SimStats, u64), SimError> {
     let opts = sim_options_for(harness, cfg);
     let mut rng = StdRng::seed_from_stream(cfg.seed, si);
@@ -108,7 +102,7 @@ fn compile_common_sample(
             let mut nl = harness.testbench();
             harness.perturb(&mut nl, model, &common, &mut rng);
             let w = warm.map_or(Warm::Cold, Warm::Seed);
-            match harness.measure_with(&nl, &opts, &mut stats, w, shared) {
+            match harness.measure_with(&nl, &opts, &mut stats, w) {
                 Ok(v) => per_mm.push(v),
                 Err(e) => {
                     corner_error = Some(e);
@@ -165,14 +159,7 @@ impl GoodSpace {
         cfg: GoodSpaceConfig,
     ) -> Result<GoodSpace, SimError> {
         let mut solver = SimStats::default();
-        // One compiled stamp split for the whole compilation: the nominal
-        // run adopts it exactly (device-prefix-equal with itself) and each
-        // Monte-Carlo corner tries to — perturbed device parameters fail
-        // the prefix check, so corners fall back to their local split.
         let testbench = harness.testbench();
-        let shared_asm = cfg
-            .batch_assembly
-            .then(|| Arc::new(SharedAssembly::compile(&testbench)));
         // The nominal measurement is single-threaded; in warm-start mode
         // it doubles as the capture run for the per-analysis operating
         // points, frozen into an immutable seed table before any parallel
@@ -188,7 +175,6 @@ impl GoodSpace {
             &sim_options_for(harness, &cfg),
             &mut solver,
             nominal_warm,
-            shared_asm.as_ref(),
         )?;
         let warm = cfg.warm_start.then(|| capture.freeze());
         let n = nominal.len();
@@ -203,15 +189,7 @@ impl GoodSpace {
         // retries) rather than failing the whole compilation.
         let per_sample: Vec<(Vec<Vec<f64>>, SimStats, u64)> =
             exec::par_map_indices(&cfg.exec, s, |si| {
-                compile_common_sample(
-                    harness,
-                    model,
-                    &cfg,
-                    m,
-                    si as u64,
-                    warm.as_ref(),
-                    shared_asm.as_ref(),
-                )
+                compile_common_sample(harness, model, &cfg, m, si as u64, warm.as_ref())
             })
             .into_iter()
             .collect::<Result<_, _>>()?;

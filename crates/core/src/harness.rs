@@ -14,8 +14,8 @@ use crate::signature::{CurrentKind, VoltageSignature};
 use dotm_layout::Layout;
 use dotm_netlist::Netlist;
 use dotm_rng::rngs::StdRng;
-use dotm_sim::{OpPoint, SharedAssembly, SimError, SimOptions, SimStats, Simulator};
-use std::sync::{Arc, Mutex};
+use dotm_sim::{OpPoint, SimError, SimOptions, SimStats, Simulator};
+use std::sync::Mutex;
 
 /// Collects the good-circuit operating point of every DC-rooted analysis a
 /// harness runs, indexed by *analysis slot* — the position of the analysis
@@ -159,7 +159,6 @@ pub trait MacroHarness: Sync {
             &self.sim_options(),
             &mut SimStats::default(),
             Warm::Cold,
-            None,
         )
     }
 
@@ -174,12 +173,6 @@ pub trait MacroHarness: Sync {
     /// exit paths), threading `warm` plus a fresh [`WarmCursor`] through
     /// every analysis so capture and seed runs agree on slot numbering.
     ///
-    /// `shared` is the nominal testbench's compiled stamp split: every
-    /// simulator installs it so device-prefix-equal fault variants
-    /// assemble as `shared baseline + delta` (see [`SharedAssembly`]).
-    /// `None` leaves each simulator to split locally (still batched when
-    /// [`SimOptions::batch_assembly`] is on).
-    ///
     /// # Errors
     /// Propagates simulator failures.
     fn measure_with(
@@ -188,7 +181,6 @@ pub trait MacroHarness: Sync {
         opts: &SimOptions,
         stats: &mut SimStats,
         warm: Warm<'_>,
-        shared: Option<&Arc<SharedAssembly>>,
     ) -> Result<Vec<f64>, SimError>;
 
     /// Applies one process Monte-Carlo sample. The default perturbs every
@@ -246,11 +238,10 @@ pub fn with_instrumented_sim<R>(
 }
 
 /// Warm-start-aware variant of [`with_instrumented_sim`]: claims the next
-/// analysis slot from `cursor`, installs the class-shared assembly,
-/// seeds the simulator's first DC solve from the nominal operating point
-/// (in [`Warm::Seed`] mode) or records the solved point after `f` (in
-/// [`Warm::Capture`] mode), and merges solver telemetry into `stats` on
-/// every exit path.
+/// analysis slot from `cursor`, seeds the simulator's first DC solve
+/// from the nominal operating point (in [`Warm::Seed`] mode) or records
+/// the solved point after `f` (in [`Warm::Capture`] mode), and merges
+/// solver telemetry into `stats` on every exit path.
 ///
 /// The cursor advances even when `f` fails so subsequent analyses keep
 /// their slot alignment between the capture run and seeded runs.
@@ -262,15 +253,11 @@ pub fn with_instrumented_sim_warm<R>(
     opts: &SimOptions,
     stats: &mut SimStats,
     warm: Warm<'_>,
-    shared: Option<&Arc<SharedAssembly>>,
     cursor: &mut WarmCursor,
     f: impl FnOnce(&mut Simulator<'_>) -> Result<R, SimError>,
 ) -> Result<R, SimError> {
     let slot = cursor.next_slot();
     let mut sim = Simulator::with_options(nl, opts.clone());
-    if let Some(sh) = shared {
-        sim.install_shared_assembly(Arc::clone(sh));
-    }
     if let Warm::Seed(start) = warm {
         if let Some(op) = start.seed(slot) {
             // seed_dc_from rejects seeds that violate the append-only

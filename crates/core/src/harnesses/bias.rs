@@ -9,8 +9,7 @@ use dotm_adc::comparator::{
 use dotm_adc::process::BiasValues;
 use dotm_layout::Layout;
 use dotm_netlist::Netlist;
-use dotm_sim::{SharedAssembly, SimError, SimOptions, SimStats, Simulator};
-use std::sync::Arc;
+use dotm_sim::{SimError, SimOptions, SimStats, Simulator};
 
 use super::comparator::{DECISION_DVS, VREF_MID};
 
@@ -68,12 +67,9 @@ impl MacroHarness for BiasHarness {
         opts: &SimOptions,
         stats: &mut SimStats,
         warm: Warm<'_>,
-        shared: Option<&Arc<SharedAssembly>>,
     ) -> Result<Vec<f64>, SimError> {
         let mut cursor = WarmCursor::new();
-        let op = with_instrumented_sim_warm(nl, opts, stats, warm, shared, &mut cursor, |sim| {
-            sim.dc_op()
-        })?;
+        let op = with_instrumented_sim_warm(nl, opts, stats, warm, &mut cursor, |sim| sim.dc_op())?;
         let mut out = Vec::with_capacity(5);
         for net in ["vbn", "vbnc", "vbp", "vaz"] {
             out.push(match nl.find_node(net) {

@@ -8,8 +8,7 @@ use dotm_adc::clockgen::clockgen_testbench;
 use dotm_adc::process::{Phase, CLOCK_PERIOD};
 use dotm_layout::Layout;
 use dotm_netlist::Netlist;
-use dotm_sim::{SharedAssembly, SimError, SimOptions, SimStats};
-use std::sync::Arc;
+use dotm_sim::{SimError, SimOptions, SimStats};
 
 /// Level deviation that still counts as a working (but shifted) clock.
 const LEVEL_DEV: f64 = 0.30;
@@ -77,10 +76,9 @@ impl MacroHarness for ClockgenHarness {
         opts: &SimOptions,
         stats: &mut SimStats,
         warm: Warm<'_>,
-        shared: Option<&Arc<SharedAssembly>>,
     ) -> Result<Vec<f64>, SimError> {
         let mut cursor = WarmCursor::new();
-        let tr = with_instrumented_sim_warm(nl, opts, stats, warm, shared, &mut cursor, |sim| {
+        let tr = with_instrumented_sim_warm(nl, opts, stats, warm, &mut cursor, |sim| {
             sim.transient(CLOCK_PERIOD, self.dt)
         })?;
         let mut out = Vec::new();

@@ -13,8 +13,7 @@ use dotm_adc::process::{Phase, CLOCK_PERIOD, VREF_HI, VREF_LO};
 use dotm_layout::Layout;
 use dotm_netlist::{DeviceKind, Netlist, Waveform};
 use dotm_rng::rngs::StdRng;
-use dotm_sim::{SharedAssembly, SimError, SimOptions, SimStats, Simulator};
-use std::sync::Arc;
+use dotm_sim::{SimError, SimOptions, SimStats, Simulator};
 
 /// The differential drive points probed by the voltage test, in volts
 /// around the reference. ±8 mV is the paper's one-LSB offset bound.
@@ -168,35 +167,25 @@ impl MacroHarness for ComparatorHarness {
         opts: &SimOptions,
         stats: &mut SimStats,
         warm: Warm<'_>,
-        shared: Option<&Arc<SharedAssembly>>,
     ) -> Result<Vec<f64>, SimError> {
         let mut cursor = WarmCursor::new();
         let mut out = Vec::new();
         // Voltage test: four decisions around the mid reference, plus one
         // pair at each range extreme.
         for dv in DECISION_DVS {
-            let tr =
-                with_instrumented_sim_warm(nl, opts, stats, warm, shared, &mut cursor, |sim| {
-                    sim.override_source("VIN", VREF_MID + dv)?;
-                    sim.transient(decision_sim_time(), self.dt)
-                })?;
+            let tr = with_instrumented_sim_warm(nl, opts, stats, warm, &mut cursor, |sim| {
+                sim.override_source("VIN", VREF_MID + dv)?;
+                sim.transient(decision_sim_time(), self.dt)
+            })?;
             out.push(read_decision(nl, &tr));
         }
         for vref in EXTREME_VREFS {
             for dv in [-EXTREME_DV, EXTREME_DV] {
-                let tr = with_instrumented_sim_warm(
-                    nl,
-                    opts,
-                    stats,
-                    warm,
-                    shared,
-                    &mut cursor,
-                    |sim| {
-                        sim.override_source("VREF", vref)?;
-                        sim.override_source("VIN", vref + dv)?;
-                        sim.transient(decision_sim_time(), self.dt)
-                    },
-                )?;
+                let tr = with_instrumented_sim_warm(nl, opts, stats, warm, &mut cursor, |sim| {
+                    sim.override_source("VREF", vref)?;
+                    sim.override_source("VIN", vref + dv)?;
+                    sim.transient(decision_sim_time(), self.dt)
+                })?;
                 out.push(read_decision(nl, &tr));
             }
         }
@@ -204,11 +193,10 @@ impl MacroHarness for ComparatorHarness {
         // levels ride along on the first condition.
         let mut clock_levels = Vec::new();
         for (ci, vin) in CURRENT_VINS.iter().enumerate() {
-            let tr =
-                with_instrumented_sim_warm(nl, opts, stats, warm, shared, &mut cursor, |sim| {
-                    sim.override_source("VIN", *vin)?;
-                    sim.transient(2.0 * CLOCK_PERIOD, self.dt)
-                })?;
+            let tr = with_instrumented_sim_warm(nl, opts, stats, warm, &mut cursor, |sim| {
+                sim.override_source("VIN", *vin)?;
+                sim.transient(2.0 * CLOCK_PERIOD, self.dt)
+            })?;
             for phase in Phase::ALL {
                 let k = tr.index_at(CLOCK_PERIOD + phase.settle_time());
                 let branch = |name: &str| -> f64 {

@@ -6,8 +6,7 @@ use crate::signature::{CurrentKind, VoltageSignature};
 use dotm_adc::decoder::{decoder_slice_testbench, SLICE_CODES, SLICE_INPUTS};
 use dotm_layout::Layout;
 use dotm_netlist::Netlist;
-use dotm_sim::{SharedAssembly, SimError, SimOptions, SimStats};
-use std::sync::Arc;
+use dotm_sim::{SimError, SimOptions, SimStats};
 
 /// Bitline deviation counting as a corrupted code (V).
 const BIT_DEV: f64 = 1.0;
@@ -82,19 +81,17 @@ impl MacroHarness for DecoderHarness {
         opts: &SimOptions,
         stats: &mut SimStats,
         warm: Warm<'_>,
-        shared: Option<&Arc<SharedAssembly>>,
     ) -> Result<Vec<f64>, SimError> {
         let mut cursor = WarmCursor::new();
         let mut out = Vec::new();
         for h in HEIGHTS {
-            let tr =
-                with_instrumented_sim_warm(nl, opts, stats, warm, shared, &mut cursor, |sim| {
-                    for i in 0..SLICE_INPUTS {
-                        let level = if i < h { 5.0 } else { 0.0 };
-                        sim.override_source(&format!("VT{i}"), level)?;
-                    }
-                    sim.transient(30e-9, self.dt)
-                })?;
+            let tr = with_instrumented_sim_warm(nl, opts, stats, warm, &mut cursor, |sim| {
+                for i in 0..SLICE_INPUTS {
+                    let level = if i < h { 5.0 } else { 0.0 };
+                    sim.override_source(&format!("VT{i}"), level)?;
+                }
+                sim.transient(30e-9, self.dt)
+            })?;
             let k = tr.index_at(29e-9);
             for bit in 0..8 {
                 out.push(match nl.find_node(&format!("bl{bit}")) {

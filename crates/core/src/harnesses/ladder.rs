@@ -7,8 +7,7 @@ use dotm_adc::behavior::FlashAdc;
 use dotm_adc::ladder::{ideal_tap_voltage, ladder_testbench, tap_node, TAPS};
 use dotm_layout::Layout;
 use dotm_netlist::Netlist;
-use dotm_sim::{SharedAssembly, SimError, SimOptions, SimStats};
-use std::sync::Arc;
+use dotm_sim::{SimError, SimOptions, SimStats};
 
 /// Deviation treated as a hard (stuck) reference failure (V).
 const RAIL_DEV: f64 = 0.5;
@@ -65,12 +64,9 @@ impl MacroHarness for LadderHarness {
         opts: &SimOptions,
         stats: &mut SimStats,
         warm: Warm<'_>,
-        shared: Option<&Arc<SharedAssembly>>,
     ) -> Result<Vec<f64>, SimError> {
         let mut cursor = WarmCursor::new();
-        let op = with_instrumented_sim_warm(nl, opts, stats, warm, shared, &mut cursor, |sim| {
-            sim.dc_op()
-        })?;
+        let op = with_instrumented_sim_warm(nl, opts, stats, warm, &mut cursor, |sim| sim.dc_op())?;
         let mut out = Vec::with_capacity(TAPS + 2);
         for k in 1..=TAPS {
             out.push(op.voltage(tap_node(nl, k)));

@@ -13,11 +13,11 @@ use dotm_defects::{
 };
 use dotm_faults::{InjectError, Injector, Severity};
 use dotm_netlist::{DeviceKind, Netlist};
-use dotm_sim::{Integration, SharedAssembly, SimError, SimOptions, SimStats};
+use dotm_sim::{Integration, SimError, SimOptions, SimStats};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// How a fault class whose every model variant still fails to simulate —
 /// even at the top of the escalation ladder — enters the detection
@@ -166,12 +166,9 @@ pub struct PipelineConfig {
     /// remains so callers that set it keep compiling, and it is not part
     /// of the pipeline context.
     pub rank_update: bool,
-    /// Split-plan batched assembly: static stamps are hoisted into a
-    /// per-gmin baseline and each macro's fault variants embed the
-    /// class-shared nominal baseline plus a per-variant stamp delta
-    /// instead of replaying the full plan every Newton iteration.
-    /// Bitwise-identical to the scalar path by construction (the
-    /// determinism suite enforces this), so it is on by default.
+    /// No effect. Batched assembly is retired; the field remains so
+    /// callers that set it keep compiling, and it is not part of the
+    /// pipeline context.
     pub batch_assembly: bool,
     /// No effect. Transient step carry is unconditional since store
     /// `FORMAT_VERSION` 4; the field remains so callers that set it keep
@@ -819,17 +816,10 @@ pub fn run_macro_path_with_faults_hooked(
     let mut gs_cfg = cfg.goodspace;
     gs_cfg.warm_start = gs_cfg.warm_start && cfg.warm_start;
     gs_cfg.factor_reuse = cfg.factor_reuse;
-    gs_cfg.batch_assembly = cfg.batch_assembly;
     let good = GoodSpace::compile(harness, &cfg.process, gs_cfg).map_err(PathError::GoodCircuit)?;
     let injector = Injector::default();
     let shared: HashSet<&str> = harness.shared_nets().into_iter().collect();
     let base = harness.testbench();
-    // One compiled stamp split per macro, shared (read-only, Arc) by every
-    // worker: fault injection appends devices, so almost every variant
-    // adopts the nominal baseline and assembles as `baseline + delta`.
-    let shared_asm = cfg
-        .batch_assembly
-        .then(|| Arc::new(SharedAssembly::compile(&base)));
     // The seed table is frozen before any parallel work: every worker sees
     // the same seeds, so warm-started measurements stay scheduling-free.
     let warm = if cfg.warm_start {
@@ -904,7 +894,6 @@ pub fn run_macro_path_with_faults_hooked(
                     warm,
                     cache.as_ref(),
                     store,
-                    shared_asm.as_ref(),
                 )
             })
             .collect();
@@ -1007,7 +996,6 @@ fn measure_rung(
     opts: &SimOptions,
     solver: &mut SimStats,
     warm: Option<&WarmStart>,
-    shared: Option<&Arc<SharedAssembly>>,
     cache: Option<&MeasureCache>,
     store: Option<&dyn MeasurementStore>,
     digest: Option<u128>,
@@ -1016,7 +1004,7 @@ fn measure_rung(
     let w = warm.map_or(Warm::Cold, Warm::Seed);
     let digest = match digest {
         Some(d) => d,
-        None => return harness.measure_with(nl, opts, solver, w, shared),
+        None => return harness.measure_with(nl, opts, solver, w),
     };
     let key = cache_key(digest, rung);
     if let Some(c) = cache {
@@ -1043,7 +1031,7 @@ fn measure_rung(
         }
     }
     let mut delta = SimStats::default();
-    let result = harness.measure_with(nl, opts, &mut delta, w, shared);
+    let result = harness.measure_with(nl, opts, &mut delta, w);
     if let Some(c) = cache {
         c.insert(key, (result.clone(), delta));
     }
@@ -1066,7 +1054,6 @@ fn measure_escalated(
     ladder: EscalationLadder,
     solver: &mut SimStats,
     warm: Option<&WarmStart>,
-    shared: Option<&Arc<SharedAssembly>>,
     cache: Option<&MeasureCache>,
     store: Option<&dyn MeasurementStore>,
 ) -> Option<(Vec<f64>, u8)> {
@@ -1078,9 +1065,7 @@ fn measure_escalated(
         // its own span, so the trace shows how much wall-clock the ladder
         // itself costs (rung 0 is the ordinary first attempt).
         let rung_span = dotm_obs::span_with("rung", || format!("rung {rung}"));
-        let outcome = measure_rung(
-            harness, nl, &opts, solver, warm, shared, cache, store, digest, rung,
-        );
+        let outcome = measure_rung(harness, nl, &opts, solver, warm, cache, store, digest, rung);
         drop(rung_span);
         match outcome {
             Ok(meas) => return Some((meas, rung)),
@@ -1097,7 +1082,6 @@ fn measure_escalated(
 fn class_base_opts(harness: &dyn MacroHarness, cfg: &PipelineConfig) -> SimOptions {
     let mut base_opts = harness.sim_options();
     base_opts.factor_reuse = cfg.factor_reuse;
-    base_opts.batch_assembly = cfg.batch_assembly;
     base_opts
 }
 
@@ -1251,7 +1235,6 @@ fn evaluate_class(
     warm: Option<&WarmStart>,
     cache: Option<&MeasureCache>,
     store: Option<&dyn MeasurementStore>,
-    shared_asm: Option<&Arc<SharedAssembly>>,
 ) -> Evaluated {
     let policy = cfg.sim_failure_policy;
     let ladder = cfg.escalation;
@@ -1281,7 +1264,6 @@ fn evaluate_class(
             ladder,
             &mut solver,
             warm,
-            shared_asm,
             cache,
             store,
         ) {
@@ -1357,7 +1339,6 @@ mod tests {
             opts: &SimOptions,
             stats: &mut SimStats,
             warm: Warm<'_>,
-            shared: Option<&Arc<SharedAssembly>>,
         ) -> Result<Vec<f64>, dotm_sim::SimError> {
             let mut cursor = crate::harness::WarmCursor::new();
             let op = crate::harness::with_instrumented_sim_warm(
@@ -1365,7 +1346,6 @@ mod tests {
                 opts,
                 stats,
                 warm,
-                shared,
                 &mut cursor,
                 |sim| sim.dc_op(),
             )?;
@@ -1581,7 +1561,6 @@ mod tests {
             opts: &SimOptions,
             stats: &mut SimStats,
             warm: Warm<'_>,
-            shared: Option<&Arc<SharedAssembly>>,
         ) -> Result<Vec<f64>, dotm_sim::SimError> {
             let faulted = nl.devices().any(|(_, d)| d.name.starts_with("flt"));
             if faulted && opts.max_iter < self.needs_iters {
@@ -1593,7 +1572,7 @@ mod tests {
                     iterations: opts.max_iter,
                 });
             }
-            DividerHarness.measure_with(nl, opts, stats, warm, shared)
+            DividerHarness.measure_with(nl, opts, stats, warm)
         }
 
         fn classify_voltage(&self, nominal: &[f64], faulty: &[f64]) -> VoltageSignature {
@@ -1815,7 +1794,6 @@ mod tests {
             opts: &SimOptions,
             stats: &mut SimStats,
             _warm: Warm<'_>,
-            _shared: Option<&Arc<SharedAssembly>>,
         ) -> Result<Vec<f64>, dotm_sim::SimError> {
             if nl.device("flt.gd").is_some() && opts.max_iter < 600 {
                 stats.nr_solves += 1;

@@ -50,9 +50,9 @@ use std::time::Instant;
 pub enum Phase {
     /// MNA matrix + RHS assembly (stamping), once per Newton iteration.
     Assembly,
-    /// Batched-assembly baseline construction (plan split + static-op
-    /// baseline builds). Runs *inside* `Assembly` spans, so `Assembly`
-    /// includes it; the remainder is the per-iteration replay cost.
+    /// Always empty: nothing records it since batched assembly was
+    /// retired. It stays registered as `"batch_assembly"` because the
+    /// campaign benchmark's tracer reads that phase by name.
     BatchAssembly,
     /// Dense LU factor + solve, real (DC/transient) and complex (AC).
     Lu,

@@ -23,7 +23,7 @@
 //! campaign's own journal resume makes the re-run cheap.
 
 use crate::http::json_escape;
-use dotm_store::{fnv64, Fnv128};
+use dotm_store::{fnv64, from_hex, to_hex, Fnv128};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -46,24 +46,6 @@ pub(crate) fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     } else {
         rest.split([',', '}']).next().map(str::trim)
     }
-}
-
-pub(crate) fn to_hex(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
-    }
-    out
-}
-
-pub(crate) fn from_hex(hex: &str) -> Option<Vec<u8>> {
-    if hex.len() % 2 != 0 {
-        return None;
-    }
-    (0..hex.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).ok())
-        .collect()
 }
 
 /// What a client asks the service to run.
@@ -528,6 +510,23 @@ mod tests {
         text.replace_range(at..at + 1, if byte == b'0' { "1" } else { "0" });
         fs::write(&path, text).expect("write");
         assert_eq!(Job::load(&dir, &job.id), None, "corrupt record is absent");
+        assert!(Job::load_all(&dir).is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn non_hex_payload_reads_as_absent_without_panicking() {
+        // A multibyte character at an odd byte offset of the hex payload
+        // must not split a char boundary: the record is simply absent,
+        // so startup recovery (`load_all`) skips it instead of dying.
+        let dir = tmpdir("nonhex");
+        let id = spec().id();
+        let line = format!(
+            "{{\"dotm_job\":1,\"id\":\"{id}\",\"data\":\"aéb\",\"crc\":\"{:016x}\"}}\n",
+            fnv64(b"")
+        );
+        fs::write(Job::path(&dir, &id), line).expect("write");
+        assert_eq!(Job::load(&dir, &id), None);
         assert!(Job::load_all(&dir).is_empty());
         let _ = fs::remove_dir_all(&dir);
     }

@@ -1,14 +1,12 @@
 //! The simulation engine: MNA assembly and the Newton–Raphson solver with
 //! gmin- and source-stepping homotopies.
 
-use crate::batch::{self, BatchState, SharedAssembly};
 use crate::error::SimError;
 use crate::matrix::{DenseMatrix, LuFactors};
 use crate::models::{diode_eval, mosfet_eval, switch_eval};
 use crate::stats::SimStats;
 use dotm_netlist::{Device, DeviceId, DeviceKind, DiodeParams, Netlist, NodeId, Waveform};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Numerical integration method for transient analysis.
 ///
@@ -49,12 +47,6 @@ pub struct SimOptions {
     /// reused factors are of the *same* matrix — so this defaults on and
     /// only the occupancy counters betray it.
     pub factor_reuse: bool,
-    /// Assemble through the split stamp plan: constant stamps are summed
-    /// once into a gmin-keyed baseline and every iteration replays only
-    /// the x-dependent ops (see [`crate::SharedAssembly`]). The per-cell
-    /// addition order is preserved exactly, so the assembled matrix is
-    /// bit-identical to the interpretive walk and this defaults on.
-    pub batch_assembly: bool,
 }
 
 impl Default for SimOptions {
@@ -69,7 +61,6 @@ impl Default for SimOptions {
             integration: Integration::BackwardEuler,
             max_step_halvings: 10,
             factor_reuse: true,
-            batch_assembly: true,
         }
     }
 }
@@ -333,14 +324,6 @@ pub struct Simulator<'a> {
     /// may serve chord iterations; `None` after any DC solve and after a
     /// failed factorisation.
     chord_basis: Option<ChordBasis>,
-    /// Split-plan batched-assembly state (replay list plus gmin-keyed
-    /// baselines), built lazily on the first assembly when
-    /// [`SimOptions::batch_assembly`] is set.
-    batch: Option<BatchState>,
-    /// Class-shared nominal assembly installed by the harness plumbing;
-    /// compatible variants embed its baseline instead of re-summing their
-    /// own static stamps.
-    shared_assembly: Option<Arc<SharedAssembly>>,
 }
 
 impl<'a> std::fmt::Debug for Simulator<'a> {
@@ -396,8 +379,6 @@ impl<'a> Simulator<'a> {
             factor_key: Vec::new(),
             factor_fresh: false,
             chord_basis: None,
-            batch: None,
-            shared_assembly: None,
         }
     }
 
@@ -574,18 +555,6 @@ impl<'a> Simulator<'a> {
         if self.plan.is_none() {
             self.plan = Some(self.build_plan());
         }
-        if self.opts.batch_assembly && self.batch.is_none() {
-            let t0 = dotm_obs::start();
-            let state = batch::build_batch(
-                self.nl,
-                self.plan.as_deref().expect("plan built above"),
-                self.n_nodes,
-                self.n_unknowns,
-                self.shared_assembly.as_ref(),
-            );
-            dotm_obs::phase(dotm_obs::Phase::BatchAssembly, t0);
-            self.batch = Some(state);
-        }
         let volt = |n: NodeId| -> f64 {
             if n.is_ground() {
                 0.0
@@ -655,16 +624,21 @@ impl<'a> Simulator<'a> {
             }
         };
 
-        // One plan op, executed identically by both assembly paths below.
-        let run_op = |op: &PlanOp<'_>, a: &mut DenseMatrix, z: &mut [f64]| {
+        a.clear();
+        z.fill(0.0);
+        // gmin from every node to ground.
+        for r in 0..(self.n_nodes - 1) {
+            a.add(r, r, gmin);
+        }
+        for op in self.plan.as_deref().expect("plan built above") {
             let dev = match op {
                 PlanOp::MatAdd { r, c, v } => {
                     a.add(*r, *c, *v);
-                    return;
+                    continue;
                 }
                 PlanOp::VsrcZ { row: br, id, wf } => {
                     z[*br] = src_val(*id, wf, t) * src_scale;
-                    return;
+                    continue;
                 }
                 PlanOp::IsrcZ { rp, rq, id, wf } => {
                     let i = src_val(*id, wf, t) * src_scale;
@@ -674,7 +648,7 @@ impl<'a> Simulator<'a> {
                     if let Some(rq) = rq {
                         z[*rq] += i;
                     }
-                    return;
+                    continue;
                 }
                 PlanOp::Nonlinear(dev) => *dev,
             };
@@ -745,34 +719,6 @@ impl<'a> Simulator<'a> {
                 }
                 // Linear kinds never appear as `Nonlinear` plan ops.
                 _ => unreachable!("linear device in nonlinear plan op"),
-            }
-        };
-
-        let plan = self.plan.as_deref().expect("plan built above");
-        match (self.opts.batch_assembly, self.batch.as_mut()) {
-            // Batched split-plan path: install the gmin + static-stamp
-            // baseline (full matrix write once per gmin, O(dynamic cells)
-            // reset afterwards), then replay only the x-dependent ops
-            // (plus constant ops sharing a cell with one, preserving the
-            // per-cell addition order — see `crate::batch`).
-            (true, Some(state)) => {
-                state.install_into(a, self.n_nodes, self.n_unknowns, gmin);
-                z.fill(0.0);
-                for &i in state.replay() {
-                    run_op(&plan[i as usize], a, z);
-                }
-            }
-            // Scalar path: full interpretive replay.
-            _ => {
-                a.clear();
-                z.fill(0.0);
-                // gmin from every node to ground.
-                for r in 0..(self.n_nodes - 1) {
-                    a.add(r, r, gmin);
-                }
-                for op in plan {
-                    run_op(op, a, z);
-                }
             }
         }
 
@@ -970,36 +916,6 @@ impl<'a> Simulator<'a> {
             n_nodes: self.n_nodes,
             vsrc: self.vsrc.clone(),
         })
-    }
-
-    /// Installs a class-shared assembly compiled from the nominal
-    /// (fault-free) netlist by [`SharedAssembly::compile`]. Variants
-    /// whose device list is a prefix-extension of the shared base adopt
-    /// its static baseline instead of rebuilding their own; anything
-    /// else (Monte-Carlo parameter corners, node splits) falls back to a
-    /// locally split plan. Only consulted when
-    /// [`SimOptions::batch_assembly`] is set.
-    pub fn install_shared_assembly(&mut self, shared: Arc<SharedAssembly>) {
-        self.shared_assembly = Some(shared);
-        self.batch = None;
-    }
-
-    /// Splits this simulator's stamp plan into static (hoistable) and
-    /// dynamic (per-iteration) parts for [`SharedAssembly::compile`].
-    pub(crate) fn split_parts(&mut self) -> batch::SplitParts {
-        if self.plan.is_none() {
-            self.plan = Some(self.build_plan());
-        }
-        let plan = self.plan.as_deref().expect("plan built above");
-        let dynamic = batch::dynamic_cells(self.nl, self.n_unknowns);
-        let (static_ops, _replay) = batch::classify(plan, &dynamic);
-        batch::SplitParts {
-            n_nodes: self.n_nodes,
-            n_unknowns: self.n_unknowns,
-            n_ops: plan.len(),
-            dynamic,
-            static_ops,
-        }
     }
 
     /// Installs `op` — typically the fault-free nominal solution — as a

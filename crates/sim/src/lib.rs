@@ -47,7 +47,6 @@
 #![warn(missing_docs)]
 
 mod ac;
-mod batch;
 mod engine;
 mod error;
 mod matrix;
@@ -55,7 +54,6 @@ mod models;
 mod stats;
 
 pub use ac::{log_sweep, AcResult, Complex};
-pub use batch::SharedAssembly;
 pub use engine::{Integration, OpPoint, SimOptions, Simulator, TranResult};
 pub use error::SimError;
 pub use matrix::{DenseMatrix, LuFactors, SingularInfo};

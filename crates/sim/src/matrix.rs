@@ -84,20 +84,6 @@ impl DenseMatrix {
         &self.data
     }
 
-    /// Overwrites all entries from `src` (row-major, length `n·n`).
-    #[inline]
-    pub fn load_entries(&mut self, src: &[f64]) {
-        debug_assert_eq!(src.len(), self.data.len());
-        self.data.copy_from_slice(src);
-    }
-
-    /// The raw row-major entries, mutable. Used by the batched-assembly
-    /// layer for flat-indexed baseline installs and dynamic-cell resets.
-    #[inline]
-    pub(crate) fn entries_mut(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Computes `self · x`.
     pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.n);

@@ -20,8 +20,8 @@ pub const FORMAT_VERSION: u64 = 4;
 /// defect statistics); the process-variation sigmas; the good-space
 /// Monte-Carlo sizes and seed; the escalation ladder; the sim-failure
 /// policy; and the solver-effort knobs (`warm_start`, `measure_cache`,
-/// `factor_reuse`, `batch_assembly`) whose telemetry lands in persisted
-/// solver-stats deltas.
+/// `factor_reuse`) whose telemetry lands in persisted solver-stats
+/// deltas.
 ///
 /// Deliberately *excluded*:
 ///
@@ -30,8 +30,9 @@ pub const FORMAT_VERSION: u64 = 4;
 /// - `max_classes` — truncation selects *which* classes run, it never
 ///   changes any class's evaluation, so smoke runs share entries with
 ///   full runs (the journal guards its own class count separately);
-/// - `rank_update` and `tran_step_carry` — inert fields that no longer
-///   change any solve, so both settings must share entries.
+/// - `rank_update`, `tran_step_carry` and `batch_assembly` — inert
+///   fields that no longer change any solve, so every setting must share
+///   entries.
 pub fn pipeline_context(harness: &dyn MacroHarness, cfg: &PipelineConfig) -> u128 {
     let mut h = Fnv128::new();
     h.u64(FORMAT_VERSION);
@@ -103,7 +104,6 @@ pub fn pipeline_context(harness: &dyn MacroHarness, cfg: &PipelineConfig) -> u12
     h.bool(cfg.warm_start);
     h.bool(cfg.measure_cache);
     h.bool(cfg.factor_reuse);
-    h.bool(cfg.batch_assembly);
 
     h.finish()
 }
@@ -161,10 +161,6 @@ mod tests {
         assert_ne!(pipeline_context(&h, &cfg), base, "factor reuse");
 
         let mut cfg = base_cfg();
-        cfg.batch_assembly = false;
-        assert_ne!(pipeline_context(&h, &cfg), base, "batch assembly");
-
-        let mut cfg = base_cfg();
         cfg.defects += 1;
         assert_ne!(pipeline_context(&h, &cfg), base, "sprinkle size");
     }
@@ -199,5 +195,9 @@ mod tests {
         let mut cfg = base_cfg();
         cfg.tran_step_carry = !cfg.tran_step_carry;
         assert_eq!(pipeline_context(&h, &cfg), base, "step carry");
+
+        let mut cfg = base_cfg();
+        cfg.batch_assembly = !cfg.batch_assembly;
+        assert_eq!(pipeline_context(&h, &cfg), base, "batch assembly");
     }
 }

@@ -198,6 +198,8 @@ mod tests {
         assert_eq!(from_hex(&to_hex(&b)).as_deref(), Some(&b[..]));
         assert_eq!(from_hex("abc"), None, "odd length");
         assert_eq!(from_hex("zz"), None, "non-hex digit");
+        assert_eq!(from_hex("+f"), None, "a sign is not a digit");
+        assert_eq!(from_hex("aéb"), None, "multibyte character");
         assert_eq!(from_hex(""), Some(Vec::new()));
     }
 }

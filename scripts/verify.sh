@@ -81,36 +81,6 @@ for threads in 1 4; do
 done
 echo "    reports identical modulo the reuse-occupancy accounting"
 
-echo "==> equivalence: batched assembly is bitwise-invisible (fig4, 1 and 4 threads)"
-# The split-plan batched path preserves the scalar path's per-cell
-# addition sequence exactly, so toggling DOTM_BATCH_ASSEMBLY may change
-# nothing at all — not even a counter. The diff is on the raw reports,
-# no accounting strip.
-for threads in 1 4; do
-    batch_on=$(DOTM_DEFECTS=3000 DOTM_MAX_CLASSES=10 DOTM_GS_COMMON=3 DOTM_GS_MM=2 \
-        DOTM_THREADS=$threads DOTM_BATCH_ASSEMBLY=1 \
-        cargo run --release --locked -p dotm-bench --bin fig4)
-    batch_off=$(DOTM_DEFECTS=3000 DOTM_MAX_CLASSES=10 DOTM_GS_COMMON=3 DOTM_GS_MM=2 \
-        DOTM_THREADS=$threads DOTM_BATCH_ASSEMBLY=0 \
-        cargo run --release --locked -p dotm-bench --bin fig4)
-    diff <(echo "$batch_on") <(echo "$batch_off") || {
-        echo "FAIL: DOTM_BATCH_ASSEMBLY changed the report ($threads threads)"; exit 1; }
-done
-echo "    reports byte-identical with the batch knob on and off"
-
-echo "==> equivalence + perf: batched assembly is bit-identical and faster (ladder anchor)"
-# Runs the anchor with scalar and batched assembly; asserts the two
-# reports are bit-for-bit identical, then gates the assembly-phase
-# reduction. The speedup gate is relaxed here (the perf job tracks the
-# trajectory); the bitwise gate is absolute.
-batch_json="${DOTM_BATCH_BENCH_JSON:-$(mktemp)}"
-DOTM_BENCH_JSON="$batch_json" DOTM_BATCH_MIN_SPEEDUP="${DOTM_BATCH_MIN_SPEEDUP:-1}" \
-    cargo run --release --locked -p dotm-bench --bin batch_speedup
-
-echo "==> perf trajectory: batch counter metrics vs committed baseline (soft)"
-cargo run --release --locked -p dotm-bench --bin bench_compare -- \
-    scripts/bench_baseline_7.json "$batch_json"
-
 echo "==> persistence: campaign store cold -> warm -> kill/resume -> corrupt"
 # The persistent-campaign gate, on a small fixed-seed configuration:
 #   1. cold run populates the store;

@@ -147,30 +147,6 @@ fn factor_reuse_is_invisible_in_the_report() {
 }
 
 #[test]
-fn batch_assembly_is_invisible_in_the_report() {
-    // Batched assembly replays exactly the per-cell addition sequence of
-    // the scalar path (gmin first, then constant stamps ascending in plan
-    // order), so toggling `DOTM_BATCH_ASSEMBLY` must leave every reported
-    // bit unchanged — no scrub at all, the path adds no counters. Checked
-    // at both thread counts so the shared-baseline Arc is exercised under
-    // real executor contention.
-    let with_batch = |threads, batch_assembly| {
-        run_comparator_cfg(PipelineConfig {
-            batch_assembly,
-            ..comparator_config(threads, true)
-        })
-    };
-    let on_serial = with_batch(1, true);
-    let off_serial = with_batch(1, false);
-    let on_parallel = with_batch(4, true);
-    let off_parallel = with_batch(4, false);
-    assert_eq!(on_serial.solver_totals(), off_serial.solver_totals());
-    assert_eq!(on_serial.fingerprint(), off_serial.fingerprint());
-    assert_eq!(on_serial.fingerprint(), on_parallel.fingerprint());
-    assert_eq!(on_serial.fingerprint(), off_parallel.fingerprint());
-}
-
-#[test]
 fn fixed_seed_anchor_invariants() {
     let cfg = PipelineConfig {
         defects: 20_000,
