@@ -69,11 +69,9 @@
 //! bookkeeping (worker spawning, per-shard fingerprints, re-dispatch)
 //! goes to stderr to keep that contract diffable with `cmp`.
 //!
-//! The campaign forces `measure_cache = off` and relies on the store's
-//! own in-memory overlay instead: the cache's occupancy counters are part
-//! of every report fingerprint, and journal-replayed classes perform no
-//! lookups — the cache and the journal cannot both be on without
-//! breaking the resumed-run ≡ uninterrupted-run bit-identity contract.
+//! The store is the run's only measurement memo: the pipeline hands it
+//! every lookup, and its in-memory overlay removes the duplicates inside
+//! one run the way a store-less run's `MemoryStore` does.
 
 use dotm_bench::{
     obs_finish, obs_fold_solver, obs_init, print_global_accounting, rule, standard_config,
@@ -541,8 +539,7 @@ fn main() {
         return;
     }
 
-    let mut cfg = standard_config();
-    cfg.measure_cache = false; // see the module docs: the store subsumes it
+    let cfg = standard_config();
 
     let harnesses = match dotm_core::env::macros() {
         Some(selection) => {

@@ -1,10 +1,9 @@
-//! Warm-start / measurement-cache validation: runs the fixed-seed ladder
-//! anchor (the same population `tests/determinism.rs` pins to 645 faults
-//! in 417 classes) once cold and once with warm-start continuation plus
-//! the memoized measurement cache, then
+//! Warm-start validation: runs the fixed-seed ladder anchor (the same
+//! population `tests/determinism.rs` pins to 645 faults in 417 classes)
+//! once cold and once with warm-start continuation, then
 //!
 //! * asserts the **detection verdict of every class is identical** — the
-//!   optimisations may only change solver effort, never a result, and
+//!   optimisation may only change solver effort, never a result, and
 //! * prints the honest Newton–Raphson totals both ways, so the saving is
 //!   measurable on a single core (it is an iteration count, not a
 //!   wall-clock race).
@@ -41,7 +40,6 @@ fn config(warm: bool) -> PipelineConfig {
         max_classes,
         non_catastrophic: true,
         warm_start: warm,
-        measure_cache: warm,
         ..PipelineConfig::default()
     }
 }
@@ -69,8 +67,7 @@ fn main() {
         .map(|b| b.area() as f64)
         .unwrap_or(0.0);
     println!(
-        "ladder anchor, cold homotopy vs warm-start + measurement cache \
-         ({} defects, seed {})",
+        "ladder anchor, cold homotopy vs warm start ({} defects, seed {})",
         cfg.defects, cfg.seed
     );
 
@@ -93,12 +90,8 @@ fn main() {
         warm.outcomes.len()
     );
     println!(
-        "  warm starts: {} hits, {} misses; cache: {} lookups, {} entries, {} hits",
-        ws.warm_hits,
-        ws.warm_misses,
-        warm.cache_lookups,
-        warm.cache_entries,
-        warm.cache_hits()
+        "  warm starts: {} hits, {} misses",
+        ws.warm_hits, ws.warm_misses
     );
 
     // The verdicts — not the solver effort — must be identical per class.

@@ -25,13 +25,11 @@
 //! default — `assume-undetected`, or `exclude`: how classes that never
 //! converge, even after the escalation ladder, enter the statistics),
 //! `DOTM_WARM_START` (`1`/`0`, default on: seed Newton from the
-//! fault-free nominal operating points), `DOTM_MEASURE_CACHE` (`1`/`0`,
-//! default on: memoize measurements of structurally identical injected
-//! netlists). Both are pure solver-effort knobs — detection verdicts are
-//! identical either way, and the cache replays solver telemetry so
-//! cache-on reports are bit-identical to cache-off at any thread count.
-//! `DOTM_FACTOR_REUSE` (`1`/`0`, default on: bitwise-exact LU factor
-//! cache — only the occupancy counters in the accounting move).
+//! fault-free nominal operating points — a pure solver-effort knob,
+//! detection verdicts are identical either way). Every run memoizes
+//! measurements of structurally identical injected netlists in memory
+//! and replays their solver telemetry, so duplicates cost one solve and
+//! never move a reported number.
 //!
 //! The `campaign` binary additionally understands the sharding knobs:
 //! `DOTM_SHARD`/`DOTM_SHARDS` (equivalent to `--shard i/N` — evaluate
@@ -40,9 +38,8 @@
 //! workers, default 2) and `DOTM_SHARD_ABORT_ONCE` (fault injection: the
 //! first dispatch round's workers abort after that many classes — CI uses
 //! it to prove crash-and-re-dispatch merges byte-identically). The
-//! `shard_speedup` bench honours `DOTM_SHARD_WORKERS` (default 2) and
-//! `DOTM_SHARD_MIN_SPEEDUP` (default 0.0 — identity always gates,
-//! wall-clock never does by default).
+//! `shard_speedup` bench honours `DOTM_SHARD_WORKERS` (default 2); it
+//! gates on identity only and reports its wall-clock ratio.
 //!
 //! `DOTM_TRACE` (`1`/`0`, default off) turns on the [`dotm_obs`]
 //! observability recorder: the binary appends a per-phase wall-clock
@@ -160,8 +157,6 @@ pub fn standard_config() -> PipelineConfig {
         max_classes,
         sim_failure_policy: env_sim_failure_policy(),
         warm_start: dotm_core::env::warm_start(),
-        measure_cache: dotm_core::env::measure_cache(),
-        factor_reuse: dotm_core::env::factor_reuse(),
         ..PipelineConfig::default()
     }
 }
@@ -228,7 +223,6 @@ pub fn rule(width: usize) {
 }
 
 /// Prints the failure-accounting block shared by the aggregate printers.
-#[allow(clippy::too_many_arguments)]
 fn print_accounting(
     sim_failed: usize,
     inject_failed: usize,
@@ -236,8 +230,6 @@ fn print_accounting(
     excluded: usize,
     hist: [u64; dotm_core::ESCALATION_RUNGS],
     solver: dotm_sim::SimStats,
-    cache_lookups: u64,
-    cache_entries: u64,
 ) {
     println!();
     println!("solver accounting ({:?} policy):", env_sim_failure_policy());
@@ -278,14 +270,6 @@ fn print_accounting(
             solver.factor_reuse_hits, solver.factor_refactor_fallbacks,
         );
     }
-    if cache_lookups > 0 {
-        let hits = cache_lookups.saturating_sub(cache_entries);
-        println!(
-            "  measurement cache: {cache_lookups} lookups, {cache_entries} entries, \
-             {hits} hits ({:.1}% hit rate)",
-            100.0 * hits as f64 / cache_lookups as f64,
-        );
-    }
 }
 
 /// Prints the failure-accounting block for one macro report.
@@ -297,8 +281,6 @@ pub fn print_macro_accounting(report: &MacroReport) {
         report.excluded_classes(),
         report.rung_histogram(),
         report.solver_totals(),
-        report.cache_lookups,
-        report.cache_entries,
     );
 }
 
@@ -311,8 +293,6 @@ pub fn print_global_accounting(report: &GlobalReport) {
         report.excluded_classes(),
         report.rung_histogram(),
         report.solver_totals(),
-        report.cache_lookups(),
-        report.cache_entries(),
     );
 }
 

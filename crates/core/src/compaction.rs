@@ -237,8 +237,6 @@ mod tests {
             outcomes,
             goodspace_solver: dotm_sim::SimStats::default(),
             goodspace_corner_retries: 0,
-            cache_lookups: 0,
-            cache_entries: 0,
         }
     }
 

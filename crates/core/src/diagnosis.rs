@@ -200,8 +200,6 @@ mod tests {
             ],
             goodspace_solver: dotm_sim::SimStats::default(),
             goodspace_corner_retries: 0,
-            cache_lookups: 0,
-            cache_entries: 0,
         }
     }
 
@@ -270,8 +268,6 @@ mod tests {
             outcomes: vec![],
             goodspace_solver: dotm_sim::SimStats::default(),
             goodspace_corner_retries: 0,
-            cache_lookups: 0,
-            cache_entries: 0,
         };
         let dict = FaultDictionary::from_report(&r, Severity::Catastrophic);
         assert!(dict.is_empty());

@@ -19,8 +19,6 @@
 //! |---|---|---|
 //! | `DOTM_THREADS` | executor worker threads (`0` = auto) | auto |
 //! | `DOTM_WARM_START` | seed Newton from nominal operating points | on |
-//! | `DOTM_MEASURE_CACHE` | in-memory measurement memoization | on |
-//! | `DOTM_FACTOR_REUSE` | bitwise-exact LU factor cache in the solver | on |
 //! | `DOTM_SIM_FAILURE_POLICY` | accounting for never-converged classes | assume-detected |
 //! | `DOTM_STORE_DIR` | persistent campaign-store directory | unset |
 //! | `DOTM_SHARDS` | total worker shards of a sharded campaign | unset |
@@ -29,11 +27,11 @@
 //! | `DOTM_TRACE_DIR` | directory for NDJSON + chrome trace exports | `.` |
 //! | `DOTM_SHARD_RETRIES` | extra coordinator dispatch rounds for crashed workers | 2 |
 //! | `DOTM_SHARD_ABORT_ONCE` | test knob: first-round workers abort after this many classes | off |
-//! | `DOTM_SHARD_MIN_SPEEDUP` | `shard_speedup` wall-clock ratio gate (`0` = identity only) | 0.0 |
 //! | `DOTM_ABORT_AFTER` | abort the run after this many observed classes (crash injection) | off |
-//! | `DOTM_EXPECT_WARM` | assert the run answered entirely from cache/store (0 solves) | off |
+//! | `DOTM_EXPECT_WARM` | assert the run answered entirely from the store (0 solves) | off |
 //! | `DOTM_PROGRESS` | per-class `[progress]` lines on stderr (service event feed) | off |
 //! | `DOTM_SERVE_POLL_MS` | service accept-loop / event-stream poll interval (ms) | 25 |
+//! | `DOTM_SERVE_IO_TIMEOUT_MS` | service per-operation socket read/write timeout (ms) | 10000 |
 //! | `DOTM_SERVE_WORKERS` | default shard workers per service job (`0` = one process) | 0 |
 //! | `DOTM_MACROS` | comma-separated macro subset the campaign runs | all |
 
@@ -75,26 +73,6 @@ pub fn parse_usize(value: &str) -> Result<usize, String> {
         .map_err(|_| format!("expected an unsigned integer, got {value:?}"))
 }
 
-/// Parses a finite, non-negative floating-point knob value
-/// (whitespace-tolerant). `NaN`, infinities and negatives are malformed:
-/// every float knob in the workspace is a ratio or interval where they
-/// could only mean a typo.
-///
-/// # Errors
-/// A message naming the offending value.
-pub fn parse_f64(value: &str) -> Result<f64, String> {
-    let parsed = value
-        .trim()
-        .parse::<f64>()
-        .map_err(|_| format!("expected a number, got {value:?}"))?;
-    if !parsed.is_finite() || parsed < 0.0 {
-        return Err(format!(
-            "expected a finite non-negative number, got {value:?}"
-        ));
-    }
-    Ok(parsed)
-}
-
 /// Reads an environment knob through a parser, panicking loudly on a
 /// malformed value and returning `None` when unset.
 fn knob<T>(name: &str, parse: impl FnOnce(&str) -> Result<T, String>) -> Option<T> {
@@ -128,14 +106,6 @@ pub fn u64_knob(name: &str, default: u64) -> u64 {
     knob(name, parse_u64).unwrap_or(default)
 }
 
-/// Reads an `f64` `DOTM_*` knob (finite, non-negative).
-///
-/// # Panics
-/// On a malformed value.
-pub fn f64_knob(name: &str, default: f64) -> f64 {
-    knob(name, parse_f64).unwrap_or(default)
-}
-
 /// The `DOTM_THREADS` knob: `None` when unset or `0` (both mean "auto" —
 /// resolve from the machine's available parallelism).
 ///
@@ -151,25 +121,6 @@ pub fn threads() -> Option<usize> {
 /// On a malformed value.
 pub fn warm_start() -> bool {
     bool_knob("DOTM_WARM_START", true)
-}
-
-/// The `DOTM_MEASURE_CACHE` knob (default on).
-///
-/// # Panics
-/// On a malformed value.
-pub fn measure_cache() -> bool {
-    bool_knob("DOTM_MEASURE_CACHE", true)
-}
-
-/// The `DOTM_FACTOR_REUSE` knob (default on): the bitwise-exact LU
-/// factor cache inside the solver. Toggling it may never change a
-/// reported number (the determinism suite enforces this) — the knob
-/// exists for A/B benchmarking and as an escape hatch.
-///
-/// # Panics
-/// On a malformed value.
-pub fn factor_reuse() -> bool {
-    bool_knob("DOTM_FACTOR_REUSE", true)
 }
 
 /// The `DOTM_SIM_FAILURE_POLICY` knob (default: the paper-parity
@@ -274,24 +225,13 @@ pub fn abort_after() -> Option<u64> {
 }
 
 /// The `DOTM_EXPECT_WARM` knob (default off): assert the run never
-/// touched the solver — every measurement answered by the in-memory cache
-/// or the persistent store. The warm-resume gates use it to turn "the
+/// touched the solver — every measurement answered by the store. The warm-resume gates use it to turn "the
 /// store silently went cold" into a hard failure.
 ///
 /// # Panics
 /// On a malformed value.
 pub fn expect_warm() -> bool {
     bool_knob("DOTM_EXPECT_WARM", false)
-}
-
-/// The `DOTM_SHARD_MIN_SPEEDUP` knob (default 0.0): the `shard_speedup`
-/// bench's wall-clock ratio gate. `0.0` means identity-only — always
-/// honest numbers, never a flaky timing failure in CI.
-///
-/// # Panics
-/// On a malformed value.
-pub fn shard_min_speedup() -> f64 {
-    f64_knob("DOTM_SHARD_MIN_SPEEDUP", 0.0)
 }
 
 /// The `DOTM_PROGRESS` knob (default off): emit one `[progress]` line to
@@ -385,16 +325,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn float_grammar() {
-        assert_eq!(parse_f64("0"), Ok(0.0));
-        assert_eq!(parse_f64(" 1.75 "), Ok(1.75));
-        assert_eq!(parse_f64("2e1"), Ok(20.0));
-        for s in ["", "-0.5", "NaN", "inf", "fast", "1,5"] {
-            assert!(parse_f64(s).is_err(), "{s:?} must be rejected");
-        }
-    }
-
     // The env-reading wrappers are exercised with test-unique variable
     // names: the test harness runs tests concurrently in one process, so
     // these must never touch a knob another test might read.
@@ -404,14 +334,6 @@ mod tests {
         assert!(!bool_knob("DOTM_TEST_UNSET_B", false));
         assert_eq!(usize_knob("DOTM_TEST_UNSET_U", 9), 9);
         assert_eq!(u64_knob("DOTM_TEST_UNSET_U64", 11), 11);
-        assert_eq!(f64_knob("DOTM_TEST_UNSET_F", 0.5), 0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "DOTM_TEST_MALFORMED_F")]
-    fn malformed_f64_knob_panics() {
-        std::env::set_var("DOTM_TEST_MALFORMED_F", "-1");
-        f64_knob("DOTM_TEST_MALFORMED_F", 0.0);
     }
 
     // The campaign knobs added since PR 5 are thin wrappers over the
@@ -430,9 +352,6 @@ mod tests {
         }
         if std::env::var("DOTM_EXPECT_WARM").is_err() {
             assert!(!expect_warm());
-        }
-        if std::env::var("DOTM_SHARD_MIN_SPEEDUP").is_err() {
-            assert_eq!(shard_min_speedup(), 0.0);
         }
         if std::env::var("DOTM_PROGRESS").is_err() {
             assert!(!progress());

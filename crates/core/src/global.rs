@@ -149,22 +149,6 @@ impl GlobalReport {
         }
         total
     }
-
-    /// Measurement-cache lookups summed over all macros.
-    pub fn cache_lookups(&self) -> u64 {
-        self.reports.iter().map(|r| r.cache_lookups).sum()
-    }
-
-    /// Measurement-cache entries (unique circuits solved) summed over all
-    /// macros.
-    pub fn cache_entries(&self) -> u64 {
-        self.reports.iter().map(|r| r.cache_entries).sum()
-    }
-
-    /// Measurement-cache hits summed over all macros.
-    pub fn cache_hits(&self) -> u64 {
-        self.reports.iter().map(MacroReport::cache_hits).sum()
-    }
 }
 
 #[cfg(test)]
@@ -207,8 +191,6 @@ mod tests {
             }],
             goodspace_solver: dotm_sim::SimStats::default(),
             goodspace_corner_retries: 0,
-            cache_lookups: 0,
-            cache_entries: 0,
         }
     }
 

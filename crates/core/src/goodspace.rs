@@ -15,7 +15,7 @@ use crate::measure::MeasureKind;
 use crate::processvar::ProcessModel;
 use crate::signature::{CurrentFlags, CurrentKind};
 use dotm_rng::rngs::StdRng;
-use dotm_sim::{SimError, SimOptions, SimStats};
+use dotm_sim::{SimError, SimStats};
 
 /// Monte-Carlo sizes for good-space compilation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,8 +36,8 @@ pub struct GoodSpaceConfig {
     /// homotopy chain, so this only changes solver effort, never whether
     /// a corner converges from the methodology's point of view.
     pub warm_start: bool,
-    /// Bitwise-exact LU factor reuse inside the solver (overrides the
-    /// harness's base [`SimOptions`]). May never change a reported bit.
+    /// No effect. The solver's exact factor cache is unconditional; the
+    /// field remains so callers that set it keep compiling.
     pub factor_reuse: bool,
     /// No effect. The rank-update solve path is retired; the field
     /// remains so callers that set it keep compiling.
@@ -67,15 +67,6 @@ impl Default for GoodSpaceConfig {
     }
 }
 
-/// The harness's base options with the config's factorisation knobs
-/// applied — every simulator the compilation spins up goes through this,
-/// so the knobs govern the nominal capture run and all corners alike.
-fn sim_options_for(harness: &dyn MacroHarness, cfg: &GoodSpaceConfig) -> SimOptions {
-    let mut opts = harness.sim_options();
-    opts.factor_reuse = cfg.factor_reuse;
-    opts
-}
-
 /// Draws common sample `si` — and its `m` mismatch measurements — from
 /// the sample's own `(seed, si)` substream. Retries with fresh draws from
 /// the same stream when a process corner fails to converge, so the result
@@ -89,7 +80,7 @@ fn compile_common_sample(
     si: u64,
     warm: Option<&WarmStart>,
 ) -> Result<(Vec<Vec<f64>>, SimStats, u64), SimError> {
-    let opts = sim_options_for(harness, cfg);
+    let opts = harness.sim_options();
     let mut rng = StdRng::seed_from_stream(cfg.seed, si);
     let mut stats = SimStats::default();
     let mut retries: u64 = 0;
@@ -172,7 +163,7 @@ impl GoodSpace {
         };
         let nominal = harness.measure_with(
             &testbench,
-            &sim_options_for(harness, &cfg),
+            &harness.sim_options(),
             &mut solver,
             nominal_warm,
         )?;

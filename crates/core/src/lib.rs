@@ -58,7 +58,7 @@ pub use harness::{
     WarmStart,
 };
 pub use measure::{MeasureKind, MeasureLabel, MeasurementPlan};
-pub use memo::{CachedMeasurement, MeasureCache};
+pub use memo::{CachedMeasurement, MemoryStore};
 pub use pipeline::{
     run_macro_path, run_macro_path_with_faults, run_macro_path_with_faults_hooked, ClassObserver,
     ClassOutcome, EscalationLadder, FanoutObserver, MacroReport, MeasurementStore, PathError,

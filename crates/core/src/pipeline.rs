@@ -6,7 +6,7 @@
 use crate::exec::{self, ExecConfig};
 use crate::goodspace::{GoodSpace, GoodSpaceConfig};
 use crate::harness::{MacroHarness, Warm, WarmStart};
-use crate::memo::{CachedMeasurement, MeasureCache};
+use crate::memo::{CachedMeasurement, MemoryStore};
 use crate::signature::{CurrentFlags, DetectionSet, VoltageSignature};
 use dotm_defects::{
     sprinkle_collapsed, CollapseReport, DefectStatistics, FaultEffect, FaultMechanism, Sprinkler,
@@ -152,15 +152,14 @@ pub struct PipelineConfig {
     /// solver-effort optimisation: a failed seed falls back to the cold
     /// homotopy chain. Also gates the good-space capture itself.
     pub warm_start: bool,
-    /// Memoize `(injected-netlist digest, ladder rung) → measurement`
-    /// across the per-class evaluations, so byte-identical injected
-    /// circuits are solved once per run. Replays the cached solver-stats
-    /// delta on a hit, keeping reports bit-identical to a cache-off run.
+    /// No effect. Every run memoizes measurements through one
+    /// [`MeasurementStore`] (a fresh [`MemoryStore`] unless the hooks
+    /// bring their own); the field remains so callers that set it keep
+    /// compiling, and it is not part of the pipeline context.
     pub measure_cache: bool,
-    /// Bitwise-exact LU factor reuse inside the solver: identical system
-    /// matrices within one simulator reuse the previous factorisation.
-    /// Toggling it may never change a reported bit (only the occupancy
-    /// counters in the solver telemetry move).
+    /// No effect. The solver's exact factor cache is unconditional; the
+    /// field remains so callers that set it keep compiling, and it is not
+    /// part of the pipeline context.
     pub factor_reuse: bool,
     /// No effect. The rank-update solve path is retired; the field
     /// remains so callers that set it keep compiling, and it is not part
@@ -233,20 +232,21 @@ impl fmt::Display for PathError {
 
 impl std::error::Error for PathError {}
 
-/// A persistent measurement store consulted by the fault-evaluation hot
-/// path: the on-disk extension of the in-memory [`MeasureCache`].
+/// The measurement memo consulted by the fault-evaluation hot path: the
+/// in-memory [`MemoryStore`] by default, or a persistent store (such as
+/// `dotm_store::DiskStore`) that extends the memo across runs.
 ///
-/// Keys are the same `(netlist content digest, escalation rung)` mix the
-/// in-memory cache uses; an implementation is expected to fold its own
-/// campaign context (harness configuration, seeds, sigma bounds) into the
-/// key before touching storage, so stale entries can never be replayed.
+/// Keys mix a netlist content digest with an escalation rung; a
+/// persistent implementation is expected to fold its own campaign context
+/// (harness configuration, seeds, sigma bounds) into the key before
+/// touching storage, so stale entries can never be replayed.
 ///
-/// The determinism contract mirrors the cache's: the stored value must be
-/// the *complete* observable effect of the measurement — result plus
-/// solver-stats delta — and a pure function of the key, so replaying an
-/// entry is indistinguishable (in every report byte) from recomputing it.
-/// Implementations must treat corrupt or missing entries as misses, never
-/// as errors, and must be safe to share across executor threads.
+/// The stored value must be the *complete* observable effect of the
+/// measurement — result plus solver-stats delta — and a pure function of
+/// the key, so replaying an entry is indistinguishable (in every report
+/// byte) from recomputing it. Implementations must treat corrupt or
+/// missing entries as misses, never as errors, and must be safe to share
+/// across executor threads.
 pub trait MeasurementStore: Sync {
     /// Looks up a stored measurement. `None` on a miss *or* on any
     /// storage-level problem (truncated file, bad checksum, I/O error).
@@ -385,9 +385,10 @@ impl fmt::Display for ShardSpec {
 /// runs stay deterministic.
 #[derive(Default)]
 pub struct PipelineHooks<'a> {
-    /// Persistent measurement store: consulted after the in-memory cache
+    /// Measurement store: consulted before every solve
     /// (load-before-evaluate), appended to after every computed
-    /// measurement (append-after-evaluate).
+    /// measurement (append-after-evaluate). `None` runs against a fresh
+    /// [`MemoryStore`], so duplicates are solved once either way.
     pub store: Option<&'a dyn MeasurementStore>,
     /// In-order completion observer (campaign journaling, abort
     /// injection).
@@ -549,13 +550,6 @@ pub struct MacroReport {
     /// Process corners redrawn during good-space compilation because the
     /// simulator left its convergence envelope.
     pub goodspace_corner_retries: u64,
-    /// Measurement-cache lookups made during fault evaluation (0 when the
-    /// cache is disabled). Thread-invariant: one lookup per
-    /// (variant, severity, rung) measurement attempt.
-    pub cache_lookups: u64,
-    /// Distinct (injected netlist, rung) pairs actually solved — the
-    /// cache's final occupancy (0 when disabled). Hits = lookups − entries.
-    pub cache_entries: u64,
 }
 
 impl MacroReport {
@@ -699,15 +693,7 @@ impl MacroReport {
             eat(&w.to_le_bytes());
         }
         eat(&self.goodspace_corner_retries.to_le_bytes());
-        eat(&self.cache_lookups.to_le_bytes());
-        eat(&self.cache_entries.to_le_bytes());
         h
-    }
-
-    /// Measurement-cache hits (lookups that found an entry). Every miss
-    /// is followed by exactly one insert, so hits = lookups − entries.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_lookups.saturating_sub(self.cache_entries)
     }
 
     /// Expected number of faults this macro type contributes per sprinkled
@@ -815,7 +801,6 @@ pub fn run_macro_path_with_faults_hooked(
     let _macro_span = dotm_obs::span_with("macro", || format!("macro {}", harness.name()));
     let mut gs_cfg = cfg.goodspace;
     gs_cfg.warm_start = gs_cfg.warm_start && cfg.warm_start;
-    gs_cfg.factor_reuse = cfg.factor_reuse;
     let good = GoodSpace::compile(harness, &cfg.process, gs_cfg).map_err(PathError::GoodCircuit)?;
     let injector = Injector::default();
     let shared: HashSet<&str> = harness.shared_nets().into_iter().collect();
@@ -827,8 +812,8 @@ pub fn run_macro_path_with_faults_hooked(
     } else {
         None
     };
-    let cache = cfg.measure_cache.then(MeasureCache::new);
-    let store = hooks.store;
+    let memo = MemoryStore::new();
+    let store = hooks.store.unwrap_or(&memo);
 
     let classes: Vec<_> = match cfg.max_classes {
         Some(n) => collapsed.classes.iter().take(n).collect(),
@@ -883,17 +868,7 @@ pub fn run_macro_path_with_faults_hooked(
             .iter()
             .map(|&severity| {
                 evaluate_class(
-                    harness,
-                    &injector,
-                    &good,
-                    &base,
-                    effect,
-                    severity,
-                    is_shared,
-                    cfg,
-                    warm,
-                    cache.as_ref(),
-                    store,
+                    harness, &injector, &good, &base, effect, severity, is_shared, cfg, warm, store,
                 )
             })
             .collect();
@@ -943,8 +918,6 @@ pub fn run_macro_path_with_faults_hooked(
         outcomes,
         goodspace_solver: good.solver,
         goodspace_corner_retries: good.corner_retries,
-        cache_lookups: cache.as_ref().map_or(0, |c| c.lookups()),
-        cache_entries: cache.as_ref().map_or(0, |c| c.entries()),
     })
 }
 
@@ -976,19 +949,16 @@ struct VariantEval {
 }
 
 /// Combines a netlist content digest with a ladder rung into the
-/// measurement-cache key: one extra FNV-1a step, so rungs of the same
+/// measurement-store key: one extra FNV-1a step, so rungs of the same
 /// circuit land in unrelated buckets.
-fn cache_key(digest: u128, rung: u8) -> u128 {
+fn store_key(digest: u128, rung: u8) -> u128 {
     (digest ^ (rung as u128 + 1)).wrapping_mul(0x0000000001000000000000000000013b)
 }
 
-/// Runs one `(netlist, rung)` measurement, through the memoization cache
-/// and the persistent store when either is active. Consulted in order:
-/// in-memory cache, then persistent store, then the solver. On any hit
-/// the stored solver-stats delta is replayed into `solver`, so accounting
-/// is identical whether the measurement was computed or replayed — and a
-/// store hit back-fills the in-memory cache, so the cache's occupancy
-/// counters are the same whether an entry was solved or loaded.
+/// Runs one `(netlist, rung)` measurement through the store: a hit
+/// replays the stored solver-stats delta into `solver`, so accounting is
+/// identical whether the measurement was computed or replayed; a miss
+/// solves and stores.
 #[allow(clippy::too_many_arguments)]
 fn measure_rung(
     harness: &dyn MacroHarness,
@@ -996,48 +966,22 @@ fn measure_rung(
     opts: &SimOptions,
     solver: &mut SimStats,
     warm: Option<&WarmStart>,
-    cache: Option<&MeasureCache>,
-    store: Option<&dyn MeasurementStore>,
-    digest: Option<u128>,
+    store: &dyn MeasurementStore,
+    digest: u128,
     rung: u8,
 ) -> Result<Vec<f64>, SimError> {
-    let w = warm.map_or(Warm::Cold, Warm::Seed);
-    let digest = match digest {
-        Some(d) => d,
-        None => return harness.measure_with(nl, opts, solver, w),
-    };
-    let key = cache_key(digest, rung);
-    if let Some(c) = cache {
-        let t_lookup = dotm_obs::start();
-        let hit = c.get(key);
-        dotm_obs::phase(dotm_obs::Phase::CacheLookup, t_lookup);
-        if let Some((result, delta)) = hit {
-            // Honest replay marker: the deterministic artifacts must not
-            // distinguish a replayed measurement from a computed one, so
-            // the distinction lives only in this trace-side counter.
-            dotm_obs::counter("replay.cache_hits", 1);
-            solver.merge(&delta);
-            return result;
-        }
-    }
-    if let Some(s) = store {
-        if let Some((result, delta)) = s.load(key) {
-            dotm_obs::counter("replay.store_hits", 1);
-            if let Some(c) = cache {
-                c.insert(key, (result.clone(), delta));
-            }
-            solver.merge(&delta);
-            return result;
-        }
+    let key = store_key(digest, rung);
+    if let Some((result, delta)) = store.load(key) {
+        // Honest replay marker: the deterministic artifacts must not
+        // distinguish a replayed measurement from a computed one, so the
+        // distinction lives only in this trace-side counter.
+        dotm_obs::counter("replay.store_hits", 1);
+        solver.merge(&delta);
+        return result;
     }
     let mut delta = SimStats::default();
-    let result = harness.measure_with(nl, opts, &mut delta, w);
-    if let Some(c) = cache {
-        c.insert(key, (result.clone(), delta));
-    }
-    if let Some(s) = store {
-        s.store(key, &(result.clone(), delta));
-    }
+    let result = harness.measure_with(nl, opts, &mut delta, warm.map_or(Warm::Cold, Warm::Seed));
+    store.store(key, &(result.clone(), delta));
     solver.merge(&delta);
     result
 }
@@ -1054,18 +998,17 @@ fn measure_escalated(
     ladder: EscalationLadder,
     solver: &mut SimStats,
     warm: Option<&WarmStart>,
-    cache: Option<&MeasureCache>,
-    store: Option<&dyn MeasurementStore>,
+    store: &dyn MeasurementStore,
 ) -> Option<(Vec<f64>, u8)> {
-    // One digest per injected netlist, shared by every rung's cache key.
-    let digest = (cache.is_some() || store.is_some()).then(|| nl.content_digest());
+    // One digest per injected netlist, shared by every rung's store key.
+    let digest = nl.content_digest();
     for rung in 0..=ladder.max_rung {
         let opts = EscalationLadder::options_at(base_opts, rung);
         // Per-rung escalation timing: each retry of the same variant gets
         // its own span, so the trace shows how much wall-clock the ladder
         // itself costs (rung 0 is the ordinary first attempt).
         let rung_span = dotm_obs::span_with("rung", || format!("rung {rung}"));
-        let outcome = measure_rung(harness, nl, &opts, solver, warm, cache, store, digest, rung);
+        let outcome = measure_rung(harness, nl, &opts, solver, warm, store, digest, rung);
         drop(rung_span);
         match outcome {
             Ok(meas) => return Some((meas, rung)),
@@ -1074,15 +1017,6 @@ fn measure_escalated(
         }
     }
     None
-}
-
-/// Resolves measurement-time simulator options for one class evaluation:
-/// the harness's rung-0 base options with the pipeline's solver knobs
-/// applied.
-fn class_base_opts(harness: &dyn MacroHarness, cfg: &PipelineConfig) -> SimOptions {
-    let mut base_opts = harness.sim_options();
-    base_opts.factor_reuse = cfg.factor_reuse;
-    base_opts
 }
 
 /// Worst-case competition score of one variant: the number of distinct
@@ -1233,13 +1167,12 @@ fn evaluate_class(
     shared: bool,
     cfg: &PipelineConfig,
     warm: Option<&WarmStart>,
-    cache: Option<&MeasureCache>,
-    store: Option<&dyn MeasurementStore>,
+    store: &dyn MeasurementStore,
 ) -> Evaluated {
     let policy = cfg.sim_failure_policy;
     let ladder = cfg.escalation;
     let n_variants = injector.variant_count(effect);
-    let base_opts = class_base_opts(harness, cfg);
+    let base_opts = harness.sim_options();
     let mut best: Option<(u32, VariantEval)> = None;
     let mut any_injected = false;
     let mut inject_errors = 0usize;
@@ -1257,22 +1190,14 @@ fn evaluate_class(
                 continue;
             }
         }
-        let candidate = match measure_escalated(
-            harness,
-            &nl,
-            &base_opts,
-            ladder,
-            &mut solver,
-            warm,
-            cache,
-            store,
-        ) {
-            Some((meas, used_rung)) => measured_eval(harness, good, shared, &meas, used_rung),
-            None => match policy_eval(policy) {
-                Some(v) => v,
-                None => continue,
-            },
-        };
+        let candidate =
+            match measure_escalated(harness, &nl, &base_opts, ladder, &mut solver, warm, store) {
+                Some((meas, used_rung)) => measured_eval(harness, good, shared, &meas, used_rung),
+                None => match policy_eval(policy) {
+                    Some(v) => v,
+                    None => continue,
+                },
+            };
         best = compete(best.take(), candidate);
     }
     finish_class(best, any_injected, inject_errors, solver)
@@ -1952,8 +1877,6 @@ mod tests {
             outcomes,
             goodspace_solver: SimStats::default(),
             goodspace_corner_retries: 0,
-            cache_lookups: 0,
-            cache_entries: 0,
         }
     }
 

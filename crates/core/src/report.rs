@@ -179,8 +179,6 @@ mod tests {
             ],
             goodspace_solver: dotm_sim::SimStats::default(),
             goodspace_corner_retries: 0,
-            cache_lookups: 0,
-            cache_entries: 0,
         }
     }
 

@@ -13,8 +13,8 @@
 //!   with the [`start`]/[`phase`] pattern that costs a single relaxed
 //!   atomic load when tracing is off.
 //! - **Counters** — a name → value registry that unifies the solver's
-//!   15-word `SimStats`, the measurement-cache and the persistent-store
-//!   counters into one export.
+//!   15-word `SimStats` and the measurement-store counters into one
+//!   export.
 //! - **Exporters** — an NDJSON event log ([`export_ndjson`]) and a
 //!   `chrome://tracing`-compatible trace file ([`export_chrome`]), plus a
 //!   human-readable phase table ([`phase_table`]).
@@ -58,8 +58,6 @@ pub enum Phase {
     Lu,
     /// A whole Newton–Raphson solve (includes Assembly and Lu).
     Newton,
-    /// In-memory measurement-cache lookup.
-    CacheLookup,
     /// Persistent-store entry load (hit or miss).
     StoreLoad,
     /// Persistent-store entry write.
@@ -73,13 +71,12 @@ pub enum Phase {
 }
 
 /// All phases, in display order.
-pub const PHASES: [Phase; 9] = [
+pub const PHASES: [Phase; 8] = [
     Phase::Newton,
     Phase::Assembly,
     Phase::BatchAssembly,
     Phase::Lu,
     Phase::VariantLockstep,
-    Phase::CacheLookup,
     Phase::StoreLoad,
     Phase::StoreWrite,
     Phase::Journal,
@@ -93,7 +90,6 @@ impl Phase {
             Phase::BatchAssembly => "batch_assembly",
             Phase::Lu => "lu",
             Phase::Newton => "newton",
-            Phase::CacheLookup => "cache_lookup",
             Phase::StoreLoad => "store_load",
             Phase::StoreWrite => "store_write",
             Phase::Journal => "journal",
@@ -106,17 +102,16 @@ impl Phase {
             Phase::Assembly => 0,
             Phase::Lu => 1,
             Phase::Newton => 2,
-            Phase::CacheLookup => 3,
-            Phase::StoreLoad => 4,
-            Phase::StoreWrite => 5,
-            Phase::Journal => 6,
-            Phase::BatchAssembly => 7,
-            Phase::VariantLockstep => 8,
+            Phase::StoreLoad => 3,
+            Phase::StoreWrite => 4,
+            Phase::Journal => 5,
+            Phase::BatchAssembly => 6,
+            Phase::VariantLockstep => 7,
         }
     }
 }
 
-const N_PHASES: usize = 9;
+const N_PHASES: usize = 8;
 
 #[derive(Default)]
 struct PhaseSlot {

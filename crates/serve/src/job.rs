@@ -18,9 +18,10 @@
 //! place like a store entry: `{"dotm_job":1,"id":…,"data":"<hex>",
 //! "crc":"<fnv64>"}` where `data` hex-wraps the flat JSON job body. A
 //! torn or corrupt record reads as absent (the client resubmits — ids
-//! are deterministic, nothing is lost). A record in `running` state at
-//! server startup is a crashed run: it re-enters the queue, and the
-//! campaign's own journal resume makes the re-run cheap.
+//! are deterministic, nothing is lost). Body keys the loader does not
+//! know, such as the retired `remote` flag, are ignored. A record in
+//! `running` state at server startup is a crashed run: it re-enters the
+//! queue, and the campaign's own journal resume makes the re-run cheap.
 
 use crate::http::json_escape;
 use dotm_store::{fnv64, from_hex, to_hex, Fnv128};
@@ -68,9 +69,6 @@ pub struct JobSpec {
     pub threads: usize,
     /// Shard worker processes (`0` = one ordinary campaign process).
     pub workers: usize,
-    /// Remote mode: shards are claimed and uploaded by pull workers
-    /// instead of spawned locally; the service only merges.
-    pub remote: bool,
     /// Force a re-run even when the identical job already finished
     /// (the store still answers warm — `computed=0`).
     pub fresh: bool,
@@ -93,7 +91,6 @@ impl JobSpec {
             max_classes: usize_knob("DOTM_MAX_CLASSES", 0),
             threads: usize_knob("DOTM_THREADS", 0),
             workers: serve_workers(),
-            remote: false,
             fresh: false,
             abort_once: 0,
         }
@@ -137,22 +134,11 @@ impl JobSpec {
                 .parse()
                 .map_err(|_| format!("abort_once: expected an unsigned integer, got {v:?}"))?;
         }
-        let flag = |key: &str, slot: &mut bool| -> Result<(), String> {
-            if let Some(v) = json_field(text, key) {
-                *slot = match v {
-                    "true" => true,
-                    "false" => false,
-                    other => return Err(format!("{key}: expected true/false, got {other:?}")),
-                };
-            }
-            Ok(())
-        };
-        let mut remote = spec.remote;
-        let mut fresh = spec.fresh;
-        flag("remote", &mut remote)?;
-        flag("fresh", &mut fresh)?;
-        spec.remote = remote;
-        spec.fresh = fresh;
+        if let Some(v) = json_field(text, "fresh") {
+            spec.fresh = v
+                .parse()
+                .map_err(|_| format!("fresh: expected true/false, got {v:?}"))?;
+        }
         if let Some(list) = json_field(text, "macros") {
             let mut macros = Vec::new();
             for name in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
@@ -172,9 +158,6 @@ impl JobSpec {
             // Canonical campaign order, independent of request order.
             macros.sort_by_key(|m| ALL_MACROS.iter().position(|a| a == m));
             spec.macros = macros;
-        }
-        if spec.remote && spec.workers == 0 {
-            return Err("remote jobs need workers > 0".into());
         }
         Ok(spec)
     }
@@ -280,7 +263,7 @@ impl Job {
     fn body(&self) -> String {
         format!(
             "{{\"abort_once\":{},\"attempts\":{},\"defects\":{},\"exit\":{},\"fresh\":{},\
-             \"gs_common\":{},\"gs_mm\":{},\"macros\":\"{}\",\"max_classes\":{},\"remote\":{},\
+             \"gs_common\":{},\"gs_mm\":{},\"macros\":\"{}\",\"max_classes\":{},\
              \"seed\":{},\"seq\":{},\"state\":\"{}\",\"threads\":{},\"workers\":{}}}",
             self.spec.abort_once,
             self.attempts,
@@ -291,7 +274,6 @@ impl Job {
             self.spec.gs_mm,
             self.spec.macros.join(","),
             self.spec.max_classes,
-            self.spec.remote,
             self.spec.seed,
             self.seq,
             self.state.name(),
@@ -340,11 +322,6 @@ impl Job {
             .filter(|s| !s.is_empty())
             .map(str::to_string)
             .collect();
-        let parse_bool = |v: &str| match v {
-            "true" => Some(true),
-            "false" => Some(false),
-            _ => None,
-        };
         let spec = JobSpec {
             macros,
             defects: json_field(&body, "defects")?.parse().ok()?,
@@ -354,8 +331,7 @@ impl Job {
             max_classes: json_field(&body, "max_classes")?.parse().ok()?,
             threads: json_field(&body, "threads")?.parse().ok()?,
             workers: json_field(&body, "workers")?.parse().ok()?,
-            remote: parse_bool(json_field(&body, "remote")?)?,
-            fresh: parse_bool(json_field(&body, "fresh")?)?,
+            fresh: json_field(&body, "fresh")?.parse().ok()?,
             abort_once: json_field(&body, "abort_once")?.parse().ok()?,
         };
         let job = Job {
@@ -393,13 +369,12 @@ impl Job {
     pub fn status_fields(&self) -> String {
         format!(
             "\"id\":\"{}\",\"state\":\"{}\",\"exit\":{},\"attempts\":{},\"workers\":{},\
-             \"remote\":{},\"macros\":\"{}\"",
+             \"macros\":\"{}\"",
             json_escape(&self.id),
             self.state.name(),
             self.exit,
             self.attempts,
             self.spec.workers,
-            self.spec.remote,
             json_escape(&self.spec.macros.join(",")),
         )
     }
@@ -426,7 +401,6 @@ mod tests {
             max_classes: 8,
             threads: 0,
             workers: 2,
-            remote: false,
             fresh: false,
             abort_once: 0,
         }
@@ -481,7 +455,11 @@ mod tests {
         assert!(JobSpec::parse(br#"{"defects":"many"}"#).is_err());
         assert!(JobSpec::parse(br#"{"macros":"mystery"}"#).is_err());
         assert!(JobSpec::parse(br#"{"macros":" , "}"#).is_err());
-        assert!(JobSpec::parse(br#"{"remote":true,"workers":0}"#).is_err());
+        // The retired `remote` flag is an unknown key like any other.
+        assert_eq!(
+            JobSpec::parse(br#"{"remote":true,"workers":0}"#).map(|s| s.workers),
+            Ok(0)
+        );
         assert!(
             JobSpec::parse(b"")
                 .expect("empty body is defaults")
@@ -528,6 +506,89 @@ mod tests {
         fs::write(Job::path(&dir, &id), line).expect("write");
         assert_eq!(Job::load(&dir, &id), None);
         assert!(Job::load_all(&dir).is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The record `job` would have been saved as before the `remote` flag
+    /// was retired: the same envelope, with `"remote":…` in the body.
+    fn parent_format_record(job: &Job, remote: bool) -> String {
+        let body = job
+            .body()
+            .replace(",\"seed\":", &format!(",\"remote\":{remote},\"seed\":"));
+        format!(
+            "{{\"dotm_job\":1,\"id\":\"{}\",\"data\":\"{}\",\"crc\":\"{:016x}\"}}\n",
+            job.id,
+            to_hex(body.as_bytes()),
+            fnv64(body.as_bytes()),
+        )
+    }
+
+    #[test]
+    fn parent_format_records_load_with_remote_ignored() {
+        let dir = tmpdir("parent");
+        let mut job = Job::new(spec(), 5);
+        job.state = JobState::Running;
+        job.attempts = 1;
+        for remote in [true, false] {
+            let record = parent_format_record(&job, remote);
+            assert!(record.contains(&to_hex(format!("\"remote\":{remote}").as_bytes())));
+            fs::write(Job::path(&dir, &job.id), record).expect("write");
+            assert_eq!(Job::load(&dir, &job.id), Some(job.clone()));
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Seeded mutation loop over job records and submission bodies:
+    /// truncations, bit flips and random bytes of a current record and
+    /// of a parent-format `"remote":true` record. Neither parser may
+    /// panic, and a mutated record either reads as absent or as exactly
+    /// the job it was written for — the checksum and id checks must
+    /// never let a corrupt record through as a different job.
+    #[test]
+    fn mutated_records_never_panic_or_load_as_another_job() {
+        use dotm_rng::{Rng, SeedableRng, StdRng};
+
+        let dir = tmpdir("mutate");
+        let mut job = Job::new(spec(), 7);
+        job.state = JobState::Merged;
+        job.attempts = 3;
+        job.save(&dir).expect("save");
+        let path = Job::path(&dir, &job.id);
+        let seeds = [
+            fs::read(&path).expect("record"),
+            parent_format_record(&job, true).into_bytes(),
+            br#"{"defects":500,"seed":7,"macros":"ladder,comparator","workers":3,"fresh":true,"remote":true}"#
+                .to_vec(),
+        ];
+        const ALPHABET: &[u8] = b"{}\":,0123456789abcdef_jobremtu \n";
+        let mut rng = StdRng::seed_from_u64(0x05EE_D0B5);
+        for round in 0..3000usize {
+            let base = &seeds[round % seeds.len()];
+            let bytes: Vec<u8> = match rng.gen_range(0..4u32) {
+                0 => base[..rng.gen_range(0..base.len())].to_vec(),
+                1 => {
+                    let mut b = base.clone();
+                    for _ in 0..rng.gen_range(1..=4usize) {
+                        let at = rng.gen_range(0..b.len());
+                        b[at] ^= 1 << rng.gen_range(0..8u32);
+                    }
+                    b
+                }
+                2 => (0..rng.gen_range(0..160usize))
+                    .map(|_| rng.gen_range(0..=255u32) as u8)
+                    .collect(),
+                _ => (0..rng.gen_range(0..160usize))
+                    .map(|_| ALPHABET[rng.gen_range(0..ALPHABET.len())])
+                    .collect(),
+            };
+            fs::write(&path, &bytes).expect("write");
+            let loaded = Job::load(&dir, &job.id);
+            assert!(
+                loaded.is_none() || loaded.as_ref() == Some(&job),
+                "round {round}: mutated record loaded as {loaded:?}"
+            );
+            let _ = JobSpec::parse(&bytes);
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -10,9 +10,11 @@
 //! * `GET /jobs/:id/events` — NDJSON progress stream.
 //! * `GET /jobs/:id/report` — the campaign report, byte-identical to
 //!   the CLI's stdout (it *is* the captured stdout).
-//! * `POST /jobs/:id/shards/:i/claim` + `.../segments/:macro` — the
-//!   pull contract for remote shard workers.
 //! * `GET /store/occupancy`, `GET /metrics`, `POST /shutdown`.
+//!
+//! A job with `workers > 0` runs as a local sharded campaign
+//! (`campaign --workers N`); there is no protocol for shard workers on
+//! other hosts.
 //!
 //! Jobs persist as checksummed single-line records under
 //! `<store>/jobs/`; the queue survives crashes and restarts, and an

@@ -10,8 +10,6 @@
 
 use crate::exit::{classify, FailureClass, IO};
 use crate::job::Job;
-use dotm_core::ShardSpec;
-use dotm_store::{journal_progress, segment_path, JournalProgress};
 use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -77,11 +75,7 @@ impl SubprocessRunner {
 
     fn command(&self, job: &Job) -> Command {
         let mut cmd = Command::new(&self.exe);
-        if job.spec.remote {
-            cmd.arg("--merge")
-                .arg("--shards")
-                .arg(job.spec.workers.to_string());
-        } else if job.spec.workers > 0 {
+        if job.spec.workers > 0 {
             cmd.arg("--workers").arg(job.spec.workers.to_string());
         } else if job.attempts > 0 {
             // Only re-attempts resume: `--resume` stamps a ", resuming"
@@ -180,66 +174,10 @@ impl SubprocessRunner {
             },
         }
     }
-
-    /// Remote jobs: wait until every `(macro, shard)` segment under the
-    /// journal directory is sealed (uploaded by pull workers), then
-    /// merge. Progress events report uploaded-class totals per macro.
-    fn await_segments(
-        &self,
-        job: &Job,
-        events: &(dyn Fn(String) + Sync),
-        cancel: &AtomicBool,
-    ) -> bool {
-        let jdir = self.store_dir.join("journal");
-        let poll = Duration::from_millis(dotm_core::env::serve_poll_ms());
-        let mut last: Vec<(String, usize)> = Vec::new();
-        loop {
-            if cancel.load(Ordering::Acquire) {
-                return false;
-            }
-            let mut complete = true;
-            let mut totals: Vec<(String, usize)> = Vec::new();
-            for name in &job.spec.macros {
-                let mut done = 0usize;
-                for index in 0..job.spec.workers {
-                    let shard = ShardSpec::new(index, job.spec.workers).expect("validated spec");
-                    let snapshot = journal_progress(&segment_path(&jdir, name, shard));
-                    match snapshot {
-                        Some(JournalProgress {
-                            sealed: true,
-                            done: d,
-                            ..
-                        }) => done += d,
-                        Some(JournalProgress { done: d, .. }) => {
-                            complete = false;
-                            done += d;
-                        }
-                        None => complete = false,
-                    }
-                }
-                totals.push((name.clone(), done));
-            }
-            if totals != last {
-                for (name, done) in &totals {
-                    events(format!(
-                        "{{\"event\":\"upload\",\"macro\":\"{name}\",\"done\":{done}}}"
-                    ));
-                }
-                last = totals;
-            }
-            if complete {
-                return true;
-            }
-            std::thread::sleep(poll);
-        }
-    }
 }
 
 impl JobRunner for SubprocessRunner {
     fn run(&self, job: &Job, events: &(dyn Fn(String) + Sync), cancel: &AtomicBool) -> RunOutcome {
-        if job.spec.remote && !self.await_segments(job, events, cancel) {
-            return RunOutcome::Interrupted;
-        }
         match self.command(job).spawn() {
             Ok(child) => self.supervise(child, events, cancel),
             Err(err) => RunOutcome::Failed {
@@ -300,8 +238,6 @@ mod tests {
         job.attempts = 0;
         job.spec.workers = 3;
         assert_eq!(args(&runner.command(&job)), ["--workers", "3"]);
-        job.spec.remote = true;
-        assert_eq!(args(&runner.command(&job)), ["--merge", "--shards", "3"]);
 
         // Crash injection only on the very first attempt.
         job.spec.abort_once = 5;

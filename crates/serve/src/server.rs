@@ -31,9 +31,8 @@ use crate::http::{json_escape, read_request, respond, respond_json, start_stream
 use crate::hub::EventHub;
 use crate::job::{Job, JobSpec, JobState};
 use crate::runner::{JobRunner, RunOutcome};
-use dotm_core::ShardSpec;
-use dotm_store::{journal_progress, segment_path};
-use std::collections::{HashSet, VecDeque};
+use dotm_store::journal_progress;
+use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -44,8 +43,6 @@ struct QueueState {
     queue: VecDeque<String>,
     running: Option<String>,
     next_seq: u64,
-    /// Remote shards handed out and not yet fully uploaded.
-    claims: HashSet<(String, usize)>,
 }
 
 /// The service: shared state behind an `Arc`, driven by [`Server::run`].
@@ -100,7 +97,6 @@ impl Server {
                 queue,
                 running: None,
                 next_seq,
-                claims: HashSet::new(),
             }),
             work: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -269,9 +265,6 @@ impl Server {
                 if job.state == JobState::Queued && !self.shutdown.load(Ordering::Acquire) {
                     st.queue.push_front(id.clone());
                 }
-                if job.state != JobState::Running {
-                    st.claims.retain(|(j, _)| j != &id);
-                }
             }
             self.hub.publish(
                 &id,
@@ -299,10 +292,6 @@ impl Server {
             ("GET", ["jobs", id]) => self.status(&mut stream, id),
             ("GET", ["jobs", id, "events"]) => self.stream_events(&mut stream, id),
             ("GET", ["jobs", id, "report"]) => self.report(&mut stream, id),
-            ("POST", ["jobs", id, "shards", shard, "claim"]) => self.claim(&mut stream, id, shard),
-            ("POST", ["jobs", id, "shards", shard, "segments", name]) => {
-                self.upload(&mut stream, id, shard, name, &req.body)
-            }
             ("GET", ["store", "occupancy"]) => self.occupancy(&mut stream),
             ("GET", ["metrics"]) => self.metrics(&mut stream),
             ("POST", ["shutdown"]) => {
@@ -431,92 +420,6 @@ impl Server {
                 return flushed;
             }
         }
-    }
-
-    fn claim(&self, stream: &mut TcpStream, id: &str, shard: &str) -> std::io::Result<()> {
-        let Some(job) = Job::load(&self.jobs_dir, id) else {
-            return respond_json(stream, 404, "{\"error\":\"unknown job\"}");
-        };
-        let Ok(index) = shard.parse::<usize>() else {
-            return respond_json(stream, 400, "{\"error\":\"bad shard index\"}");
-        };
-        if !job.spec.remote {
-            return respond_json(stream, 409, "{\"error\":\"not a remote job\"}");
-        }
-        if index >= job.spec.workers {
-            let msg = format!(
-                "{{\"error\":\"shard {index} out of range (workers={})\"}}",
-                job.spec.workers
-            );
-            return respond_json(stream, 400, &msg);
-        }
-        if matches!(job.state, JobState::Merged | JobState::Failed) {
-            return respond_json(stream, 409, "{\"error\":\"job already finished\"}");
-        }
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if !st.claims.insert((id.to_string(), index)) {
-            return respond_json(stream, 409, "{\"error\":\"shard already claimed\"}");
-        }
-        drop(st);
-        // Everything a pull worker needs to run
-        // `campaign --shard index/workers` against its own store and
-        // upload the sealed segments back.
-        let msg = format!(
-            "{{\"job\":\"{}\",\"shard\":{index},\"shards\":{},\"defects\":{},\"seed\":{},\
-             \"gs_common\":{},\"gs_mm\":{},\"max_classes\":{},\"macros\":\"{}\"}}",
-            json_escape(id),
-            job.spec.workers,
-            job.spec.defects,
-            job.spec.seed,
-            job.spec.gs_common,
-            job.spec.gs_mm,
-            job.spec.max_classes,
-            json_escape(&job.spec.macros.join(",")),
-        );
-        respond_json(stream, 200, &msg)
-    }
-
-    fn upload(
-        &self,
-        stream: &mut TcpStream,
-        id: &str,
-        shard: &str,
-        name: &str,
-        body: &[u8],
-    ) -> std::io::Result<()> {
-        let Some(job) = Job::load(&self.jobs_dir, id) else {
-            return respond_json(stream, 404, "{\"error\":\"unknown job\"}");
-        };
-        let Ok(index) = shard.parse::<usize>() else {
-            return respond_json(stream, 400, "{\"error\":\"bad shard index\"}");
-        };
-        if !job.spec.remote || index >= job.spec.workers {
-            return respond_json(stream, 409, "{\"error\":\"not an open remote shard\"}");
-        }
-        if !job.spec.macros.iter().any(|m| m == name) {
-            return respond_json(stream, 400, "{\"error\":\"macro not part of this job\"}");
-        }
-        let Ok(text) = std::str::from_utf8(body) else {
-            return respond_json(stream, 400, "{\"error\":\"segment is not UTF-8\"}");
-        };
-        let expected = (index, job.spec.workers);
-        match dotm_store::journal_progress_text(text) {
-            Some(p) if p.shard == Some(expected) && p.macro_name == name && p.sealed => {}
-            Some(p) if p.shard != Some(expected) || p.macro_name != name => {
-                return respond_json(stream, 400, "{\"error\":\"segment header mismatch\"}");
-            }
-            _ => {
-                return respond_json(stream, 400, "{\"error\":\"segment not sealed\"}");
-            }
-        }
-        let jdir = self.store_dir.join("journal");
-        let spec = ShardSpec::new(index, job.spec.workers).expect("index < workers checked above");
-        let path = segment_path(&jdir, name, spec);
-        if let Err(e) = write_atomically(&path, body) {
-            let msg = format!("{{\"error\":\"{}\"}}", json_escape(&e.to_string()));
-            return respond_json(stream, 500, &msg);
-        }
-        respond_json(stream, 200, "{\"ok\":true}")
     }
 
     fn occupancy(&self, stream: &mut TcpStream) -> std::io::Result<()> {

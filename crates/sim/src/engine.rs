@@ -41,12 +41,6 @@ pub struct SimOptions {
     pub integration: Integration,
     /// Maximum number of timestep halvings when a transient step fails.
     pub max_step_halvings: u32,
-    /// Reuse the LU factorisation when consecutive Newton solves assemble
-    /// a bit-identical matrix (linear circuits, repeated sweep points,
-    /// homotopy plateaus). Bitwise invisible in every solution — the
-    /// reused factors are of the *same* matrix — so this defaults on and
-    /// only the occupancy counters betray it.
-    pub factor_reuse: bool,
 }
 
 impl Default for SimOptions {
@@ -60,7 +54,6 @@ impl Default for SimOptions {
             v_step_limit: 1.0,
             integration: Integration::BackwardEuler,
             max_step_halvings: 10,
-            factor_reuse: true,
         }
     }
 }
@@ -828,14 +821,10 @@ impl<'a> Simulator<'a> {
                 // the O(n³) refactorisation. Identical matrix + identical
                 // solve arithmetic ⇒ identical solution bits, so this
                 // cache is invisible everywhere except the hit counter.
-                let reuse = self.opts.factor_reuse
-                    && self.factor_fresh
-                    && self.factor_key == self.a.entries();
-                if reuse {
+                if self.factor_fresh && self.factor_key == self.a.entries() {
                     self.stats.factor_reuse_hits += 1;
                 } else {
-                    // The key goes stale the moment a refactor starts
-                    // (even a reuse-off refactor replaces the factors).
+                    // The key goes stale the moment a refactor starts.
                     self.factor_fresh = false;
                     dotm_obs::counter("lu.refactors", 1);
                     if self.lu.refactor(&self.a).is_err() {
@@ -844,11 +833,9 @@ impl<'a> Simulator<'a> {
                         self.chord_basis = None;
                         return NrOutcome::Singular;
                     }
-                    if self.opts.factor_reuse {
-                        self.factor_key.clear();
-                        self.factor_key.extend_from_slice(self.a.entries());
-                        self.factor_fresh = true;
-                    }
+                    self.factor_key.clear();
+                    self.factor_key.extend_from_slice(self.a.entries());
+                    self.factor_fresh = true;
                 }
                 self.chord_basis = basis;
                 self.lu.solve(&mut xnext);

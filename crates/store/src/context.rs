@@ -19,9 +19,8 @@ pub const FORMAT_VERSION: u64 = 4;
 /// current floors); the defect population inputs (sprinkle size, seed,
 /// defect statistics); the process-variation sigmas; the good-space
 /// Monte-Carlo sizes and seed; the escalation ladder; the sim-failure
-/// policy; and the solver-effort knobs (`warm_start`, `measure_cache`,
-/// `factor_reuse`) whose telemetry lands in persisted solver-stats
-/// deltas.
+/// policy; and the `warm_start` solver-effort knob, whose telemetry
+/// lands in persisted solver-stats deltas.
 ///
 /// Deliberately *excluded*:
 ///
@@ -30,9 +29,9 @@ pub const FORMAT_VERSION: u64 = 4;
 /// - `max_classes` — truncation selects *which* classes run, it never
 ///   changes any class's evaluation, so smoke runs share entries with
 ///   full runs (the journal guards its own class count separately);
-/// - `rank_update`, `tran_step_carry` and `batch_assembly` — inert
-///   fields that no longer change any solve, so every setting must share
-///   entries.
+/// - `measure_cache`, `factor_reuse`, `rank_update`, `tran_step_carry`
+///   and `batch_assembly` — inert fields that no longer change any
+///   solve, so every setting must share entries.
 pub fn pipeline_context(harness: &dyn MacroHarness, cfg: &PipelineConfig) -> u128 {
     let mut h = Fnv128::new();
     h.u64(FORMAT_VERSION);
@@ -102,8 +101,6 @@ pub fn pipeline_context(harness: &dyn MacroHarness, cfg: &PipelineConfig) -> u12
         SimFailurePolicy::Exclude => 2,
     });
     h.bool(cfg.warm_start);
-    h.bool(cfg.measure_cache);
-    h.bool(cfg.factor_reuse);
 
     h.finish()
 }
@@ -157,10 +154,6 @@ mod tests {
         assert_ne!(pipeline_context(&h, &cfg), base, "warm start");
 
         let mut cfg = base_cfg();
-        cfg.factor_reuse = false;
-        assert_ne!(pipeline_context(&h, &cfg), base, "factor reuse");
-
-        let mut cfg = base_cfg();
         cfg.defects += 1;
         assert_ne!(pipeline_context(&h, &cfg), base, "sprinkle size");
     }
@@ -199,5 +192,13 @@ mod tests {
         let mut cfg = base_cfg();
         cfg.batch_assembly = !cfg.batch_assembly;
         assert_eq!(pipeline_context(&h, &cfg), base, "batch assembly");
+
+        let mut cfg = base_cfg();
+        cfg.factor_reuse = !cfg.factor_reuse;
+        assert_eq!(pipeline_context(&h, &cfg), base, "factor reuse");
+
+        let mut cfg = base_cfg();
+        cfg.measure_cache = !cfg.measure_cache;
+        assert_eq!(pipeline_context(&h, &cfg), base, "measure cache");
     }
 }

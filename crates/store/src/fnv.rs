@@ -76,7 +76,7 @@ impl Default for Fnv128 {
     }
 }
 
-/// Folds a campaign context into a pipeline cache key: both halves pass
+/// Folds a campaign context into a pipeline store key: both halves pass
 /// through the full FNV-1a mixing, so contexts differing in a single bit
 /// address disjoint key spaces.
 pub fn mix(context: u128, key: u128) -> u128 {

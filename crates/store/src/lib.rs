@@ -1,12 +1,12 @@
 //! # dotm-store — persistent campaign store with checkpoint/resume
 //!
-//! The in-memory [`MeasureCache`](dotm_core::MeasureCache) memoizes
+//! The in-memory [`MemoryStore`](dotm_core::MemoryStore) memoizes
 //! `(injected-netlist digest, escalation rung) → measurement` for the
 //! lifetime of one run. This crate extends that memoization across runs:
 //!
 //! - [`DiskStore`] is a content-addressed on-disk measurement store
 //!   implementing [`dotm_core::MeasurementStore`]. Keys are the
-//!   pipeline's own cache keys folded with a campaign *context*
+//!   pipeline's own store keys folded with a campaign *context*
 //!   fingerprint ([`pipeline_context`]), so any change to the netlist
 //!   content, the escalation policy, the Monte-Carlo seeds or the sigma
 //!   bounds lands in a disjoint key space — stale entries can never be

@@ -3,21 +3,15 @@
 use crate::entry::{decode_measurement, encode_measurement};
 use crate::fnv::{fnv64, mix};
 use crate::wire::{Reader, Writer};
-use dotm_core::{CachedMeasurement, MeasurementStore};
-use std::collections::HashMap;
+use dotm_core::{CachedMeasurement, MeasurementStore, MemoryStore};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Entry-file magic: 8 bytes of name + format version. Bumping the
 /// version orphans (never misreads) every existing entry.
 const MAGIC: &[u8; 8] = b"DOTMST01";
-
-/// Shard count of the in-memory write-through overlay (same geometry as
-/// the pipeline's `MeasureCache`).
-const SHARDS: usize = 16;
 
 /// Live counters of one store session. All counts are *events*, so they
 /// depend on how many lookups the run performed — with the in-memory
@@ -58,7 +52,7 @@ impl StoreCounters {
 /// A persistent measurement store rooted at a directory.
 ///
 /// Opened with a campaign *context* fingerprint (see
-/// [`pipeline_context`](crate::pipeline_context)); every pipeline cache
+/// [`pipeline_context`](crate::pipeline_context)); every pipeline store
 /// key is folded with the context before touching memory or disk, so
 /// runs under different configurations address disjoint key spaces
 /// inside the same directory. Corrupt, truncated or foreign entry files
@@ -68,7 +62,8 @@ impl StoreCounters {
 pub struct DiskStore {
     meas_dir: PathBuf,
     context: u128,
-    shards: Vec<Mutex<HashMap<u128, CachedMeasurement>>>,
+    /// The in-memory write-through overlay, keyed by context-mixed keys.
+    memory: MemoryStore,
     nonce: AtomicU64,
     loads: AtomicU64,
     mem_hits: AtomicU64,
@@ -91,7 +86,7 @@ impl DiskStore {
         Ok(DiskStore {
             meas_dir,
             context,
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            memory: MemoryStore::new(),
             nonce: AtomicU64::new(0),
             loads: AtomicU64::new(0),
             mem_hits: AtomicU64::new(0),
@@ -117,10 +112,6 @@ impl DiskStore {
             computed: self.computed.load(Ordering::Relaxed),
             write_errors: self.write_errors.load(Ordering::Relaxed),
         }
-    }
-
-    fn shard(&self, mixed: u128) -> &Mutex<HashMap<u128, CachedMeasurement>> {
-        &self.shards[(mixed as usize) % SHARDS]
     }
 
     fn entry_path(&self, mixed: u128) -> PathBuf {
@@ -229,15 +220,7 @@ impl MeasurementStore for DiskStore {
     /// correctness input. The pipeline does not call it.
     fn contains(&self, key: u128) -> bool {
         let mixed = mix(self.context, key);
-        if self
-            .shard(mixed)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .contains_key(&mixed)
-        {
-            return true;
-        }
-        self.entry_path(mixed).exists()
+        self.memory.contains(mixed) || self.entry_path(mixed).exists()
     }
 }
 
@@ -245,22 +228,13 @@ impl DiskStore {
     fn load_inner(&self, key: u128) -> Option<CachedMeasurement> {
         self.loads.fetch_add(1, Ordering::Relaxed);
         let mixed = mix(self.context, key);
-        if let Some(hit) = self
-            .shard(mixed)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&mixed)
-            .cloned()
-        {
+        if let Some(hit) = self.memory.load(mixed) {
             self.mem_hits.fetch_add(1, Ordering::Relaxed);
             return Some(hit);
         }
         if let Some(hit) = self.read_entry(mixed) {
             self.disk_hits.fetch_add(1, Ordering::Relaxed);
-            self.shard(mixed)
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .insert(mixed, hit.clone());
+            self.memory.store(mixed, &hit);
             return Some(hit);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -270,10 +244,7 @@ impl DiskStore {
     fn store_inner(&self, key: u128, value: &CachedMeasurement) {
         self.computed.fetch_add(1, Ordering::Relaxed);
         let mixed = mix(self.context, key);
-        self.shard(mixed)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(mixed, value.clone());
+        self.memory.store(mixed, value);
         if self.write_entry(mixed, value).is_err() {
             self.write_errors.fetch_add(1, Ordering::Relaxed);
         }

@@ -41,45 +41,29 @@ echo "==> determinism: serial vs parallel fingerprints"
 DOTM_DEFECTS=3000 DOTM_MAX_CLASSES=10 DOTM_GS_COMMON=3 DOTM_GS_MM=2 \
     cargo run --release --locked -p dotm-bench --bin par_speedup
 
-echo "==> equivalence: warm start + cache never flip a verdict (ladder anchor)"
-# Runs the fixed-seed anchor cold and warm+cached, asserts every class
-# verdict is identical and that the warm path actually saves NR
-# iterations; exits non-zero otherwise.
+echo "==> equivalence: warm start never flips a verdict (ladder anchor)"
+# Runs the fixed-seed anchor cold and warm, asserts every class verdict
+# is identical and that the warm path actually saves NR iterations;
+# exits non-zero otherwise.
 cargo run --release --locked -p dotm-bench --bin warm_speedup
 
-echo "==> equivalence: fig4 identical with and without warm start + cache"
-# The optimisations may only change solver effort, so the printed report
-# must be identical modulo the solver-accounting lines (which exist to
-# show exactly that effort).
+echo "==> equivalence: fig4 identical with and without warm start"
+# Warm start may only change solver effort, so the printed report must
+# be identical modulo the solver-accounting lines (which exist to show
+# exactly that effort).
 strip_accounting() {
-    grep -vE '^(solver accounting|  (sim-failed|inject-failed|escalated|excluded) classes:|  ladder-rung histogram:|  solver totals:|  warm starts:|  factor reuse:|  measurement cache:)' || true
+    grep -vE '^(solver accounting|  (sim-failed|inject-failed|escalated|excluded) classes:|  ladder-rung histogram:|  solver totals:|  warm starts:|  factor reuse:)' || true
 }
 fig4_on=$(DOTM_DEFECTS=3000 DOTM_MAX_CLASSES=10 DOTM_GS_COMMON=3 DOTM_GS_MM=2 \
-    DOTM_WARM_START=1 DOTM_MEASURE_CACHE=1 \
+    DOTM_WARM_START=1 \
     cargo run --release --locked -p dotm-bench --bin fig4)
 fig4_off=$(DOTM_DEFECTS=3000 DOTM_MAX_CLASSES=10 DOTM_GS_COMMON=3 DOTM_GS_MM=2 \
-    DOTM_WARM_START=0 DOTM_MEASURE_CACHE=0 \
+    DOTM_WARM_START=0 \
     cargo run --release --locked -p dotm-bench --bin fig4)
 diff <(echo "$fig4_on" | strip_accounting) <(echo "$fig4_off" | strip_accounting) || {
-    echo "FAIL: warm start / measurement cache changed a reported number"; exit 1; }
-echo "$fig4_on" | grep -E "warm starts:|measurement cache:" || true
+    echo "FAIL: warm start changed a reported number"; exit 1; }
+echo "$fig4_on" | grep -E "warm starts:" || true
 echo "    reports identical modulo solver accounting"
-
-echo "==> equivalence: factor reuse is bitwise-invisible (fig4, 1 and 4 threads)"
-# The exact factor cache replays identical solution bytes, so toggling
-# DOTM_FACTOR_REUSE may change nothing but the reuse-occupancy
-# accounting line, at any thread count.
-for threads in 1 4; do
-    reuse_on=$(DOTM_DEFECTS=3000 DOTM_MAX_CLASSES=10 DOTM_GS_COMMON=3 DOTM_GS_MM=2 \
-        DOTM_THREADS=$threads DOTM_FACTOR_REUSE=1 \
-        cargo run --release --locked -p dotm-bench --bin fig4)
-    reuse_off=$(DOTM_DEFECTS=3000 DOTM_MAX_CLASSES=10 DOTM_GS_COMMON=3 DOTM_GS_MM=2 \
-        DOTM_THREADS=$threads DOTM_FACTOR_REUSE=0 \
-        cargo run --release --locked -p dotm-bench --bin fig4)
-    diff <(echo "$reuse_on" | strip_accounting) <(echo "$reuse_off" | strip_accounting) || {
-        echo "FAIL: DOTM_FACTOR_REUSE changed a reported number ($threads threads)"; exit 1; }
-done
-echo "    reports identical modulo the reuse-occupancy accounting"
 
 echo "==> persistence: campaign store cold -> warm -> kill/resume -> corrupt"
 # The persistent-campaign gate, on a small fixed-seed configuration:

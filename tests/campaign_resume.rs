@@ -42,10 +42,6 @@ fn config(threads: usize) -> PipelineConfig {
         max_classes: Some(12),
         non_catastrophic: true,
         exec: ExecConfig::with_threads(threads),
-        // Campaign mode: the store's in-memory overlay replaces the
-        // per-run measurement cache (whose occupancy counters cannot be
-        // reconstructed for journal-replayed classes).
-        measure_cache: false,
         ..PipelineConfig::default()
     }
 }

@@ -5,13 +5,15 @@
 
 use dotm::core::harnesses::{ComparatorHarness, LadderHarness};
 use dotm::core::{
-    detectability, run_macro_path, run_macro_path_with_faults, ExecConfig, GoodSpaceConfig,
-    MacroHarness, MacroReport, PipelineConfig,
+    detectability, run_macro_path, run_macro_path_with_faults_hooked, CachedMeasurement,
+    ExecConfig, GoodSpaceConfig, MacroHarness, MacroReport, MeasurementStore, MemoryStore,
+    PipelineConfig, PipelineHooks,
 };
 use dotm::defects::{sprinkle_collapsed, Sprinkler};
 use dotm::faults::Severity;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-fn comparator_config(threads: usize, measure_cache: bool) -> PipelineConfig {
+fn comparator_config(threads: usize) -> PipelineConfig {
     PipelineConfig {
         defects: 4_000,
         seed: 1995,
@@ -25,18 +27,14 @@ fn comparator_config(threads: usize, measure_cache: bool) -> PipelineConfig {
         max_classes: Some(12),
         non_catastrophic: true,
         exec: ExecConfig::with_threads(threads),
-        measure_cache,
         ..PipelineConfig::default()
     }
 }
 
 /// Runs the comparator evaluation on a shared pre-sprinkled population,
-/// so the two runs differ only in thread count (or cache setting).
-fn run_comparator(threads: usize, measure_cache: bool) -> MacroReport {
-    run_comparator_cfg(comparator_config(threads, measure_cache))
-}
-
-fn run_comparator_cfg(cfg: PipelineConfig) -> MacroReport {
+/// so runs differ only in thread count (or measurement store).
+fn run_comparator(threads: usize, store: Option<&dyn MeasurementStore>) -> MacroReport {
+    let cfg = comparator_config(threads);
     let harness = ComparatorHarness::production();
     let layout = harness.layout();
     let sprinkler = Sprinkler::new(&layout, cfg.stats.clone());
@@ -46,15 +44,49 @@ fn run_comparator_cfg(cfg: PipelineConfig) -> MacroReport {
         .map(|b| b.expanded(cfg.stats.size.xmax / 2))
         .map(|b| b.area() as f64)
         .unwrap_or(0.0);
-    run_macro_path_with_faults(&harness, &cfg, &collapsed, area).expect("comparator path")
+    let hooks = PipelineHooks {
+        store,
+        ..PipelineHooks::default()
+    };
+    run_macro_path_with_faults_hooked(&harness, &cfg, &collapsed, area, &hooks)
+        .expect("comparator path")
+}
+
+/// A measurement store that records every computed measurement and
+/// answers lookups only once `answer` is set, counting the hits.
+#[derive(Default)]
+struct Probe {
+    memo: MemoryStore,
+    answer: AtomicBool,
+    loads: AtomicU64,
+    hits: AtomicU64,
+}
+
+impl MeasurementStore for Probe {
+    fn load(&self, key: u128) -> Option<CachedMeasurement> {
+        self.loads.fetch_add(1, Ordering::Relaxed);
+        if !self.answer.load(Ordering::Relaxed) {
+            return None;
+        }
+        let hit = self.memo.load(key);
+        if hit.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        hit
+    }
+
+    fn store(&self, key: u128, value: &CachedMeasurement) {
+        self.memo.store(key, value);
+    }
 }
 
 #[test]
 fn comparator_report_is_thread_count_invariant() {
-    // Warm start and the measurement cache are both on (the defaults):
-    // the invariance contract has to hold on the path users actually run.
-    let serial = run_comparator(1, true);
-    let parallel = run_comparator(4, true);
+    // Warm start and the in-memory measurement store are both on (the
+    // defaults): the invariance contract has to hold on the path users
+    // actually run.
+    let serial = run_comparator(1, None);
+    let parallel = run_comparator(4, None);
 
     // Field-by-field, not just the digest, so a mismatch names the class.
     assert_eq!(serial.total_faults, parallel.total_faults);
@@ -83,67 +115,38 @@ fn comparator_report_is_thread_count_invariant() {
     );
     assert_eq!(serial.solver_totals(), parallel.solver_totals());
     assert_eq!(serial.rung_histogram(), parallel.rung_histogram());
-    // Cache occupancy is scheduling-free by construction (lookups are a
-    // global count, entries are distinct keys), so it must match too.
-    assert_eq!(serial.cache_lookups, parallel.cache_lookups);
-    assert_eq!(serial.cache_entries, parallel.cache_entries);
     // And the digest covers everything else (floats bit-for-bit).
     assert_eq!(serial.fingerprint(), parallel.fingerprint());
 }
 
 #[test]
 fn measurement_cache_is_invisible_in_the_report() {
-    // A cache hit replays the memoized measurement *and* its solver
-    // telemetry, so a cached run must be bit-for-bit identical to an
-    // uncached one — the only trace is the cache-occupancy counters
-    // themselves, which are zeroed here before fingerprinting.
-    let mut cached = run_comparator(2, true);
-    let mut uncached = run_comparator(2, false);
-    assert!(
-        cached.cache_lookups > 0,
-        "cached run must route measurements through the cache"
-    );
-    assert!(cached.cache_entries <= cached.cache_lookups);
-    assert_eq!(uncached.cache_lookups, 0);
-    assert_eq!(uncached.cache_entries, 0);
-    cached.cache_lookups = 0;
-    cached.cache_entries = 0;
-    uncached.cache_lookups = 0;
-    uncached.cache_entries = 0;
-    assert_eq!(cached.fingerprint(), uncached.fingerprint());
-}
+    // A store hit replays the memoized measurement *and* its solver
+    // telemetry, so a run's report must not depend on which lookups hit.
+    // Three runs of the same population: the default run (its own
+    // in-memory store), a run whose store never answers (every
+    // measurement solved), and a replay of that run's recorded
+    // measurements (every lookup answered).
+    let default_run = run_comparator(2, None);
+    let probe = Probe::default();
+    let solved = run_comparator(2, Some(&probe));
+    assert_eq!(probe.hits.load(Ordering::Relaxed), 0);
+    assert_eq!(default_run.fingerprint(), solved.fingerprint());
 
-#[test]
-fn factor_reuse_is_invisible_in_the_report() {
-    // The bitwise factor cache only fires on *identical* system matrices,
-    // so it replays the exact same solution bytes a fresh factorisation
-    // would produce. Toggling `DOTM_FACTOR_REUSE` must therefore leave
-    // every reported bit unchanged — the only trace is the reuse
-    // occupancy counters, which are zeroed here before fingerprinting
-    // (the counters live in the per-class solver telemetry, unlike the
-    // report-level measurement-cache counters).
-    let scrub = |report: &mut MacroReport| {
-        for o in &mut report.outcomes {
-            o.solver.factor_reuse_hits = 0;
-            o.solver.factor_refactor_fallbacks = 0;
-        }
-        report.goodspace_solver.factor_reuse_hits = 0;
-        report.goodspace_solver.factor_refactor_fallbacks = 0;
-    };
-    let mut on = run_comparator_cfg(PipelineConfig {
-        factor_reuse: true,
-        ..comparator_config(2, true)
-    });
-    let mut off = run_comparator_cfg(PipelineConfig {
-        factor_reuse: false,
-        ..comparator_config(2, true)
-    });
-    assert_eq!(off.solver_totals().factor_reuse_hits, 0);
-    assert_eq!(off.solver_totals().factor_refactor_fallbacks, 0);
-    scrub(&mut on);
-    scrub(&mut off);
-    assert_eq!(on.solver_totals(), off.solver_totals());
-    assert_eq!(on.fingerprint(), off.fingerprint());
+    probe.answer.store(true, Ordering::Relaxed);
+    let loads_before = probe.loads.load(Ordering::Relaxed);
+    let replayed = run_comparator(2, Some(&probe));
+    let loads = probe.loads.load(Ordering::Relaxed) - loads_before;
+    assert!(
+        loads > 0,
+        "the run must route measurements through its store"
+    );
+    assert_eq!(
+        probe.hits.load(Ordering::Relaxed),
+        loads,
+        "every measurement of the replay must come from the store"
+    );
+    assert_eq!(replayed.fingerprint(), solved.fingerprint());
 }
 
 #[test]

@@ -40,7 +40,6 @@ fn config(threads: usize) -> PipelineConfig {
         max_classes: Some(6),
         non_catastrophic: true,
         exec: ExecConfig::with_threads(threads),
-        measure_cache: false,
         ..PipelineConfig::default()
     }
 }

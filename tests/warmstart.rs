@@ -25,9 +25,6 @@ fn run_comparator(warm_start: bool) -> MacroReport {
         max_classes: Some(10),
         non_catastrophic: true,
         warm_start,
-        // The cache is exercised by tests/determinism.rs; keeping it off
-        // here isolates the warm-start effect in the solver telemetry.
-        measure_cache: false,
         ..PipelineConfig::default()
     };
     let layout = harness.layout();
