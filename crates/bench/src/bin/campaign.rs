@@ -74,10 +74,8 @@
 //! one run the way a store-less run's `MemoryStore` does.
 
 use dotm_bench::{
-    obs_finish, obs_fold_solver, obs_init, print_global_accounting, rule, standard_config,
-};
-use dotm_core::harnesses::{
-    BiasHarness, ClockgenHarness, ComparatorHarness, DecoderHarness, LadderHarness,
+    macro_harnesses, obs_finish, obs_fold_solver, obs_init, print_global_accounting, rule,
+    standard_config,
 };
 use dotm_core::{
     run_macro_path_with_faults_hooked, ClassObserver, ClassOutcome, FanoutObserver, GlobalReport,
@@ -232,11 +230,7 @@ fn prepare(harness: &dyn MacroHarness, cfg: &PipelineConfig) -> MacroPrep {
     let layout = harness.layout();
     let sprinkler = Sprinkler::new(&layout, cfg.stats.clone());
     let collapsed = sprinkle_collapsed(&sprinkler, cfg.defects, cfg.seed);
-    let area = layout
-        .bbox()
-        .map(|b| b.expanded(cfg.stats.size.xmax / 2))
-        .map(|b| b.area() as f64)
-        .unwrap_or(0.0);
+    let area = sprinkler.area_nm2();
     let classes = match cfg.max_classes {
         Some(n) => collapsed.class_count().min(n),
         None => collapsed.class_count(),
@@ -416,16 +410,6 @@ fn run_macro(
     }
 }
 
-fn harnesses() -> Vec<Box<dyn MacroHarness>> {
-    vec![
-        Box::new(ComparatorHarness::production()),
-        Box::new(LadderHarness),
-        Box::new(BiasHarness::default()),
-        Box::new(ClockgenHarness::default()),
-        Box::new(DecoderHarness::default()),
-    ]
-}
-
 /// Spawns shard workers for `needed`, waits for all, and forwards their
 /// stdout/stderr to the coordinator's stderr (worker chatter must never
 /// reach the byte-identity-checked stdout).
@@ -541,9 +525,9 @@ fn main() {
 
     let cfg = standard_config();
 
+    let all = macro_harnesses(false);
     let harnesses = match dotm_core::env::macros() {
         Some(selection) => {
-            let all = harnesses();
             for name in &selection {
                 if !all.iter().any(|h| h.name() == name.as_str()) {
                     eprintln!(
@@ -559,7 +543,7 @@ fn main() {
                 .filter(|h| selection.iter().any(|n| n.as_str() == h.name()))
                 .collect()
         }
-        None => harnesses(),
+        None => all,
     };
 
     // Coordinator: drive the workers, then fall through to the merge.

@@ -6,8 +6,10 @@
 //! * the HTTP report is **byte-identical** to a plain single-process
 //!   CLI campaign over an equivalent fresh store (full `cmp`, not just
 //!   fingerprints — the service report *is* a captured CLI stdout);
-//! * the progress stream delivers per-class events and terminates with
-//!   an explicit `end` event in the `merged` state;
+//! * the progress stream delivers exactly one event per class the CLI
+//!   reference evaluated (Σ min(classes, `DOTM_MAX_CLASSES`) over its
+//!   macro lines) and terminates with an explicit `end` event in the
+//!   `merged` state;
 //! * resubmitting the identical config answers `cached:true` from the
 //!   finished job without running anything;
 //! * a `fresh:true` resubmission re-runs against the warmed store and
@@ -15,10 +17,9 @@
 //!   accounting) while reproducing every report fingerprint;
 //! * `POST /shutdown` drains and the server exits 0.
 //!
-//! Knobs: `DOTM_BENCH_JSON` (machine-readable summary), plus the
-//! standard campaign knobs. Unset smoke sizes are pinned
-//! (`DOTM_DEFECTS=2000`, `DOTM_MAX_CLASSES=8`, 2×2 good space) so the
-//! committed baseline matches a plain invocation.
+//! Knobs: the standard campaign knobs. Unset smoke sizes are pinned
+//! (`DOTM_DEFECTS=2000`, `DOTM_MAX_CLASSES=8`, 2×2 good space) so a
+//! plain invocation stays smoke-sized.
 //!
 //! Exits non-zero on any contract violation.
 
@@ -60,6 +61,16 @@ fn campaign_exe() -> PathBuf {
         std::process::exit(2);
     }
     exe
+}
+
+/// A pinned knob's effective value: the invoking shell's, else the pin.
+fn pinned(name: &str) -> Option<String> {
+    std::env::var(name).ok().or_else(|| {
+        PINNED
+            .iter()
+            .find(|(k, _)| *k == name)
+            .map(|(_, v)| v.to_string())
+    })
 }
 
 fn pin(cmd: &mut Command, store_dir: &Path) {
@@ -225,19 +236,22 @@ fn accounting_line(stdout: &str) -> &str {
         .unwrap_or("")
 }
 
-fn write_json(path: &str, fields: &[(&str, String)]) {
-    let body: Vec<String> = fields
-        .iter()
-        .map(|(k, v)| format!("  \"{k}\": {v}"))
-        .collect();
-    let json = format!("{{\n{}\n}}\n", body.join(",\n"));
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("[dotm] bench summary: {path}"),
-        Err(e) => {
-            eprintln!("[dotm] bench summary write failed ({path}): {e}");
-            std::process::exit(1);
-        }
-    }
+/// The classes a campaign evaluated, from its `<macro> N faults / C
+/// classes` lines: Σ min(C, `DOTM_MAX_CLASSES`), `0` meaning no cap.
+fn evaluated_classes(stdout: &str) -> u64 {
+    let cap = pinned("DOTM_MAX_CLASSES").map_or(0, |v| {
+        dotm_core::env::parse_u64(&v).unwrap_or_else(|e| panic!("DOTM_MAX_CLASSES: {e}"))
+    });
+    stdout
+        .lines()
+        .filter(|l| l.contains("fingerprint="))
+        .filter_map(|l| {
+            let words: Vec<&str> = l.split_whitespace().collect();
+            let at = words.iter().position(|w| *w == "classes")?;
+            words.get(at.checked_sub(1)?)?.parse::<u64>().ok()
+        })
+        .map(|classes| if cap == 0 { classes } else { classes.min(cap) })
+        .sum()
 }
 
 fn main() {
@@ -268,6 +282,14 @@ fn main() {
     let (progress_events, end_state) = stream_events(&addr, &id);
     let serve_secs = t0.elapsed().as_secs_f64();
     println!("  service run:   {serve_secs:>6.2}s  ({progress_events} progress events, end state {end_state})");
+    let expected_events = evaluated_classes(&cli_out);
+    let progress_complete = expected_events > 0 && progress_events == expected_events;
+    if !progress_complete {
+        eprintln!(
+            "  PROGRESS MISMATCH: {progress_events} progress events, \
+             the CLI reference evaluated {expected_events} classes"
+        );
+    }
     if end_state != "merged" {
         eprintln!("[dotm] job ended in {end_state}, not merged");
         std::process::exit(1);
@@ -324,25 +346,6 @@ fn main() {
         "  fingerprints identical: {fingerprints_identical}   clean shutdown: {shutdown_clean}"
     );
 
-    if let Ok(path) = std::env::var("DOTM_BENCH_JSON") {
-        write_json(
-            &path,
-            &[
-                ("bench", "\"serve_roundtrip\"".into()),
-                ("macros", fp_cold.len().to_string()),
-                ("progress_events", progress_events.to_string()),
-                ("report_bytes", report.len().to_string()),
-                ("report_identical", report_identical.to_string()),
-                ("cached_dedup", cached_dedup.to_string()),
-                ("warm_solver_free", warm_solver_free.to_string()),
-                ("fingerprints_identical", fingerprints_identical.to_string()),
-                ("shutdown_clean", shutdown_clean.to_string()),
-                ("cli_wall_ms", format!("{:.1}", cli_secs * 1e3)),
-                ("serve_wall_ms", format!("{:.1}", serve_secs * 1e3)),
-            ],
-        );
-    }
-
     let _ = std::fs::remove_dir_all(&root);
 
     if !(report_identical
@@ -350,7 +353,7 @@ fn main() {
         && warm_solver_free
         && fingerprints_identical
         && shutdown_clean
-        && progress_events > 0)
+        && progress_complete)
     {
         eprintln!("[dotm] FAIL: the campaign service broke its round-trip contract");
         std::process::exit(1);

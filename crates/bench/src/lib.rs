@@ -1,9 +1,9 @@
 //! # dotm-bench — reproduction harness for the paper's tables and figures
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of
-//! Kuijstermans et al. (ED&TC 1995):
+//! Kuijstermans et al. (ED&TC 1995), or drives the campaign around them:
 //!
-//! | target | reproduces |
+//! | target | reproduces / does |
 //! |---|---|
 //! | `table1` | Table 1 — catastrophic faults & classes for the comparator |
 //! | `table2` | Table 2 — voltage fault signatures of the comparator |
@@ -13,6 +13,12 @@
 //! | `fig5` | Fig. 5 — global detectability after the DfT measures |
 //! | `test_time` | §3.2/§4 — test-time comparison |
 //! | `sigma_sweep` | ablation: good-space width vs coverage |
+//! | `diag` | every comparator fault class with its signature, then the undetected ones |
+//! | `wafer_sort` | §4 — current-only wafer-sort coverage and shipped-defective rates |
+//! | `compaction` | §3.2 — fewest current measurements keeping full current coverage |
+//! | `campaign` | the persistent five-macro campaign: store, journal, shards, service |
+//! | `serve_roundtrip` | gate: `campaign --serve` over HTTP matches the CLI campaign |
+//! | `tracecheck` | validates the NDJSON trace of a `DOTM_TRACE=1` run |
 //!
 //! Runs are deterministic. Environment knobs (all optional):
 //! `DOTM_DEFECTS` (pilot sprinkle size, default 25000),
@@ -37,9 +43,7 @@
 //! `DOTM_SHARD_RETRIES` (coordinator re-dispatch rounds for crashed
 //! workers, default 2) and `DOTM_SHARD_ABORT_ONCE` (fault injection: the
 //! first dispatch round's workers abort after that many classes — CI uses
-//! it to prove crash-and-re-dispatch merges byte-identically). The
-//! `shard_speedup` bench honours `DOTM_SHARD_WORKERS` (default 2); it
-//! gates on identity only and reports its wall-clock ratio.
+//! it to prove crash-and-re-dispatch merges byte-identically).
 //!
 //! `DOTM_TRACE` (`1`/`0`, default off) turns on the [`dotm_obs`]
 //! observability recorder: the binary appends a per-phase wall-clock
@@ -54,38 +58,14 @@
 //! solver escalation (and to which rung), and the total solver work. On a
 //! healthy paper-parity run the failure counters are all zero.
 
+use dotm_core::env::{u64_knob, usize_knob};
 use dotm_core::harnesses::{
     BiasHarness, ClockgenHarness, ComparatorHarness, DecoderHarness, LadderHarness,
 };
 use dotm_core::{
     par_map, run_macro_path, ExecConfig, GlobalReport, GoodSpaceConfig, MacroHarness, MacroReport,
-    PipelineConfig, SimFailurePolicy,
+    PipelineConfig,
 };
-
-/// Reads a `usize` environment knob (thin wrapper over
-/// [`dotm_core::env::usize_knob`], kept for the bench binaries' API).
-pub fn env_usize(name: &str, default: usize) -> usize {
-    dotm_core::env::usize_knob(name, default)
-}
-
-/// Reads a `u64` environment knob (thin wrapper over
-/// [`dotm_core::env::u64_knob`]).
-pub fn env_u64(name: &str, default: u64) -> u64 {
-    dotm_core::env::u64_knob(name, default)
-}
-
-/// Reads a boolean environment knob (thin wrapper over
-/// [`dotm_core::env::bool_knob`]).
-pub fn env_bool(name: &str, default: bool) -> bool {
-    dotm_core::env::bool_knob(name, default)
-}
-
-/// Reads the `DOTM_SIM_FAILURE_POLICY` knob (default: the paper-parity
-/// `AssumeDetected`). An unparsable value aborts loudly rather than
-/// silently running with the wrong accounting.
-pub fn env_sim_failure_policy() -> SimFailurePolicy {
-    dotm_core::env::sim_failure_policy()
-}
 
 /// Enables the [`dotm_obs`] recorder when the `DOTM_TRACE` knob is set.
 /// Call once at the top of a bench binary's `main`; returns whether
@@ -141,21 +121,21 @@ pub fn obs_finish(label: &str) {
 
 /// The standard pipeline configuration, honouring the environment knobs.
 pub fn standard_config() -> PipelineConfig {
-    let max_classes = match dotm_core::env::usize_knob("DOTM_MAX_CLASSES", 0) {
+    let max_classes = match usize_knob("DOTM_MAX_CLASSES", 0) {
         0 => None,
         n => Some(n),
     };
     PipelineConfig {
-        defects: env_usize("DOTM_DEFECTS", 25_000),
-        seed: env_u64("DOTM_SEED", 1995),
+        defects: usize_knob("DOTM_DEFECTS", 25_000),
+        seed: u64_knob("DOTM_SEED", 1995),
         goodspace: GoodSpaceConfig {
-            common_samples: env_usize("DOTM_GS_COMMON", 5),
-            mismatch_samples: env_usize("DOTM_GS_MM", 4),
-            seed: env_u64("DOTM_SEED", 1995) ^ 0xD07,
+            common_samples: usize_knob("DOTM_GS_COMMON", 5),
+            mismatch_samples: usize_knob("DOTM_GS_MM", 4),
+            seed: u64_knob("DOTM_SEED", 1995) ^ 0xD07,
             ..GoodSpaceConfig::default()
         },
         max_classes,
-        sim_failure_policy: env_sim_failure_policy(),
+        sim_failure_policy: dotm_core::env::sim_failure_policy(),
         warm_start: dotm_core::env::warm_start(),
         ..PipelineConfig::default()
     }
@@ -193,24 +173,30 @@ pub fn run_with_progress(harness: &dyn MacroHarness) -> MacroReport {
     report
 }
 
+/// The five converter macros in campaign order, with the production or
+/// DfT comparator.
+pub fn macro_harnesses(dft: bool) -> Vec<Box<dyn MacroHarness>> {
+    let comparator = if dft {
+        ComparatorHarness::dft()
+    } else {
+        ComparatorHarness::production()
+    };
+    vec![
+        Box::new(comparator),
+        Box::new(LadderHarness),
+        Box::new(BiasHarness::default()),
+        Box::new(ClockgenHarness::default()),
+        Box::new(DecoderHarness::default()),
+    ]
+}
+
 /// Runs all five macro paths for the global figures.
 ///
 /// The five macros fan out across worker threads (they are fully
 /// independent runs); the report order — and every number in it — is
 /// identical to the serial path regardless of `DOTM_THREADS`.
 pub fn global_report(dft: bool) -> GlobalReport {
-    let comparator: Box<dyn MacroHarness> = Box::new(if dft {
-        ComparatorHarness::dft()
-    } else {
-        ComparatorHarness::production()
-    });
-    let harnesses: Vec<Box<dyn MacroHarness>> = vec![
-        comparator,
-        Box::new(LadderHarness),
-        Box::new(BiasHarness::default()),
-        Box::new(ClockgenHarness::default()),
-        Box::new(DecoderHarness::default()),
-    ];
+    let harnesses = macro_harnesses(dft);
     let reports = par_map(&ExecConfig::default(), &harnesses, |_, harness| {
         run_with_progress(harness.as_ref())
     });
@@ -232,7 +218,10 @@ fn print_accounting(
     solver: dotm_sim::SimStats,
 ) {
     println!();
-    println!("solver accounting ({:?} policy):", env_sim_failure_policy());
+    println!(
+        "solver accounting ({:?} policy):",
+        dotm_core::env::sim_failure_policy()
+    );
     println!("  sim-failed classes:    {sim_failed}");
     println!("  inject-failed classes: {inject_failed}");
     println!("  escalated classes:     {escalated}");
@@ -299,12 +288,6 @@ pub fn print_global_accounting(report: &GlobalReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn env_parsing_defaults() {
-        assert_eq!(env_usize("DOTM_DOES_NOT_EXIST", 7), 7);
-        assert_eq!(env_u64("DOTM_DOES_NOT_EXIST", 9), 9);
-    }
 
     #[test]
     fn standard_config_is_sane() {

@@ -755,12 +755,7 @@ pub fn run_macro_path(
     let layout = harness.layout();
     let sprinkler = Sprinkler::new(&layout, cfg.stats.clone());
     let collapsed = sprinkle_collapsed(&sprinkler, cfg.defects, cfg.seed);
-    let sprinkle_area = layout
-        .bbox()
-        .map(|b| b.expanded(cfg.stats.size.xmax / 2))
-        .map(|b| b.area() as f64)
-        .unwrap_or(0.0);
-    run_macro_path_with_faults(harness, cfg, &collapsed, sprinkle_area)
+    run_macro_path_with_faults(harness, cfg, &collapsed, sprinkler.area_nm2())
 }
 
 /// Runs the evaluation part of the test path on an existing collapsed

@@ -146,13 +146,12 @@ mod tests {
         let n = 400_000usize;
         let faults = sprinkler.sprinkle(n, 11).faults.len() as f64;
 
-        let bbox = lo.bbox().unwrap().expanded(stats.size.xmax / 2);
         let expected = expected_parallel_wire_bridges(
             length as f64,
             sep as f64,
             &stats.size,
             n as f64,
-            bbox.area() as f64,
+            sprinkler.area_nm2(),
         );
         let rel = (faults - expected).abs() / expected;
         assert!(

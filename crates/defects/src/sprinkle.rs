@@ -84,6 +84,13 @@ impl<'a> Sprinkler<'a> {
         &self.stats
     }
 
+    /// Area of the sprinkle rectangle (the layout bounding box plus half
+    /// the largest defect size on every side) in nm², the denominator of
+    /// every fault density the pipeline reports.
+    pub fn area_nm2(&self) -> f64 {
+        self.area.area() as f64
+    }
+
     /// Samples one defect.
     pub fn sample_defect(&self, rng: &mut impl Rng) -> Defect {
         Defect {

@@ -4,8 +4,8 @@
 # This is what CI runs and what a developer runs before pushing: the
 # whole thing is offline (path-only dependency graph, --locked) and
 # finishes in a few minutes on one core. Thread count only changes
-# wall-clock time, never a number — the determinism gate at the end
-# proves it on every run.
+# wall-clock time, never a number — the workspace tests prove it
+# (tests/determinism.rs) on every run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,16 +37,6 @@ echo "$acct" | grep -q "ladder-rung histogram:" || {
     echo "FAIL: ladder-rung histogram missing"; echo "$acct"; exit 1; }
 echo "    failure counters present and zero"
 
-echo "==> determinism: serial vs parallel fingerprints"
-DOTM_DEFECTS=3000 DOTM_MAX_CLASSES=10 DOTM_GS_COMMON=3 DOTM_GS_MM=2 \
-    cargo run --release --locked -p dotm-bench --bin par_speedup
-
-echo "==> equivalence: warm start never flips a verdict (ladder anchor)"
-# Runs the fixed-seed anchor cold and warm, asserts every class verdict
-# is identical and that the warm path actually saves NR iterations;
-# exits non-zero otherwise.
-cargo run --release --locked -p dotm-bench --bin warm_speedup
-
 echo "==> equivalence: fig4 identical with and without warm start"
 # Warm start may only change solver effort, so the printed report must
 # be identical modulo the solver-accounting lines (which exist to show
@@ -77,8 +67,7 @@ echo "==> persistence: campaign store cold -> warm -> kill/resume -> corrupt"
 #   4. a corrupted store entry must degrade to a recomputed miss — same
 #      fingerprints, clean exit — never a wrong verdict or a crash.
 store_dir=$(mktemp -d)
-shard_dir=$(mktemp -d)
-trap 'rm -rf "$store_dir" "$shard_dir"' EXIT
+trap 'rm -rf "$store_dir"' EXIT
 camp_env=(DOTM_DEFECTS=2000 DOTM_MAX_CLASSES=8 DOTM_GS_COMMON=2 DOTM_GS_MM=2
     DOTM_STORE_DIR="$store_dir")
 camp_cmd="cargo run --release --locked -p dotm-bench --bin campaign"
@@ -137,45 +126,10 @@ echo "$corrupt" | grep -q "write_errors=0" || {
 echo "    corrupt entry: graceful recompute, fingerprints unchanged"
 
 echo "==> sharding: 2-worker campaign + merge is byte-identical to single-process"
-# The sharded tentpole gate: a coordinator run — 2 worker processes,
-# each killed mid-shard on its first dispatch (DOTM_SHARD_ABORT_ONCE)
-# and re-dispatched to resume its segment prefix — must reproduce the
-# single-process run exactly: per-macro fingerprints, the full report
-# body (modulo effort counters), the deterministic store-occupancy line
-# and every canonical journal's bytes.
-shard_env=(DOTM_DEFECTS=2000 DOTM_MAX_CLASSES=8 DOTM_GS_COMMON=2 DOTM_GS_MM=2
-    DOTM_STORE_DIR="$shard_dir")
-sharded=$(env "${shard_env[@]}" DOTM_SHARD_ABORT_ONCE=2 $camp_cmd -- --workers 2)
-diff <(echo "$cold" | fingerprints) <(echo "$sharded" | fingerprints) || {
-    echo "FAIL: sharded campaign fingerprints differ from single-process"; exit 1; }
-# Whole-report diff: only the store paths in the header line and the
-# effort counters may differ.
-strip_header() { sed '/^persistent campaign:/d'; }
-diff <(echo "$cold" | strip_effort | strip_header) \
-     <(echo "$sharded" | strip_effort | strip_header) || {
-    echo "FAIL: sharded campaign changed a reported number"; exit 1; }
-echo "$sharded" | grep -q "^campaign store occupancy:" || {
-    echo "FAIL: occupancy accounting line missing"; exit 1; }
-for jnl in "$store_dir"/journal/*.jnl; do
-    name=$(basename "$jnl")
-    case "$name" in *.shard-*) continue;; esac
-    cmp "$jnl" "$shard_dir/journal/$name" || {
-        echo "FAIL: merged journal $name differs from single-process bytes"; exit 1; }
-done
-echo "    kill-mid-shard + re-dispatch + merge: fingerprints, report and journal bytes identical"
-
-echo "==> equivalence + perf: sharded byte-identity bench (shard_speedup)"
-# Spawns the campaign binary single-process and as a 2-worker
-# coordinator against fresh trees; hard-gates the identity verdicts and
-# reports the honest wall-clock ratio (no speedup floor on a one-core
-# runner).
-shard_json="${DOTM_SHARD_BENCH_JSON:-$(mktemp)}"
-DOTM_BENCH_JSON="$shard_json" \
-    cargo run --release --locked -p dotm-bench --bin shard_speedup
-
-echo "==> perf trajectory: shard counter metrics vs committed baseline (soft)"
-cargo run --release --locked -p dotm-bench --bin bench_compare -- \
-    scripts/bench_baseline_8.json "$shard_json"
+# Every first-round worker is killed mid-shard (DOTM_SHARD_ABORT_ONCE)
+# and re-dispatched to resume its segment prefix; the merge must still
+# reproduce the single-process run exactly.
+DOTM_SHARD_ABORT_ONCE=2 scripts/shard_identity.sh
 
 echo "==> service: campaign-as-a-service round-trip (serve_roundtrip)"
 # Boots campaign --serve on a loopback port, submits the anchor job over
@@ -183,14 +137,9 @@ echo "==> service: campaign-as-a-service round-trip (serve_roundtrip)"
 # the HTTP report is byte-identical to a plain CLI campaign over the
 # same store path, resubmission answers cached from the finished job,
 # and a forced fresh re-run over the warmed store performs zero solver
-# work (misses=0 computed=0) with every fingerprint reproduced.
-serve_json="${DOTM_SERVE_BENCH_JSON:-$(mktemp)}"
-DOTM_BENCH_JSON="$serve_json" \
-    cargo run --release --locked -p dotm-bench --bin serve_roundtrip
-
-echo "==> perf trajectory: service counter metrics vs committed baseline (soft)"
-cargo run --release --locked -p dotm-bench --bin bench_compare -- \
-    scripts/bench_baseline_9.json "$serve_json"
+# work (misses=0 computed=0) with every fingerprint reproduced. The
+# progress stream must carry one event per class the CLI evaluated.
+cargo run --release --locked -p dotm-bench --bin serve_roundtrip
 
 echo "==> observability: traced fig4 is a pure side channel"
 # DOTM_TRACE=1 must leave stdout byte-identical (the per-phase profile

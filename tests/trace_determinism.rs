@@ -56,11 +56,7 @@ fn fixture() -> Fixture {
     let layout = harness.layout();
     let sprinkler = Sprinkler::new(&layout, cfg.stats.clone());
     let collapsed = sprinkle_collapsed(&sprinkler, cfg.defects, cfg.seed);
-    let area = layout
-        .bbox()
-        .map(|b| b.expanded(cfg.stats.size.xmax / 2))
-        .map(|b| b.area() as f64)
-        .unwrap_or(0.0);
+    let area = sprinkler.area_nm2();
     Fixture {
         harness,
         collapsed,
