@@ -43,9 +43,12 @@
 //! * `DOTM_ABORT_AFTER` — abort the campaign (via the in-order class
 //!   observer, not a signal) after this many classes, campaign-wide: the
 //!   deterministic stand-in for a kill that the resume gate scripts use.
-//! * `DOTM_EXPECT_WARM` — `1` asserts the run never touched the solver:
-//!   every measurement must come from the store (`computed=0`), at any
-//!   `DOTM_THREADS`. Exits non-zero otherwise.
+//! * `DOTM_EXPECT_WARM` — `1` asserts the store answered every lookup:
+//!   class measurements, the good space's Monte-Carlo record and
+//!   bias_gen's propagation transients (`computed=0 misses=0`), at any
+//!   `DOTM_THREADS`. Exits non-zero otherwise. Each macro's nominal
+//!   measurement still solves: it is the detection reference and fills
+//!   the warm-start seed table, and it is not stored.
 //! * `DOTM_MACROS` — comma-separated macro subset to run (campaign
 //!   order is preserved regardless of the list's order; unknown names
 //!   are a usage error). Inherited by shard workers, so a subset

@@ -13,8 +13,9 @@
 //! * resubmitting the identical config answers `cached:true` from the
 //!   finished job without running anything;
 //! * a `fresh:true` resubmission re-runs against the warmed store and
-//!   performs **zero solver work** (`misses=0 computed=0` in the store
-//!   accounting) while reproducing every report fingerprint;
+//!   **computes nothing** (`misses=0 computed=0` in the store
+//!   accounting; only the nominal measurements solve) while reproducing
+//!   every report fingerprint;
 //! * `POST /shutdown` drains and the server exits 0.
 //!
 //! Knobs: the standard campaign knobs. Unset smoke sizes are pinned
@@ -311,8 +312,8 @@ fn main() {
         );
     }
 
-    // Warm re-run: forced fresh attempt over the warmed store must do
-    // zero solver work and reproduce every fingerprint.
+    // Warm re-run: forced fresh attempt over the warmed store must
+    // compute nothing and reproduce every fingerprint.
     let (status, _) = http(&addr, "POST", "/jobs", b"{\"fresh\":true}");
     if status != 202 {
         eprintln!("[dotm] fresh resubmit: expected 202, got {status}");

@@ -28,7 +28,7 @@
 //! | `DOTM_SHARD_RETRIES` | extra coordinator dispatch rounds for crashed workers | 2 |
 //! | `DOTM_SHARD_ABORT_ONCE` | test knob: first-round workers abort after this many classes | off |
 //! | `DOTM_ABORT_AFTER` | abort the run after this many observed classes (crash injection) | off |
-//! | `DOTM_EXPECT_WARM` | assert the run answered entirely from the store (0 solves) | off |
+//! | `DOTM_EXPECT_WARM` | assert the store answered every lookup (only the nominals solve) | off |
 //! | `DOTM_PROGRESS` | per-class `[progress]` lines on stderr (service event feed) | off |
 //! | `DOTM_SERVE_POLL_MS` | service accept-loop / event-stream poll interval (ms) | 25 |
 //! | `DOTM_SERVE_IO_TIMEOUT_MS` | service per-operation socket read/write timeout (ms) | 10000 |
@@ -224,9 +224,11 @@ pub fn abort_after() -> Option<u64> {
     }
 }
 
-/// The `DOTM_EXPECT_WARM` knob (default off): assert the run never
-/// touched the solver — every measurement answered by the store. The warm-resume gates use it to turn "the
-/// store silently went cold" into a hard failure.
+/// The `DOTM_EXPECT_WARM` knob (default off): assert the store answered
+/// every lookup (no miss, nothing computed). Only each macro's nominal
+/// measurement, which is never stored, still solves. The warm-resume
+/// gates use it to turn "the store silently went cold" into a hard
+/// failure.
 ///
 /// # Panics
 /// On a malformed value.

@@ -9,6 +9,7 @@
 //! perturbation, and the macro-specific voltage-signature classifier.
 
 use crate::measure::MeasurementPlan;
+use crate::pipeline::{memoized, tagged_key, MeasurementStore};
 use crate::processvar::{CommonSample, ProcessModel};
 use crate::signature::{CurrentKind, VoltageSignature};
 use dotm_layout::Layout;
@@ -116,6 +117,58 @@ impl WarmCursor {
     }
 }
 
+/// The pipeline's measurement store, lent to
+/// [`MacroHarness::classify_voltage_with`] for the follow-up simulations
+/// a classification needs. Each one is memoized like a measurement, and
+/// its solver telemetry lands in the class's stats whether it was
+/// computed or replayed.
+pub struct Probe<'a> {
+    store: &'a dyn MeasurementStore,
+    scope: u64,
+    solver: &'a mut SimStats,
+}
+
+impl<'a> Probe<'a> {
+    /// A probe over `store` that merges solver telemetry into `solver`.
+    /// Probes under different `scope`s never share an entry. The
+    /// pipeline scopes them by fault class: one worker evaluates a whole
+    /// class, so no two threads race to compute the same entry and the
+    /// store's hit and miss counts do not depend on scheduling.
+    pub fn new(store: &'a dyn MeasurementStore, scope: u64, solver: &'a mut SimStats) -> Self {
+        Probe {
+            store,
+            scope,
+            solver,
+        }
+    }
+
+    /// Returns the stored result of `simulate` for `nl`, running it (and
+    /// storing the result) on a miss. The key folds the scope and `nl`'s
+    /// content digest with `salt`, which must carry every other input the
+    /// result depends on (time steps, stimulus values, read-out times).
+    /// `simulate` accumulates its solver telemetry into the stats it is
+    /// handed.
+    ///
+    /// # Errors
+    /// Whatever `simulate` returned when the entry was computed.
+    pub fn simulate(
+        &mut self,
+        nl: &Netlist,
+        salt: &[u64],
+        simulate: impl FnOnce(&mut SimStats) -> Result<Vec<f64>, SimError>,
+    ) -> Result<Vec<f64>, SimError> {
+        let digest = nl.content_digest();
+        let mut words = vec![self.scope, digest as u64, (digest >> 64) as u64];
+        words.extend_from_slice(salt);
+        memoized(
+            self.store,
+            tagged_key("probe", &words),
+            self.solver,
+            simulate,
+        )
+    }
+}
+
 /// Drives circuit-level analysis of one macro cell type.
 ///
 /// `Sync` is a supertrait: the parallel executor shares one harness
@@ -199,6 +252,21 @@ pub trait MacroHarness: Sync {
     /// Classifies the voltage fault signature from the nominal and faulty
     /// measurement vectors.
     fn classify_voltage(&self, nominal: &[f64], faulty: &[f64]) -> VoltageSignature;
+
+    /// [`MacroHarness::classify_voltage`] for classifiers that simulate
+    /// further (bias_gen drives a nominal comparator with the faulty bias
+    /// vector): every such simulation goes through `probe`, so the
+    /// pipeline's store memoizes it and the class's solver stats count
+    /// it. The default simulates nothing and ignores `probe`.
+    fn classify_voltage_with(
+        &self,
+        nominal: &[f64],
+        faulty: &[f64],
+        probe: &mut Probe<'_>,
+    ) -> VoltageSignature {
+        let _ = probe;
+        self.classify_voltage(nominal, faulty)
+    }
 
     /// Nets shared with other macros (clock/bias/reference/supply trunks):
     /// a fault touching one of these shifts *every* instance, so its

@@ -1,15 +1,19 @@
 //! Harness for the bias generator.
 
-use crate::harness::{with_instrumented_sim_warm, MacroHarness, Warm, WarmCursor};
+use crate::harness::{
+    with_instrumented_sim, with_instrumented_sim_warm, MacroHarness, Probe, Warm, WarmCursor,
+};
 use crate::measure::{MeasureKind, MeasureLabel, MeasurementPlan};
+use crate::memo::MemoryStore;
 use crate::signature::{CurrentKind, VoltageSignature};
 use dotm_adc::comparator::{
-    comparator_testbench, decision_sim_time, read_decision, ComparatorConfig, ComparatorStimulus,
+    comparator_testbench, decision_sim_time, decision_time, read_decision, ComparatorConfig,
+    ComparatorStimulus,
 };
 use dotm_adc::process::BiasValues;
 use dotm_layout::Layout;
 use dotm_netlist::Netlist;
-use dotm_sim::{SimError, SimOptions, SimStats, Simulator};
+use dotm_sim::{SimError, SimOptions, SimStats};
 
 use super::comparator::{DECISION_DVS, VREF_MID};
 
@@ -29,6 +33,24 @@ pub struct BiasHarness {
 impl Default for BiasHarness {
     fn default() -> Self {
         BiasHarness { dt: 0.25e-9 }
+    }
+}
+
+impl BiasHarness {
+    /// The comparator's decision at each of [`DECISION_DVS`] on the
+    /// propagation testbench `nl`: one transient per input step.
+    fn propagate(&self, nl: &Netlist, stats: &mut SimStats) -> Result<Vec<f64>, SimError> {
+        let _span = dotm_obs::span("bias propagation", "propagation");
+        DECISION_DVS
+            .iter()
+            .map(|dv| {
+                let tr = with_instrumented_sim(nl, &SimOptions::default(), stats, |sim| {
+                    sim.override_source("VIN", VREF_MID + dv)?;
+                    sim.transient(decision_sim_time(), self.dt)
+                })?;
+                Ok(read_decision(nl, &tr))
+            })
+            .collect()
     }
 }
 
@@ -86,6 +108,17 @@ impl MacroHarness for BiasHarness {
     }
 
     fn classify_voltage(&self, nominal: &[f64], faulty: &[f64]) -> VoltageSignature {
+        let memo = MemoryStore::new();
+        let mut stats = SimStats::default();
+        self.classify_voltage_with(nominal, faulty, &mut Probe::new(&memo, 0, &mut stats))
+    }
+
+    fn classify_voltage_with(
+        &self,
+        nominal: &[f64],
+        faulty: &[f64],
+        probe: &mut Probe<'_>,
+    ) -> VoltageSignature {
         let max_dev = nominal[0..4]
             .iter()
             .zip(&faulty[0..4])
@@ -104,23 +137,15 @@ impl MacroHarness for BiasHarness {
         let mut stim = ComparatorStimulus::dc_offset(VREF_MID, 0.0);
         stim.bias = bias;
         let nl = comparator_testbench(ComparatorConfig::default(), &stim);
-        // These transients run outside the measurement plumbing, so their
-        // Newton solves reach no `SimStats`; the span and counter show
-        // them in the phase profile instead.
-        let _span = dotm_obs::span("bias propagation", "propagation");
-        let mut decisions = Vec::new();
-        for dv in DECISION_DVS {
-            let mut sim = Simulator::new(&nl);
-            if sim.override_source("VIN", VREF_MID + dv).is_err() {
-                return VoltageSignature::Mixed;
-            }
-            let run = sim.transient(decision_sim_time(), self.dt);
-            dotm_obs::counter("bias.propagation_solves", sim.stats().nr_solves);
-            match run {
-                Ok(tr) => decisions.push(read_decision(&nl, &tr)),
-                Err(_) => return VoltageSignature::Mixed,
-            }
-        }
+        let mut salt = vec![
+            self.dt.to_bits(),
+            decision_sim_time().to_bits(),
+            decision_time().to_bits(),
+        ];
+        salt.extend(DECISION_DVS.iter().map(|dv| dv.to_bits()));
+        let Ok(decisions) = probe.simulate(&nl, &salt, |stats| self.propagate(&nl, stats)) else {
+            return VoltageSignature::Mixed;
+        };
         let sgn = |v: f64| -> Option<bool> {
             if v > 2.0 {
                 Some(true)
@@ -146,5 +171,90 @@ impl MacroHarness for BiasHarness {
 
     fn shared_nets(&self) -> Vec<&'static str> {
         Vec::new()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::memo::CachedMeasurement;
+    use crate::pipeline::MeasurementStore;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// A memo that counts the entries it was asked to store.
+    #[derive(Default)]
+    struct Counting {
+        memo: MemoryStore,
+        stores: AtomicUsize,
+    }
+
+    impl MeasurementStore for Counting {
+        fn load(&self, key: u128) -> Option<CachedMeasurement> {
+            self.memo.load(key)
+        }
+
+        fn store(&self, key: u128, value: &CachedMeasurement) {
+            self.stores.fetch_add(1, Ordering::Relaxed);
+            self.memo.store(key, value);
+        }
+    }
+
+    /// The nominal bias vector and one whose `vbn` is off by 100 mV —
+    /// far enough to need propagation.
+    fn vectors() -> (Vec<f64>, Vec<f64>) {
+        let h = BiasHarness::default();
+        let nominal = h.measure(&h.testbench()).expect("nominal bias");
+        let mut faulty = nominal.clone();
+        faulty[0] += 0.1;
+        (nominal, faulty)
+    }
+
+    #[test]
+    fn propagation_is_memoized_per_time_step_and_counted() {
+        let (nominal, faulty) = vectors();
+        let store = Counting::default();
+        let fine = BiasHarness::default();
+        let coarse = BiasHarness { dt: 2.0 * fine.dt };
+
+        let mut first = SimStats::default();
+        let sig =
+            fine.classify_voltage_with(&nominal, &faulty, &mut Probe::new(&store, 0, &mut first));
+        assert_eq!(store.stores.load(Ordering::Relaxed), 1);
+        assert!(first.nr_solves > 0, "the propagation solves are counted");
+        assert_eq!(sig, fine.classify_voltage(&nominal, &faulty));
+
+        // Another time step is another propagation: it must not replay
+        // the first harness's entry.
+        let mut other = SimStats::default();
+        coarse.classify_voltage_with(&nominal, &faulty, &mut Probe::new(&store, 0, &mut other));
+        assert_eq!(store.stores.load(Ordering::Relaxed), 2, "dt is in the key");
+
+        // The same harness again replays, with the same accounting.
+        let mut replayed = SimStats::default();
+        let again = fine.classify_voltage_with(
+            &nominal,
+            &faulty,
+            &mut Probe::new(&store, 0, &mut replayed),
+        );
+        assert_eq!(
+            store.stores.load(Ordering::Relaxed),
+            2,
+            "replayed, not rerun"
+        );
+        assert_eq!(replayed, first);
+        assert_eq!(again, sig);
+    }
+
+    #[test]
+    fn small_deviations_simulate_nothing() {
+        let (nominal, _) = vectors();
+        let store = Counting::default();
+        let mut stats = SimStats::default();
+        let h = BiasHarness::default();
+        let sig =
+            h.classify_voltage_with(&nominal, &nominal, &mut Probe::new(&store, 0, &mut stats));
+        assert_eq!(sig, VoltageSignature::NoDeviation);
+        assert_eq!(store.stores.load(Ordering::Relaxed), 0);
+        assert!(stats.is_empty());
     }
 }

@@ -5,7 +5,7 @@
 
 use crate::exec::{self, ExecConfig};
 use crate::goodspace::{GoodSpace, GoodSpaceConfig};
-use crate::harness::{MacroHarness, Warm, WarmStart};
+use crate::harness::{MacroHarness, Probe, Warm, WarmStart};
 use crate::memo::{CachedMeasurement, MemoryStore};
 use crate::signature::{CurrentFlags, DetectionSet, VoltageSignature};
 use dotm_defects::{
@@ -236,7 +236,10 @@ impl std::error::Error for PathError {}
 /// in-memory [`MemoryStore`] by default, or a persistent store (such as
 /// `dotm_store::DiskStore`) that extends the memo across runs.
 ///
-/// Keys mix a netlist content digest with an escalation rung; a
+/// Keys mix a netlist content digest with an escalation rung. Two more
+/// record kinds share the key space under tagged keys: the good space's
+/// Monte-Carlo corners ([`GoodSpace::store_key`]) and the follow-up
+/// simulations of a voltage classifier ([`Probe`]). A
 /// persistent implementation is expected to fold its own campaign context
 /// (harness configuration, seeds, sigma bounds) into the key before
 /// touching storage, so stale entries can never be replayed.
@@ -387,8 +390,10 @@ impl fmt::Display for ShardSpec {
 pub struct PipelineHooks<'a> {
     /// Measurement store: consulted before every solve
     /// (load-before-evaluate), appended to after every computed
-    /// measurement (append-after-evaluate). `None` runs against a fresh
-    /// [`MemoryStore`], so duplicates are solved once either way.
+    /// measurement (append-after-evaluate) — class measurements, the
+    /// good space's Monte-Carlo corners and classifier follow-up
+    /// simulations alike. `None` runs against a fresh [`MemoryStore`],
+    /// so duplicates are solved once either way.
     pub store: Option<&'a dyn MeasurementStore>,
     /// In-order completion observer (campaign journaling, abort
     /// injection).
@@ -794,9 +799,12 @@ pub fn run_macro_path_with_faults_hooked(
     hooks: &PipelineHooks<'_>,
 ) -> Result<MacroReport, PathError> {
     let _macro_span = dotm_obs::span_with("macro", || format!("macro {}", harness.name()));
+    let memo = MemoryStore::new();
+    let store = hooks.store.unwrap_or(&memo);
     let mut gs_cfg = cfg.goodspace;
     gs_cfg.warm_start = gs_cfg.warm_start && cfg.warm_start;
-    let good = GoodSpace::compile(harness, &cfg.process, gs_cfg).map_err(PathError::GoodCircuit)?;
+    let good = GoodSpace::compile_in(harness, &cfg.process, gs_cfg, store)
+        .map_err(PathError::GoodCircuit)?;
     let injector = Injector::default();
     let shared: HashSet<&str> = harness.shared_nets().into_iter().collect();
     let base = harness.testbench();
@@ -807,8 +815,6 @@ pub fn run_macro_path_with_faults_hooked(
     } else {
         None
     };
-    let memo = MemoryStore::new();
-    let store = hooks.store.unwrap_or(&memo);
 
     let classes: Vec<_> = match cfg.max_classes {
         Some(n) => collapsed.classes.iter().take(n).collect(),
@@ -863,7 +869,8 @@ pub fn run_macro_path_with_faults_hooked(
             .iter()
             .map(|&severity| {
                 evaluate_class(
-                    harness, &injector, &good, &base, effect, severity, is_shared, cfg, warm, store,
+                    harness, &injector, &good, &base, effect, severity, is_shared, cfg, warm,
+                    store, ci,
                 )
             })
             .collect();
@@ -950,22 +957,35 @@ fn store_key(digest: u128, rung: u8) -> u128 {
     (digest ^ (rung as u128 + 1)).wrapping_mul(0x0000000001000000000000000000013b)
 }
 
-/// Runs one `(netlist, rung)` measurement through the store: a hit
-/// replays the stored solver-stats delta into `solver`, so accounting is
-/// identical whether the measurement was computed or replayed; a miss
-/// solves and stores.
-#[allow(clippy::too_many_arguments)]
-fn measure_rung(
-    harness: &dyn MacroHarness,
-    nl: &Netlist,
-    opts: &SimOptions,
-    solver: &mut SimStats,
-    warm: Option<&WarmStart>,
+/// The store key of a record that is not a `(netlist, rung)`
+/// measurement (the good space's Monte Carlo, a classifier's follow-up
+/// simulation): 128-bit FNV-1a over a tag naming the record kind and the
+/// words its value depends on. Distinct tags keep the kinds apart, and a
+/// collision with a [`store_key`] is as unlikely as any 128-bit one.
+pub(crate) fn tagged_key(tag: &str, words: &[u64]) -> u128 {
+    let mut h: u128 = 0x6c62272e07bb014262b821756295c58d;
+    let bytes = (tag.len() as u64)
+        .to_le_bytes()
+        .into_iter()
+        .chain(tag.bytes())
+        .chain(words.iter().flat_map(|w| w.to_le_bytes()));
+    for b in bytes {
+        h ^= b as u128;
+        h = h.wrapping_mul(0x0000000001000000000000000000013b);
+    }
+    h
+}
+
+/// Answers `key` from `store`, or computes it with `compute` and stores
+/// the result. Either way the entry's solver-stats delta is merged into
+/// `solver`, so accounting is identical whether the value was computed
+/// or replayed.
+pub(crate) fn memoized(
     store: &dyn MeasurementStore,
-    digest: u128,
-    rung: u8,
+    key: u128,
+    solver: &mut SimStats,
+    compute: impl FnOnce(&mut SimStats) -> Result<Vec<f64>, SimError>,
 ) -> Result<Vec<f64>, SimError> {
-    let key = store_key(digest, rung);
     if let Some((result, delta)) = store.load(key) {
         // Honest replay marker: the deterministic artifacts must not
         // distinguish a replayed measurement from a computed one, so the
@@ -975,7 +995,7 @@ fn measure_rung(
         return result;
     }
     let mut delta = SimStats::default();
-    let result = harness.measure_with(nl, opts, &mut delta, warm.map_or(Warm::Cold, Warm::Seed));
+    let result = compute(&mut delta);
     store.store(key, &(result.clone(), delta));
     solver.merge(&delta);
     result
@@ -1003,7 +1023,9 @@ fn measure_escalated(
         // its own span, so the trace shows how much wall-clock the ladder
         // itself costs (rung 0 is the ordinary first attempt).
         let rung_span = dotm_obs::span_with("rung", || format!("rung {rung}"));
-        let outcome = measure_rung(harness, nl, &opts, solver, warm, store, digest, rung);
+        let outcome = memoized(store, store_key(digest, rung), solver, |delta| {
+            harness.measure_with(nl, &opts, delta, warm.map_or(Warm::Cold, Warm::Seed))
+        });
         drop(rung_span);
         match outcome {
             Ok(meas) => return Some((meas, rung)),
@@ -1038,15 +1060,17 @@ fn compete(best: Option<(u32, VariantEval)>, candidate: VariantEval) -> Option<(
 }
 
 /// Classifies one successful measurement into its competing
-/// [`VariantEval`].
+/// [`VariantEval`]; any follow-up simulation the classifier runs goes
+/// through `probe`.
 fn measured_eval(
     harness: &dyn MacroHarness,
     good: &GoodSpace,
     shared: bool,
     meas: &[f64],
     used_rung: u8,
+    probe: &mut Probe<'_>,
 ) -> VariantEval {
-    let voltage = harness.classify_voltage(&good.nominal, meas);
+    let voltage = harness.classify_voltage_with(&good.nominal, meas, probe);
     let currents = good.current_flags(harness, meas, shared);
     let flagged = good.flagged_indices(harness, meas, shared);
     let detection = DetectionSet {
@@ -1150,7 +1174,8 @@ fn finish_class(
 
 /// Evaluates one class at one severity, keeping the worst-case (hardest
 /// to detect) model variant. Variants that fail to simulate at every
-/// ladder rung enter the selection per `policy`.
+/// ladder rung enter the selection per `policy`. Classifier follow-up
+/// simulations are scoped to `class_index` (see [`Probe::new`]).
 #[allow(clippy::too_many_arguments)]
 fn evaluate_class(
     harness: &dyn MacroHarness,
@@ -1163,6 +1188,7 @@ fn evaluate_class(
     cfg: &PipelineConfig,
     warm: Option<&WarmStart>,
     store: &dyn MeasurementStore,
+    class_index: usize,
 ) -> Evaluated {
     let policy = cfg.sim_failure_policy;
     let ladder = cfg.escalation;
@@ -1187,7 +1213,10 @@ fn evaluate_class(
         }
         let candidate =
             match measure_escalated(harness, &nl, &base_opts, ladder, &mut solver, warm, store) {
-                Some((meas, used_rung)) => measured_eval(harness, good, shared, &meas, used_rung),
+                Some((meas, used_rung)) => {
+                    let mut probe = Probe::new(store, class_index as u64, &mut solver);
+                    measured_eval(harness, good, shared, &meas, used_rung, &mut probe)
+                }
                 None => match policy_eval(policy) {
                     Some(v) => v,
                     None => continue,
@@ -1322,6 +1351,17 @@ mod tests {
             ..PipelineConfig::default()
         };
         run_macro_path_with_faults(&DividerHarness, &cfg, &collapsed, 1e6).expect("path")
+    }
+
+    #[test]
+    fn tagged_keys_stay_clear_of_measurement_keys() {
+        let digest = DividerHarness.testbench().content_digest();
+        let words = [digest as u64, (digest >> 64) as u64];
+        let tagged = [tagged_key("goodspace", &words), tagged_key("probe", &words)];
+        assert_ne!(tagged[0], tagged[1], "the tag separates record kinds");
+        for rung in 0..ESCALATION_RUNGS as u8 {
+            assert!(!tagged.contains(&store_key(digest, rung)), "rung {rung}");
+        }
     }
 
     #[test]

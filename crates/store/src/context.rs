@@ -7,10 +7,12 @@ use dotm_core::{MacroHarness, MeasureKind, PipelineConfig, SimFailurePolicy};
 use dotm_sim::Integration;
 
 /// Bumped whenever any persisted encoding changes shape, or the solver
-/// changes the values it persists (4: chord Newton in transient solves),
+/// changes the values it persists (4: chord Newton in transient solves;
+/// 5: LEB128 stats words and lengths, the good space's Monte-Carlo
+/// record, and bias_gen's propagation solves counted in class stats),
 /// so old stores and journals age out as misses instead of decoding
 /// wrongly or replaying another solver's numbers.
-pub const FORMAT_VERSION: u64 = 4;
+pub const FORMAT_VERSION: u64 = 5;
 
 /// Computes the context fingerprint of one `(harness, config)` pair.
 ///

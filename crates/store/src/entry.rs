@@ -3,7 +3,9 @@
 //!
 //! Encodings are canonical — one byte sequence per value — which is what
 //! lets serial and multi-threaded runs write byte-identical stores and
-//! journals. Decoding is total: any unknown tag, truncation or trailing
+//! journals. Solver-stats words and sequence lengths are LEB128 varints
+//! (most counters fit in one or two bytes); floats keep their exact
+//! eight-byte bit patterns. Decoding is total: any unknown tag, truncation or trailing
 //! garbage yields `None` and the caller treats the record as absent.
 
 use crate::wire::{Reader, Writer};
@@ -88,7 +90,7 @@ fn decode_sim_error(r: &mut Reader) -> Option<SimError> {
 
 fn encode_stats(w: &mut Writer, s: &SimStats) {
     for word in s.to_words() {
-        w.u64(word);
+        w.uvar(word);
     }
 }
 
@@ -112,7 +114,7 @@ fn decode_stats(r: &mut Reader) -> Option<SimStats> {
         &mut s.factor_refactor_fallbacks,
     ];
     for f in fields {
-        *f = r.u64()?;
+        *f = r.uvar()?;
     }
     Some(s)
 }
@@ -124,7 +126,7 @@ pub fn encode_measurement(m: &CachedMeasurement) -> Vec<u8> {
     match &m.0 {
         Ok(values) => {
             w.u8(0);
-            w.u64(values.len() as u64);
+            w.uvar(values.len() as u64);
             for v in values {
                 w.f64(*v);
             }
@@ -192,7 +194,7 @@ fn encode_outcome(w: &mut Writer, o: &ClassOutcome) {
     w.u8(o.detection.currents.ivdd as u8);
     w.u8(o.detection.currents.iddq as u8);
     w.u8(o.detection.currents.iinput as u8);
-    w.u64(o.flagged.len() as u64);
+    w.uvar(o.flagged.len() as u64);
     for &i in &o.flagged {
         w.u64(i as u64);
     }
@@ -273,7 +275,7 @@ fn decode_outcome(r: &mut Reader) -> Option<ClassOutcome> {
 /// payload).
 pub fn encode_outcomes(outcomes: &[ClassOutcome]) -> Vec<u8> {
     let mut w = Writer::new();
-    w.u64(outcomes.len() as u64);
+    w.uvar(outcomes.len() as u64);
     for o in outcomes {
         encode_outcome(&mut w, o);
     }
@@ -297,6 +299,8 @@ pub fn decode_outcomes(bytes: &[u8]) -> Option<Vec<ClassOutcome>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dotm_rng::rngs::StdRng;
+    use dotm_rng::{Rng, RngCore, SeedableRng};
 
     fn sample_stats() -> SimStats {
         SimStats {
@@ -442,6 +446,169 @@ mod tests {
         }
         // Canonical: re-encoding the decode gives the same bytes.
         assert_eq!(encode_outcomes(&back), bytes);
+    }
+
+    /// One encoded measurement pinned byte for byte: a codec change that
+    /// does not bump `FORMAT_VERSION` (and so would misread old stores)
+    /// fails here.
+    #[test]
+    fn measurement_encoding_is_pinned_to_the_format_version() {
+        assert_eq!(crate::context::FORMAT_VERSION, 5);
+        let m: CachedMeasurement = (Ok(vec![1.25, -3.5e-6]), sample_stats_wide());
+        assert_eq!(
+            crate::wire::to_hex(&encode_measurement(&m)),
+            "0002000000000000f43fb75f3e59315ccdbe02ac020100000000007803010000c80100"
+        );
+    }
+
+    fn sample_stats_wide() -> SimStats {
+        SimStats {
+            nr_solves: 2,
+            nr_iterations: 300,
+            converged_plain: 1,
+            tran_steps: 120,
+            rejected_steps: 3,
+            step_halvings: 1,
+            factor_reuse_hits: 200,
+            ..SimStats::default()
+        }
+    }
+
+    fn random_stats(rng: &mut StdRng) -> SimStats {
+        let mut words = [0u64; 15];
+        for w in &mut words {
+            // Mostly small counters, sometimes any width up to u64::MAX.
+            *w = rng.next_u64() >> rng.gen_range(0u32..64);
+        }
+        let [nr_solves, nr_iterations, converged_plain, converged_gmin, converged_source, dc_failures, singular_pivots, maxiter_exhausted, tran_steps, rejected_steps, step_halvings, warm_hits, warm_misses, factor_reuse_hits, factor_refactor_fallbacks] =
+            words;
+        SimStats {
+            nr_solves,
+            nr_iterations,
+            converged_plain,
+            converged_gmin,
+            converged_source,
+            dc_failures,
+            singular_pivots,
+            maxiter_exhausted,
+            tran_steps,
+            rejected_steps,
+            step_halvings,
+            warm_hits,
+            warm_misses,
+            factor_reuse_hits,
+            factor_refactor_fallbacks,
+        }
+    }
+
+    fn random_measurement(rng: &mut StdRng) -> CachedMeasurement {
+        let result = if rng.gen_bool(0.8) {
+            let n = rng.gen_range(0usize..200);
+            Ok((0..n).map(|_| f64::from_bits(rng.next_u64())).collect())
+        } else {
+            Err(SimError::NoConvergence {
+                analysis: ANALYSES[rng.gen_range(0usize..ANALYSES.len())],
+                time: rng.gen_bool(0.5).then(|| rng.gen_f64()),
+                iterations: rng.gen_range(0usize..100_000),
+            })
+        };
+        (result, random_stats(rng))
+    }
+
+    /// A varint in its canonical form followed by `extra` redundant zero
+    /// groups — the same value, spelled overlong.
+    fn overlong(v: u64, extra: usize) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.uvar(v);
+        let mut bytes = w.into_bytes();
+        for _ in 0..extra {
+            *bytes.last_mut().expect("one byte at least") |= 0x80;
+            bytes.push(0);
+        }
+        bytes
+    }
+
+    /// Decodes `bytes` with every payload decoder; whatever is accepted
+    /// must re-encode to exactly `bytes`.
+    fn assert_canonical_or_rejected(bytes: &[u8]) {
+        if let Some(m) = decode_measurement(bytes) {
+            assert_eq!(encode_measurement(&m), bytes, "measurement {bytes:02x?}");
+        }
+        if let Some(o) = decode_outcomes(bytes) {
+            assert_eq!(encode_outcomes(&o), bytes, "outcomes {bytes:02x?}");
+        }
+    }
+
+    /// Seeded fuzz loop over the measurement, good-space and
+    /// journal-outcome payloads: random bytes, truncations, bit flips and
+    /// overlong varints never panic, valid values round-trip, and every
+    /// accepted input is the canonical encoding of what it decodes to.
+    #[test]
+    fn seeded_fuzz_round_trips_and_rejects_noncanonical_bytes() {
+        let mut rng = StdRng::seed_from_u64(0xD07_F022);
+        // The good space's record: an integral retry count and σ pairs.
+        let goodspace: CachedMeasurement = (Ok(vec![1.0, 2.5e-6, 3.0e-7]), sample_stats_wide());
+        let mut corpus = vec![
+            encode_measurement(&goodspace),
+            encode_measurement(&(Ok(vec![4.9, -4.9, 4.9, 5.0]), sample_stats())),
+            encode_measurement(&(Err(SimError::BadSource("VIN".into())), sample_stats())),
+            encode_outcomes(&[sample_outcome()]),
+        ];
+        for _ in 0..2_000 {
+            // NaN payloads make `==` useless; the bytes compare bits.
+            let bytes = encode_measurement(&random_measurement(&mut rng));
+            let back = decode_measurement(&bytes).expect("round trip");
+            assert_eq!(encode_measurement(&back), bytes, "round trip");
+            if corpus.len() < 32 {
+                corpus.push(bytes);
+            }
+            let mut o = sample_outcome();
+            o.solver = random_stats(&mut rng);
+            o.flagged = (0..rng.gen_range(0usize..6)).collect();
+            let bytes = encode_outcomes(&[o.clone(), o]);
+            let back = decode_outcomes(&bytes).expect("outcome round trip");
+            assert_eq!(encode_outcomes(&back), bytes, "outcome round trip");
+        }
+        for _ in 0..20_000 {
+            let seed = &corpus[rng.gen_range(0usize..corpus.len())];
+            let bytes = match rng.gen_range(0u32..3) {
+                0 => (0..rng.gen_range(0usize..48))
+                    .map(|_| rng.next_u64() as u8)
+                    .collect(),
+                1 => seed[..rng.gen_range(0usize..seed.len())].to_vec(),
+                _ => {
+                    let mut b = seed.clone();
+                    for _ in 0..rng.gen_range(1u32..4) {
+                        let at = rng.gen_range(0usize..b.len());
+                        b[at] ^= 1 << rng.gen_range(0u32..8);
+                    }
+                    b
+                }
+            };
+            assert_canonical_or_rejected(&bytes);
+        }
+        // Overlong varints: the same measurement with its length or one
+        // stats word spelled in a redundant longer form never decodes.
+        for _ in 0..2_000 {
+            let (result, stats) = random_measurement(&mut rng);
+            let Ok(values) = result else { continue };
+            let words = stats.to_words();
+            let which = rng.gen_range(0usize..=words.len());
+            let extra = rng.gen_range(1usize..3);
+            let mut bytes = vec![0u8];
+            bytes.extend(overlong(
+                values.len() as u64,
+                if which == 0 { extra } else { 0 },
+            ));
+            for v in &values {
+                bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+            }
+            for (k, w) in words.iter().enumerate() {
+                bytes.extend(overlong(*w, if which == k + 1 { extra } else { 0 }));
+            }
+            assert_eq!(decode_measurement(&bytes), None, "overlong field {which}");
+            assert_canonical_or_rejected(&bytes);
+        }
     }
 
     #[test]

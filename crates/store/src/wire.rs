@@ -2,6 +2,11 @@
 //! external crates). Every decode returns `Option`: any truncation,
 //! overflow or bad tag is a `None`, which the store layers above treat
 //! as a cache miss — never as an error.
+//!
+//! Small counts (solver-stats words, sequence lengths) travel as
+//! unsigned LEB128 varints: seven bits per byte, low group first, the
+//! high bit set on every byte but the last. Only the shortest form
+//! decodes, so each value has exactly one encoding.
 
 /// Append-only byte buffer writer.
 #[derive(Default)]
@@ -33,6 +38,15 @@ impl Writer {
     /// One little-endian u64.
     pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// One unsigned LEB128 varint (1 to 10 bytes).
+    pub fn uvar(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
     }
 
     /// One little-endian u128.
@@ -92,6 +106,26 @@ impl<'a> Reader<'a> {
             .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 
+    /// One canonical unsigned LEB128 varint. Overlong forms (a final
+    /// zero group after the first byte) and values past `u64::MAX` are
+    /// rejected.
+    pub fn uvar(&mut self) -> Option<u64> {
+        let mut v: u64 = 0;
+        for i in 0..10 {
+            let b = self.u8()?;
+            let group = u64::from(b & 0x7f);
+            // The tenth byte holds bit 63 alone.
+            if i == 9 && group > 1 {
+                return None;
+            }
+            v |= group << (7 * i);
+            if b & 0x80 == 0 {
+                return (i == 0 || group != 0).then_some(v);
+            }
+        }
+        None
+    }
+
     /// One little-endian u128.
     pub fn u128(&mut self) -> Option<u128> {
         self.raw(16)
@@ -112,11 +146,11 @@ impl<'a> Reader<'a> {
         String::from_utf8(bytes.to_vec()).ok()
     }
 
-    /// A length prefix for a sequence of items at least `min_item` bytes
-    /// each — bounded up front so corrupt counts fail fast instead of
-    /// attempting huge allocations.
+    /// A varint length prefix for a sequence of items at least
+    /// `min_item` bytes each — bounded up front so corrupt counts fail
+    /// fast instead of attempting huge allocations.
     pub fn seq_len(&mut self, min_item: usize) -> Option<usize> {
-        let n = usize::try_from(self.u64()?).ok()?;
+        let n = usize::try_from(self.uvar()?).ok()?;
         let remaining = self.buf.len() - self.pos;
         if n.checked_mul(min_item.max(1))? > remaining {
             return None;
@@ -190,6 +224,37 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(r.str(), None);
+    }
+
+    #[test]
+    fn varints_are_canonical_leb128() {
+        for (v, hex) in [
+            (0u64, "00"),
+            (1, "01"),
+            (127, "7f"),
+            (128, "8001"),
+            (300, "ac02"),
+            (u64::MAX, "ffffffffffffffffff01"),
+        ] {
+            let mut w = Writer::new();
+            w.uvar(v);
+            let bytes = w.into_bytes();
+            assert_eq!(to_hex(&bytes), hex, "{v}");
+            let mut r = Reader::new(&bytes);
+            assert_eq!(r.uvar(), Some(v));
+            assert!(r.is_empty());
+        }
+        for (bad, why) in [
+            ("8000", "overlong zero"),
+            ("ff00", "overlong 127"),
+            ("ffffffffffffffffff02", "past u64::MAX"),
+            ("ffffffffffffffffff8101", "eleven bytes"),
+            ("80", "truncated"),
+            ("", "empty"),
+        ] {
+            let bytes = from_hex(bad).expect("hex");
+            assert_eq!(Reader::new(&bytes).uvar(), None, "{why}");
+        }
     }
 
     #[test]

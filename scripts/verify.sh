@@ -88,7 +88,7 @@ echo "$warm" | grep -q " computed=0 " || {
     echo "FAIL: warm campaign ran the solver"; echo "$warm"; exit 1; }
 diff <(echo "$cold" | strip_effort) <(echo "$warm" | strip_effort) || {
     echo "FAIL: warm campaign changed a reported number"; exit 1; }
-echo "    warm rerun: 100% store hits, zero solver calls, identical report"
+echo "    warm rerun: 100% store hits, only the nominal measurements solved, identical report"
 
 # An injected abort is an interruption at a resumable point: its exit
 # code is the INTERRUPTED contract value (5), not success and not a
@@ -136,8 +136,8 @@ echo "==> service: campaign-as-a-service round-trip (serve_roundtrip)"
 # HTTP, streams its NDJSON progress events, and hard-gates the contract:
 # the HTTP report is byte-identical to a plain CLI campaign over the
 # same store path, resubmission answers cached from the finished job,
-# and a forced fresh re-run over the warmed store performs zero solver
-# work (misses=0 computed=0) with every fingerprint reproduced. The
+# and a forced fresh re-run over the warmed store computes nothing
+# (misses=0 computed=0) with every fingerprint reproduced. The
 # progress stream must carry one event per class the CLI evaluated.
 cargo run --release --locked -p dotm-bench --bin serve_roundtrip
 

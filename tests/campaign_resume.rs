@@ -5,18 +5,20 @@
 //!   real signal) and resumed from its journal produces a bit-identical
 //!   `MacroReport` fingerprint, and a byte-identical journal, to an
 //!   uninterrupted run;
-//! * a second (warm) run answers every measurement from the store —
-//!   zero computed entries, i.e. zero Newton iterations on stored
-//!   classes — at any thread count, with an identical fingerprint;
+//! * a second (warm) run answers every lookup from the store — zero
+//!   computed entries, so only the nominal measurement solves — at any
+//!   thread count, with an identical fingerprint;
 //! * serial and multi-threaded runs write byte-identical store contents;
 //! * a corrupted store entry degrades to a recomputed miss, never a
-//!   wrong verdict, an error, or a crash.
+//!   wrong verdict, an error, or a crash;
+//! * the good space's Monte-Carlo record and bias_gen's propagation
+//!   transients replay from the store like every measurement.
 
-use dotm::core::harnesses::ComparatorHarness;
+use dotm::core::harnesses::{BiasHarness, ComparatorHarness};
 use dotm::core::{
-    run_macro_path_with_faults, run_macro_path_with_faults_hooked, ClassObserver, ClassOutcome,
-    ExecConfig, GoodSpaceConfig, MacroHarness, MacroReport, PathError, PipelineConfig,
-    PipelineHooks, ShardSpec,
+    run_macro_path_with_faults, run_macro_path_with_faults_hooked, CachedMeasurement,
+    ClassObserver, ClassOutcome, ExecConfig, GoodSpace, GoodSpaceConfig, MacroHarness, MacroReport,
+    MeasurementStore, PathError, PipelineConfig, PipelineHooks, ShardSpec,
 };
 use dotm::defects::{sprinkle_collapsed, CollapseReport, Sprinkler};
 use dotm_store::{
@@ -377,6 +379,200 @@ fn corrupted_entry_degrades_to_a_recomputed_miss() {
     let (_, healed) = campaign_run(&fx, &dir, 2, false, usize::MAX).expect("healed");
     assert_eq!(healed.computed, 0);
     let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn corrupted_goodspace_entry_recomputes_only_itself_and_heals() {
+    let fx = fixture();
+    let dir = tmpdir("corrupt-goodspace");
+    let run = |max_classes: Option<usize>| {
+        let cfg = PipelineConfig {
+            max_classes,
+            ..config(2)
+        };
+        let store = DiskStore::open(&dir, pipeline_context(&fx.harness, &cfg)).expect("open");
+        let hooks = PipelineHooks {
+            store: Some(&store),
+            ..PipelineHooks::default()
+        };
+        let report =
+            run_macro_path_with_faults_hooked(&fx.harness, &cfg, &fx.collapsed, fx.area, &hooks)
+                .expect("comparator path");
+        (report, store.counters())
+    };
+    // With no class to evaluate, the one entry a run writes is the good
+    // space's (the class cap is not part of the store context).
+    let (_, gs_only) = run(Some(0));
+    assert_eq!(gs_only.computed, 1);
+    let entries = |dir: &Path| -> Vec<String> {
+        snapshot(dir)
+            .into_iter()
+            .map(|(path, _)| path)
+            .filter(|path| path.ends_with(".ent"))
+            .collect()
+    };
+    let gs_entry = entries(&dir).pop().expect("the good-space entry");
+
+    let full = config(2).max_classes;
+    let (cold, cold_counters) = run(full);
+    assert!(cold_counters.computed > 0, "the classes are computed");
+    let index = entries(&dir)
+        .iter()
+        .position(|e| *e == gs_entry)
+        .expect("the good-space entry survives");
+    let hit = corrupt_one_entry(&dir, index)
+        .expect("corruption probe")
+        .expect("store has the entry");
+    assert!(hit.ends_with(&gs_entry), "{hit:?} is the good-space entry");
+
+    let (rerun, counters) = run(full);
+    assert_eq!(rerun.fingerprint(), cold.fingerprint());
+    assert_eq!(
+        (counters.computed, counters.misses),
+        (1, 1),
+        "only the good space is recomputed"
+    );
+    let (healed_run, healed) = run(full);
+    assert_eq!(healed_run.fingerprint(), cold.fingerprint());
+    assert_eq!(
+        (healed.computed, healed.misses),
+        (0, 0),
+        "the rewrite healed it"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// One answered load or one store, as the pipeline issued it.
+struct Logged {
+    key: u128,
+    values: Option<usize>,
+    nr_solves: u64,
+}
+
+/// Forwards to a `DiskStore`, logging every answered load and every
+/// store — each one delta the pipeline merged into some solver stats.
+struct Recorder<'a> {
+    inner: &'a DiskStore,
+    log: Mutex<Vec<Logged>>,
+}
+
+impl Recorder<'_> {
+    fn push(&self, key: u128, value: &CachedMeasurement) {
+        self.log.lock().expect("log").push(Logged {
+            key,
+            values: value.0.as_ref().ok().map(Vec::len),
+            nr_solves: value.1.nr_solves,
+        });
+    }
+}
+
+impl MeasurementStore for Recorder<'_> {
+    fn load(&self, key: u128) -> Option<CachedMeasurement> {
+        let out = self.inner.load(key);
+        if let Some(value) = &out {
+            self.push(key, value);
+        }
+        out
+    }
+
+    fn store(&self, key: u128, value: &CachedMeasurement) {
+        self.push(key, value);
+        self.inner.store(key, value);
+    }
+}
+
+fn bias_config(threads: usize) -> PipelineConfig {
+    PipelineConfig {
+        goodspace: GoodSpaceConfig {
+            common_samples: 2,
+            mismatch_samples: 2,
+            seed: 7,
+            exec: ExecConfig::with_threads(threads),
+            ..GoodSpaceConfig::default()
+        },
+        max_classes: Some(8),
+        ..config(threads)
+    }
+}
+
+/// One store-backed bias_gen run: the report, the session counters and
+/// the log of every delta the run merged.
+fn bias_run(dir: &Path, threads: usize) -> (MacroReport, dotm_store::StoreCounters, Vec<Logged>) {
+    let harness = BiasHarness::default();
+    let cfg = bias_config(threads);
+    let layout = harness.layout();
+    let sprinkler = Sprinkler::new(&layout, cfg.stats.clone());
+    let collapsed = sprinkle_collapsed(&sprinkler, cfg.defects, cfg.seed);
+    let store = DiskStore::open(dir, pipeline_context(&harness, &cfg)).expect("open");
+    let recorder = Recorder {
+        inner: &store,
+        log: Mutex::new(Vec::new()),
+    };
+    let hooks = PipelineHooks {
+        store: Some(&recorder),
+        ..PipelineHooks::default()
+    };
+    let report =
+        run_macro_path_with_faults_hooked(&harness, &cfg, &collapsed, sprinkler.area_nm2(), &hooks)
+            .expect("bias path");
+    let log = recorder.log.into_inner().expect("log");
+    (report, store.counters(), log)
+}
+
+#[test]
+fn warm_run_replays_the_good_space_and_the_propagation_transients() {
+    let harness = BiasHarness::default();
+    let cfg = bias_config(1);
+    let gs_key = GoodSpace::store_key(&harness, &cfg.process, &cfg.goodspace);
+    // bias_gen measures five values; a propagation entry holds the four
+    // decisions of the nominal comparator driven by the faulty biases.
+    let propagated = |log: &[Logged]| -> u64 {
+        log.iter()
+            .filter(|e| e.key != gs_key && e.values == Some(4))
+            .map(|e| e.nr_solves)
+            .sum()
+    };
+    let class_solves =
+        |r: &MacroReport| -> u64 { r.outcomes.iter().map(|o| o.solver.nr_solves).sum() };
+    let mut bodies = Vec::new();
+    for threads in [1, 4] {
+        let dir = tmpdir(&format!("replay-{threads}"));
+        let (cold, _, cold_log) = bias_run(&dir, threads);
+        let (warm, counters, warm_log) = bias_run(&dir, threads);
+        assert_eq!(warm.fingerprint(), cold.fingerprint(), "threads={threads}");
+        assert_eq!(
+            format!("{warm:?}"),
+            format!("{cold:?}"),
+            "threads={threads}"
+        );
+        assert_eq!(
+            (counters.computed, counters.misses),
+            (0, 0),
+            "threads={threads}"
+        );
+        assert!(
+            warm_log.iter().any(|e| e.key == gs_key),
+            "the good space is replayed (threads={threads})"
+        );
+        assert!(
+            propagated(&warm_log) > 0,
+            "propagation replayed (threads={threads})"
+        );
+        // Every class solve is one merged delta, propagation included, so
+        // bias_gen's solver stats are the same cold and warm.
+        for (report, log) in [(&cold, &cold_log), (&warm, &warm_log)] {
+            let merged: u64 = log
+                .iter()
+                .filter(|e| e.key != gs_key)
+                .map(|e| e.nr_solves)
+                .sum();
+            assert_eq!(class_solves(report), merged, "threads={threads}");
+        }
+        assert_eq!(propagated(&cold_log), propagated(&warm_log));
+        bodies.push(format!("{cold:?}"));
+        let _ = fs::remove_dir_all(&dir);
+    }
+    assert_eq!(bodies[0], bodies[1], "thread count");
 }
 
 #[test]
