@@ -1,6 +1,6 @@
 //! Performance benches for the engineering substrate, including the
-//! ablations DESIGN.md calls out (spatial index vs linear scan, dense LU,
-//! collapsing, simulator throughput, behavioural conversion).
+//! ablations DESIGN.md calls out (spatial index vs linear scan, sparse vs
+//! dense LU, collapsing, simulator throughput, behavioural conversion).
 //!
 //! Hand-rolled harness (`harness = false`, zero dependencies): each case
 //! is warmed up, then timed over enough iterations to fill a fixed
@@ -16,7 +16,7 @@ use dotm_defects::{collapse, DefectStatistics, Sprinkler};
 use dotm_layout::{Layer, Rect, ShapeId, SpatialIndex};
 use dotm_rng::rngs::StdRng;
 use dotm_rng::{Rng, SeedableRng};
-use dotm_sim::{DenseMatrix, Simulator};
+use dotm_sim::{DenseMatrix, LuFactors, Simulator, SparseLu};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -87,6 +87,26 @@ fn bench_dense_lu(filter: &Option<String>) {
             rhs
         });
     }
+}
+
+/// The comparator's transient Jacobian (n = 50) at its operating point,
+/// refactored by the static-order sparse LU and by the dense fallback.
+fn bench_sparse_lu(filter: &Option<String>) {
+    let stim = ComparatorStimulus::dc_offset(2.5, 0.02);
+    let nl = comparator_testbench(ComparatorConfig::default(), &stim);
+    let mut sim = Simulator::new(&nl);
+    let op = sim.dc_op().expect("comparator operating point");
+    let a = sim.jacobian(op.unknowns(), Some(0.25e-9)).clone();
+    let mut lu = SparseLu::analyse(&a);
+    bench(filter, "sparse_lu/refactor_comparator", || {
+        lu.refactor(&a).expect("static pivots pass");
+        assert!(!lu.is_dense());
+    });
+    let dense = a.to_dense();
+    let mut factors = LuFactors::new();
+    bench(filter, "dense_lu/refactor_comparator", || {
+        factors.refactor(&dense).expect("nonsingular")
+    });
 }
 
 fn bench_sprinkle(filter: &Option<String>) {
@@ -200,6 +220,7 @@ fn main() {
     let filter = std::env::args().skip(1).find(|a| !a.starts_with("--"));
     println!("{:<42} {:>14}", "bench", "median");
     bench_dense_lu(&filter);
+    bench_sparse_lu(&filter);
     bench_sprinkle(&filter);
     bench_collapse(&filter);
     bench_simulator(&filter);

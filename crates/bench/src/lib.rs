@@ -255,7 +255,7 @@ fn print_accounting(
     }
     if solver.factor_reuse_hits + solver.factor_refactor_fallbacks > 0 {
         println!(
-            "  factor reuse: {} hits, {} refactor fallbacks",
+            "  factor reuse: {} exact-cache hits, {} sparse-to-dense LU fallbacks",
             solver.factor_reuse_hits, solver.factor_refactor_fallbacks,
         );
     }

@@ -189,6 +189,7 @@ mod tests {
             _model: &ProcessModel,
             _common: &CommonSample,
             _rng: &mut StdRng,
+            _stats: &mut dotm_sim::SimStats,
         ) {
         }
         fn classify_voltage(&self, _n: &[f64], _f: &[f64]) -> VoltageSignature {

@@ -98,7 +98,7 @@ fn compile_common_sample(
         let mut corner_error = None;
         for _ in 0..m {
             let mut nl = harness.testbench();
-            harness.perturb(&mut nl, model, &common, &mut rng);
+            harness.perturb(&mut nl, model, &common, &mut rng, &mut stats);
             let w = warm.map_or(Warm::Cold, Warm::Seed);
             match harness.measure_with(&nl, &opts, &mut stats, w) {
                 Ok(v) => per_mm.push(v),

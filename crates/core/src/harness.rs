@@ -238,14 +238,17 @@ pub trait MacroHarness: Sync {
 
     /// Applies one process Monte-Carlo sample. The default perturbs every
     /// device generically; harnesses whose bias inputs track the process
-    /// (comparator) override this.
+    /// (comparator) override this, and add the solver telemetry of any
+    /// simulation they run for it to `stats`.
     fn perturb(
         &self,
         nl: &mut Netlist,
         model: &ProcessModel,
         common: &CommonSample,
         rng: &mut StdRng,
+        stats: &mut SimStats,
     ) {
+        let _ = stats;
         model.perturb(nl, common, rng);
     }
 

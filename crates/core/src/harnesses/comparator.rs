@@ -233,6 +233,7 @@ impl MacroHarness for ComparatorHarness {
         model: &ProcessModel,
         common: &CommonSample,
         rng: &mut StdRng,
+        stats: &mut SimStats,
     ) {
         model.perturb(nl, common, rng);
         // The bias lines track the same process corner: re-derive their
@@ -242,7 +243,9 @@ impl MacroHarness for ComparatorHarness {
         let mut bias_nl = dotm_adc::bias::bias_testbench();
         model.perturb(&mut bias_nl, common, rng);
         let mut sim = Simulator::new(&bias_nl);
-        if let Ok(op) = sim.dc_op() {
+        let op = sim.dc_op();
+        stats.merge(sim.stats());
+        if let Ok(op) = op {
             for (src, net) in [
                 ("VBN", "vbn"),
                 ("VBNC", "vbnc"),

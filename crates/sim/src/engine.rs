@@ -2,8 +2,8 @@
 //! gmin- and source-stepping homotopies.
 
 use crate::error::SimError;
-use crate::matrix::{DenseMatrix, LuFactors};
 use crate::models::{diode_eval, mosfet_eval, switch_eval};
+use crate::sparse::{SparseLu, SparseMatrix};
 use crate::stats::SimStats;
 use dotm_netlist::{Device, DeviceId, DeviceKind, DiodeParams, Netlist, NodeId, Waveform};
 use std::collections::HashMap;
@@ -77,6 +77,12 @@ impl OpPoint {
         } else {
             self.x[node.index() - 1]
         }
+    }
+
+    /// The raw unknown vector: node voltages (ground excluded, in node
+    /// order), then voltage-source branch currents (in device order).
+    pub fn unknowns(&self) -> &[f64] {
+        &self.x
     }
 
     /// Current through an independent voltage source, flowing from its
@@ -236,9 +242,7 @@ impl ChordBasis {
 /// The netlist is immutable for the life of a [`Simulator`], so the
 /// structure of the MNA system — which cells each device touches, and
 /// the *values* of every x-independent stamp — is compiled once and
-/// replayed on every assembly. The ops are emitted in exact device-walk
-/// order with the same per-cell additions the interpretive walk
-/// performed, so a replayed assembly is bit-identical to the original;
+/// replayed on every assembly. The ops are emitted in device-walk order;
 /// only the per-device dispatch, row lookups and constant arithmetic are
 /// hoisted out of the Newton loop.
 pub(crate) enum PlanOp<'a> {
@@ -263,9 +267,9 @@ pub(crate) enum PlanOp<'a> {
 
 /// A circuit simulator bound to a netlist.
 ///
-/// Compiles the netlist's node/source structure once; every analysis
-/// (operating point, DC sweep, transient) reuses the compiled structure and
-/// the scratch matrix.
+/// Compiles the netlist's stamp plan, matrix pattern and sparse-LU
+/// symbolic analysis once; every analysis (operating point, DC sweep,
+/// transient) reuses them.
 ///
 /// ```
 /// use dotm_netlist::{Netlist, Waveform};
@@ -288,10 +292,16 @@ pub struct Simulator<'a> {
     opts: SimOptions,
     n_nodes: usize,
     vsrc: Vec<DeviceId>,
-    vsrc_row: HashMap<u32, usize>,
     n_unknowns: usize,
     source_override: HashMap<u32, f64>,
-    a: DenseMatrix,
+    /// Compiled stamp plan.
+    plan: Vec<PlanOp<'a>>,
+    /// The slot in `a` of every matrix stamp of one assembly, in stamping
+    /// order: the gmin diagonal, the plan's stamps, then the capacitor
+    /// companions (transient only). Recorded once by [`record_cells`].
+    slots: Vec<u32>,
+    /// The assembled MNA matrix, over the pattern of every stamp cell.
+    a: SparseMatrix,
     z: Vec<f64>,
     stats: SimStats,
     /// `true` if the netlist contains any device whose stamps depend on
@@ -305,11 +315,10 @@ pub struct Simulator<'a> {
     /// The most recent successfully solved DC operating point (also the
     /// transient initial point), kept for warm-start capture.
     last_dc: Option<Vec<f64>>,
-    /// Compiled stamp plan, built lazily on the first assembly.
-    plan: Option<Vec<PlanOp<'a>>>,
-    /// LU factors of the most recently assembled matrix.
-    lu: LuFactors,
-    /// Exact factor-cache key: the raw entries of the matrix `lu` was
+    /// LU factors of the most recently factored matrix, over the
+    /// symbolic analysis of `a`'s pattern.
+    lu: SparseLu,
+    /// Exact factor-cache key: the compact values of the matrix `lu` was
     /// factored from. Valid only when `factor_fresh` is set.
     factor_key: Vec<f64>,
     factor_fresh: bool,
@@ -353,22 +362,33 @@ impl<'a> Simulator<'a> {
                 DeviceKind::Diode { .. } | DeviceKind::Mosfet { .. } | DeviceKind::Switch { .. }
             )
         });
+        // Symbolic analysis, once per netlist: the pattern of every cell
+        // any assembly can stamp, each stamp's slot in it, and the sparse
+        // factorisation's order and fill.
+        let plan = build_plan(nl, n_nodes, &vsrc_row);
+        let cells = record_cells(n_nodes, n_unknowns, &plan, &collect_caps(nl));
+        let a = SparseMatrix::from_pattern(n_unknowns, cells.iter().copied());
+        let slots = cells
+            .iter()
+            .map(|&(r, c)| a.slot(r, c).expect("recorded cell is in the pattern") as u32)
+            .collect();
+        let lu = SparseLu::analyse(&a);
         Simulator {
             nl,
             opts,
             n_nodes,
             vsrc,
-            vsrc_row,
             n_unknowns,
             source_override: HashMap::new(),
-            a: DenseMatrix::zeros(n_unknowns),
+            plan,
+            slots,
+            a,
             z: vec![0.0; n_unknowns],
             stats: SimStats::default(),
             has_nonlinear,
             dc_seed: None,
             last_dc: None,
-            plan: None,
-            lu: LuFactors::new(),
+            lu,
             factor_key: Vec::new(),
             factor_fresh: false,
             chord_basis: None,
@@ -378,6 +398,12 @@ impl<'a> Simulator<'a> {
     /// The netlist being simulated.
     pub fn netlist(&self) -> &'a Netlist {
         self.nl
+    }
+
+    /// Number of MNA unknowns: node voltages, then voltage-source branch
+    /// currents (see [`OpPoint::unknowns`]).
+    pub fn dim(&self) -> usize {
+        self.n_unknowns
     }
 
     /// The options in force.
@@ -441,102 +467,9 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Compiles the stamp plan: one pass over the netlist that folds
-    /// every x-independent stamp into [`PlanOp::MatAdd`] constants and
-    /// defers x-dependent devices to per-iteration re-linearisation.
-    /// Ops are emitted in device-walk order with the per-device stamp
-    /// order of the interpretive assembly, so replay is bit-identical.
-    fn build_plan(&self) -> Vec<PlanOp<'a>> {
-        let n_nodes = self.n_nodes;
-        let row = |n: NodeId| -> Option<usize> {
-            if n.is_ground() {
-                None
-            } else {
-                Some(n.index() - 1)
-            }
-        };
-        let mut plan = Vec::new();
-        let nl: &'a Netlist = self.nl;
-        for (id, dev) in nl.devices() {
-            match &dev.kind {
-                DeviceKind::Resistor { a: p, b: q, ohms } => {
-                    let g = 1.0 / ohms;
-                    // stamp_g order: (rp,rp) (rp,rq) (rq,rp) (rq,rq).
-                    if let Some(rp) = row(*p) {
-                        plan.push(PlanOp::MatAdd { r: rp, c: rp, v: g });
-                        if let Some(rq) = row(*q) {
-                            plan.push(PlanOp::MatAdd {
-                                r: rp,
-                                c: rq,
-                                v: -g,
-                            });
-                            plan.push(PlanOp::MatAdd {
-                                r: rq,
-                                c: rp,
-                                v: -g,
-                            });
-                            plan.push(PlanOp::MatAdd { r: rq, c: rq, v: g });
-                        }
-                    } else if let Some(rq) = row(*q) {
-                        plan.push(PlanOp::MatAdd { r: rq, c: rq, v: g });
-                    }
-                }
-                DeviceKind::Capacitor { .. } => {
-                    // Companion instances in transient; open in DC.
-                }
-                DeviceKind::Vsource { pos, neg, waveform } => {
-                    let k = self.vsrc_row[&(id.index() as u32)];
-                    let br = (n_nodes - 1) + k;
-                    if let Some(rp) = row(*pos) {
-                        plan.push(PlanOp::MatAdd {
-                            r: rp,
-                            c: br,
-                            v: 1.0,
-                        });
-                        plan.push(PlanOp::MatAdd {
-                            r: br,
-                            c: rp,
-                            v: 1.0,
-                        });
-                    }
-                    if let Some(rq) = row(*neg) {
-                        plan.push(PlanOp::MatAdd {
-                            r: rq,
-                            c: br,
-                            v: -1.0,
-                        });
-                        plan.push(PlanOp::MatAdd {
-                            r: br,
-                            c: rq,
-                            v: -1.0,
-                        });
-                    }
-                    plan.push(PlanOp::VsrcZ {
-                        row: br,
-                        id,
-                        wf: waveform,
-                    });
-                }
-                DeviceKind::Isource { pos, neg, waveform } => {
-                    plan.push(PlanOp::IsrcZ {
-                        rp: row(*pos),
-                        rq: row(*neg),
-                        id,
-                        wf: waveform,
-                    });
-                }
-                DeviceKind::Diode { .. }
-                | DeviceKind::Mosfet { .. }
-                | DeviceKind::Switch { .. } => {
-                    plan.push(PlanOp::Nonlinear(dev));
-                }
-            }
-        }
-        plan
-    }
-
-    /// Assembles the linearised MNA system `A·x_next = z` around guess `x`.
-    #[allow(clippy::too_many_arguments)]
+    /// Assembles the linearised MNA system `A·x_next = z` around guess
+    /// `x`: zeroes the compact matrix and adds every stamp through the
+    /// slot [`record_cells`] recorded for it, in the same order.
     fn assemble(
         &mut self,
         x: &[f64],
@@ -545,18 +478,6 @@ impl<'a> Simulator<'a> {
         gmin: f64,
         src_scale: f64,
     ) {
-        if self.plan.is_none() {
-            self.plan = Some(self.build_plan());
-        }
-        let volt = |n: NodeId| -> f64 {
-            if n.is_ground() {
-                0.0
-            } else {
-                x[n.index() - 1]
-            }
-        };
-
-        // Borrow-friendly local stamp helpers.
         let overrides = &self.source_override;
         let src_val = |id: DeviceId, wf: &dotm_netlist::Waveform, t: Option<f64>| -> f64 {
             if let Some(v) = overrides.get(&(id.index() as u32)) {
@@ -567,71 +488,22 @@ impl<'a> Simulator<'a> {
                 None => wf.dc_value(),
             }
         };
-        let a = &mut self.a;
         let z = &mut self.z;
-        let row = |n: NodeId| -> Option<usize> {
-            if n.is_ground() {
-                None
-            } else {
-                Some(n.index() - 1)
-            }
-        };
-        let stamp_g = |a: &mut DenseMatrix, p: NodeId, q: NodeId, g: f64| {
-            if let Some(rp) = row(p) {
-                a.add(rp, rp, g);
-                if let Some(rq) = row(q) {
-                    a.add(rp, rq, -g);
-                    a.add(rq, rp, -g);
-                    a.add(rq, rq, g);
-                }
-            } else if let Some(rq) = row(q) {
-                a.add(rq, rq, g);
-            }
-        };
-        // Transconductance: current into node `out_p`, out of `out_q`,
-        // controlled by v(ctl_p) − v(ctl_q).
-        let stamp_vccs = |a: &mut DenseMatrix,
-                          out_p: NodeId,
-                          out_q: NodeId,
-                          ctl_p: NodeId,
-                          ctl_q: NodeId,
-                          g: f64| {
-            for (out, sign) in [(out_p, 1.0), (out_q, -1.0)] {
-                if let Some(ro) = row(out) {
-                    if let Some(rc) = row(ctl_p) {
-                        a.add(ro, rc, sign * g);
-                    }
-                    if let Some(rc) = row(ctl_q) {
-                        a.add(ro, rc, -sign * g);
-                    }
-                }
-            }
-        };
-        // Independent current `i` flowing out of node p, into node q.
-        let stamp_i = |z: &mut [f64], p: NodeId, q: NodeId, i: f64| {
-            if let Some(rp) = row(p) {
-                z[rp] -= i;
-            }
-            if let Some(rq) = row(q) {
-                z[rq] += i;
-            }
-        };
-
-        a.clear();
+        self.a.clear();
         z.fill(0.0);
+        let mut a = Replay {
+            a: &mut self.a,
+            slots: self.slots.iter(),
+        };
         // gmin from every node to ground.
         for r in 0..(self.n_nodes - 1) {
             a.add(r, r, gmin);
         }
-        for op in self.plan.as_deref().expect("plan built above") {
-            let dev = match op {
-                PlanOp::MatAdd { r, c, v } => {
-                    a.add(*r, *c, *v);
-                    continue;
-                }
+        for op in &self.plan {
+            match op {
+                PlanOp::MatAdd { r, c, v } => a.add(*r, *c, *v),
                 PlanOp::VsrcZ { row: br, id, wf } => {
                     z[*br] = src_val(*id, wf, t) * src_scale;
-                    continue;
                 }
                 PlanOp::IsrcZ { rp, rq, id, wf } => {
                     let i = src_val(*id, wf, t) * src_scale;
@@ -641,77 +513,8 @@ impl<'a> Simulator<'a> {
                     if let Some(rq) = rq {
                         z[*rq] += i;
                     }
-                    continue;
                 }
-                PlanOp::Nonlinear(dev) => *dev,
-            };
-            match &dev.kind {
-                DeviceKind::Diode {
-                    anode,
-                    cathode,
-                    params,
-                } => {
-                    let vd = volt(*anode) - volt(*cathode);
-                    let (idv, gd) = diode_eval(vd, params);
-                    stamp_g(a, *anode, *cathode, gd);
-                    let ieq = idv - gd * vd;
-                    stamp_i(z, *anode, *cathode, ieq);
-                }
-                DeviceKind::Mosfet {
-                    d,
-                    g,
-                    s,
-                    b,
-                    ty,
-                    params,
-                } => {
-                    let vgs = volt(*g) - volt(*s);
-                    let vds = volt(*d) - volt(*s);
-                    let vbs = volt(*b) - volt(*s);
-                    let ch = mosfet_eval(vgs, vds, vbs, *ty, params);
-                    // Conductive stamps from the partial derivatives.
-                    stamp_vccs(a, *d, *s, *g, *s, ch.gm);
-                    stamp_vccs(a, *d, *s, *d, *s, ch.gds);
-                    stamp_vccs(a, *d, *s, *b, *s, ch.gmbs);
-                    let ieq = ch.ids - ch.gm * vgs - ch.gds * vds - ch.gmbs * vbs;
-                    stamp_i(z, *d, *s, ieq);
-                    // Bulk junction diodes (leakage paths). For NMOS the
-                    // bulk is the anode; for PMOS the drain/source are.
-                    let jp = DiodeParams {
-                        is: params.is_leak,
-                        n: 1.0,
-                    };
-                    let junctions: [(NodeId, NodeId); 2] = match ty {
-                        dotm_netlist::MosType::Nmos => [(*b, *d), (*b, *s)],
-                        dotm_netlist::MosType::Pmos => [(*d, *b), (*s, *b)],
-                    };
-                    for (an, ca) in junctions {
-                        let vd = volt(an) - volt(ca);
-                        let (idv, gd) = diode_eval(vd, &jp);
-                        stamp_g(a, an, ca, gd);
-                        stamp_i(z, an, ca, idv - gd * vd);
-                    }
-                }
-                DeviceKind::Switch {
-                    a: p,
-                    b: q,
-                    cp,
-                    cn,
-                    params,
-                } => {
-                    let vc = volt(*cp) - volt(*cn);
-                    let vab = volt(*p) - volt(*q);
-                    let (g, dg) = switch_eval(vc, params);
-                    stamp_g(a, *p, *q, g);
-                    // Control coupling: ∂i/∂vc = dg·vab.
-                    stamp_vccs(a, *p, *q, *cp, *cn, dg * vab);
-                    // i = g·vab exactly, so the companion current is the
-                    // part not captured by the linear stamps.
-                    let ieq = -dg * vab * vc;
-                    stamp_i(z, *p, *q, ieq);
-                }
-                // Linear kinds never appear as `Nonlinear` plan ops.
-                _ => unreachable!("linear device in nonlinear plan op"),
+                PlanOp::Nonlinear(dev) => stamp_nonlinear(&mut a, z, dev, x),
             }
         }
 
@@ -729,11 +532,30 @@ impl<'a> Simulator<'a> {
                     let geq = cap.c / ctx.h;
                     (geq, geq * st.v)
                 };
-                stamp_g(a, cap.a, cap.b, geq);
+                stamp_g(&mut a, cap.a, cap.b, geq);
                 // ieq acts as a current source from b into a.
                 stamp_i(z, cap.b, cap.a, ieq);
             }
+            debug_assert_eq!(a.slots.len(), 0, "capacitor stamps left unassembled");
         }
+    }
+
+    /// The MNA matrix linearised around `x`, as one Newton iteration
+    /// assembles it: a DC operating-point iteration for `h = None`, else a
+    /// backward-Euler transient step of size `h` (the capacitor states do
+    /// not enter the matrix). For inspecting and testing the solver.
+    pub fn jacobian(&mut self, x: &[f64], h: Option<f64>) -> &SparseMatrix {
+        assert_eq!(x.len(), self.n_unknowns, "one value per unknown");
+        let caps = collect_caps(self.nl);
+        let states = vec![CapState::default(); caps.len()];
+        let ctx = h.map(|h| TranCtx {
+            caps: &caps,
+            states: &states,
+            h,
+            trap: false,
+        });
+        self.assemble(x, None, ctx.as_ref(), self.opts.gmin, 1.0);
+        &self.a
     }
 
     /// Runs Newton–Raphson from guess `x`, leaving the solution in `x`.
@@ -818,23 +640,29 @@ impl<'a> Simulator<'a> {
                 let t_lu = dotm_obs::start();
                 // Exact factor cache: if the assembled matrix is
                 // bit-identical to the one `lu` holds factors for, skip
-                // the O(n³) refactorisation. Identical matrix + identical
+                // the refactorisation. Identical matrix + identical
                 // solve arithmetic ⇒ identical solution bits, so this
                 // cache is invisible everywhere except the hit counter.
-                if self.factor_fresh && self.factor_key == self.a.entries() {
+                if self.factor_fresh && self.factor_key == self.a.values() {
                     self.stats.factor_reuse_hits += 1;
                 } else {
                     // The key goes stale the moment a refactor starts.
                     self.factor_fresh = false;
                     dotm_obs::counter("lu.refactors", 1);
-                    if self.lu.refactor(&self.a).is_err() {
+                    let factored = self.lu.refactor(&self.a);
+                    // Sparse pivots rejected (or no transversal): this
+                    // factorisation, and any singular verdict, is dense.
+                    if self.lu.is_dense() {
+                        self.stats.factor_refactor_fallbacks += 1;
+                    }
+                    if factored.is_err() {
                         dotm_obs::phase(dotm_obs::Phase::Lu, t_lu);
                         self.stats.singular_pivots += 1;
                         self.chord_basis = None;
                         return NrOutcome::Singular;
                     }
                     self.factor_key.clear();
-                    self.factor_key.extend_from_slice(self.a.entries());
+                    self.factor_key.extend_from_slice(self.a.values());
                     self.factor_fresh = true;
                 }
                 self.chord_basis = basis;
@@ -1123,48 +951,6 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Collects the companion capacitor instances (explicit capacitors plus
-    /// MOSFET parasitics).
-    fn collect_caps(&self) -> Vec<CapInst> {
-        let mut caps = Vec::new();
-        for (_, dev) in self.nl.devices() {
-            match &dev.kind {
-                DeviceKind::Capacitor { a, b, farads } => caps.push(CapInst {
-                    a: *a,
-                    b: *b,
-                    c: *farads,
-                }),
-                DeviceKind::Mosfet {
-                    d, g, s, b, params, ..
-                } => {
-                    let cg = 0.5 * params.gate_cap();
-                    caps.push(CapInst {
-                        a: *g,
-                        b: *s,
-                        c: cg,
-                    });
-                    caps.push(CapInst {
-                        a: *g,
-                        b: *d,
-                        c: cg,
-                    });
-                    caps.push(CapInst {
-                        a: *d,
-                        b: *b,
-                        c: params.cj,
-                    });
-                    caps.push(CapInst {
-                        a: *s,
-                        b: *b,
-                        c: params.cj,
-                    });
-                }
-                _ => {}
-            }
-        }
-        caps
-    }
-
     /// Runs a transient analysis from `t = 0` to `tstop` with output grid
     /// spacing `dt`. The initial condition is the DC operating point with
     /// sources evaluated at `t = 0`.
@@ -1182,21 +968,14 @@ impl<'a> Simulator<'a> {
                 "transient requires dt > 0 and tstop > 0 (dt = {dt}, tstop = {tstop})"
             )));
         }
-        let caps = self.collect_caps();
+        let caps = collect_caps(self.nl);
         // Initial condition: DC at t = 0.
         let op0 = self.transient_initial()?;
         let mut x = op0.x.clone();
-        let volt_of = |x: &[f64], n: NodeId| -> f64 {
-            if n.is_ground() {
-                0.0
-            } else {
-                x[n.index() - 1]
-            }
-        };
         let mut states: Vec<CapState> = caps
             .iter()
             .map(|c| CapState {
-                v: volt_of(&x, c.a) - volt_of(&x, c.b),
+                v: volt(&x, c.a) - volt(&x, c.b),
                 i: 0.0,
             })
             .collect();
@@ -1263,7 +1042,7 @@ impl<'a> Simulator<'a> {
                         NrOutcome::Converged => {
                             // Accept: update capacitor states.
                             for (ci, cap) in caps.iter().enumerate() {
-                                let vnew = volt_of(&xt, cap.a) - volt_of(&xt, cap.b);
+                                let vnew = volt(&xt, cap.a) - volt(&xt, cap.b);
                                 let st = &mut states[ci];
                                 let inew = if trap {
                                     2.0 * cap.c / h * (vnew - st.v) - st.i
@@ -1397,4 +1176,307 @@ impl<'a> Simulator<'a> {
             }
         })
     }
+}
+
+/// Where assembly's matrix stamps go: the symbolic pass records their
+/// cells, and every assembly after it adds them through the recorded
+/// slots.
+trait Stamp {
+    fn add(&mut self, r: usize, c: usize, v: f64);
+}
+
+/// The symbolic pass: records each stamp's cell, in stamping order.
+impl Stamp for Vec<(usize, usize)> {
+    fn add(&mut self, r: usize, c: usize, _v: f64) {
+        self.push((r, c));
+    }
+}
+
+/// Adds stamps into the compact matrix through the slots recorded for
+/// them, which must be replayed in the recording order.
+struct Replay<'s> {
+    a: &'s mut SparseMatrix,
+    slots: std::slice::Iter<'s, u32>,
+}
+
+impl Stamp for Replay<'_> {
+    #[inline]
+    fn add(&mut self, r: usize, c: usize, v: f64) {
+        let s = *self.slots.next().expect("every stamp has a recorded slot") as usize;
+        debug_assert_eq!(
+            self.a.slot(r, c),
+            Some(s),
+            "stamp at ({r}, {c}) outside the symbolic pattern"
+        );
+        self.a.add_at(s, v);
+    }
+}
+
+/// Matrix row of a node (`None` for ground).
+#[inline]
+fn node_row(n: NodeId) -> Option<usize> {
+    if n.is_ground() {
+        None
+    } else {
+        Some(n.index() - 1)
+    }
+}
+
+/// Voltage of `n` in the unknown vector `x`.
+#[inline]
+fn volt(x: &[f64], n: NodeId) -> f64 {
+    node_row(n).map_or(0.0, |r| x[r])
+}
+
+/// Conductance `g` between nodes `p` and `q`.
+fn stamp_g<S: Stamp>(a: &mut S, p: NodeId, q: NodeId, g: f64) {
+    if let Some(rp) = node_row(p) {
+        a.add(rp, rp, g);
+        if let Some(rq) = node_row(q) {
+            a.add(rp, rq, -g);
+            a.add(rq, rp, -g);
+            a.add(rq, rq, g);
+        }
+    } else if let Some(rq) = node_row(q) {
+        a.add(rq, rq, g);
+    }
+}
+
+/// Transconductance: current into node `out_p`, out of `out_q`,
+/// controlled by v(ctl_p) − v(ctl_q).
+fn stamp_vccs<S: Stamp>(
+    a: &mut S,
+    out_p: NodeId,
+    out_q: NodeId,
+    ctl_p: NodeId,
+    ctl_q: NodeId,
+    g: f64,
+) {
+    for (out, sign) in [(out_p, 1.0), (out_q, -1.0)] {
+        if let Some(ro) = node_row(out) {
+            if let Some(rc) = node_row(ctl_p) {
+                a.add(ro, rc, sign * g);
+            }
+            if let Some(rc) = node_row(ctl_q) {
+                a.add(ro, rc, -sign * g);
+            }
+        }
+    }
+}
+
+/// Independent current `i` flowing out of node p, into node q.
+fn stamp_i(z: &mut [f64], p: NodeId, q: NodeId, i: f64) {
+    if let Some(rp) = node_row(p) {
+        z[rp] -= i;
+    }
+    if let Some(rq) = node_row(q) {
+        z[rq] += i;
+    }
+}
+
+/// Stamps an x-dependent device linearised around `x`.
+fn stamp_nonlinear<S: Stamp>(a: &mut S, z: &mut [f64], dev: &Device, x: &[f64]) {
+    let volt = |n: NodeId| volt(x, n);
+    match &dev.kind {
+        DeviceKind::Diode {
+            anode,
+            cathode,
+            params,
+        } => {
+            let vd = volt(*anode) - volt(*cathode);
+            let (idv, gd) = diode_eval(vd, params);
+            stamp_g(a, *anode, *cathode, gd);
+            let ieq = idv - gd * vd;
+            stamp_i(z, *anode, *cathode, ieq);
+        }
+        DeviceKind::Mosfet {
+            d,
+            g,
+            s,
+            b,
+            ty,
+            params,
+        } => {
+            let vgs = volt(*g) - volt(*s);
+            let vds = volt(*d) - volt(*s);
+            let vbs = volt(*b) - volt(*s);
+            let ch = mosfet_eval(vgs, vds, vbs, *ty, params);
+            // Conductive stamps from the partial derivatives.
+            stamp_vccs(a, *d, *s, *g, *s, ch.gm);
+            stamp_vccs(a, *d, *s, *d, *s, ch.gds);
+            stamp_vccs(a, *d, *s, *b, *s, ch.gmbs);
+            let ieq = ch.ids - ch.gm * vgs - ch.gds * vds - ch.gmbs * vbs;
+            stamp_i(z, *d, *s, ieq);
+            // Bulk junction diodes (leakage paths). For NMOS the
+            // bulk is the anode; for PMOS the drain/source are.
+            let jp = DiodeParams {
+                is: params.is_leak,
+                n: 1.0,
+            };
+            let junctions: [(NodeId, NodeId); 2] = match ty {
+                dotm_netlist::MosType::Nmos => [(*b, *d), (*b, *s)],
+                dotm_netlist::MosType::Pmos => [(*d, *b), (*s, *b)],
+            };
+            for (an, ca) in junctions {
+                let vd = volt(an) - volt(ca);
+                let (idv, gd) = diode_eval(vd, &jp);
+                stamp_g(a, an, ca, gd);
+                stamp_i(z, an, ca, idv - gd * vd);
+            }
+        }
+        DeviceKind::Switch {
+            a: p,
+            b: q,
+            cp,
+            cn,
+            params,
+        } => {
+            let vc = volt(*cp) - volt(*cn);
+            let vab = volt(*p) - volt(*q);
+            let (g, dg) = switch_eval(vc, params);
+            stamp_g(a, *p, *q, g);
+            // Control coupling: ∂i/∂vc = dg·vab.
+            stamp_vccs(a, *p, *q, *cp, *cn, dg * vab);
+            // i = g·vab exactly, so the companion current is the
+            // part not captured by the linear stamps.
+            let ieq = -dg * vab * vc;
+            stamp_i(z, *p, *q, ieq);
+        }
+        // Linear kinds never appear as `Nonlinear` plan ops.
+        _ => unreachable!("linear device in nonlinear plan op"),
+    }
+}
+
+/// The cell of every matrix stamp one transient assembly makes, in
+/// [`Simulator::assemble`]'s order: the gmin diagonal, the plan's
+/// constant and x-dependent stamps, and the capacitor companions (a DC
+/// assembly stops before those). Every device stamps the same cells at
+/// any operating point, so recording at `x = 0` covers them all.
+fn record_cells(
+    n_nodes: usize,
+    n_unknowns: usize,
+    plan: &[PlanOp<'_>],
+    caps: &[CapInst],
+) -> Vec<(usize, usize)> {
+    let mut cells = Vec::new();
+    for r in 0..(n_nodes - 1) {
+        cells.add(r, r, 0.0);
+    }
+    let x = vec![0.0; n_unknowns];
+    let mut z = vec![0.0; n_unknowns];
+    for op in plan {
+        match op {
+            PlanOp::MatAdd { r, c, v } => cells.add(*r, *c, *v),
+            PlanOp::Nonlinear(dev) => stamp_nonlinear(&mut cells, &mut z, dev, &x),
+            PlanOp::VsrcZ { .. } | PlanOp::IsrcZ { .. } => {}
+        }
+    }
+    for cap in caps.iter().filter(|c| c.c > 0.0) {
+        stamp_g(&mut cells, cap.a, cap.b, 0.0);
+    }
+    cells
+}
+
+/// Compiles the stamp plan: one pass over the netlist that folds every
+/// x-independent stamp into [`PlanOp::MatAdd`] constants and defers
+/// x-dependent devices to per-iteration re-linearisation, in device-walk
+/// order.
+fn build_plan<'a>(
+    nl: &'a Netlist,
+    n_nodes: usize,
+    vsrc_row: &HashMap<u32, usize>,
+) -> Vec<PlanOp<'a>> {
+    let mut plan = Vec::new();
+    let mat_add = |r: usize, c: usize, v: f64| PlanOp::MatAdd { r, c, v };
+    for (id, dev) in nl.devices() {
+        match &dev.kind {
+            DeviceKind::Resistor { a: p, b: q, ohms } => {
+                let g = 1.0 / ohms;
+                // stamp_g order: (rp,rp) (rp,rq) (rq,rp) (rq,rq).
+                if let Some(rp) = node_row(*p) {
+                    plan.push(mat_add(rp, rp, g));
+                    if let Some(rq) = node_row(*q) {
+                        plan.push(mat_add(rp, rq, -g));
+                        plan.push(mat_add(rq, rp, -g));
+                        plan.push(mat_add(rq, rq, g));
+                    }
+                } else if let Some(rq) = node_row(*q) {
+                    plan.push(mat_add(rq, rq, g));
+                }
+            }
+            DeviceKind::Capacitor { .. } => {
+                // Companion instances in transient; open in DC.
+            }
+            DeviceKind::Vsource { pos, neg, waveform } => {
+                let br = (n_nodes - 1) + vsrc_row[&(id.index() as u32)];
+                if let Some(rp) = node_row(*pos) {
+                    plan.push(mat_add(rp, br, 1.0));
+                    plan.push(mat_add(br, rp, 1.0));
+                }
+                if let Some(rq) = node_row(*neg) {
+                    plan.push(mat_add(rq, br, -1.0));
+                    plan.push(mat_add(br, rq, -1.0));
+                }
+                plan.push(PlanOp::VsrcZ {
+                    row: br,
+                    id,
+                    wf: waveform,
+                });
+            }
+            DeviceKind::Isource { pos, neg, waveform } => {
+                plan.push(PlanOp::IsrcZ {
+                    rp: node_row(*pos),
+                    rq: node_row(*neg),
+                    id,
+                    wf: waveform,
+                });
+            }
+            DeviceKind::Diode { .. } | DeviceKind::Mosfet { .. } | DeviceKind::Switch { .. } => {
+                plan.push(PlanOp::Nonlinear(dev));
+            }
+        }
+    }
+    plan
+}
+
+/// The companion capacitor instances of a transient analysis: explicit
+/// capacitors plus MOSFET parasitics, in device order.
+fn collect_caps(nl: &Netlist) -> Vec<CapInst> {
+    let mut caps = Vec::new();
+    for (_, dev) in nl.devices() {
+        match &dev.kind {
+            DeviceKind::Capacitor { a, b, farads } => caps.push(CapInst {
+                a: *a,
+                b: *b,
+                c: *farads,
+            }),
+            DeviceKind::Mosfet {
+                d, g, s, b, params, ..
+            } => {
+                let cg = 0.5 * params.gate_cap();
+                caps.push(CapInst {
+                    a: *g,
+                    b: *s,
+                    c: cg,
+                });
+                caps.push(CapInst {
+                    a: *g,
+                    b: *d,
+                    c: cg,
+                });
+                caps.push(CapInst {
+                    a: *d,
+                    b: *b,
+                    c: params.cj,
+                });
+                caps.push(CapInst {
+                    a: *s,
+                    b: *b,
+                    c: params.cj,
+                });
+            }
+            _ => {}
+        }
+    }
+    caps
 }

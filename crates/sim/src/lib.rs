@@ -9,8 +9,10 @@
 //! * **Modified nodal analysis** over the devices of a
 //!   [`dotm_netlist::Netlist`], with independent-source branch currents as
 //!   extra unknowns.
-//! * **Dense LU** with partial pivoting — macro cells are ≤ a few hundred
-//!   unknowns, where dense factorisation outperforms sparse bookkeeping.
+//! * **Sparse LU** with one symbolic analysis per netlist (transversal,
+//!   minimum-degree order, static fill) and a numeric-only refactor per
+//!   Newton step; a pivot that fails its threshold test sends that one
+//!   factorisation to the dense partial-pivot LU.
 //! * **Newton–Raphson** with per-iteration voltage-step limiting, plus
 //!   *gmin stepping* and *source stepping* homotopies for hard operating
 //!   points (fault-injected circuits are routinely pathological).
@@ -51,6 +53,7 @@ mod engine;
 mod error;
 mod matrix;
 mod models;
+mod sparse;
 mod stats;
 
 pub use ac::{log_sweep, AcResult, Complex};
@@ -58,4 +61,5 @@ pub use engine::{Integration, OpPoint, SimOptions, Simulator, TranResult};
 pub use error::SimError;
 pub use matrix::{DenseMatrix, LuFactors, SingularInfo};
 pub use models::{diode_eval, mosfet_eval, switch_eval, MosChannel, VT_THERMAL};
+pub use sparse::{SparseLu, SparseMatrix};
 pub use stats::SimStats;

@@ -1,20 +1,29 @@
-//! Dense real matrix with LU factorisation.
+//! Dense real matrix with partial-pivot LU: the fallback and the test
+//! reference of the engine's sparse LU.
 //!
-//! The macro cells simulated in this workspace have at most a few hundred
-//! unknowns, where a cache-friendly dense LU with partial pivoting beats a
-//! sparse solver both in code complexity and in wall-clock time. (The
-//! `dense_lu` criterion bench quantifies this.)
+//! Every Newton solve factors through [`crate::SparseLu`], whose pivot
+//! order is fixed by one symbolic analysis per netlist. When a static
+//! pivot fails its threshold test (or the pattern has no transversal),
+//! that one factorisation runs here instead: [`LuFactors::refactor`]
+//! chooses the largest pivot of each column and applies the
+//! scale-relative singularity test, so every singular verdict the
+//! engine reports is this module's. The sparse path counts each such
+//! fallback in `SimStats::factor_refactor_fallbacks`.
 //!
 //! Factorisation and solution are split: [`LuFactors`] holds the packed
 //! `L`/`U` triangles plus the pivot permutation, so one factorisation can
-//! back a run of solves — the foundation of the engine's factor-reuse
-//! layer, and the routine *every* production solve uses whether the
-//! caches are on or off (which is what keeps the caches bit-invisible).
-//! [`DenseMatrix::solve_in_place`] remains as the fused one-shot path for
-//! small systems and as an independent reference in tests; the split
+//! back a run of solves (the exact factor cache and chord iterations
+//! replay it). [`DenseMatrix::solve_in_place`] is the fused one-shot path
+//! for small systems and an independent reference in tests; the split
 //! solve reassociates its triangular-sweep dot products four ways for
 //! pipeline throughput, so the two paths agree to round-off (asserted by
-//! the `factor_solve_matches_fused*` property tests), not bit-for-bit.
+//! the `factor_solve_matches_fused*` tests), not bit for bit. The
+//! `dense_lu` and `sparse_lu` cases of the `engine` bench time both
+//! factorisations on the comparator's matrix.
+
+/// The scale-relative singularity ratio: a pivot no larger than this
+/// fraction of its factored column's largest magnitude is refused.
+pub(crate) const SINGULAR_RATIO: f64 = 1e-14;
 
 /// Why a factorisation was refused: the best pivot available in `col` had
 /// magnitude `pivot_mag`, vanishingly small relative to the largest
@@ -77,13 +86,6 @@ impl DenseMatrix {
         self.data[row * self.n + col] += value;
     }
 
-    /// The raw row-major entries (read-only). Used by the factor-reuse
-    /// layer to compare assembled matrices byte-for-byte.
-    #[inline]
-    pub fn entries(&self) -> &[f64] {
-        &self.data
-    }
-
     /// Computes `self · x`.
     pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.n);
@@ -91,18 +93,6 @@ impl DenseMatrix {
             .chunks_exact(self.n)
             .map(|row| row.iter().zip(x).map(|(a, b)| a * b).sum())
             .collect()
-    }
-
-    /// Subtracts `self · x` from `r` in place: with `z` on entry, `r`
-    /// leaves holding the residual `z − self·x` of the system `self·x = z`.
-    /// Rows are reduced with the same fixed four-way association as
-    /// [`LuFactors::solve`], so the result is deterministic.
-    pub(crate) fn sub_mul_vec(&self, x: &[f64], r: &mut [f64]) {
-        assert_eq!(x.len(), self.n);
-        assert_eq!(r.len(), self.n);
-        for (ri, row) in r.iter_mut().zip(self.data.chunks_exact(self.n)) {
-            *ri -= dot4(row, x);
-        }
     }
 
     /// Factors the matrix in place (LU with partial pivoting) and solves
@@ -146,7 +136,7 @@ impl DenseMatrix {
             for i in 0..k {
                 col_max = col_max.max(a[i * n + k].abs());
             }
-            if max.is_nan() || max <= col_max * 1e-14 {
+            if max.is_nan() || max <= col_max * SINGULAR_RATIO {
                 return Err(SingularInfo {
                     col: k,
                     pivot_mag: max,
@@ -190,11 +180,10 @@ impl DenseMatrix {
 /// Factor once with [`LuFactors::refactor`], then run any number of
 /// [`LuFactors::solve`] calls. The factorisation arithmetic (pivot
 /// choices, multipliers, singularity test) is identical — operation for
-/// operation — to [`DenseMatrix::solve_in_place`]. The solve replay is
-/// the single routine behind every production solve, cached or not,
-/// which is what lets the engine's factor cache be invisible in every
-/// deterministic artifact: a cache hit replays the same factors through
-/// the same arithmetic.
+/// operation — to [`DenseMatrix::solve_in_place`]. Replaying the same
+/// factors against the same right-hand side is bit-deterministic, which
+/// is what the engine's exact factor cache relies on when the dense
+/// fallback produced the held factors.
 ///
 /// Buffers are retained across `refactor` calls, so a long-lived
 /// `LuFactors` allocates only when the dimension grows.
@@ -254,7 +243,7 @@ impl LuFactors {
             for i in 0..k {
                 col_max = col_max.max(lu[i * n + k].abs());
             }
-            if max.is_nan() || max <= col_max * 1e-14 {
+            if max.is_nan() || max <= col_max * SINGULAR_RATIO {
                 return Err(SingularInfo {
                     col: k,
                     pivot_mag: max,
@@ -288,9 +277,8 @@ impl LuFactors {
     /// Solves `A·x = b` using the stored factors, overwriting `b` with
     /// `x`.
     ///
-    /// Every production solve — with the factor caches on *or* off —
-    /// goes through this routine, so its arithmetic only has to be
-    /// deterministic, not bit-matched to the fused
+    /// Every dense-fallback solve goes through this routine, so its
+    /// arithmetic only has to be deterministic, not bit-matched to the fused
     /// [`DenseMatrix::solve_in_place`] (which survives for one-shot
     /// small systems and as an independent reference in tests). That
     /// freedom is spent on speed: both triangular sweeps run their dot

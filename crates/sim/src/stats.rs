@@ -51,9 +51,9 @@ pub struct SimStats {
     /// bit-identical to the one last factored) instead of a fresh
     /// `O(n³)` factorisation.
     pub factor_reuse_hits: u64,
-    /// Always 0. It counted the retired rank-update path's fallbacks to a
-    /// full refactorisation; the word stays because store entries persist
-    /// all fifteen counters.
+    /// Factorisations that fell back from the static-order sparse LU to
+    /// the dense partial-pivot LU, because a pivot failed its threshold
+    /// test or the pattern has no transversal.
     pub factor_refactor_fallbacks: u64,
 }
 

@@ -4,30 +4,36 @@ use crate::entry::{decode_measurement, encode_measurement};
 use crate::fnv::{fnv64, mix};
 use crate::wire::{Reader, Writer};
 use dotm_core::{CachedMeasurement, MeasurementStore, MemoryStore};
+use std::collections::HashSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Entry-file magic: 8 bytes of name + format version. Bumping the
 /// version orphans (never misreads) every existing entry.
 const MAGIC: &[u8; 8] = b"DOTMST01";
 
-/// Live counters of one store session. All counts are *events*, so they
-/// depend on how many lookups the run performed — with the in-memory
-/// overlay absorbing repeats, the interesting invariant is
-/// `computed == 0` on a fully warm run.
+/// Live counters of one store session. `misses`, `disk_hits` and
+/// `computed` count distinct keys, and `mem_hits` is the rest of the
+/// loads, so the counters are those of a sequential run whatever the
+/// thread schedule: two classes that race on one key both miss and both
+/// compute, yet count one miss, one computed and one memory hit. The
+/// interesting invariant is `computed == 0` on a fully warm run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreCounters {
     /// `load` calls.
     pub loads: u64,
-    /// Loads answered by the in-memory overlay.
+    /// Loads answered by the in-memory overlay: every load that is not
+    /// a key's first lookup past it.
     pub mem_hits: u64,
-    /// Loads answered by an entry file on disk.
+    /// Keys whose first lookup was answered by an entry file on disk.
     pub disk_hits: u64,
-    /// Loads answered by nobody — the pipeline computes the measurement.
+    /// Keys whose first lookup was answered by nobody — the pipeline
+    /// computes the measurement.
     pub misses: u64,
-    /// `store` calls (one per freshly *computed* measurement).
+    /// Keys stored (one per freshly *computed* measurement).
     pub computed: u64,
     /// Entry writes that failed at the filesystem level (absorbed: the
     /// campaign continues, the entry is simply not persisted).
@@ -66,11 +72,22 @@ pub struct DiskStore {
     memory: MemoryStore,
     nonce: AtomicU64,
     loads: AtomicU64,
-    mem_hits: AtomicU64,
     disk_hits: AtomicU64,
     misses: AtomicU64,
     computed: AtomicU64,
     write_errors: AtomicU64,
+    /// Keys looked up past the memory overlay, and keys stored: a disk
+    /// hit or miss counts on a key's first lookup only, a store on its
+    /// first store only.
+    looked_up: Mutex<HashSet<u128>>,
+    stored: Mutex<HashSet<u128>>,
+}
+
+/// `true` the first time `key` enters `set`.
+fn first_time(set: &Mutex<HashSet<u128>>, key: u128) -> bool {
+    set.lock()
+        .expect("a thread panicked holding a store key set")
+        .insert(key)
 }
 
 impl DiskStore {
@@ -89,11 +106,12 @@ impl DiskStore {
             memory: MemoryStore::new(),
             nonce: AtomicU64::new(0),
             loads: AtomicU64::new(0),
-            mem_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             computed: AtomicU64::new(0),
             write_errors: AtomicU64::new(0),
+            looked_up: Mutex::new(HashSet::new()),
+            stored: Mutex::new(HashSet::new()),
         })
     }
 
@@ -104,11 +122,14 @@ impl DiskStore {
 
     /// A snapshot of the session counters.
     pub fn counters(&self) -> StoreCounters {
+        let loads = self.loads.load(Ordering::Relaxed);
+        let disk_hits = self.disk_hits.load(Ordering::Relaxed);
+        let misses = self.misses.load(Ordering::Relaxed);
         StoreCounters {
-            loads: self.loads.load(Ordering::Relaxed),
-            mem_hits: self.mem_hits.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            loads,
+            mem_hits: loads - disk_hits - misses,
+            disk_hits,
+            misses,
             computed: self.computed.load(Ordering::Relaxed),
             write_errors: self.write_errors.load(Ordering::Relaxed),
         }
@@ -229,21 +250,28 @@ impl DiskStore {
         self.loads.fetch_add(1, Ordering::Relaxed);
         let mixed = mix(self.context, key);
         if let Some(hit) = self.memory.load(mixed) {
-            self.mem_hits.fetch_add(1, Ordering::Relaxed);
             return Some(hit);
         }
-        if let Some(hit) = self.read_entry(mixed) {
-            self.disk_hits.fetch_add(1, Ordering::Relaxed);
-            self.memory.store(mixed, &hit);
-            return Some(hit);
+        let hit = self.read_entry(mixed);
+        if first_time(&self.looked_up, mixed) {
+            let counter = if hit.is_some() {
+                &self.disk_hits
+            } else {
+                &self.misses
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
+        if let Some(hit) = &hit {
+            self.memory.store(mixed, hit);
+        }
+        hit
     }
 
     fn store_inner(&self, key: u128, value: &CachedMeasurement) {
-        self.computed.fetch_add(1, Ordering::Relaxed);
         let mixed = mix(self.context, key);
+        if first_time(&self.stored, mixed) {
+            self.computed.fetch_add(1, Ordering::Relaxed);
+        }
         self.memory.store(mixed, value);
         if self.write_entry(mixed, value).is_err() {
             self.write_errors.fetch_add(1, Ordering::Relaxed);
@@ -412,6 +440,35 @@ mod tests {
         assert_eq!(c.disk_hits, 1);
         assert_eq!(c.misses, 0);
         assert_eq!(c.computed, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn racing_loads_and_stores_of_one_key_count_as_sequential() {
+        let dir = tmpdir("race");
+        let store = DiskStore::open(&dir, 5).expect("open");
+        let value = sample();
+        // Both threads load before either stores, so both miss and both
+        // compute: the interleaving a sequential run never produces.
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    assert_eq!(store.load(9), None);
+                    barrier.wait();
+                    store.store(9, &value);
+                });
+            }
+        });
+        let sequential = StoreCounters {
+            loads: 2,
+            mem_hits: 1,
+            disk_hits: 0,
+            misses: 1,
+            computed: 1,
+            write_errors: 0,
+        };
+        assert_eq!(store.counters(), sequential);
         let _ = fs::remove_dir_all(&dir);
     }
 
