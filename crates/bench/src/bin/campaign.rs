@@ -47,8 +47,8 @@
 //!   class measurements, the good space's Monte-Carlo record and
 //!   bias_gen's propagation transients (`computed=0 misses=0`), at any
 //!   `DOTM_THREADS`. Exits non-zero otherwise. Each macro's nominal
-//!   measurement still solves: it is the detection reference and fills
-//!   the warm-start seed table, and it is not stored.
+//!   measurement (the detection reference) still solves, because it is
+//!   not stored.
 //! * `DOTM_MACROS` — comma-separated macro subset to run (campaign
 //!   order is preserved regardless of the list's order; unknown names
 //!   are a usage error). Inherited by shard workers, so a subset

@@ -29,10 +29,8 @@
 //! executor; changes wall-clock time only, never a number),
 //! `DOTM_SIM_FAILURE_POLICY` (`assume-detected` — the paper-parity
 //! default — `assume-undetected`, or `exclude`: how classes that never
-//! converge, even after the escalation ladder, enter the statistics),
-//! `DOTM_WARM_START` (`1`/`0`, default on: seed Newton from the
-//! fault-free nominal operating points — a pure solver-effort knob,
-//! detection verdicts are identical either way). Every run memoizes
+//! converge, even after the escalation ladder, enter the statistics).
+//! Every run memoizes
 //! measurements of structurally identical injected netlists in memory
 //! and replays their solver telemetry, so duplicates cost one solve and
 //! never move a reported number.
@@ -136,7 +134,6 @@ pub fn standard_config() -> PipelineConfig {
         },
         max_classes,
         sim_failure_policy: dotm_core::env::sim_failure_policy(),
-        warm_start: dotm_core::env::warm_start(),
         ..PipelineConfig::default()
     }
 }
@@ -245,14 +242,6 @@ fn print_accounting(
         solver.rejected_steps,
         solver.step_halvings,
     );
-    if solver.warm_hits + solver.warm_misses > 0 {
-        println!(
-            "  warm starts: {} hits, {} misses ({:.1}% of seeded DC solves)",
-            solver.warm_hits,
-            solver.warm_misses,
-            100.0 * solver.warm_hits as f64 / (solver.warm_hits + solver.warm_misses) as f64,
-        );
-    }
     if solver.factor_reuse_hits + solver.factor_refactor_fallbacks > 0 {
         println!(
             "  factor reuse: {} exact-cache hits, {} sparse-to-dense LU fallbacks",

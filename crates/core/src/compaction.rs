@@ -179,7 +179,6 @@ mod tests {
             _nl: &Netlist,
             _opts: &dotm_sim::SimOptions,
             _stats: &mut dotm_sim::SimStats,
-            _warm: crate::harness::Warm<'_>,
         ) -> Result<Vec<f64>, dotm_sim::SimError> {
             Ok(vec![0.0; 5])
         }

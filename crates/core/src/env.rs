@@ -18,7 +18,6 @@
 //! | knob | meaning | default |
 //! |---|---|---|
 //! | `DOTM_THREADS` | executor worker threads (`0` = auto) | auto |
-//! | `DOTM_WARM_START` | seed Newton from nominal operating points | on |
 //! | `DOTM_SIM_FAILURE_POLICY` | accounting for never-converged classes | assume-detected |
 //! | `DOTM_STORE_DIR` | persistent campaign-store directory | unset |
 //! | `DOTM_SHARDS` | total worker shards of a sharded campaign | unset |
@@ -113,14 +112,6 @@ pub fn u64_knob(name: &str, default: u64) -> u64 {
 /// On a malformed value.
 pub fn threads() -> Option<usize> {
     knob("DOTM_THREADS", parse_usize).filter(|&t| t > 0)
-}
-
-/// The `DOTM_WARM_START` knob (default on).
-///
-/// # Panics
-/// On a malformed value.
-pub fn warm_start() -> bool {
-    bool_knob("DOTM_WARM_START", true)
 }
 
 /// The `DOTM_SIM_FAILURE_POLICY` knob (default: the paper-parity
@@ -225,8 +216,8 @@ pub fn abort_after() -> Option<u64> {
 }
 
 /// The `DOTM_EXPECT_WARM` knob (default off): assert the store answered
-/// every lookup (no miss, nothing computed). Only each macro's nominal
-/// measurement, which is never stored, still solves. The warm-resume
+/// every lookup (no miss, nothing computed). Each macro's nominal
+/// measurement still solves, because it is not stored. The warm-resume
 /// gates use it to turn "the store silently went cold" into a hard
 /// failure.
 ///

@@ -15,7 +15,7 @@
 //! of re-simulating every corner.
 
 use crate::exec::{self, ExecConfig};
-use crate::harness::{MacroHarness, Warm, WarmCapture, WarmStart};
+use crate::harness::MacroHarness;
 use crate::measure::MeasureKind;
 use crate::memo::MemoryStore;
 use crate::pipeline::{tagged_key, MeasurementStore};
@@ -37,11 +37,8 @@ pub struct GoodSpaceConfig {
     /// thread-count-invariant: each common sample draws from its own
     /// `(seed, index)` substream.
     pub exec: ExecConfig,
-    /// Capture the nominal operating points and use them to warm-start
-    /// Newton on every Monte-Carlo corner (and, downstream, on every
-    /// fault-injected variant). A failed seed falls back to the cold
-    /// homotopy chain, so this only changes solver effort, never whether
-    /// a corner converges from the methodology's point of view.
+    /// No effect. Every DC solve starts from the cold homotopy chain; the
+    /// field remains so callers that set it keep compiling.
     pub warm_start: bool,
     /// No effect. The solver's exact factor cache is unconditional; the
     /// field remains so callers that set it keep compiling.
@@ -85,7 +82,6 @@ fn compile_common_sample(
     cfg: &GoodSpaceConfig,
     m: usize,
     si: u64,
-    warm: Option<&WarmStart>,
 ) -> Result<(Vec<Vec<f64>>, SimStats, u64), SimError> {
     let opts = harness.sim_options();
     let mut rng = StdRng::seed_from_stream(cfg.seed, si);
@@ -99,8 +95,7 @@ fn compile_common_sample(
         for _ in 0..m {
             let mut nl = harness.testbench();
             harness.perturb(&mut nl, model, &common, &mut rng, &mut stats);
-            let w = warm.map_or(Warm::Cold, Warm::Seed);
-            match harness.measure_with(&nl, &opts, &mut stats, w) {
+            match harness.measure_with(&nl, &opts, &mut stats) {
                 Ok(v) => per_mm.push(v),
                 Err(e) => {
                     corner_error = Some(e);
@@ -129,7 +124,6 @@ fn compile_corners(
     model: &ProcessModel,
     cfg: &GoodSpaceConfig,
     currents: &[usize],
-    warm: Option<&WarmStart>,
 ) -> Result<(CornerRecord, SimStats), SimError> {
     let s = cfg.common_samples.max(1);
     let m = cfg.mismatch_samples.max(1);
@@ -142,7 +136,7 @@ fn compile_corners(
     // retries) rather than failing the whole compilation.
     let per_sample: Vec<(Vec<Vec<f64>>, SimStats, u64)> =
         exec::par_map_indices(&cfg.exec, s, |si| {
-            compile_common_sample(harness, model, cfg, m, si as u64, warm)
+            compile_common_sample(harness, model, cfg, m, si as u64)
         })
         .into_iter()
         .collect::<Result<_, _>>()?;
@@ -208,10 +202,6 @@ pub struct GoodSpace {
     /// Process corners redrawn because the simulator left its convergence
     /// envelope (bounded per common sample).
     pub corner_retries: u64,
-    /// Nominal operating points captured per analysis slot during the
-    /// nominal measurement — the seed table for warm-starting faulty and
-    /// perturbed variants. `None` when warm-start is disabled.
-    pub warm: Option<WarmStart>,
 }
 
 /// The stored outcome of the Monte-Carlo corners: everything the good
@@ -262,8 +252,8 @@ impl GoodSpace {
 
     /// The store key of the Monte-Carlo record [`GoodSpace::compile`]
     /// keeps for `(harness, model, cfg)`: the testbench content, the
-    /// Monte-Carlo sizes, seed and warm-start flag, and the process
-    /// sigmas. The executor configuration is left out; it never changes
+    /// Monte-Carlo sizes and seed, and the process sigmas. The executor
+    /// configuration and the inert fields are left out; they never change
     /// the result.
     pub fn store_key(
         harness: &dyn MacroHarness,
@@ -277,7 +267,6 @@ impl GoodSpace {
             cfg.common_samples.max(1) as u64,
             cfg.mismatch_samples.max(1) as u64,
             cfg.seed,
-            cfg.warm_start as u64,
         ];
         words.extend(
             [
@@ -299,8 +288,8 @@ impl GoodSpace {
     /// Monte-Carlo corners are replayed from the record under
     /// [`GoodSpace::store_key`] when `store` holds a well-formed one, and
     /// computed and stored otherwise. The nominal measurement always
-    /// runs — it is the detection reference and, under warm start, fills
-    /// the seed table — so a replay returns the same bits as a compile.
+    /// runs — it is the detection reference, and it is not stored — so a
+    /// replay returns the same bits as a compile.
     pub(crate) fn compile_in(
         harness: &dyn MacroHarness,
         model: &ProcessModel,
@@ -309,23 +298,7 @@ impl GoodSpace {
     ) -> Result<GoodSpace, SimError> {
         let mut solver = SimStats::default();
         let testbench = harness.testbench();
-        // The nominal measurement is single-threaded; in warm-start mode
-        // it doubles as the capture run for the per-analysis operating
-        // points, frozen into an immutable seed table before any parallel
-        // work starts (so seeded results cannot depend on scheduling).
-        let capture = WarmCapture::new();
-        let nominal_warm = if cfg.warm_start {
-            Warm::Capture(&capture)
-        } else {
-            Warm::Cold
-        };
-        let nominal = harness.measure_with(
-            &testbench,
-            &harness.sim_options(),
-            &mut solver,
-            nominal_warm,
-        )?;
-        let warm = cfg.warm_start.then(|| capture.freeze());
+        let nominal = harness.measure_with(&testbench, &harness.sim_options(), &mut solver)?;
         let currents: Vec<usize> = harness
             .plan()
             .labels
@@ -345,8 +318,7 @@ impl GoodSpace {
                 hit
             }
             None => {
-                let (record, delta) =
-                    compile_corners(harness, model, &cfg, &currents, warm.as_ref())?;
+                let (record, delta) = compile_corners(harness, model, &cfg, &currents)?;
                 store.store(key, &(Ok(record.encode()), delta));
                 (record, delta)
             }
@@ -366,7 +338,6 @@ impl GoodSpace {
             sigma_mismatch,
             solver,
             corner_retries: record.corner_retries,
-            warm,
         })
     }
 
@@ -508,10 +479,6 @@ mod tests {
         assert_eq!(bits(&a.sigma_mismatch), bits(&b.sigma_mismatch));
         assert_eq!(a.solver, b.solver);
         assert_eq!(a.corner_retries, b.corner_retries);
-        assert_eq!(
-            a.warm.as_ref().map(WarmStart::len),
-            b.warm.as_ref().map(WarmStart::len)
-        );
     }
 
     #[test]
@@ -584,6 +551,11 @@ mod tests {
             ..cfg()
         };
         assert_eq!(GoodSpace::store_key(&h, &model, &threads), base);
+        let cold = GoodSpaceConfig {
+            warm_start: false,
+            ..cfg()
+        };
+        assert_eq!(GoodSpace::store_key(&h, &model, &cold), base, "warm start");
         for (other, why) in [
             (GoodSpaceConfig { seed: 12, ..cfg() }, "seed"),
             (
@@ -599,13 +571,6 @@ mod tests {
                     ..cfg()
                 },
                 "mismatch samples",
-            ),
-            (
-                GoodSpaceConfig {
-                    warm_start: false,
-                    ..cfg()
-                },
-                "warm start",
             ),
         ] {
             assert_ne!(GoodSpace::store_key(&h, &model, &other), base, "{why}");

@@ -15,107 +15,7 @@ use crate::signature::{CurrentKind, VoltageSignature};
 use dotm_layout::Layout;
 use dotm_netlist::Netlist;
 use dotm_rng::rngs::StdRng;
-use dotm_sim::{OpPoint, SimError, SimOptions, SimStats, Simulator};
-use std::sync::Mutex;
-
-/// Collects the good-circuit operating point of every DC-rooted analysis a
-/// harness runs, indexed by *analysis slot* — the position of the analysis
-/// within the harness's fixed measurement procedure (first transient = slot
-/// 0, second = slot 1, …). Filled once, during the single-threaded nominal
-/// measurement, then frozen into a read-only [`WarmStart`].
-#[derive(Debug, Default)]
-pub struct WarmCapture {
-    slots: Mutex<Vec<Option<OpPoint>>>,
-}
-
-impl WarmCapture {
-    /// An empty capture buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records the operating point solved for analysis slot `slot`.
-    pub fn record(&self, slot: usize, op: OpPoint) {
-        let mut slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        if slots.len() <= slot {
-            slots.resize(slot + 1, None);
-        }
-        slots[slot] = Some(op);
-    }
-
-    /// Freezes the captured points into an immutable seed table.
-    pub fn freeze(self) -> WarmStart {
-        WarmStart {
-            seeds: self.slots.into_inner().unwrap_or_else(|e| e.into_inner()),
-        }
-    }
-}
-
-/// The frozen per-analysis nominal operating points used to warm-start
-/// Newton on fault-injected variants of the same testbench. Fault
-/// injection only ever *appends* nodes and devices, so the nominal `x`
-/// remapped into the faulted circuit's unknown vector is a physically
-/// meaningful initial guess; [`Simulator::seed_dc_from`] checks the
-/// append-only invariant and the solver falls back to the cold homotopy
-/// chain whenever the seed does not converge.
-#[derive(Debug, Clone, Default)]
-pub struct WarmStart {
-    seeds: Vec<Option<OpPoint>>,
-}
-
-impl WarmStart {
-    /// The captured nominal operating point for analysis slot `slot`.
-    pub fn seed(&self, slot: usize) -> Option<&OpPoint> {
-        self.seeds.get(slot).and_then(|s| s.as_ref())
-    }
-
-    /// Number of analysis slots that captured a point.
-    pub fn len(&self) -> usize {
-        self.seeds.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// `true` if no analysis captured a point.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Warm-start context threaded through [`MacroHarness::measure_with`].
-#[derive(Clone, Copy, Debug, Default)]
-pub enum Warm<'a> {
-    /// No warm-start: every DC solve starts from the cold homotopy chain.
-    #[default]
-    Cold,
-    /// Capture mode: record each analysis's solved operating point (used
-    /// once, on the nominal good circuit).
-    Capture(&'a WarmCapture),
-    /// Seed mode: seed each analysis's first DC solve from the captured
-    /// nominal point (used on every fault-injected / perturbed variant).
-    Seed(&'a WarmStart),
-}
-
-/// Counts analysis slots within one `measure_with` invocation so capture
-/// and seed runs agree on which analysis is which. Create one per
-/// `measure_with` call; [`with_instrumented_sim_warm`] advances it on
-/// every analysis, including failed ones, so later slots stay aligned.
-#[derive(Debug, Default)]
-pub struct WarmCursor {
-    next: usize,
-}
-
-impl WarmCursor {
-    /// A cursor positioned at slot 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Claims the next analysis slot.
-    pub fn next_slot(&mut self) -> usize {
-        let slot = self.next;
-        self.next += 1;
-        slot
-    }
-}
+use dotm_sim::{SimError, SimOptions, SimStats, Simulator};
 
 /// The pipeline's measurement store, lent to
 /// [`MacroHarness::classify_voltage_with`] for the follow-up simulations
@@ -207,12 +107,7 @@ pub trait MacroHarness: Sync {
     /// non-converging faulty circuit through the retry ladder before
     /// applying its [`SimFailurePolicy`](crate::SimFailurePolicy).
     fn measure(&self, nl: &Netlist) -> Result<Vec<f64>, SimError> {
-        self.measure_with(
-            nl,
-            &self.sim_options(),
-            &mut SimStats::default(),
-            Warm::Cold,
-        )
+        self.measure_with(nl, &self.sim_options(), &mut SimStats::default())
     }
 
     /// Runs the measurement procedure with explicit solver options,
@@ -221,10 +116,9 @@ pub trait MacroHarness: Sync {
     /// the work spent on circuits that never converged.
     ///
     /// Implementations should build every simulator through
-    /// [`with_instrumented_sim_warm`] (or merge
+    /// [`with_instrumented_sim`] (or merge
     /// [`Simulator::stats`](dotm_sim::Simulator::stats) manually on all
-    /// exit paths), threading `warm` plus a fresh [`WarmCursor`] through
-    /// every analysis so capture and seed runs agree on slot numbering.
+    /// exit paths).
     ///
     /// # Errors
     /// Propagates simulator failures.
@@ -233,7 +127,6 @@ pub trait MacroHarness: Sync {
         nl: &Netlist,
         opts: &SimOptions,
         stats: &mut SimStats,
-        warm: Warm<'_>,
     ) -> Result<Vec<f64>, SimError>;
 
     /// Applies one process Monte-Carlo sample. The default perturbs every
@@ -304,46 +197,6 @@ pub fn with_instrumented_sim<R>(
     let mut sim = Simulator::with_options(nl, opts.clone());
     let _span = dotm_obs::span_with("analysis", || format!("analysis[{}]", nl.name()));
     let result = f(&mut sim);
-    stats.merge(sim.stats());
-    result
-}
-
-/// Warm-start-aware variant of [`with_instrumented_sim`]: claims the next
-/// analysis slot from `cursor`, seeds the simulator's first DC solve
-/// from the nominal operating point (in [`Warm::Seed`] mode) or records
-/// the solved point after `f` (in [`Warm::Capture`] mode), and merges
-/// solver telemetry into `stats` on every exit path.
-///
-/// The cursor advances even when `f` fails so subsequent analyses keep
-/// their slot alignment between the capture run and seeded runs.
-///
-/// # Errors
-/// Whatever `f` returns.
-pub fn with_instrumented_sim_warm<R>(
-    nl: &Netlist,
-    opts: &SimOptions,
-    stats: &mut SimStats,
-    warm: Warm<'_>,
-    cursor: &mut WarmCursor,
-    f: impl FnOnce(&mut Simulator<'_>) -> Result<R, SimError>,
-) -> Result<R, SimError> {
-    let slot = cursor.next_slot();
-    let mut sim = Simulator::with_options(nl, opts.clone());
-    if let Warm::Seed(start) = warm {
-        if let Some(op) = start.seed(slot) {
-            // seed_dc_from rejects seeds that violate the append-only
-            // invariant; a rejected seed just means a cold start.
-            sim.seed_dc_from(op);
-        }
-    }
-    let span = dotm_obs::span_with("analysis", || format!("analysis {slot} [{}]", nl.name()));
-    let result = f(&mut sim);
-    drop(span);
-    if let Warm::Capture(capture) = warm {
-        if let Some(op) = sim.last_dc_op() {
-            capture.record(slot, op);
-        }
-    }
     stats.merge(sim.stats());
     result
 }

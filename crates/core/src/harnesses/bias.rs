@@ -1,8 +1,6 @@
 //! Harness for the bias generator.
 
-use crate::harness::{
-    with_instrumented_sim, with_instrumented_sim_warm, MacroHarness, Probe, Warm, WarmCursor,
-};
+use crate::harness::{with_instrumented_sim, MacroHarness, Probe};
 use crate::measure::{MeasureKind, MeasureLabel, MeasurementPlan};
 use crate::memo::MemoryStore;
 use crate::signature::{CurrentKind, VoltageSignature};
@@ -88,10 +86,8 @@ impl MacroHarness for BiasHarness {
         nl: &Netlist,
         opts: &SimOptions,
         stats: &mut SimStats,
-        warm: Warm<'_>,
     ) -> Result<Vec<f64>, SimError> {
-        let mut cursor = WarmCursor::new();
-        let op = with_instrumented_sim_warm(nl, opts, stats, warm, &mut cursor, |sim| sim.dc_op())?;
+        let op = with_instrumented_sim(nl, opts, stats, |sim| sim.dc_op())?;
         let mut out = Vec::with_capacity(5);
         for net in ["vbn", "vbnc", "vbp", "vaz"] {
             out.push(match nl.find_node(net) {

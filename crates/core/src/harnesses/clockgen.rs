@@ -1,7 +1,7 @@
 //! Harness for the clock generator — the digital cell whose quiescent
 //! supply current is the IDDQ measurement.
 
-use crate::harness::{with_instrumented_sim_warm, MacroHarness, Warm, WarmCursor};
+use crate::harness::{with_instrumented_sim, MacroHarness};
 use crate::measure::{MeasureKind, MeasureLabel, MeasurementPlan};
 use crate::signature::{CurrentKind, VoltageSignature};
 use dotm_adc::clockgen::clockgen_testbench;
@@ -75,12 +75,9 @@ impl MacroHarness for ClockgenHarness {
         nl: &Netlist,
         opts: &SimOptions,
         stats: &mut SimStats,
-        warm: Warm<'_>,
     ) -> Result<Vec<f64>, SimError> {
-        let mut cursor = WarmCursor::new();
-        let tr = with_instrumented_sim_warm(nl, opts, stats, warm, &mut cursor, |sim| {
-            sim.transient(CLOCK_PERIOD, self.dt)
-        })?;
+        let tr =
+            with_instrumented_sim(nl, opts, stats, |sim| sim.transient(CLOCK_PERIOD, self.dt))?;
         let mut out = Vec::new();
         for ck in 1..=3 {
             let node = nl.find_node(&format!("ck{ck}"));

@@ -1,7 +1,7 @@
 //! Harness for the comparator macro — the cell the paper analyses in
 //! depth (§3.2).
 
-use crate::harness::{with_instrumented_sim_warm, MacroHarness, Warm, WarmCursor};
+use crate::harness::{with_instrumented_sim, MacroHarness};
 use crate::measure::{MeasureKind, MeasureLabel, MeasurementPlan};
 use crate::processvar::{CommonSample, ProcessModel};
 use crate::signature::{CurrentKind, VoltageSignature};
@@ -166,14 +166,12 @@ impl MacroHarness for ComparatorHarness {
         nl: &Netlist,
         opts: &SimOptions,
         stats: &mut SimStats,
-        warm: Warm<'_>,
     ) -> Result<Vec<f64>, SimError> {
-        let mut cursor = WarmCursor::new();
         let mut out = Vec::new();
         // Voltage test: four decisions around the mid reference, plus one
         // pair at each range extreme.
         for dv in DECISION_DVS {
-            let tr = with_instrumented_sim_warm(nl, opts, stats, warm, &mut cursor, |sim| {
+            let tr = with_instrumented_sim(nl, opts, stats, |sim| {
                 sim.override_source("VIN", VREF_MID + dv)?;
                 sim.transient(decision_sim_time(), self.dt)
             })?;
@@ -181,7 +179,7 @@ impl MacroHarness for ComparatorHarness {
         }
         for vref in EXTREME_VREFS {
             for dv in [-EXTREME_DV, EXTREME_DV] {
-                let tr = with_instrumented_sim_warm(nl, opts, stats, warm, &mut cursor, |sim| {
+                let tr = with_instrumented_sim(nl, opts, stats, |sim| {
                     sim.override_source("VREF", vref)?;
                     sim.override_source("VIN", vref + dv)?;
                     sim.transient(decision_sim_time(), self.dt)
@@ -193,7 +191,7 @@ impl MacroHarness for ComparatorHarness {
         // levels ride along on the first condition.
         let mut clock_levels = Vec::new();
         for (ci, vin) in CURRENT_VINS.iter().enumerate() {
-            let tr = with_instrumented_sim_warm(nl, opts, stats, warm, &mut cursor, |sim| {
+            let tr = with_instrumented_sim(nl, opts, stats, |sim| {
                 sim.override_source("VIN", *vin)?;
                 sim.transient(2.0 * CLOCK_PERIOD, self.dt)
             })?;

@@ -1,6 +1,6 @@
 //! Harness for the decoder column section.
 
-use crate::harness::{with_instrumented_sim_warm, MacroHarness, Warm, WarmCursor};
+use crate::harness::{with_instrumented_sim, MacroHarness};
 use crate::measure::{MeasureKind, MeasureLabel, MeasurementPlan};
 use crate::signature::{CurrentKind, VoltageSignature};
 use dotm_adc::decoder::{decoder_slice_testbench, SLICE_CODES, SLICE_INPUTS};
@@ -80,12 +80,10 @@ impl MacroHarness for DecoderHarness {
         nl: &Netlist,
         opts: &SimOptions,
         stats: &mut SimStats,
-        warm: Warm<'_>,
     ) -> Result<Vec<f64>, SimError> {
-        let mut cursor = WarmCursor::new();
         let mut out = Vec::new();
         for h in HEIGHTS {
-            let tr = with_instrumented_sim_warm(nl, opts, stats, warm, &mut cursor, |sim| {
+            let tr = with_instrumented_sim(nl, opts, stats, |sim| {
                 for i in 0..SLICE_INPUTS {
                     let level = if i < h { 5.0 } else { 0.0 };
                     sim.override_source(&format!("VT{i}"), level)?;

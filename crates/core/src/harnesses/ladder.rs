@@ -1,6 +1,6 @@
 //! Harness for the dual-ladder reference string.
 
-use crate::harness::{with_instrumented_sim_warm, MacroHarness, Warm, WarmCursor};
+use crate::harness::{with_instrumented_sim, MacroHarness};
 use crate::measure::{MeasureKind, MeasureLabel, MeasurementPlan};
 use crate::signature::{CurrentKind, VoltageSignature};
 use dotm_adc::behavior::FlashAdc;
@@ -63,10 +63,8 @@ impl MacroHarness for LadderHarness {
         nl: &Netlist,
         opts: &SimOptions,
         stats: &mut SimStats,
-        warm: Warm<'_>,
     ) -> Result<Vec<f64>, SimError> {
-        let mut cursor = WarmCursor::new();
-        let op = with_instrumented_sim_warm(nl, opts, stats, warm, &mut cursor, |sim| sim.dc_op())?;
+        let op = with_instrumented_sim(nl, opts, stats, |sim| sim.dc_op())?;
         let mut out = Vec::with_capacity(TAPS + 2);
         for k in 1..=TAPS {
             out.push(op.voltage(tap_node(nl, k)));

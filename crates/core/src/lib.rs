@@ -53,10 +53,7 @@ pub use escapes::YieldModel;
 pub use exec::{par_map, par_map_indices, ExecConfig};
 pub use global::{GlobalDetectability, GlobalReport};
 pub use goodspace::{GoodSpace, GoodSpaceConfig};
-pub use harness::{
-    with_instrumented_sim, with_instrumented_sim_warm, MacroHarness, Probe, Warm, WarmCapture,
-    WarmCursor, WarmStart,
-};
+pub use harness::{with_instrumented_sim, MacroHarness, Probe};
 pub use measure::{MeasureKind, MeasureLabel, MeasurementPlan};
 pub use memo::{CachedMeasurement, MemoryStore};
 pub use pipeline::{

@@ -25,9 +25,7 @@
 //! thread count, because which thread populates an entry first cannot
 //! change what the entry contains (the value is a pure function of the
 //! key: same digest + same rung ⇒ same netlist stamped with the same
-//! options ⇒ same deterministic Newton trajectory). Warm-start seeds are
-//! frozen per run (the nominal operating point) before any memoized
-//! measurement happens, so they are part of that pure function too.
+//! options ⇒ same deterministic Newton trajectory).
 //!
 //! Occupancy (how many lookups hit) is scheduling-dependent — two threads
 //! can race to solve the same key — so it never reaches a report; the

@@ -5,7 +5,7 @@
 
 use crate::exec::{self, ExecConfig};
 use crate::goodspace::{GoodSpace, GoodSpaceConfig};
-use crate::harness::{MacroHarness, Probe, Warm, WarmStart};
+use crate::harness::{MacroHarness, Probe};
 use crate::memo::{CachedMeasurement, MemoryStore};
 use crate::signature::{CurrentFlags, DetectionSet, VoltageSignature};
 use dotm_defects::{
@@ -147,10 +147,9 @@ pub struct PipelineConfig {
     pub sim_failure_policy: SimFailurePolicy,
     /// Convergence-escalation ladder applied to fault-injected circuits.
     pub escalation: EscalationLadder,
-    /// Seed every fault-variant DC solve from the good circuit's nominal
-    /// operating point (captured during good-space compilation). Purely a
-    /// solver-effort optimisation: a failed seed falls back to the cold
-    /// homotopy chain. Also gates the good-space capture itself.
+    /// No effect. Every DC solve starts from the cold homotopy chain; the
+    /// field remains so callers that set it keep compiling, and it is not
+    /// part of the pipeline context.
     pub warm_start: bool,
     /// No effect. Every run memoizes measurements through one
     /// [`MeasurementStore`] (a fresh [`MemoryStore`] unless the hooks
@@ -383,9 +382,8 @@ impl fmt::Display for ShardSpec {
 }
 
 /// Optional hooks threaded through one pipeline run. All hooks are
-/// borrowed and frozen before parallel work starts — like the warm-seed
-/// table, they are shared read-only across executor workers so hooked
-/// runs stay deterministic.
+/// borrowed and frozen before parallel work starts: they are shared
+/// read-only across executor workers so hooked runs stay deterministic.
 #[derive(Default)]
 pub struct PipelineHooks<'a> {
     /// Measurement store: consulted before every solve
@@ -801,20 +799,11 @@ pub fn run_macro_path_with_faults_hooked(
     let _macro_span = dotm_obs::span_with("macro", || format!("macro {}", harness.name()));
     let memo = MemoryStore::new();
     let store = hooks.store.unwrap_or(&memo);
-    let mut gs_cfg = cfg.goodspace;
-    gs_cfg.warm_start = gs_cfg.warm_start && cfg.warm_start;
-    let good = GoodSpace::compile_in(harness, &cfg.process, gs_cfg, store)
+    let good = GoodSpace::compile_in(harness, &cfg.process, cfg.goodspace, store)
         .map_err(PathError::GoodCircuit)?;
     let injector = Injector::default();
     let shared: HashSet<&str> = harness.shared_nets().into_iter().collect();
     let base = harness.testbench();
-    // The seed table is frozen before any parallel work: every worker sees
-    // the same seeds, so warm-started measurements stay scheduling-free.
-    let warm = if cfg.warm_start {
-        good.warm.as_ref()
-    } else {
-        None
-    };
 
     let classes: Vec<_> = match cfg.max_classes {
         Some(n) => collapsed.classes.iter().take(n).collect(),
@@ -869,8 +858,7 @@ pub fn run_macro_path_with_faults_hooked(
             .iter()
             .map(|&severity| {
                 evaluate_class(
-                    harness, &injector, &good, &base, effect, severity, is_shared, cfg, warm,
-                    store, ci,
+                    harness, &injector, &good, &base, effect, severity, is_shared, cfg, store, ci,
                 )
             })
             .collect();
@@ -1005,14 +993,12 @@ pub(crate) fn memoized(
 /// retryable failures. Returns the measurement and the rung that
 /// succeeded, or `None` if every rung failed (or the failure was not a
 /// numerical one, where retrying cannot help).
-#[allow(clippy::too_many_arguments)]
 fn measure_escalated(
     harness: &dyn MacroHarness,
     nl: &Netlist,
     base_opts: &SimOptions,
     ladder: EscalationLadder,
     solver: &mut SimStats,
-    warm: Option<&WarmStart>,
     store: &dyn MeasurementStore,
 ) -> Option<(Vec<f64>, u8)> {
     // One digest per injected netlist, shared by every rung's store key.
@@ -1024,7 +1010,7 @@ fn measure_escalated(
         // itself costs (rung 0 is the ordinary first attempt).
         let rung_span = dotm_obs::span_with("rung", || format!("rung {rung}"));
         let outcome = memoized(store, store_key(digest, rung), solver, |delta| {
-            harness.measure_with(nl, &opts, delta, warm.map_or(Warm::Cold, Warm::Seed))
+            harness.measure_with(nl, &opts, delta)
         });
         drop(rung_span);
         match outcome {
@@ -1186,7 +1172,6 @@ fn evaluate_class(
     severity: Severity,
     shared: bool,
     cfg: &PipelineConfig,
-    warm: Option<&WarmStart>,
     store: &dyn MeasurementStore,
     class_index: usize,
 ) -> Evaluated {
@@ -1212,7 +1197,7 @@ fn evaluate_class(
             }
         }
         let candidate =
-            match measure_escalated(harness, &nl, &base_opts, ladder, &mut solver, warm, store) {
+            match measure_escalated(harness, &nl, &base_opts, ladder, &mut solver, store) {
                 Some((meas, used_rung)) => {
                     let mut probe = Probe::new(store, class_index as u64, &mut solver);
                     measured_eval(harness, good, shared, &meas, used_rung, &mut probe)
@@ -1287,17 +1272,8 @@ mod tests {
             nl: &Netlist,
             opts: &SimOptions,
             stats: &mut SimStats,
-            warm: Warm<'_>,
         ) -> Result<Vec<f64>, dotm_sim::SimError> {
-            let mut cursor = crate::harness::WarmCursor::new();
-            let op = crate::harness::with_instrumented_sim_warm(
-                nl,
-                opts,
-                stats,
-                warm,
-                &mut cursor,
-                |sim| sim.dc_op(),
-            )?;
+            let op = crate::harness::with_instrumented_sim(nl, opts, stats, |sim| sim.dc_op())?;
             Ok(vec![
                 op.voltage(nl.find_node("mid").expect("mid")),
                 nl.device_id("VDD")
@@ -1520,7 +1496,6 @@ mod tests {
             nl: &Netlist,
             opts: &SimOptions,
             stats: &mut SimStats,
-            warm: Warm<'_>,
         ) -> Result<Vec<f64>, dotm_sim::SimError> {
             let faulted = nl.devices().any(|(_, d)| d.name.starts_with("flt"));
             if faulted && opts.max_iter < self.needs_iters {
@@ -1532,7 +1507,7 @@ mod tests {
                     iterations: opts.max_iter,
                 });
             }
-            DividerHarness.measure_with(nl, opts, stats, warm)
+            DividerHarness.measure_with(nl, opts, stats)
         }
 
         fn classify_voltage(&self, nominal: &[f64], faulty: &[f64]) -> VoltageSignature {
@@ -1753,7 +1728,6 @@ mod tests {
             nl: &Netlist,
             opts: &SimOptions,
             stats: &mut SimStats,
-            _warm: Warm<'_>,
         ) -> Result<Vec<f64>, dotm_sim::SimError> {
             if nl.device("flt.gd").is_some() && opts.max_iter < 600 {
                 stats.nr_solves += 1;

@@ -309,12 +309,6 @@ pub struct Simulator<'a> {
     /// circuit the assembled system is independent of `x`, so Newton may
     /// accept a first-iteration convergence without a confirming solve.
     has_nonlinear: bool,
-    /// One-shot warm-start guess consumed by the next [`robust_dc`] call
-    /// (installed by [`Simulator::seed_dc_from`]).
-    dc_seed: Option<Vec<f64>>,
-    /// The most recent successfully solved DC operating point (also the
-    /// transient initial point), kept for warm-start capture.
-    last_dc: Option<Vec<f64>>,
     /// LU factors of the most recently factored matrix, over the
     /// symbolic analysis of `a`'s pattern.
     lu: SparseLu,
@@ -386,8 +380,6 @@ impl<'a> Simulator<'a> {
             z: vec![0.0; n_unknowns],
             stats: SimStats::default(),
             has_nonlinear,
-            dc_seed: None,
-            last_dc: None,
             lu,
             factor_key: Vec::new(),
             factor_fresh: false,
@@ -457,16 +449,6 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    fn source_value(&self, id: DeviceId, wf: &dotm_netlist::Waveform, t: Option<f64>) -> f64 {
-        if let Some(v) = self.source_override.get(&(id.index() as u32)) {
-            return *v;
-        }
-        match t {
-            Some(t) => wf.value_at(t),
-            None => wf.dc_value(),
-        }
-    }
-
     /// Assembles the linearised MNA system `A·x_next = z` around guess
     /// `x`: zeroes the compact matrix and adds every stamp through the
     /// slot [`record_cells`] recorded for it, in the same order.
@@ -479,15 +461,6 @@ impl<'a> Simulator<'a> {
         src_scale: f64,
     ) {
         let overrides = &self.source_override;
-        let src_val = |id: DeviceId, wf: &dotm_netlist::Waveform, t: Option<f64>| -> f64 {
-            if let Some(v) = overrides.get(&(id.index() as u32)) {
-                return *v;
-            }
-            match t {
-                Some(t) => wf.value_at(t),
-                None => wf.dc_value(),
-            }
-        };
         let z = &mut self.z;
         self.a.clear();
         z.fill(0.0);
@@ -503,10 +476,10 @@ impl<'a> Simulator<'a> {
             match op {
                 PlanOp::MatAdd { r, c, v } => a.add(*r, *c, *v),
                 PlanOp::VsrcZ { row: br, id, wf } => {
-                    z[*br] = src_val(*id, wf, t) * src_scale;
+                    z[*br] = source_value(overrides, *id, wf, t) * src_scale;
                 }
                 PlanOp::IsrcZ { rp, rq, id, wf } => {
-                    let i = src_val(*id, wf, t) * src_scale;
+                    let i = source_value(overrides, *id, wf, t) * src_scale;
                     if let Some(rp) = rp {
                         z[*rp] -= i;
                     }
@@ -714,54 +687,12 @@ impl<'a> Simulator<'a> {
         NrOutcome::MaxIter
     }
 
-    fn op_point(&mut self, x: Vec<f64>) -> OpPoint {
-        self.last_dc = Some(x.clone());
+    fn op_point(&self, x: Vec<f64>) -> OpPoint {
         OpPoint {
             x,
             n_nodes: self.n_nodes,
             vsrc: self.vsrc.clone(),
         }
-    }
-
-    /// The most recent successfully solved DC operating point (including
-    /// the transient initial point), for warm-start capture.
-    pub fn last_dc_op(&self) -> Option<OpPoint> {
-        self.last_dc.as_ref().map(|x| OpPoint {
-            x: x.clone(),
-            n_nodes: self.n_nodes,
-            vsrc: self.vsrc.clone(),
-        })
-    }
-
-    /// Installs `op` — typically the fault-free nominal solution — as a
-    /// one-shot warm-start guess for the next DC solve (including the
-    /// transient initial point).
-    ///
-    /// Fault injection only ever *appends* nodes and devices, so a
-    /// nominal solution maps onto the faulted circuit's unknown vector by
-    /// copying the node-voltage and branch-current sections to their new
-    /// positions and zero-filling the appended entries. The append-only
-    /// invariant is checked structurally: `op`'s node count must not
-    /// exceed this simulator's, and `op`'s voltage sources must be an
-    /// exact id-prefix of this simulator's (device removal reindexes ids
-    /// and breaks the prefix). Returns `false` — and installs nothing, so
-    /// the solve starts cold — when the check fails.
-    pub fn seed_dc_from(&mut self, op: &OpPoint) -> bool {
-        if op.n_nodes == 0
-            || op.n_nodes > self.n_nodes
-            || op.vsrc.len() > self.vsrc.len()
-            || op.vsrc != self.vsrc[..op.vsrc.len()]
-        {
-            return false;
-        }
-        debug_assert_eq!(op.x.len(), (op.n_nodes - 1) + op.vsrc.len());
-        let mut x = vec![0.0; self.n_unknowns];
-        x[..op.n_nodes - 1].copy_from_slice(&op.x[..op.n_nodes - 1]);
-        for (k, &i) in op.x[op.n_nodes - 1..].iter().enumerate() {
-            x[self.n_nodes - 1 + k] = i;
-        }
-        self.dc_seed = Some(x);
-        true
     }
 
     /// Solves the DC operating point.
@@ -793,24 +724,6 @@ impl<'a> Simulator<'a> {
         t: Option<f64>,
         analysis: &'static str,
     ) -> Result<OpPoint, SimError> {
-        // Warm start: one plain Newton solve from the seeded nominal
-        // solution. On failure of any kind the full cold homotopy chain
-        // below runs unchanged — the seed is only ever a speed-up, never
-        // a correctness dependency.
-        if let Some(seed) = self.dc_seed.take() {
-            let mut x = seed;
-            match self.newton(&mut x, t, None, self.opts.gmin, 1.0) {
-                NrOutcome::Converged => {
-                    self.stats.warm_hits += 1;
-                    self.stats.converged_plain += 1;
-                    return Ok(self.op_point(x));
-                }
-                NrOutcome::Singular | NrOutcome::MaxIter => {
-                    self.stats.warm_misses += 1;
-                }
-            }
-        }
-
         let mut x = guess.to_vec();
         x.resize(self.n_unknowns, 0.0);
         match self.newton(&mut x, t, None, self.opts.gmin, 1.0) {
@@ -1120,7 +1033,7 @@ impl<'a> Simulator<'a> {
                 neg: _,
                 waveform,
             } => {
-                let i = self.source_value(id, waveform, None);
+                let i = source_value(&self.source_override, id, waveform, None);
                 vec![i, -i]
             }
             DeviceKind::Diode {
@@ -1209,6 +1122,18 @@ impl Stamp for Replay<'_> {
             "stamp at ({r}, {c}) outside the symbolic pattern"
         );
         self.a.add_at(s, v);
+    }
+}
+
+/// The value of source `id` with waveform `wf`: its override if one is
+/// installed, else the waveform at `t` (its DC value for `t = None`).
+fn source_value(overrides: &HashMap<u32, f64>, id: DeviceId, wf: &Waveform, t: Option<f64>) -> f64 {
+    if let Some(v) = overrides.get(&(id.index() as u32)) {
+        return *v;
+    }
+    match t {
+        Some(t) => wf.value_at(t),
+        None => wf.dc_value(),
     }
 }
 

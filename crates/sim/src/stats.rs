@@ -41,11 +41,10 @@ pub struct SimStats {
     pub rejected_steps: u64,
     /// Transient step halvings performed after a rejected step.
     pub step_halvings: u64,
-    /// DC solves where a warm-start seed converged directly (also counted
-    /// in [`SimStats::converged_plain`]).
+    /// No effect: always 0. The solver no longer seeds DC solves from a
+    /// nominal operating point; the word stays for the benchmark tracer.
     pub warm_hits: u64,
-    /// DC solves where a warm-start seed failed and the cold homotopy
-    /// chain ran instead.
+    /// No effect: always 0 (see [`SimStats::warm_hits`]).
     pub warm_misses: u64,
     /// Newton linear solves served by the exact factor cache (a matrix
     /// bit-identical to the one last factored) instead of a fresh

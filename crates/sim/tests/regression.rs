@@ -234,25 +234,22 @@ fn large_gmin_solution_is_genuinely_solved() {
 }
 
 #[test]
-fn warm_seed_accepts_linear_circuit_at_first_iteration() {
+fn exact_guess_accepts_linear_circuit_at_first_iteration() {
     let nl = divider();
     let mid = nl.find_node("mid").unwrap();
     let mut cold = Simulator::new(&nl);
     let op = cold.dc_op().expect("cold dc");
     let cold_iters = cold.stats().nr_iterations;
 
-    let mut warm = Simulator::new(&nl);
-    assert!(warm.seed_dc_from(&op), "same-netlist seed must install");
-    let wop = warm.dc_op().expect("warm dc");
-    assert!((wop.voltage(mid) - 1.0).abs() < 1e-9);
-    let s = *warm.stats();
-    assert_eq!(s.warm_hits, 1);
-    assert_eq!(s.warm_misses, 0);
+    let mut guessed = Simulator::new(&nl);
+    let gop = guessed.dc_op_from(op.unknowns()).expect("dc from guess");
+    assert!((gop.voltage(mid) - 1.0).abs() < 1e-9);
+    let s = *guessed.stats();
     assert_eq!(s.nr_solves, 1);
-    // A linear system's stamps do not depend on x, so an exact seed is
+    // A linear system's stamps do not depend on x, so an exact guess is
     // accepted on the very first iteration (the old `iter > 0` guard
     // forced a pointless second solve of the identical matrix).
-    assert_eq!(s.nr_iterations, 1, "exact linear seed must not re-solve");
+    assert_eq!(s.nr_iterations, 1, "exact linear guess must not re-solve");
     assert!(
         cold_iters > 1,
         "cold linear solve needs its confirming pass"
@@ -260,78 +257,30 @@ fn warm_seed_accepts_linear_circuit_at_first_iteration() {
 }
 
 #[test]
-fn warm_seed_still_relinearises_nonlinear_circuits() {
+fn exact_guess_still_relinearises_nonlinear_circuits() {
     let nl = diode_clamp();
     let d = nl.find_node("d").unwrap();
     let mut cold = Simulator::new(&nl);
     let op = cold.dc_op().expect("cold dc");
     let cold_iters = cold.stats().nr_iterations;
 
-    let mut warm = Simulator::new(&nl);
-    assert!(warm.seed_dc_from(&op));
-    let wop = warm.dc_op().expect("warm dc");
-    assert!((wop.voltage(d) - op.voltage(d)).abs() < 1e-9);
-    let s = *warm.stats();
-    assert_eq!(s.warm_hits, 1);
-    // The diode stamps depend on x: even an exact seed needs at least one
-    // confirming re-linearisation before it may be accepted.
+    let mut guessed = Simulator::new(&nl);
+    let gop = guessed.dc_op_from(op.unknowns()).expect("dc from guess");
+    assert!((gop.voltage(d) - op.voltage(d)).abs() < 1e-9);
+    let s = *guessed.stats();
+    assert_eq!(s.nr_solves, 1);
+    // The diode stamps depend on x: even an exact guess needs at least
+    // one confirming re-linearisation before it may be accepted.
     assert!(
         s.nr_iterations >= 2,
-        "nonlinear seed accepted without re-linearising"
+        "nonlinear guess accepted without re-linearising"
     );
     assert!(
         s.nr_iterations < cold_iters,
-        "warm start saved nothing: {} vs {} cold",
+        "the exact guess saved nothing: {} vs {} cold",
         s.nr_iterations,
         cold_iters
     );
-}
-
-#[test]
-fn warm_seed_remaps_appended_unknowns_and_rejects_reindexed_sources() {
-    let nl = divider();
-    let mut cold = Simulator::new(&nl);
-    let op = cold.dc_op().expect("cold dc");
-
-    // Fault injection only appends: extra node + bridge resistor after
-    // the original devices. The nominal seed maps onto the larger
-    // unknown vector.
-    let mut faulted = divider();
-    let mid = faulted.find_node("mid").unwrap();
-    let x = faulted.node("x");
-    faulted.add_resistor("RF", mid, x, 1e3).unwrap();
-    faulted
-        .add_resistor("RF2", x, Netlist::GROUND, 1e9)
-        .unwrap();
-    let mut warm = Simulator::new(&faulted);
-    assert!(
-        warm.seed_dc_from(&op),
-        "append-only change must accept the seed"
-    );
-    let wop = warm.dc_op().expect("warm dc on faulted netlist");
-    assert!((wop.voltage(mid) - 1.0).abs() < 1e-4);
-    assert_eq!(warm.stats().warm_hits + warm.stats().warm_misses, 1);
-
-    // Reordered construction reindexes the voltage source: the id prefix
-    // no longer matches and the seed must be refused.
-    let mut reordered = Netlist::new("reordered");
-    let vin = reordered.node("in");
-    let mid2 = reordered.node("mid");
-    reordered.add_resistor("R1", vin, mid2, 1e3).unwrap();
-    reordered
-        .add_resistor("R2", mid2, Netlist::GROUND, 1e3)
-        .unwrap();
-    reordered
-        .add_vsource("V1", vin, Netlist::GROUND, Waveform::dc(2.0))
-        .unwrap();
-    let mut other = Simulator::new(&reordered);
-    assert!(
-        !other.seed_dc_from(&op),
-        "reindexed source ids must reject the seed"
-    );
-    other.dc_op().expect("cold dc still works");
-    assert_eq!(other.stats().warm_hits, 0);
-    assert_eq!(other.stats().warm_misses, 0);
 }
 
 #[test]

@@ -12,10 +12,11 @@ use dotm_sim::Integration;
 /// record, and bias_gen's propagation solves counted in class stats;
 /// 6: the static-order sparse LU, the dense-fallback count in
 /// `factor_refactor_fallbacks`, and the comparator's bias solves counted
-/// in its good-space stats), so old stores and journals age out as
+/// in its good-space stats; 7: no warm-start seeding, so every DC solve's
+/// stats delta is a cold solve's), so old stores and journals age out as
 /// misses instead of decoding wrongly or replaying another solver's
 /// numbers.
-pub const FORMAT_VERSION: u64 = 6;
+pub const FORMAT_VERSION: u64 = 7;
 
 /// Computes the context fingerprint of one `(harness, config)` pair.
 ///
@@ -23,9 +24,8 @@ pub const FORMAT_VERSION: u64 = 6;
 /// instance count, solver options, measurement plan, shared nets,
 /// current floors); the defect population inputs (sprinkle size, seed,
 /// defect statistics); the process-variation sigmas; the good-space
-/// Monte-Carlo sizes and seed; the escalation ladder; the sim-failure
-/// policy; and the `warm_start` solver-effort knob, whose telemetry
-/// lands in persisted solver-stats deltas.
+/// Monte-Carlo sizes and seed; the escalation ladder; and the
+/// sim-failure policy.
 ///
 /// Deliberately *excluded*:
 ///
@@ -34,9 +34,10 @@ pub const FORMAT_VERSION: u64 = 6;
 /// - `max_classes` — truncation selects *which* classes run, it never
 ///   changes any class's evaluation, so smoke runs share entries with
 ///   full runs (the journal guards its own class count separately);
-/// - `measure_cache`, `factor_reuse`, `rank_update`, `tran_step_carry`
-///   and `batch_assembly` — inert fields that no longer change any
-///   solve, so every setting must share entries.
+/// - `warm_start` (pipeline and good space), `measure_cache`,
+///   `factor_reuse`, `rank_update`, `tran_step_carry` and
+///   `batch_assembly` — inert fields that no longer change any solve, so
+///   every setting must share entries.
 pub fn pipeline_context(harness: &dyn MacroHarness, cfg: &PipelineConfig) -> u128 {
     let mut h = Fnv128::new();
     h.u64(FORMAT_VERSION);
@@ -96,16 +97,14 @@ pub fn pipeline_context(harness: &dyn MacroHarness, cfg: &PipelineConfig) -> u12
     h.u64(cfg.goodspace.common_samples as u64);
     h.u64(cfg.goodspace.mismatch_samples as u64);
     h.u64(cfg.goodspace.seed);
-    h.bool(cfg.goodspace.warm_start);
 
-    // Evaluation policy and solver-effort knobs.
+    // Evaluation policy.
     h.u64(cfg.escalation.max_rung as u64);
     h.u64(match cfg.sim_failure_policy {
         SimFailurePolicy::AssumeDetected => 0,
         SimFailurePolicy::AssumeUndetected => 1,
         SimFailurePolicy::Exclude => 2,
     });
-    h.bool(cfg.warm_start);
 
     h.finish()
 }
@@ -155,10 +154,6 @@ mod tests {
         assert_ne!(pipeline_context(&h, &cfg), base, "failure policy");
 
         let mut cfg = base_cfg();
-        cfg.warm_start = false;
-        assert_ne!(pipeline_context(&h, &cfg), base, "warm start");
-
-        let mut cfg = base_cfg();
         cfg.defects += 1;
         assert_ne!(pipeline_context(&h, &cfg), base, "sprinkle size");
     }
@@ -205,5 +200,13 @@ mod tests {
         let mut cfg = base_cfg();
         cfg.measure_cache = !cfg.measure_cache;
         assert_eq!(pipeline_context(&h, &cfg), base, "measure cache");
+
+        let mut cfg = base_cfg();
+        cfg.warm_start = !cfg.warm_start;
+        assert_eq!(pipeline_context(&h, &cfg), base, "warm start");
+
+        let mut cfg = base_cfg();
+        cfg.goodspace.warm_start = !cfg.goodspace.warm_start;
+        assert_eq!(pipeline_context(&h, &cfg), base, "good-space warm start");
     }
 }

@@ -78,9 +78,8 @@ impl MeasurementStore for Probe {
 
 #[test]
 fn comparator_report_is_thread_count_invariant() {
-    // Warm start and the in-memory measurement store are both on (the
-    // defaults): the invariance contract has to hold on the path users
-    // actually run.
+    // The in-memory measurement store is on (every run has one): the
+    // invariance contract has to hold on the path users actually run.
     let serial = run_comparator(1, None);
     let parallel = run_comparator(4, None);
 
