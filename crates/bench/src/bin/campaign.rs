@@ -46,9 +46,10 @@
 //! * `DOTM_EXPECT_WARM` — `1` asserts the store answered every lookup:
 //!   class measurements, the good space's Monte-Carlo record and
 //!   bias_gen's propagation transients (`computed=0 misses=0`), at any
-//!   `DOTM_THREADS`. Exits non-zero otherwise. Each macro's nominal
-//!   measurement (the detection reference) still solves, because it is
-//!   not stored.
+//!   `DOTM_THREADS`. Exits non-zero otherwise. The comparator's nominal
+//!   measurement (the detection reference) replays with its good-space
+//!   record; the other four macros' nominals still solve, because they
+//!   are not stored (about 9 ms in all).
 //! * `DOTM_MACROS` — comma-separated macro subset to run (campaign
 //!   order is preserved regardless of the list's order; unknown names
 //!   are a usage error). Inherited by shard workers, so a subset

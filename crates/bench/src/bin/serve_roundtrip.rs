@@ -14,7 +14,8 @@
 //!   finished job without running anything;
 //! * a `fresh:true` resubmission re-runs against the warmed store and
 //!   **computes nothing** (`misses=0 computed=0` in the store
-//!   accounting; only the nominal measurements solve) while reproducing
+//!   accounting; only the four unstored nominal measurements solve)
+//!   while reproducing
 //!   every report fingerprint;
 //! * `POST /shutdown` drains and the server exits 0.
 //!

@@ -27,7 +27,7 @@
 //! | `DOTM_SHARD_RETRIES` | extra coordinator dispatch rounds for crashed workers | 2 |
 //! | `DOTM_SHARD_ABORT_ONCE` | test knob: first-round workers abort after this many classes | off |
 //! | `DOTM_ABORT_AFTER` | abort the run after this many observed classes (crash injection) | off |
-//! | `DOTM_EXPECT_WARM` | assert the store answered every lookup (only the nominals solve) | off |
+//! | `DOTM_EXPECT_WARM` | assert the store answered every lookup (only the unstored nominals solve) | off |
 //! | `DOTM_PROGRESS` | per-class `[progress]` lines on stderr (service event feed) | off |
 //! | `DOTM_SERVE_POLL_MS` | service accept-loop / event-stream poll interval (ms) | 25 |
 //! | `DOTM_SERVE_IO_TIMEOUT_MS` | service per-operation socket read/write timeout (ms) | 10000 |
@@ -216,8 +216,10 @@ pub fn abort_after() -> Option<u64> {
 }
 
 /// The `DOTM_EXPECT_WARM` knob (default off): assert the store answered
-/// every lookup (no miss, nothing computed). Each macro's nominal
-/// measurement still solves, because it is not stored. The warm-resume
+/// every lookup (no miss, nothing computed). The comparator's nominal
+/// measurement replays with its good space; the other four macros'
+/// nominals still solve, because they are not stored (about 9 ms in
+/// all). The warm-resume
 /// gates use it to turn "the store silently went cold" into a hard
 /// failure.
 ///

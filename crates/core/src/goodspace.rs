@@ -16,11 +16,12 @@
 
 use crate::exec::{self, ExecConfig};
 use crate::harness::MacroHarness;
-use crate::measure::MeasureKind;
+use crate::measure::{MeasureKind, MeasurementPlan};
 use crate::memo::MemoryStore;
 use crate::pipeline::{tagged_key, MeasurementStore};
 use crate::processvar::ProcessModel;
 use crate::signature::{CurrentFlags, CurrentKind};
+use dotm_netlist::Netlist;
 use dotm_rng::rngs::StdRng;
 use dotm_sim::{SimError, SimStats};
 
@@ -117,14 +118,14 @@ fn compile_common_sample(
 }
 
 /// Runs the s·m Monte-Carlo corners and estimates σ_common and
-/// σ_mismatch at the `currents` indices. Returns the record and the
-/// corners' solver telemetry.
+/// σ_mismatch at the `currents` indices. Returns the σ pairs, the
+/// corners' solver telemetry and the redrawn-corner count.
 fn compile_corners(
     harness: &dyn MacroHarness,
     model: &ProcessModel,
     cfg: &GoodSpaceConfig,
-    currents: &[usize],
-) -> Result<(CornerRecord, SimStats), SimError> {
+    currents: &[(usize, CurrentKind)],
+) -> Result<(Vec<f64>, SimStats, u64), SimError> {
     let s = cfg.common_samples.max(1);
     let m = cfg.mismatch_samples.max(1);
     // samples[s][m][i]. Each common sample draws from its own
@@ -154,7 +155,7 @@ fn compile_corners(
         .collect();
     let mut sigma_common = Vec::with_capacity(currents.len());
     let mut sigma_mismatch = Vec::with_capacity(currents.len());
-    for &i in currents {
+    for &(i, _) in currents {
         let common_means: Vec<f64> = samples
             .iter()
             .map(|mm| mm.iter().map(|v| v[i]).sum::<f64>() / m as f64)
@@ -177,11 +178,19 @@ fn compile_corners(
         sigma_mismatch.push(var_m.sqrt());
     }
     sigma_common.extend(sigma_mismatch);
-    let record = CornerRecord {
-        corner_retries,
-        sigmas: sigma_common,
-    };
-    Ok((record, stats))
+    Ok((sigma_common, stats, corner_retries))
+}
+
+/// The current measurements of `plan`, as `(index, kind)` in plan order.
+fn current_measurements(plan: &MeasurementPlan) -> Vec<(usize, CurrentKind)> {
+    plan.labels
+        .iter()
+        .enumerate()
+        .filter_map(|(i, l)| match l.kind {
+            MeasureKind::Current(kind) => Some((i, kind)),
+            _ => None,
+        })
+        .collect()
 }
 
 /// The compiled good space: nominal measurements plus the per-measurement
@@ -202,36 +211,50 @@ pub struct GoodSpace {
     /// Process corners redrawn because the simulator left its convergence
     /// envelope (bounded per common sample).
     pub corner_retries: u64,
+    /// The current measurements of the harness's plan, as
+    /// `(index, kind)` in plan order.
+    currents: Vec<(usize, CurrentKind)>,
 }
 
-/// The stored outcome of the Monte-Carlo corners: everything the good
-/// space takes from them. Persisted as the values of one
-/// [`CachedMeasurement`](crate::CachedMeasurement) — `[corner_retries, σ_common…, σ_mismatch…]`
-/// with σ at the current-measurement indices only — whose stats delta
-/// is the corners' solver telemetry.
-struct CornerRecord {
+/// The stored outcome of a compilation: everything the good space takes
+/// from its Monte-Carlo corners, plus the nominal for a harness that
+/// [stores it](MacroHarness::stores_nominal). Persisted as the values of
+/// one [`CachedMeasurement`](crate::CachedMeasurement) —
+/// `[corner_retries, σ_common…, σ_mismatch…, nominal…]` with σ at the
+/// current-measurement indices only and the nominal present only for
+/// such a harness — whose stats delta is the solver telemetry of
+/// everything the record holds: the nominal's, then the corners'.
+struct GoodRecord {
     corner_retries: u64,
     /// σ_common then σ_mismatch, each over the current indices in plan
     /// order.
     sigmas: Vec<f64>,
+    /// The nominal measurement; empty when the harness does not store it.
+    nominal: Vec<f64>,
 }
 
-impl CornerRecord {
+impl GoodRecord {
     fn encode(&self) -> Vec<f64> {
-        let mut values = Vec::with_capacity(1 + self.sigmas.len());
+        let mut values = Vec::with_capacity(1 + self.sigmas.len() + self.nominal.len());
         values.push(self.corner_retries as f64);
         values.extend_from_slice(&self.sigmas);
+        values.extend_from_slice(&self.nominal);
         values
     }
 
     /// `None` (a miss: recompile) unless `values` holds an integral retry
-    /// count and one σ pair per current measurement.
-    fn decode(values: &[f64], currents: usize) -> Option<CornerRecord> {
-        let (&retries, sigmas) = values.split_first()?;
+    /// count, one σ pair per current measurement and exactly
+    /// `nominal_len` nominal values.
+    fn decode(values: &[f64], currents: usize, nominal_len: usize) -> Option<GoodRecord> {
+        let (&retries, rest) = values.split_first()?;
         let exact = retries >= 0.0 && retries.fract() == 0.0 && retries < 2f64.powi(53);
-        (exact && sigmas.len() == 2 * currents).then(|| CornerRecord {
-            corner_retries: retries as u64,
-            sigmas: sigmas.to_vec(),
+        (exact && rest.len() == 2 * currents + nominal_len).then(|| {
+            let (sigmas, nominal) = rest.split_at(2 * currents);
+            GoodRecord {
+                corner_retries: retries as u64,
+                sigmas: sigmas.to_vec(),
+                nominal: nominal.to_vec(),
+            }
         })
     }
 }
@@ -250,17 +273,21 @@ impl GoodSpace {
         Self::compile_in(harness, model, cfg, &MemoryStore::new())
     }
 
-    /// The store key of the Monte-Carlo record [`GoodSpace::compile`]
-    /// keeps for `(harness, model, cfg)`: the testbench content, the
-    /// Monte-Carlo sizes and seed, and the process sigmas. The executor
-    /// configuration and the inert fields are left out; they never change
-    /// the result.
+    /// The store key of the record [`GoodSpace::compile`] keeps for
+    /// `(harness, model, cfg)`: the testbench content, the Monte-Carlo
+    /// sizes and seed, and the process sigmas. The executor configuration
+    /// and the inert fields are left out; they never change the result.
     pub fn store_key(
         harness: &dyn MacroHarness,
         model: &ProcessModel,
         cfg: &GoodSpaceConfig,
     ) -> u128 {
-        let digest = harness.testbench().content_digest();
+        Self::key_of(&harness.testbench(), model, cfg)
+    }
+
+    /// [`GoodSpace::store_key`] over an already built testbench.
+    fn key_of(testbench: &Netlist, model: &ProcessModel, cfg: &GoodSpaceConfig) -> u128 {
+        let digest = testbench.content_digest();
         let mut words = vec![
             digest as u64,
             (digest >> 64) as u64,
@@ -284,32 +311,36 @@ impl GoodSpace {
         tagged_key("goodspace", &words)
     }
 
-    /// [`GoodSpace::compile`] against a measurement store: the
-    /// Monte-Carlo corners are replayed from the record under
-    /// [`GoodSpace::store_key`] when `store` holds a well-formed one, and
-    /// computed and stored otherwise. The nominal measurement always
-    /// runs — it is the detection reference, and it is not stored — so a
-    /// replay returns the same bits as a compile.
+    /// [`GoodSpace::compile`] against a measurement store: the record
+    /// under [`GoodSpace::store_key`] is replayed when `store` holds a
+    /// well-formed one, and computed and stored otherwise. For a harness
+    /// that [stores its nominal](MacroHarness::stores_nominal) a replay
+    /// simulates nothing; for any other the nominal measurement always
+    /// runs. Either way a replay returns the same bits as a compile.
     pub(crate) fn compile_in(
         harness: &dyn MacroHarness,
         model: &ProcessModel,
         cfg: GoodSpaceConfig,
         store: &dyn MeasurementStore,
     ) -> Result<GoodSpace, SimError> {
-        let mut solver = SimStats::default();
         let testbench = harness.testbench();
-        let nominal = harness.measure_with(&testbench, &harness.sim_options(), &mut solver)?;
-        let currents: Vec<usize> = harness
-            .plan()
-            .labels
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| matches!(l.kind, MeasureKind::Current(_)))
-            .map(|(i, _)| i)
-            .collect();
-        let key = Self::store_key(harness, model, &cfg);
+        let plan = harness.plan();
+        let currents = current_measurements(&plan);
+        let stores_nominal = harness.stores_nominal();
+        let nominal_len = if stores_nominal { plan.len() } else { 0 };
+        let measure_nominal =
+            |stats: &mut SimStats| harness.measure_with(&testbench, &harness.sim_options(), stats);
+        // A stored nominal is loaded before anything solves; an unstored
+        // one is measured before the load.
+        let mut solver = SimStats::default();
+        let unstored = if stores_nominal {
+            None
+        } else {
+            Some(measure_nominal(&mut solver)?)
+        };
+        let key = Self::key_of(&testbench, model, &cfg);
         let replay = store.load(key).and_then(|(result, delta)| {
-            let record = CornerRecord::decode(&result.ok()?, currents.len())?;
+            let record = GoodRecord::decode(&result.ok()?, currents.len(), nominal_len)?;
             Some((record, delta))
         });
         let (record, delta) = match replay {
@@ -318,17 +349,33 @@ impl GoodSpace {
                 hit
             }
             None => {
-                let (record, delta) = compile_corners(harness, model, &cfg, &currents)?;
+                // The record's delta is the nominal's telemetry (when it
+                // is stored) followed by the corners'.
+                let mut delta = SimStats::default();
+                let stored_nominal = if stores_nominal {
+                    measure_nominal(&mut delta)?
+                } else {
+                    Vec::new()
+                };
+                let (sigmas, corners, corner_retries) =
+                    compile_corners(harness, model, &cfg, &currents)?;
+                delta.merge(&corners);
+                let record = GoodRecord {
+                    corner_retries,
+                    sigmas,
+                    nominal: stored_nominal,
+                };
                 store.store(key, &(Ok(record.encode()), delta));
                 (record, delta)
             }
         };
         solver.merge(&delta);
+        let nominal = unstored.unwrap_or(record.nominal);
         let n = nominal.len();
         let mut sigma_common = vec![0.0; n];
         let mut sigma_mismatch = vec![0.0; n];
         let (common, mismatch) = record.sigmas.split_at(currents.len());
-        for (k, &i) in currents.iter().enumerate() {
+        for (k, &(i, _)) in currents.iter().enumerate() {
             sigma_common[i] = common[k];
             sigma_mismatch[i] = mismatch[k];
         }
@@ -338,6 +385,7 @@ impl GoodSpace {
             sigma_mismatch,
             solver,
             corner_retries: record.corner_retries,
+            currents,
         })
     }
 
@@ -351,7 +399,11 @@ impl GoodSpace {
         3.0 * sigma_chip
     }
 
-    /// Evaluates the current flags of a faulty measurement vector.
+    /// Evaluates the current flags of a faulty measurement vector, and
+    /// the indices of the current measurements whose deviation exceeds
+    /// the detection threshold — the raw material for test-set
+    /// compaction. A kind is flagged exactly when one of its
+    /// measurements is.
     ///
     /// `shared` scales the fault's *supply-current* deviation by the
     /// instance count: a fault on a shared trunk shifts the operating
@@ -359,92 +411,41 @@ impl GoodSpace {
     /// pins. Input-terminal deviations are never scaled — the fault's
     /// bridge current flows once per chip, and the instances' own input
     /// currents are gate currents (≈ 0) before and after.
-    pub fn current_flags(
+    pub fn current_detections(
         &self,
         harness: &dyn MacroHarness,
         faulty: &[f64],
         shared: bool,
-    ) -> CurrentFlags {
-        let plan = harness.plan();
+    ) -> (CurrentFlags, Vec<usize>) {
         let n_inst = harness.instance_count();
         let mut flags = CurrentFlags::default();
-        for (i, label) in plan.labels.iter().enumerate() {
-            if let MeasureKind::Current(kind) = label.kind {
-                let mult = if shared && kind != CurrentKind::Iinput {
-                    n_inst as f64
-                } else {
-                    1.0
-                };
-                let deviation = (faulty[i] - self.nominal[i]).abs() * mult;
-                let threshold = self.threshold(i, n_inst).max(harness.current_floor(kind));
-                if deviation > threshold {
-                    flags.set(kind, true);
-                }
-            }
-        }
-        flags
-    }
-
-    /// Indices of the current measurements whose deviation exceeds the
-    /// detection threshold — the raw material for test-set compaction.
-    pub fn flagged_indices(
-        &self,
-        harness: &dyn MacroHarness,
-        faulty: &[f64],
-        shared: bool,
-    ) -> Vec<usize> {
-        let plan = harness.plan();
-        let n_inst = harness.instance_count();
-        let mut out = Vec::new();
-        for (i, label) in plan.labels.iter().enumerate() {
-            if let MeasureKind::Current(kind) = label.kind {
-                let mult = if shared && kind != CurrentKind::Iinput {
-                    n_inst as f64
-                } else {
-                    1.0
-                };
-                let deviation = (faulty[i] - self.nominal[i]).abs() * mult;
-                let threshold = self.threshold(i, n_inst).max(harness.current_floor(kind));
-                if deviation > threshold {
-                    out.push(i);
-                }
-            }
-        }
-        out
-    }
-
-    /// The largest deviation-to-threshold ratio over all current
-    /// measurements of a kind (diagnostic helper for reports and the
-    /// sigma-sweep ablation).
-    pub fn worst_margin(
-        &self,
-        harness: &dyn MacroHarness,
-        faulty: &[f64],
-        kind: CurrentKind,
-        shared: bool,
-    ) -> f64 {
-        let plan = harness.plan();
-        let n_inst = harness.instance_count();
-        let mult = if shared && kind != CurrentKind::Iinput {
-            n_inst as f64
-        } else {
-            1.0
-        };
-        let mut worst = 0.0f64;
-        for i in plan.current_indices(kind) {
+        let mut flagged = Vec::new();
+        for &(i, kind) in &self.currents {
+            let mult = if shared && kind != CurrentKind::Iinput {
+                n_inst as f64
+            } else {
+                1.0
+            };
             let deviation = (faulty[i] - self.nominal[i]).abs() * mult;
             let threshold = self.threshold(i, n_inst).max(harness.current_floor(kind));
-            worst = worst.max(deviation / threshold);
+            if deviation > threshold {
+                flags.set(kind, true);
+                flagged.push(i);
+            }
         }
-        worst
+        (flags, flagged)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harnesses::BiasHarness;
+    use crate::harnesses::{BiasHarness, ComparatorHarness};
     use crate::memo::CachedMeasurement;
+    use crate::processvar::CommonSample;
+    use crate::signature::VoltageSignature;
+    use dotm_layout::Layout;
+    use dotm_sim::SimOptions;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn cfg() -> GoodSpaceConfig {
@@ -469,6 +470,84 @@ mod tests {
 
         fn store(&self, _key: u128, _value: &CachedMeasurement) {
             self.stores.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// The bias generator (a cheap DC measurement) with a chosen
+    /// [`MacroHarness::stores_nominal`], counting its measurements.
+    #[derive(Debug)]
+    struct Counting {
+        inner: BiasHarness,
+        stores_nominal: bool,
+        measures: AtomicUsize,
+    }
+
+    impl Counting {
+        fn new(stores_nominal: bool) -> Self {
+            Counting {
+                inner: BiasHarness::default(),
+                stores_nominal,
+                measures: AtomicUsize::new(0),
+            }
+        }
+
+        fn take_measures(&self) -> usize {
+            self.measures.swap(0, Ordering::Relaxed)
+        }
+    }
+
+    impl MacroHarness for Counting {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn layout(&self) -> Layout {
+            self.inner.layout()
+        }
+
+        fn instance_count(&self) -> usize {
+            self.inner.instance_count()
+        }
+
+        fn testbench(&self) -> Netlist {
+            self.inner.testbench()
+        }
+
+        fn plan(&self) -> MeasurementPlan {
+            self.inner.plan()
+        }
+
+        fn stores_nominal(&self) -> bool {
+            self.stores_nominal
+        }
+
+        fn measure_with(
+            &self,
+            nl: &Netlist,
+            opts: &SimOptions,
+            stats: &mut SimStats,
+        ) -> Result<Vec<f64>, SimError> {
+            self.measures.fetch_add(1, Ordering::Relaxed);
+            self.inner.measure_with(nl, opts, stats)
+        }
+
+        fn perturb(
+            &self,
+            nl: &mut Netlist,
+            model: &ProcessModel,
+            common: &CommonSample,
+            rng: &mut StdRng,
+            stats: &mut SimStats,
+        ) {
+            self.inner.perturb(nl, model, common, rng, stats);
+        }
+
+        fn classify_voltage(&self, nominal: &[f64], faulty: &[f64]) -> VoltageSignature {
+            self.inner.classify_voltage(nominal, faulty)
+        }
+
+        fn shared_nets(&self) -> Vec<&'static str> {
+            self.inner.shared_nets()
         }
     }
 
@@ -580,5 +659,98 @@ mod tests {
             ..model
         };
         assert_ne!(GoodSpace::store_key(&h, &wider, &cfg()), base, "sigmas");
+    }
+
+    #[test]
+    fn a_stored_nominal_replays_without_measuring() {
+        let h = Counting::new(true);
+        let model = ProcessModel::default();
+        let memo = MemoryStore::new();
+        let compiled = GoodSpace::compile_in(&h, &model, cfg(), &memo).expect("compiles");
+        // The nominal plus the s·m corners, no redraws on this harness.
+        assert_eq!(h.take_measures(), 1 + 2 * 2, "cold");
+        let replayed = GoodSpace::compile_in(&h, &model, cfg(), &memo).expect("replays");
+        assert_eq!(h.take_measures(), 0, "a replay measures nothing");
+        assert_same_bits(&compiled, &replayed);
+        // Storing the nominal changes no bit of the good space, and a
+        // harness that does not store it measures only its nominal.
+        let unstored = Counting::new(false);
+        let memo = MemoryStore::new();
+        let plain = GoodSpace::compile_in(&unstored, &model, cfg(), &memo).expect("compiles");
+        assert_same_bits(&compiled, &plain);
+        unstored.take_measures();
+        let replayed = GoodSpace::compile_in(&unstored, &model, cfg(), &memo).expect("replays");
+        assert_eq!(unstored.take_measures(), 1, "only the nominal");
+        assert_same_bits(&plain, &replayed);
+    }
+
+    #[test]
+    fn a_record_of_the_other_shape_reads_as_a_miss() {
+        let model = ProcessModel::default();
+        for (writer, reader, why) in [
+            (false, true, "no nominal, for a harness that stores it"),
+            (true, false, "a nominal, for a harness that does not"),
+        ] {
+            let writer = Counting::new(writer);
+            let memo = MemoryStore::new();
+            GoodSpace::compile_in(&writer, &model, cfg(), &memo).expect("compiles");
+            let key = GoodSpace::store_key(&writer, &model, &cfg());
+            let store = Fixed {
+                record: Some(memo.load(key).expect("stored")),
+                stores: AtomicUsize::new(0),
+            };
+            let reader = Counting::new(reader);
+            let reread = GoodSpace::compile_in(&reader, &model, cfg(), &store).expect("compiles");
+            assert_eq!(store.stores.load(Ordering::Relaxed), 1, "{why}: recomputed");
+            assert_eq!(reader.take_measures(), 1 + 2 * 2, "{why}: measured");
+            let fresh = GoodSpace::compile(&reader, &model, cfg()).expect("compiles");
+            assert_same_bits(&fresh, &reread);
+        }
+    }
+
+    #[test]
+    fn detections_flag_the_kinds_of_the_flagged_indices() {
+        // A zero-σ good space over the comparator's plan: thresholds are
+        // the current floors, and nothing is simulated.
+        let h = ComparatorHarness::production();
+        let plan = h.plan();
+        let n = plan.len();
+        let good = GoodSpace {
+            nominal: vec![0.0; n],
+            sigma_common: vec![0.0; n],
+            sigma_mismatch: vec![0.0; n],
+            solver: SimStats::default(),
+            corner_retries: 0,
+            currents: current_measurements(&plan),
+        };
+        assert_eq!(
+            good.current_detections(&h, &good.nominal, false),
+            (CurrentFlags::default(), Vec::new())
+        );
+        let iddq = plan.current_indices(CurrentKind::Iddq);
+        let mut faulty = vec![0.0; n];
+        for &i in &iddq {
+            faulty[i] = 1.0;
+        }
+        let mut only_iddq = CurrentFlags::default();
+        only_iddq.set(CurrentKind::Iddq, true);
+        assert_eq!(
+            good.current_detections(&h, &faulty, false),
+            (only_iddq, iddq.clone())
+        );
+        // 1 µA is under every floor alone, but not 256 instances' worth
+        // on a shared net — except at the input terminals.
+        let iinput = plan.current_indices(CurrentKind::Iinput);
+        for &i in iddq.iter().chain(&iinput) {
+            faulty[i] = 1e-6;
+        }
+        assert_eq!(
+            good.current_detections(&h, &faulty, false),
+            (CurrentFlags::default(), Vec::new())
+        );
+        assert_eq!(
+            good.current_detections(&h, &faulty, true),
+            (only_iddq, iddq)
+        );
     }
 }

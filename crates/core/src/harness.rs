@@ -74,7 +74,10 @@ impl<'a> Probe<'a> {
 /// `Sync` is a supertrait: the parallel executor shares one harness
 /// across worker threads, so implementations must hold only immutable
 /// (or thread-safe) state — all five case-study harnesses are plain data.
-pub trait MacroHarness: Sync {
+/// `Debug` is one too: the store context hashes the `Debug` rendering,
+/// so every field (a time step, a circuit variant) keys the stored
+/// results, and an `f64` renders exactly.
+pub trait MacroHarness: Sync + std::fmt::Debug {
     /// Macro name (matches the layout name).
     fn name(&self) -> &str;
 
@@ -91,6 +94,16 @@ pub trait MacroHarness: Sync {
 
     /// The measurement plan produced by [`MacroHarness::measure`].
     fn plan(&self) -> MeasurementPlan;
+
+    /// Whether the good space stores this harness's nominal measurement
+    /// in its Monte-Carlo record, so a replay solves nothing. Worth it
+    /// only where the nominal is costly for its size: the default is
+    /// `false`, and the comparator, whose ten nominal transients are
+    /// most of a warm campaign, returns `true`. Fixed per harness,
+    /// because it sets the record's shape before the record is loaded.
+    fn stores_nominal(&self) -> bool {
+        false
+    }
 
     /// Base simulator options for this harness's measurement procedure —
     /// rung 0 of the pipeline's convergence-escalation ladder. Higher

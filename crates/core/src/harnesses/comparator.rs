@@ -161,6 +161,10 @@ impl MacroHarness for ComparatorHarness {
         MeasurementPlan { labels }
     }
 
+    fn stores_nominal(&self) -> bool {
+        true
+    }
+
     fn measure_with(
         &self,
         nl: &Netlist,

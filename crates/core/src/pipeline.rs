@@ -1057,8 +1057,7 @@ fn measured_eval(
     probe: &mut Probe<'_>,
 ) -> VariantEval {
     let voltage = harness.classify_voltage_with(&good.nominal, meas, probe);
-    let currents = good.current_flags(harness, meas, shared);
-    let flagged = good.flagged_indices(harness, meas, shared);
+    let (currents, flagged) = good.current_detections(harness, meas, shared);
     let detection = DetectionSet {
         missing_code: voltage.causes_missing_code(),
         currents,

@@ -146,7 +146,7 @@ fn fast_goodspace_compiles_for_dc_harnesses() {
             assert!(gs.threshold(i, h.instance_count()) >= 0.0);
         }
         // The fault-free measurement sits inside its own good space.
-        let flags = gs.current_flags(h.as_ref(), &gs.nominal, false);
+        let (flags, _) = gs.current_detections(h.as_ref(), &gs.nominal, false);
         assert!(
             !flags.any(),
             "{}: fault-free circuit flagged {flags:?}",

@@ -13,16 +13,18 @@ use dotm_sim::Integration;
 /// 6: the static-order sparse LU, the dense-fallback count in
 /// `factor_refactor_fallbacks`, and the comparator's bias solves counted
 /// in its good-space stats; 7: no warm-start seeding, so every DC solve's
-/// stats delta is a cold solve's), so old stores and journals age out as
-/// misses instead of decoding wrongly or replaying another solver's
-/// numbers.
-pub const FORMAT_VERSION: u64 = 7;
+/// stats delta is a cold solve's; 8: the comparator's nominal folded
+/// into its good-space record, and the harness's `Debug` rendering in the
+/// context), so old stores and journals age out as misses instead of
+/// decoding wrongly or replaying another solver's numbers.
+pub const FORMAT_VERSION: u64 = 8;
 
 /// Computes the context fingerprint of one `(harness, config)` pair.
 ///
 /// Folded in: the store format version; the harness identity (name,
 /// instance count, solver options, measurement plan, shared nets,
-/// current floors); the defect population inputs (sprinkle size, seed,
+/// current floors, and its `Debug` rendering, which carries every field
+/// such as the transient time step); the defect population inputs (sprinkle size, seed,
 /// defect statistics); the process-variation sigmas; the good-space
 /// Monte-Carlo sizes and seed; the escalation ladder; and the
 /// sim-failure policy.
@@ -42,8 +44,10 @@ pub fn pipeline_context(harness: &dyn MacroHarness, cfg: &PipelineConfig) -> u12
     let mut h = Fnv128::new();
     h.u64(FORMAT_VERSION);
 
-    // Harness identity.
+    // Harness identity. `Debug` covers the harness's own fields (a time
+    // step, a circuit variant), exactly for an f64 as with `cfg.stats`.
     h.str(harness.name());
+    h.str(&format!("{harness:?}"));
     h.u64(harness.instance_count() as u64);
     let opts = harness.sim_options();
     h.f64(opts.abstol_v)
@@ -161,10 +165,13 @@ mod tests {
     #[test]
     fn harness_identity_moves_the_context() {
         let cfg = base_cfg();
-        assert_ne!(
-            pipeline_context(&ComparatorHarness::production(), &cfg),
-            pipeline_context(&ComparatorHarness::dft(), &cfg)
-        );
+        let base = pipeline_context(&ComparatorHarness::production(), &cfg);
+        assert_ne!(base, pipeline_context(&ComparatorHarness::dft(), &cfg));
+        let coarse = ComparatorHarness {
+            dt: 0.5e-9,
+            ..ComparatorHarness::production()
+        };
+        assert_ne!(base, pipeline_context(&coarse, &cfg), "time step");
     }
 
     #[test]

@@ -41,10 +41,10 @@ echo "    failure counters present and zero"
 echo "==> persistence: campaign store cold -> warm -> kill/resume -> corrupt"
 # The persistent-campaign gate, on a small fixed-seed configuration:
 #   1. cold run populates the store;
-#   2. a warm rerun must answer *everything* from the store
-#      (DOTM_EXPECT_WARM makes the binary itself exit non-zero on any
-#      computed measurement), with identical fingerprints and an
-#      identical Fig. 4 report;
+#   2. warm reruns, at the default and at 4 threads, must answer
+#      *everything* from the store (DOTM_EXPECT_WARM makes the binary
+#      itself exit non-zero on any computed measurement), with identical
+#      fingerprints and an identical Fig. 4 report;
 #   3. a run killed via the injected abort and resumed must land on the
 #      same fingerprints;
 #   4. a corrupted store entry must degrade to a recomputed miss — same
@@ -71,7 +71,11 @@ echo "$warm" | grep -q " computed=0 " || {
     echo "FAIL: warm campaign ran the solver"; echo "$warm"; exit 1; }
 diff <(echo "$cold" | strip_effort) <(echo "$warm" | strip_effort) || {
     echo "FAIL: warm campaign changed a reported number"; exit 1; }
-echo "    warm rerun: 100% store hits, only the nominal measurements solved, identical report"
+warm4=$(env "${camp_env[@]}" DOTM_THREADS=4 DOTM_EXPECT_WARM=1 $camp_cmd)
+diff <(echo "$cold" | strip_effort) <(echo "$warm4" | strip_effort) || {
+    echo "FAIL: 4-thread warm campaign changed a reported number"; exit 1; }
+echo "    warm reruns at default and 4 threads: 100% store hits, identical report;"
+echo "    only the four unstored nominals solved (the comparator's replays)"
 
 # An injected abort is an interruption at a resumable point: its exit
 # code is the INTERRUPTED contract value (5), not success and not a

@@ -6,8 +6,9 @@
 //!   `MacroReport` fingerprint, and a byte-identical journal, to an
 //!   uninterrupted run;
 //! * a second (warm) run answers every lookup from the store — zero
-//!   computed entries, so only the nominal measurement solves — at any
-//!   thread count, with an identical fingerprint;
+//!   computed entries and, since the comparator's nominal replays with
+//!   its good space, zero simulations — at any thread count, with an
+//!   identical fingerprint;
 //! * serial and multi-threaded runs write byte-identical store contents;
 //! * a corrupted store entry degrades to a recomputed miss, never a
 //!   wrong verdict, an error, or a crash;
@@ -17,10 +18,15 @@
 use dotm::core::harnesses::{BiasHarness, ComparatorHarness};
 use dotm::core::{
     run_macro_path_with_faults, run_macro_path_with_faults_hooked, CachedMeasurement,
-    ClassObserver, ClassOutcome, ExecConfig, GoodSpace, GoodSpaceConfig, MacroHarness, MacroReport,
-    MeasurementStore, PathError, PipelineConfig, PipelineHooks, ShardSpec,
+    ClassObserver, ClassOutcome, CommonSample, CurrentKind, ExecConfig, GoodSpace, GoodSpaceConfig,
+    MacroHarness, MacroReport, MeasurementPlan, MeasurementStore, PathError, PipelineConfig,
+    PipelineHooks, Probe, ProcessModel, ShardSpec, VoltageSignature,
 };
 use dotm::defects::{sprinkle_collapsed, CollapseReport, Sprinkler};
+use dotm::layout::Layout;
+use dotm::netlist::Netlist;
+use dotm::sim::{SimError, SimOptions, SimStats};
+use dotm_rng::rngs::StdRng;
 use dotm_store::{
     corrupt_one_entry, create_segment, load_journal, load_segment, merge_segments,
     pipeline_context, segment_path, DiskStore, JournalHeader, JournalWriter,
@@ -138,6 +144,19 @@ fn campaign_run(
     resume: bool,
     abort_after: usize,
 ) -> Result<(MacroReport, dotm_store::StoreCounters), PathError> {
+    campaign_run_as(fx, &fx.harness, dir, threads, resume, abort_after)
+}
+
+/// [`campaign_run`] driving `harness`, which must measure like the
+/// fixture's (the store and journal are keyed by the fixture's).
+fn campaign_run_as(
+    fx: &Fixture,
+    harness: &dyn MacroHarness,
+    dir: &Path,
+    threads: usize,
+    resume: bool,
+    abort_after: usize,
+) -> Result<(MacroReport, dotm_store::StoreCounters), PathError> {
     let cfg = config(threads);
     let head = header(fx, &cfg);
     let store = DiskStore::open(dir, head.context).expect("open store");
@@ -155,13 +174,94 @@ fn campaign_run(
         completed,
         shard: None,
     };
-    let report =
-        run_macro_path_with_faults_hooked(&fx.harness, &cfg, &fx.collapsed, fx.area, &hooks)?;
+    let report = run_macro_path_with_faults_hooked(harness, &cfg, &fx.collapsed, fx.area, &hooks)?;
     observer
         .take_writer()
         .finish(report.fingerprint())
         .expect("seal journal");
     Ok((report, store.counters()))
+}
+
+/// The fixture's comparator, counting every simulation it runs: each
+/// measurement, and each process perturbation (which solves the bias
+/// generator).
+#[derive(Debug)]
+struct CountingComparator<'a> {
+    inner: &'a ComparatorHarness,
+    simulations: AtomicUsize,
+}
+
+impl MacroHarness for CountingComparator<'_> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn layout(&self) -> Layout {
+        self.inner.layout()
+    }
+
+    fn instance_count(&self) -> usize {
+        self.inner.instance_count()
+    }
+
+    fn testbench(&self) -> Netlist {
+        self.inner.testbench()
+    }
+
+    fn plan(&self) -> MeasurementPlan {
+        self.inner.plan()
+    }
+
+    fn sim_options(&self) -> SimOptions {
+        self.inner.sim_options()
+    }
+
+    fn stores_nominal(&self) -> bool {
+        self.inner.stores_nominal()
+    }
+
+    fn measure_with(
+        &self,
+        nl: &Netlist,
+        opts: &SimOptions,
+        stats: &mut SimStats,
+    ) -> Result<Vec<f64>, SimError> {
+        self.simulations.fetch_add(1, Ordering::Relaxed);
+        self.inner.measure_with(nl, opts, stats)
+    }
+
+    fn perturb(
+        &self,
+        nl: &mut Netlist,
+        model: &ProcessModel,
+        common: &CommonSample,
+        rng: &mut StdRng,
+        stats: &mut SimStats,
+    ) {
+        self.simulations.fetch_add(1, Ordering::Relaxed);
+        self.inner.perturb(nl, model, common, rng, stats);
+    }
+
+    fn classify_voltage(&self, nominal: &[f64], faulty: &[f64]) -> VoltageSignature {
+        self.inner.classify_voltage(nominal, faulty)
+    }
+
+    fn classify_voltage_with(
+        &self,
+        nominal: &[f64],
+        faulty: &[f64],
+        probe: &mut Probe<'_>,
+    ) -> VoltageSignature {
+        self.inner.classify_voltage_with(nominal, faulty, probe)
+    }
+
+    fn shared_nets(&self) -> Vec<&'static str> {
+        self.inner.shared_nets()
+    }
+
+    fn current_floor(&self, kind: CurrentKind) -> f64 {
+        self.inner.current_floor(kind)
+    }
 }
 
 /// One shard worker's run: evaluates `shard.range(classes)` into the
@@ -299,9 +399,18 @@ fn warm_run_answers_everything_from_the_store_at_any_thread_count() {
         // replay; rerun without resume to exercise the store itself.
         assert_eq!(warm.fingerprint(), cold.fingerprint(), "threads={threads}");
         assert_eq!(counters.computed, 0, "threads={threads}");
-        let (warm2, c2) =
-            campaign_run(&fx, &dir, threads, false, usize::MAX).expect("warm non-resume run");
+        let counting = CountingComparator {
+            inner: &fx.harness,
+            simulations: AtomicUsize::new(0),
+        };
+        let (warm2, c2) = campaign_run_as(&fx, &counting, &dir, threads, false, usize::MAX)
+            .expect("warm non-resume run");
         assert_eq!(warm2.fingerprint(), cold.fingerprint(), "threads={threads}");
+        assert_eq!(
+            counting.simulations.load(Ordering::Relaxed),
+            0,
+            "the nominal replays with the good space (threads={threads})"
+        );
         assert_eq!(
             c2.computed, 0,
             "every measurement must come from the store (threads={threads})"
