@@ -21,7 +21,7 @@
 //!   ([`ComparatorConfig::dft_flipflop`]) removes that static path.
 
 use crate::process::{BiasValues, Phase, CLOCK_PERIOD, VDD};
-use dotm_netlist::{MosType, MosfetParams, Netlist, NodeId, Waveform};
+use dotm_netlist::{MosType, MosfetParams, Netlist, Waveform};
 use dotm_sim::TranResult;
 
 /// Build options for the comparator macro.
@@ -403,15 +403,6 @@ pub fn read_decision(nl: &Netlist, tr: &TranResult) -> f64 {
     let fb = nl.find_node("fb").expect("fb exists");
     let k = tr.index_at(decision_time());
     tr.voltage(k, fa) - tr.voltage(k, fb)
-}
-
-/// Node ids of the three buffered clock lines.
-pub fn clock_lines(nl: &Netlist) -> [NodeId; 3] {
-    [
-        nl.find_node("ck1").expect("ck1"),
-        nl.find_node("ck2").expect("ck2"),
-        nl.find_node("ck3").expect("ck3"),
-    ]
 }
 
 #[cfg(test)]

@@ -93,7 +93,8 @@ pub fn obs_fold_solver(solver: &dotm_sim::SimStats) {
 /// Finishes a traced run: prints the per-phase profile and the counters
 /// to **stderr** (stdout stays byte-identical to an untraced run) and exports
 /// `<label>.ndjson` + `<label>.trace.json` into `DOTM_TRACE_DIR`
-/// (default: the current directory). No-op with the recorder off.
+/// (default: the current directory; created if absent). No-op with the
+/// recorder off.
 pub fn obs_finish(label: &str) {
     if !dotm_obs::enabled() {
         return;
@@ -105,6 +106,10 @@ pub fn obs_finish(label: &str) {
         eprintln!("  {name:<28} {value:>12}");
     }
     let dir = dotm_core::env::trace_dir().unwrap_or_else(|| std::path::PathBuf::from("."));
+    if let Err(e) = std::fs::create_dir_all(&dir) {
+        eprintln!("[dotm] trace export failed ({}): {e}", dir.display());
+        return;
+    }
     let ndjson = dir.join(format!("{label}.ndjson"));
     let chrome = dir.join(format!("{label}.trace.json"));
     match dotm_obs::export_ndjson(&ndjson) {

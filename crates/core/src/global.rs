@@ -7,7 +7,6 @@
 //! approximately equal for all macro cells."
 
 use crate::pipeline::{ClassOutcome, MacroReport};
-use crate::signature::CurrentKind;
 use dotm_faults::Severity;
 
 /// The Fig. 4/Fig. 5 global numbers for one severity.
@@ -91,11 +90,6 @@ impl GlobalReport {
             iddq_only_pct: self.pct_where(severity, |o| o.detection.iddq_only()),
             coverage_pct: self.pct_where(severity, |o| o.detection.detected()),
         }
-    }
-
-    /// Global share of faults detectable by one current kind.
-    pub fn current_kind_pct(&self, severity: Severity, kind: CurrentKind) -> f64 {
-        self.pct_where(severity, |o| o.currents.get(kind))
     }
 
     /// Classes across all macros whose result rests on a failed

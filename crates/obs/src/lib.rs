@@ -54,8 +54,8 @@ pub enum Phase {
     /// retired. It stays registered as `"batch_assembly"` because the
     /// campaign benchmark's tracer reads that phase by name.
     BatchAssembly,
-    /// LU factor + solve: the real sparse LU (DC/transient, with its dense
-    /// fallback) and the complex dense LU (AC).
+    /// LU factor + solve: the sparse LU of DC and transient Newton, with
+    /// its dense fallback.
     Lu,
     /// A whole Newton–Raphson solve (includes Assembly and Lu).
     Newton,

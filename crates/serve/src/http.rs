@@ -59,10 +59,10 @@ fn read_head_line(
 /// Reads one request from the stream. `Ok(None)` when the peer closed
 /// without sending one, or on any malformation (the caller just drops
 /// the connection — a malformed request line has no useful reply).
-/// Malformation includes a head larger than [`MAX_HEAD`] or a
-/// `Content-Length` beyond [`MAX_BODY`]; the body is read incrementally,
-/// so a peer that *claims* a large body but never sends it costs no
-/// allocation beyond the bytes it actually delivered.
+/// Malformation includes a head larger than 64 KiB (`MAX_HEAD`) or a
+/// `Content-Length` beyond 64 KiB (`MAX_BODY`); the body is read
+/// incrementally, so a peer that *claims* a large body but never sends it
+/// costs no allocation beyond the bytes it actually delivered.
 pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
     let mut reader = BufReader::new(stream);
     let mut budget = MAX_HEAD;

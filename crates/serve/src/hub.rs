@@ -10,10 +10,10 @@
 //!
 //! Two mechanisms keep the hub bounded on a long-lived server:
 //!
-//! * each job's buffer is capped at [`EVENT_CAP`] events — a chatty run
-//!   drops its oldest events first, and a subscriber that fell behind
-//!   the drop point resumes at the oldest retained event (its returned
-//!   cursor jumps forward over the gap);
+//! * each job's buffer is capped at 4096 events (`EVENT_CAP`) — a
+//!   chatty run drops its oldest events first, and a subscriber that
+//!   fell behind the drop point resumes at the oldest retained event
+//!   (its returned cursor jumps forward over the gap);
 //! * once a job is terminal and its `end` event has replayed to a
 //!   stream, the server [`EventHub::retire`]s the whole buffer — later
 //!   subscribers get the disk snapshot plus a fresh `end`, and the
@@ -52,7 +52,7 @@ impl EventHub {
 
     /// Appends one event line to a job's buffer and wakes every waiting
     /// subscriber (all jobs — spurious wakes are fine, waiters re-check
-    /// their own index). Beyond [`EVENT_CAP`] the oldest event drops.
+    /// their own index). Beyond `EVENT_CAP` events the oldest drops.
     pub fn publish(&self, job: &str, event: String) {
         let mut map = self.events.lock().unwrap_or_else(|e| e.into_inner());
         let buf = map.entry(job.to_string()).or_default();

@@ -64,9 +64,9 @@ impl Default for SimOptions {
 /// with [`OpPoint::voltage`] and [`OpPoint::branch_current`].
 #[derive(Debug, Clone)]
 pub struct OpPoint {
-    pub(crate) x: Vec<f64>,
-    pub(crate) n_nodes: usize,
-    pub(crate) vsrc: Vec<DeviceId>,
+    x: Vec<f64>,
+    n_nodes: usize,
+    vsrc: Vec<DeviceId>,
 }
 
 impl OpPoint {
@@ -387,25 +387,10 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// The netlist being simulated.
-    pub fn netlist(&self) -> &'a Netlist {
-        self.nl
-    }
-
     /// Number of MNA unknowns: node voltages, then voltage-source branch
     /// currents (see [`OpPoint::unknowns`]).
     pub fn dim(&self) -> usize {
         self.n_unknowns
-    }
-
-    /// The options in force.
-    pub fn options(&self) -> &SimOptions {
-        &self.opts
-    }
-
-    /// Mutable access to the options.
-    pub fn options_mut(&mut self) -> &mut SimOptions {
-        &mut self.opts
     }
 
     /// Solver telemetry accumulated over every analysis run so far.
@@ -418,13 +403,8 @@ impl<'a> Simulator<'a> {
         std::mem::take(&mut self.stats)
     }
 
-    /// Resets the telemetry accumulator.
-    pub fn reset_stats(&mut self) {
-        self.stats = SimStats::default();
-    }
-
     /// Overrides the DC value of the named source for subsequent analyses
-    /// (used by [`Simulator::dc_sweep`] and test harnesses).
+    /// (the harnesses' DC stimuli and sweep points).
     ///
     /// # Errors
     /// [`SimError::BadSource`] if the device is not a V or I source.
@@ -708,7 +688,7 @@ impl<'a> Simulator<'a> {
     }
 
     /// Solves the DC operating point starting from a previous solution
-    /// (continuation) — used by sweeps and the transient initial point.
+    /// (continuation from a neighbouring sweep point).
     ///
     /// # Errors
     /// See [`Simulator::dc_op`].
@@ -810,57 +790,6 @@ impl<'a> Simulator<'a> {
                     iterations: self.opts.max_iter,
                 })
             }
-        }
-    }
-
-    /// Sweeps the named V or I source over `values`, solving a DC operating
-    /// point at each (with continuation between points).
-    ///
-    /// # Errors
-    /// [`SimError::BadSource`] for a non-source device; otherwise the first
-    /// failing operating point's error.
-    ///
-    /// The swept source's override state is restored on **every** exit
-    /// path — including a mid-sweep solver failure — so a failed sweep
-    /// never leaves the source pinned at the last swept value for
-    /// subsequent analyses (and a pre-existing override survives the
-    /// sweep).
-    pub fn dc_sweep(&mut self, source: &str, values: &[f64]) -> Result<Vec<OpPoint>, SimError> {
-        let prev = self
-            .nl
-            .device_id(source)
-            .and_then(|id| self.source_override.get(&(id.index() as u32)).copied());
-        let mut out = Vec::with_capacity(values.len());
-        let mut guess = vec![0.0; self.n_unknowns];
-        let mut first_err = None;
-        for &v in values {
-            let point = self
-                .override_source(source, v)
-                .and_then(|()| self.dc_op_from(&guess));
-            match point {
-                Ok(op) => {
-                    guess.copy_from_slice(&op.x);
-                    out.push(op);
-                }
-                Err(e) => {
-                    first_err = Some(e);
-                    break;
-                }
-            }
-        }
-        if let Some(id) = self.nl.device_id(source) {
-            match prev {
-                Some(v) => {
-                    self.source_override.insert(id.index() as u32, v);
-                }
-                None => {
-                    self.source_override.remove(&(id.index() as u32));
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(out),
         }
     }
 
@@ -1007,87 +936,6 @@ impl<'a> Simulator<'a> {
     fn transient_initial(&mut self) -> Result<OpPoint, SimError> {
         let zeros = vec![0.0; self.n_unknowns];
         self.robust_dc(&zeros, Some(0.0), "transient")
-    }
-
-    /// Terminal DC currents of the named device at an operating point, in
-    /// terminal order. Capacitors report zero (DC). Voltage sources report
-    /// their branch current on both terminals (positive out of `pos`).
-    ///
-    /// Returns `None` for an unknown device.
-    pub fn device_currents(&self, op: &OpPoint, name: &str) -> Option<Vec<f64>> {
-        let id = self.nl.device_id(name)?;
-        let dev: &Device = self.nl.device_by_id(id)?;
-        let v = |n: NodeId| op.voltage(n);
-        Some(match &dev.kind {
-            DeviceKind::Resistor { a, b, ohms } => {
-                let i = (v(*a) - v(*b)) / ohms;
-                vec![i, -i]
-            }
-            DeviceKind::Capacitor { .. } => vec![0.0, 0.0],
-            DeviceKind::Vsource { .. } => {
-                let i = op.branch_current(id).unwrap_or(0.0);
-                vec![i, -i]
-            }
-            DeviceKind::Isource {
-                pos: _,
-                neg: _,
-                waveform,
-            } => {
-                let i = source_value(&self.source_override, id, waveform, None);
-                vec![i, -i]
-            }
-            DeviceKind::Diode {
-                anode,
-                cathode,
-                params,
-            } => {
-                let (i, _) = diode_eval(v(*anode) - v(*cathode), params);
-                vec![i, -i]
-            }
-            DeviceKind::Mosfet {
-                d,
-                g,
-                s,
-                b,
-                ty,
-                params,
-            } => {
-                let ch = mosfet_eval(v(*g) - v(*s), v(*d) - v(*s), v(*b) - v(*s), *ty, params);
-                let jp = DiodeParams {
-                    is: params.is_leak,
-                    n: 1.0,
-                };
-                let (jd, js, sign) = match ty {
-                    dotm_netlist::MosType::Nmos => {
-                        let (ibd, _) = diode_eval(v(*b) - v(*d), &jp);
-                        let (ibs, _) = diode_eval(v(*b) - v(*s), &jp);
-                        (ibd, ibs, 1.0)
-                    }
-                    dotm_netlist::MosType::Pmos => {
-                        let (idb, _) = diode_eval(v(*d) - v(*b), &jp);
-                        let (isb, _) = diode_eval(v(*s) - v(*b), &jp);
-                        (idb, isb, -1.0)
-                    }
-                };
-                // Terminal currents into the device: drain, gate, source, bulk.
-                let i_d = ch.ids - sign * jd;
-                let i_g = 0.0;
-                let i_s = -ch.ids - sign * js;
-                let i_b = sign * (jd + js);
-                vec![i_d, i_g, i_s, i_b]
-            }
-            DeviceKind::Switch {
-                a,
-                b,
-                cp,
-                cn,
-                params,
-            } => {
-                let (g, _) = switch_eval(v(*cp) - v(*cn), params);
-                let i = g * (v(*a) - v(*b));
-                vec![i, -i, 0.0, 0.0]
-            }
-        })
     }
 }
 

@@ -2,9 +2,10 @@
 //!
 //! The defect-oriented test methodology of the 1995 DATE paper needs
 //! circuit-level fault simulation of analog macro cells: DC operating
-//! points, DC sweeps (comparator trip points, ladder taps) and clocked
-//! transients (the three-phase comparator). No mature analog simulator
-//! bindings exist for Rust, so this crate implements one from scratch:
+//! points at overridden source levels (decoder inputs, comparator inputs)
+//! and clocked transients (the three-phase comparator). No mature analog
+//! simulator bindings exist for Rust, so this crate implements one from
+//! scratch:
 //!
 //! * **Modified nodal analysis** over the devices of a
 //!   [`dotm_netlist::Netlist`], with independent-source branch currents as
@@ -22,7 +23,7 @@
 //! * **Transient analysis** with trapezoidal integration (backward-Euler
 //!   start-up) and automatic step halving on non-convergence.
 //!
-//! ## Example: inverter transfer curve
+//! ## Example: an inverter at both input levels
 //!
 //! ```
 //! use dotm_netlist::{MosType, MosfetParams, Netlist, Waveform};
@@ -38,9 +39,11 @@
 //! nl.add_mosfet("MP", out, vin, vdd, vdd, MosType::Pmos, MosfetParams::pmos_default())?;
 //! nl.add_mosfet("MN", out, vin, gnd, gnd, MosType::Nmos, MosfetParams::nmos_default())?;
 //! let mut sim = Simulator::new(&nl);
-//! let ops = sim.dc_sweep("VIN", &[0.0, 2.5, 5.0])?;
-//! assert!(ops[0].voltage(out) > 4.9); // input low → output high
-//! assert!(ops[2].voltage(out) < 0.1); // input high → output low
+//! let low = sim.dc_op()?;
+//! assert!(low.voltage(out) > 4.9); // input low → output high
+//! sim.override_source("VIN", 5.0)?;
+//! let high = sim.dc_op_from(low.unknowns())?;
+//! assert!(high.voltage(out) < 0.1); // input high → output low
 //! # Ok(())
 //! # }
 //! ```
@@ -48,7 +51,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod ac;
 mod engine;
 mod error;
 mod matrix;
@@ -56,7 +58,6 @@ mod models;
 mod sparse;
 mod stats;
 
-pub use ac::{log_sweep, AcResult, Complex};
 pub use engine::{Integration, OpPoint, SimOptions, Simulator, TranResult};
 pub use error::SimError;
 pub use matrix::{DenseMatrix, LuFactors, SingularInfo};

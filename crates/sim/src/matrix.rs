@@ -13,9 +13,9 @@
 //! Factorisation and solution are split: [`LuFactors`] holds the packed
 //! `L`/`U` triangles plus the pivot permutation, so one factorisation can
 //! back a run of solves (the exact factor cache and chord iterations
-//! replay it). [`DenseMatrix::solve_in_place`] is the fused one-shot path
-//! for small systems and an independent reference in tests; the split
-//! solve reassociates its triangular-sweep dot products four ways for
+//! replay it). [`DenseMatrix::solve_in_place`] is a fused factor-and-solve
+//! that no analysis calls: it is the independent reference LU of the
+//! tests and the `dense_lu` bench case. The split solve reassociates its triangular-sweep dot products four ways for
 //! pipeline throughput, so the two paths agree to round-off (asserted by
 //! the `factor_solve_matches_fused*` tests), not bit for bit. The
 //! `dense_lu` and `sparse_lu` cases of the `engine` bench time both
@@ -279,8 +279,8 @@ impl LuFactors {
     ///
     /// Every dense-fallback solve goes through this routine, so its
     /// arithmetic only has to be deterministic, not bit-matched to the fused
-    /// [`DenseMatrix::solve_in_place`] (which survives for one-shot
-    /// small systems and as an independent reference in tests). That
+    /// [`DenseMatrix::solve_in_place`] (the independent reference LU of
+    /// the tests). That
     /// freedom is spent on speed: both triangular sweeps run their dot
     /// products with a fixed four-way association, which breaks the
     /// fused-multiply-add latency chain a sequential accumulation is

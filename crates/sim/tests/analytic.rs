@@ -142,9 +142,14 @@ fn cmos_inverter_vtc_monotone_with_sharp_transition() {
     )
     .unwrap();
     let mut sim = Simulator::new(&nl);
-    let values: Vec<f64> = (0..=50).map(|k| VDD * k as f64 / 50.0).collect();
-    let ops = sim.dc_sweep("VIN", &values).unwrap();
-    let vout: Vec<f64> = ops.iter().map(|op| op.voltage(out)).collect();
+    // Continuation: each point starts from its neighbour's solution.
+    let mut prev = sim.dc_op().unwrap();
+    let mut vout = vec![prev.voltage(out)];
+    for k in 1..=50 {
+        sim.override_source("VIN", VDD * k as f64 / 50.0).unwrap();
+        prev = sim.dc_op_from(prev.unknowns()).unwrap();
+        vout.push(prev.voltage(out));
+    }
     assert!(vout[0] > VDD - 0.01);
     assert!(vout[50] < 0.01);
     for w in vout.windows(2) {
@@ -246,10 +251,13 @@ fn switch_passes_and_blocks() {
     .unwrap();
     nl.add_resistor("RL", out, Netlist::GROUND, 10e3).unwrap();
     let mut sim = Simulator::new(&nl);
-    let ops = sim.dc_sweep("VC", &[0.0, 5.0]).unwrap();
-    assert!(ops[0].voltage(out) < 0.01, "switch off leaks");
+    sim.override_source("VC", 0.0).unwrap();
+    let off = sim.dc_op().unwrap();
+    assert!(off.voltage(out) < 0.01, "switch off leaks");
+    sim.override_source("VC", 5.0).unwrap();
+    let on = sim.dc_op().unwrap();
     assert!(
-        ops[1].voltage(out) > VDD * 10e3 / (10e3 + 100.0) - 1e-3,
+        on.voltage(out) > VDD * 10e3 / (10e3 + 100.0) - 1e-3,
         "switch on drops too much"
     );
 }
@@ -412,7 +420,7 @@ fn open_fault_floats_downstream_node() {
 }
 
 #[test]
-fn dc_sweep_continuation_is_consistent_with_fresh_solves() {
+fn dc_op_from_neighbour_matches_fresh_dc_op() {
     let mut nl = Netlist::new("inv2");
     let vdd = supply(&mut nl);
     let vin = nl.node("in");
@@ -440,15 +448,16 @@ fn dc_sweep_continuation_is_consistent_with_fresh_solves() {
     )
     .unwrap();
     let mut sim = Simulator::new(&nl);
-    let swept = sim.dc_sweep("VIN", &[1.0, 2.0, 3.0]).unwrap();
-    for (v, op_swept) in [1.0, 2.0, 3.0].iter().zip(&swept) {
-        sim.override_source("VIN", *v).unwrap();
+    let mut prev = sim.dc_op().unwrap();
+    for v in [1.0, 2.0, 3.0] {
+        sim.override_source("VIN", v).unwrap();
+        let seeded = sim.dc_op_from(prev.unknowns()).unwrap();
         let fresh = sim.dc_op().unwrap();
-        sim.clear_override("VIN");
         assert!(
-            (fresh.voltage(out) - op_swept.voltage(out)).abs() < 1e-4,
-            "sweep/fresh mismatch at VIN = {v}"
+            (fresh.voltage(out) - seeded.voltage(out)).abs() < 1e-4,
+            "seeded/fresh mismatch at VIN = {v}"
         );
+        prev = seeded;
     }
 }
 
@@ -557,24 +566,6 @@ fn tran_result_accessors_and_index_lookup() {
     let op = tr.op_at(40);
     assert_eq!(op.voltage(out), series[40]);
     assert_eq!(op.branch_current(rid), None);
-}
-
-#[test]
-fn device_currents_report_terminal_flows() {
-    let mut nl = Netlist::new("dc");
-    let vdd = supply(&mut nl);
-    let mid = nl.node("mid");
-    nl.add_resistor("R1", vdd, mid, 1e3).unwrap();
-    nl.add_resistor("R2", mid, Netlist::GROUND, 1e3).unwrap();
-    let mut sim = Simulator::new(&nl);
-    let op = sim.dc_op().unwrap();
-    let i_r1 = sim.device_currents(&op, "R1").unwrap();
-    // 2.5 mA into terminal a, out of terminal b.
-    assert!((i_r1[0] - 2.5e-3).abs() < 1e-6);
-    assert!((i_r1[0] + i_r1[1]).abs() < 1e-12);
-    let i_vdd = sim.device_currents(&op, "VDD").unwrap();
-    assert!((i_vdd[0] + 2.5e-3).abs() < 1e-6, "supply sources current");
-    assert!(sim.device_currents(&op, "nope").is_none());
 }
 
 #[test]

@@ -1,6 +1,5 @@
-//! Regression tests for solver edge cases: override hygiene on failed
-//! sweeps, non-multiple transient grids, NaN-total time lookup, and the
-//! telemetry accumulator.
+//! Regression tests for solver edge cases: non-multiple transient grids,
+//! NaN-total time lookup, and the telemetry accumulator.
 
 use dotm_netlist::{Netlist, Waveform};
 use dotm_sim::{SimOptions, Simulator};
@@ -15,51 +14,6 @@ fn divider() -> Netlist {
     nl.add_resistor("R1", vin, mid, 1e3).unwrap();
     nl.add_resistor("R2", mid, Netlist::GROUND, 1e3).unwrap();
     nl
-}
-
-#[test]
-fn failed_dc_sweep_does_not_leak_override() {
-    let nl = divider();
-    let mid = nl.find_node("mid").unwrap();
-    let mut sim = Simulator::new(&nl);
-    // The NaN point cannot converge, so the sweep fails after the first
-    // point — and must still clear the override it installed.
-    let err = sim.dc_sweep("V1", &[4.0, f64::NAN]);
-    assert!(err.is_err(), "NaN sweep point must fail");
-    let op = sim.dc_op().expect("post-sweep dc");
-    assert!(
-        (op.voltage(mid) - 1.0).abs() < 1e-6,
-        "override leaked: v(mid) = {} (want 1.0 from the netlist's 2 V)",
-        op.voltage(mid)
-    );
-}
-
-#[test]
-fn failed_dc_sweep_restores_preexisting_override() {
-    let nl = divider();
-    let mid = nl.find_node("mid").unwrap();
-    let mut sim = Simulator::new(&nl);
-    sim.override_source("V1", 3.0).unwrap();
-    let err = sim.dc_sweep("V1", &[4.0, f64::NAN]);
-    assert!(err.is_err());
-    let op = sim.dc_op().expect("post-sweep dc");
-    assert!(
-        (op.voltage(mid) - 1.5).abs() < 1e-6,
-        "pre-existing override lost: v(mid) = {} (want 1.5 from 3 V)",
-        op.voltage(mid)
-    );
-}
-
-#[test]
-fn successful_dc_sweep_still_clears_override() {
-    let nl = divider();
-    let mid = nl.find_node("mid").unwrap();
-    let mut sim = Simulator::new(&nl);
-    let ops = sim.dc_sweep("V1", &[0.0, 4.0]).expect("sweep");
-    assert_eq!(ops.len(), 2);
-    assert!((ops[1].voltage(mid) - 2.0).abs() < 1e-6);
-    let op = sim.dc_op().expect("post-sweep dc");
-    assert!((op.voltage(mid) - 1.0).abs() < 1e-6);
 }
 
 /// An RC so the transient has real dynamics.

@@ -445,7 +445,7 @@ mod tests {
 
     #[test]
     fn racing_loads_and_stores_of_one_key_count_as_sequential() {
-        let dir = tmpdir("race");
+        let dir = tmpdir("race-one-key");
         let store = DiskStore::open(&dir, 5).expect("open");
         let value = sample();
         // Both threads load before either stores, so both miss and both

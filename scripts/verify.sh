@@ -132,9 +132,9 @@ echo "==> observability: traced fig4 is a pure side channel"
 # DOTM_TRACE=1 must leave stdout byte-identical (the per-phase profile
 # goes to stderr, the events to DOTM_TRACE_DIR) and the exported NDJSON
 # must pass the structural validator (unique ids, parents on the same
-# thread containing their children).
-trace_dir="$store_dir/trace"
-mkdir -p "$trace_dir"
+# thread containing their children). The trace directory does not exist
+# yet: the export must create it.
+trace_dir="$store_dir/trace/fig4"
 fig4_traced=$(DOTM_DEFECTS=3000 DOTM_MAX_CLASSES=10 DOTM_GS_COMMON=3 DOTM_GS_MM=2 \
     DOTM_TRACE=1 DOTM_TRACE_DIR="$trace_dir" \
     cargo run --release --locked -p dotm-bench --bin fig4)
