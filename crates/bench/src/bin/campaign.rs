@@ -5,10 +5,14 @@
 //! ```text
 //! campaign [--resume]              single-process campaign
 //! campaign --shard i/N             one shard worker (classes i*C/N..(i+1)*C/N per macro)
-//! campaign --merge [--shards N]    fold N shard segments into the canonical journal/report
-//! campaign --workers N             coordinator: spawn N shard workers, re-dispatch, merge
+//! campaign --merge --shards N      fold N shard segments into the canonical journal/report
 //! campaign --serve ADDR            campaign service: HTTP job API over this store (dotm-serve)
 //! ```
+//!
+//! Any other argument, or a flag the chosen mode does not take (such as
+//! `--resume` with `--shard`), is a usage error. On one host the
+//! parallelism is `DOTM_THREADS`; `--shard`/`--merge` exist to split a
+//! campaign across hosts that share one store tree.
 //!
 //! ## Exit codes
 //!
@@ -27,19 +31,8 @@
 //! * `--resume` — replay each macro's journaled class prefix instead of
 //!   re-evaluating it, then continue. A campaign killed mid-macro and
 //!   resumed produces bit-identical reports *and journals* to an
-//!   uninterrupted run.
-//! * `DOTM_SHARDS` / `DOTM_SHARD` — environment forms of `--shard i/N`
-//!   (`DOTM_SHARD=i DOTM_SHARDS=N`) and `--merge --shards N`
-//!   (`DOTM_SHARDS=N` alone), for launching workers across hosts
-//!   against a shared store tree without touching the command line.
-//! * `DOTM_SHARD_RETRIES` — extra dispatch rounds the coordinator runs
-//!   for shards whose segments come back missing, short or unsealed
-//!   (default 2). Workers always resume their own segment prefix, so a
-//!   re-dispatched shard replays what its predecessor completed.
-//! * `DOTM_SHARD_ABORT_ONCE` — coordinator test knob: inject
-//!   `DOTM_ABORT_AFTER=<n>` into every *first-round* worker, so each
-//!   first attempt dies mid-shard and the re-dispatch machinery is
-//!   exercised deterministically.
+//!   uninterrupted run. A shard worker always resumes its own segment,
+//!   so re-running a worker that died replays what it completed.
 //! * `DOTM_ABORT_AFTER` — abort the campaign (via the in-order class
 //!   observer, not a signal) after this many classes, campaign-wide: the
 //!   deterministic stand-in for a kill that the resume gate scripts use.
@@ -52,8 +45,8 @@
 //!   are not stored (about 9 ms in all).
 //! * `DOTM_MACROS` — comma-separated macro subset to run (campaign
 //!   order is preserved regardless of the list's order; unknown names
-//!   are a usage error). Inherited by shard workers, so a subset
-//!   campaign shards and merges like the full one.
+//!   are a usage error). Give every worker and the merge the same
+//!   subset, and a subset campaign shards and merges like the full one.
 //! * `DOTM_PROGRESS` — emit one `[progress] macro=<m> class=<d>/<t>`
 //!   line to stderr per completed class; the service parses these into
 //!   its NDJSON event stream. Stderr only — never a report byte.
@@ -69,9 +62,9 @@
 //! the ranges in class order and *replays* them through the ordinary
 //! pipeline path — so its stdout, `journal/<macro>.jnl` bytes, report
 //! fingerprints and solver-accounting totals are identical to a
-//! single-process run at any (workers × threads) combination. Mode
-//! bookkeeping (worker spawning, per-shard fingerprints, re-dispatch)
-//! goes to stderr to keep that contract diffable with `cmp`.
+//! single-process run at any (shards × threads) combination. Mode
+//! bookkeeping (per-shard fingerprints) goes to stderr to keep that
+//! contract diffable with `cmp`.
 //!
 //! The store is the run's only measurement memo: the pipeline hands it
 //! every lookup, and its in-memory overlay removes the duplicates inside
@@ -93,12 +86,12 @@ use dotm_store::{
     DiskStore, JournalHeader, JournalWriter,
 };
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 /// How this invocation participates in the campaign.
+#[derive(Debug, PartialEq)]
 enum Mode {
     /// Ordinary single-process campaign (optionally resuming).
     Single { resume: bool },
@@ -108,75 +101,52 @@ enum Mode {
     /// Fold `shards` sealed segments per macro into the canonical
     /// journal and the standard campaign output.
     Merge { shards: usize },
-    /// Spawn `workers` shard subprocesses, re-dispatch incomplete
-    /// shards, then merge.
-    Coordinator { workers: usize },
     /// Long-lived campaign service: HTTP job API over this store
     /// (`dotm-serve`), running submitted jobs through this same binary.
     Serve { addr: String },
 }
 
-fn parse_mode() -> Mode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag_value = |flag: &str| {
-        args.iter().position(|a| a == flag).map(|i| {
-            args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("campaign: {flag} needs a value");
-                std::process::exit(2);
-            })
-        })
-    };
-    if let Some(addr) = flag_value("--serve") {
-        return Mode::Serve { addr: addr.clone() };
-    }
-    if let Some(n) = flag_value("--workers") {
-        let workers: usize = n.parse().unwrap_or_else(|_| {
-            eprintln!("campaign: --workers {n}: expected a positive integer");
-            std::process::exit(2);
-        });
-        if workers == 0 {
-            eprintln!("campaign: --workers 0: expected at least one worker");
-            std::process::exit(2);
+const USAGE: &str = "usage: campaign [--resume] | --shard i/N | --merge --shards N | --serve ADDR";
+
+/// Parses the command line (without the program name). Every argument
+/// must belong to exactly one mode; the message names the first that
+/// does not.
+fn parse_mode(args: &[String]) -> Result<Mode, String> {
+    let (mut resume, mut merge) = (false, false);
+    let (mut shard, mut shards, mut serve) = (None, None, None);
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let slot = match arg.as_str() {
+            "--resume" if !resume => {
+                resume = true;
+                continue;
+            }
+            "--merge" if !merge => {
+                merge = true;
+                continue;
+            }
+            "--shard" => &mut shard,
+            "--shards" => &mut shards,
+            "--serve" => &mut serve,
+            _ => return Err(format!("unexpected argument {arg:?}")),
+        };
+        if slot.is_some() {
+            return Err(format!("{arg} given twice"));
         }
-        return Mode::Coordinator { workers };
+        *slot = Some(it.next().ok_or(format!("{arg} needs a value"))?);
     }
-    if args.iter().any(|a| a == "--merge") {
-        let shards = flag_value("--shards")
-            .map(|n| {
-                n.parse().unwrap_or_else(|_| {
-                    eprintln!("campaign: --shards {n}: expected a positive integer");
-                    std::process::exit(2);
-                })
-            })
-            .or_else(dotm_core::env::shards)
-            .unwrap_or_else(|| {
-                eprintln!("campaign: --merge needs --shards N (or DOTM_SHARDS)");
-                std::process::exit(2);
-            });
-        return Mode::Merge { shards };
-    }
-    if let Some(spec) = flag_value("--shard") {
-        let shard = ShardSpec::parse(spec).unwrap_or_else(|e| {
-            eprintln!("campaign: --shard {spec}: {e}");
-            std::process::exit(2);
-        });
-        return Mode::Worker { shard };
-    }
-    match (dotm_core::env::shard(), dotm_core::env::shards()) {
-        (Some(index), Some(count)) => {
-            let shard = ShardSpec::new(index, count).unwrap_or_else(|e| {
-                eprintln!("campaign: DOTM_SHARD/DOTM_SHARDS: {e}");
-                std::process::exit(2);
-            });
-            Mode::Worker { shard }
-        }
-        (Some(_), None) => {
-            eprintln!("campaign: DOTM_SHARD without DOTM_SHARDS");
-            std::process::exit(2);
-        }
-        _ => Mode::Single {
-            resume: args.iter().any(|a| a == "--resume"),
+    match (resume, merge, shard, shards, serve) {
+        (_, false, None, None, None) => Ok(Mode::Single { resume }),
+        (false, false, Some(spec), None, None) => ShardSpec::parse(spec)
+            .map(|shard| Mode::Worker { shard })
+            .map_err(|e| format!("--shard {spec}: {e}")),
+        (false, true, None, Some(n), None) => match n.parse() {
+            Ok(shards) if shards > 0 => Ok(Mode::Merge { shards }),
+            _ => Err(format!("--shards {n}: expected a positive integer")),
         },
+        (false, true, None, None, None) => Err("--merge needs --shards N".into()),
+        (false, false, None, None, Some(addr)) => Ok(Mode::Serve { addr: addr.clone() }),
+        _ => Err(format!("{} do not combine", args.join(" "))),
     }
 }
 
@@ -222,8 +192,8 @@ impl ClassObserver for ProgressObserver {
     }
 }
 
-/// One macro's precomputed identity: everything the coordinator, merge
-/// and run paths need without re-running the pipeline.
+/// One macro's precomputed identity: everything the run, worker and
+/// merge paths need without re-running the pipeline.
 struct MacroPrep {
     collapsed: CollapseReport,
     area: f64,
@@ -303,8 +273,8 @@ fn run_macro(
             (completed, writer, None)
         }
         Mode::Worker { shard } => {
-            // A worker always resumes its own segment: a re-dispatched
-            // shard replays its dead predecessor's prefix, and replay is
+            // A worker always resumes its own segment: a re-run worker
+            // replays its dead predecessor's prefix, and replay is
             // canonical so an intact segment is rewritten byte-for-byte.
             let seg = segment_path(&jdir, harness.name(), *shard);
             let state = load_segment(&seg, &prep.header, *shard);
@@ -347,7 +317,6 @@ fn run_macro(
             let writer = JournalWriter::create(&journal_path, &prep.header)?;
             (merged.completed, writer, None)
         }
-        Mode::Coordinator { .. } => unreachable!("coordinator delegates to Merge"),
         Mode::Serve { .. } => unreachable!("serve mode never runs macros in-process"),
     };
 
@@ -414,100 +383,13 @@ fn run_macro(
     }
 }
 
-/// Spawns shard workers for `needed`, waits for all, and forwards their
-/// stdout/stderr to the coordinator's stderr (worker chatter must never
-/// reach the byte-identity-checked stdout).
-fn dispatch_round(
-    workers: usize,
-    needed: &[usize],
-    abort_after: Option<u64>,
-) -> std::io::Result<()> {
-    let exe = std::env::current_exe()?;
-    let mut children = Vec::new();
-    for &index in needed {
-        let mut cmd = Command::new(&exe);
-        cmd.arg("--shard")
-            .arg(format!("{index}/{workers}"))
-            // The worker derives everything else from the inherited
-            // environment; the coordinator-only and injection knobs must
-            // not leak through.
-            .env_remove("DOTM_ABORT_AFTER")
-            .env_remove("DOTM_EXPECT_WARM")
-            .env_remove("DOTM_SHARD")
-            .env_remove("DOTM_SHARDS")
-            .env_remove("DOTM_SHARD_ABORT_ONCE")
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped());
-        if let Some(n) = abort_after {
-            cmd.env("DOTM_ABORT_AFTER", n.to_string());
-        }
-        children.push((index, cmd.spawn()?));
-    }
-    for (index, child) in children {
-        let out = child.wait_with_output()?;
-        for line in String::from_utf8_lossy(&out.stdout)
-            .lines()
-            .chain(String::from_utf8_lossy(&out.stderr).lines())
-        {
-            eprintln!("[worker {index}/{workers}] {line}");
-        }
-        if !out.status.success() {
-            // Classified from the code alone (exit-code contract) — the
-            // coordinator never string-matches worker stderr.
-            let class = exit::classify(out.status.code()).map_or("unknown", |c| c.name());
-            eprintln!(
-                "[campaign] worker {index}/{workers} exited with {} ({class})",
-                out.status
-            );
-        }
-    }
-    Ok(())
-}
-
-/// Shards whose segment for any macro is missing, short or unsealed.
-fn incomplete_shards(preps: &[MacroPrep], store_dir: &Path, workers: usize) -> Vec<usize> {
-    let jdir = journal_dir(store_dir);
-    let mut needed: Vec<usize> = Vec::new();
-    for prep in preps {
-        for index in merge_segments(&jdir, &prep.header, workers).incomplete {
-            if !needed.contains(&index) {
-                needed.push(index);
-            }
-        }
-    }
-    needed.sort_unstable();
-    needed
-}
-
-/// Coordinator loop: dispatch every shard, then re-dispatch whatever
-/// came back incomplete (bounded rounds), reaping dead workers' temp
-/// files between rounds. Returns whether every shard sealed.
-fn coordinate(preps: &[MacroPrep], store_dir: &Path, workers: usize) -> std::io::Result<bool> {
-    let retries = dotm_core::env::shard_retries();
-    let abort_once = dotm_core::env::shard_abort_once();
-    for round in 0..=retries {
-        let needed = incomplete_shards(preps, store_dir, workers);
-        if needed.is_empty() {
-            break;
-        }
-        // No worker is live between rounds, so staging files left by
-        // crashed writers are safe to reap.
-        let reaped = dotm_store::reap_temp_files(store_dir)?;
-        if reaped > 0 {
-            eprintln!("[campaign] reaped {reaped} stale temp files");
-        }
-        eprintln!(
-            "[campaign] round {round}: dispatching {} of {workers} shards: {needed:?}",
-            needed.len()
-        );
-        dispatch_round(workers, &needed, abort_once.filter(|_| round == 0))?;
-    }
-    Ok(incomplete_shards(preps, store_dir, workers).is_empty())
-}
-
 fn main() {
     let trace = obs_init();
-    let mode = parse_mode();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mode = parse_mode(&args).unwrap_or_else(|e| {
+        eprintln!("campaign: {e}\n{USAGE}");
+        std::process::exit(exit::USAGE);
+    });
     let store_dir = dotm_core::env::store_dir().unwrap_or_else(|| PathBuf::from("dotm-store"));
     let abort_after = dotm_core::env::abort_after();
     let expect_warm = dotm_core::env::expect_warm();
@@ -550,31 +432,6 @@ fn main() {
         None => all,
     };
 
-    // Coordinator: drive the workers, then fall through to the merge.
-    let mode = match mode {
-        Mode::Coordinator { workers } => {
-            eprintln!("[campaign] coordinating {workers} shard workers");
-            let preps: Vec<MacroPrep> = harnesses
-                .iter()
-                .map(|h| prepare(h.as_ref(), &cfg))
-                .collect();
-            let complete = coordinate(&preps, &store_dir, workers).unwrap_or_else(|e| {
-                eprintln!("campaign: coordinator: {e}");
-                std::process::exit(exit::io_exit_code(&e));
-            });
-            if !complete {
-                eprintln!(
-                    "[campaign] shards still incomplete after all retries — \
-                     inspect the segments under {}",
-                    journal_dir(&store_dir).display()
-                );
-                std::process::exit(exit::STALE_SHARD);
-            }
-            Mode::Merge { shards: workers }
-        }
-        other => other,
-    };
-
     match &mode {
         Mode::Single { resume } => println!(
             "persistent campaign: {} defects/macro, store at {}{}",
@@ -599,7 +456,6 @@ fn main() {
                 store_dir.display(),
             );
         }
-        Mode::Coordinator { .. } => unreachable!("rewritten to Merge above"),
         Mode::Serve { .. } => unreachable!("serve mode returned above"),
     }
 
@@ -652,8 +508,15 @@ fn main() {
     drop(campaign_span);
 
     if aborted {
+        // Only a single process takes `--resume`: a worker resumes its
+        // segment by itself and a merge replays the sealed segments.
+        let rerun = match &mode {
+            Mode::Worker { shard } => format!("rerun --shard {shard}"),
+            Mode::Merge { shards } => format!("rerun --merge --shards {shards}"),
+            _ => "rerun with --resume".to_string(),
+        };
         println!(
-            "campaign aborted on request after {} classes — rerun with --resume",
+            "campaign aborted on request after {} classes — {rerun}",
             observer.completed.load(Ordering::Relaxed)
         );
         obs_finish("campaign");
@@ -748,5 +611,67 @@ fn main() {
             totals.computed, totals.misses
         );
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Mode, String> {
+        let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        parse_mode(&args)
+    }
+
+    #[test]
+    fn each_mode_parses_from_its_own_flags() {
+        assert_eq!(parse(""), Ok(Mode::Single { resume: false }));
+        assert_eq!(parse("--resume"), Ok(Mode::Single { resume: true }));
+        assert_eq!(
+            parse("--shard 1/3"),
+            Ok(Mode::Worker {
+                shard: ShardSpec::new(1, 3).expect("1/3")
+            })
+        );
+        assert_eq!(parse("--merge --shards 3"), Ok(Mode::Merge { shards: 3 }));
+        assert_eq!(parse("--shards 3 --merge"), Ok(Mode::Merge { shards: 3 }));
+        assert_eq!(
+            parse("--serve 127.0.0.1:0"),
+            Ok(Mode::Serve {
+                addr: "127.0.0.1:0".into()
+            })
+        );
+    }
+
+    #[test]
+    fn anything_else_is_a_usage_error() {
+        for line in [
+            // Unknown or misspelled arguments, including the retired
+            // same-host coordinator's flag.
+            "--resmue",
+            "resume",
+            "--workers 2",
+            "--resume extra",
+            // Missing, malformed or repeated values.
+            "--shard",
+            "--shard 2/2",
+            "--shard x",
+            "--serve",
+            "--merge",
+            "--merge --shards",
+            "--merge --shards 0",
+            "--merge --shards two",
+            "--shard 0/2 --shard 1/2",
+            "--resume --resume",
+            // Flags the chosen mode does not take.
+            "--resume --shard 0/2",
+            "--resume --merge --shards 2",
+            "--shards 2",
+            "--shard 0/2 --merge --shards 2",
+            "--shard 0/2 --shards 2",
+            "--serve 127.0.0.1:0 --resume",
+        ] {
+            assert!(parse(line).is_err(), "{line:?} must be rejected");
+        }
     }
 }

@@ -42,10 +42,6 @@ const PINNED: &[(&str, &str)] = &[
 const STALE: &[&str] = &[
     "DOTM_ABORT_AFTER",
     "DOTM_EXPECT_WARM",
-    "DOTM_SHARD",
-    "DOTM_SHARDS",
-    "DOTM_SHARD_ABORT_ONCE",
-    "DOTM_SERVE_WORKERS",
     "DOTM_MACROS",
     "DOTM_PROGRESS",
 ];

@@ -35,13 +35,11 @@
 //! and replays their solver telemetry, so duplicates cost one solve and
 //! never move a reported number.
 //!
-//! The `campaign` binary additionally understands the sharding knobs:
-//! `DOTM_SHARD`/`DOTM_SHARDS` (equivalent to `--shard i/N` — evaluate
-//! only the i-th contiguous class range and write a journal *segment*),
-//! `DOTM_SHARD_RETRIES` (coordinator re-dispatch rounds for crashed
-//! workers, default 2) and `DOTM_SHARD_ABORT_ONCE` (fault injection: the
-//! first dispatch round's workers abort after that many classes — CI uses
-//! it to prove crash-and-re-dispatch merges byte-identically).
+//! The `campaign` binary additionally splits a campaign across hosts
+//! that share one store tree: `--shard i/N` evaluates only the i-th
+//! contiguous class range of every macro into a journal *segment*, and
+//! `--merge --shards N` folds the N sealed segments into the report a
+//! single process prints. On one host, `DOTM_THREADS` is the parallelism.
 //!
 //! `DOTM_TRACE` (`1`/`0`, default off) turns on the [`dotm_obs`]
 //! observability recorder: the binary appends a per-phase wall-clock

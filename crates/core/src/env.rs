@@ -20,18 +20,13 @@
 //! | `DOTM_THREADS` | executor worker threads (`0` = auto) | auto |
 //! | `DOTM_SIM_FAILURE_POLICY` | accounting for never-converged classes | assume-detected |
 //! | `DOTM_STORE_DIR` | persistent campaign-store directory | unset |
-//! | `DOTM_SHARDS` | total worker shards of a sharded campaign | unset |
-//! | `DOTM_SHARD` | this worker's shard index (`0 ≤ i < DOTM_SHARDS`) | unset |
 //! | `DOTM_TRACE` | structured observability (spans/phases/counters) | off |
 //! | `DOTM_TRACE_DIR` | directory for NDJSON + chrome trace exports | `.` |
-//! | `DOTM_SHARD_RETRIES` | extra coordinator dispatch rounds for crashed workers | 2 |
-//! | `DOTM_SHARD_ABORT_ONCE` | test knob: first-round workers abort after this many classes | off |
 //! | `DOTM_ABORT_AFTER` | abort the run after this many observed classes (crash injection) | off |
 //! | `DOTM_EXPECT_WARM` | assert the store answered every lookup (only the unstored nominals solve) | off |
 //! | `DOTM_PROGRESS` | per-class `[progress]` lines on stderr (service event feed) | off |
 //! | `DOTM_SERVE_POLL_MS` | service accept-loop / event-stream poll interval (ms) | 25 |
 //! | `DOTM_SERVE_IO_TIMEOUT_MS` | service per-operation socket read/write timeout (ms) | 10000 |
-//! | `DOTM_SERVE_WORKERS` | default shard workers per service job (`0` = one process) | 0 |
 //! | `DOTM_MACROS` | comma-separated macro subset the campaign runs | all |
 
 use crate::pipeline::SimFailurePolicy;
@@ -132,32 +127,6 @@ pub fn store_dir() -> Option<PathBuf> {
     }
 }
 
-/// The `DOTM_SHARDS` knob: total worker count of a sharded campaign.
-/// `None` when unset; `0` is malformed (a campaign has at least one
-/// shard). Shard assignment is a pure function of `(DOTM_SHARD,
-/// DOTM_SHARDS, class count)`, so every process derives the same
-/// partition without coordination.
-///
-/// # Panics
-/// On a malformed or zero value.
-pub fn shards() -> Option<usize> {
-    let n = knob("DOTM_SHARDS", parse_usize)?;
-    if n == 0 {
-        panic!("DOTM_SHARDS: expected at least 1 shard, got 0");
-    }
-    Some(n)
-}
-
-/// The `DOTM_SHARD` knob: this worker's shard index. `None` when unset.
-/// Range-checked against `DOTM_SHARDS` by the campaign binary (the pair
-/// is validated together through [`crate::ShardSpec::new`]).
-///
-/// # Panics
-/// On a malformed value.
-pub fn shard() -> Option<usize> {
-    knob("DOTM_SHARD", parse_usize)
-}
-
 /// The `DOTM_TRACE` knob (default off): enables the `dotm-obs` recorder
 /// in the bench binaries. Tracing is a pure side channel — it may never
 /// change a reported number, a fingerprint, a journal byte or a store
@@ -176,29 +145,6 @@ pub fn trace_dir() -> Option<PathBuf> {
     match std::env::var("DOTM_TRACE_DIR") {
         Ok(v) if !v.trim().is_empty() => Some(PathBuf::from(v)),
         _ => None,
-    }
-}
-
-/// The `DOTM_SHARD_RETRIES` knob (default 2): extra dispatch rounds the
-/// coordinator runs to re-issue shards whose worker crashed before
-/// sealing its segment.
-///
-/// # Panics
-/// On a malformed value.
-pub fn shard_retries() -> u64 {
-    u64_knob("DOTM_SHARD_RETRIES", 2)
-}
-
-/// The `DOTM_SHARD_ABORT_ONCE` knob: coordinator crash-injection — every
-/// *first-round* worker receives `DOTM_ABORT_AFTER=<n>` so each shard
-/// dies once and must be re-dispatched. `None` when unset or `0` (off).
-///
-/// # Panics
-/// On a malformed value.
-pub fn shard_abort_once() -> Option<u64> {
-    match u64_knob("DOTM_SHARD_ABORT_ONCE", 0) {
-        0 => None,
-        n => Some(n),
     }
 }
 
@@ -260,16 +206,6 @@ pub fn serve_poll_ms() -> u64 {
 /// On a malformed value.
 pub fn serve_io_timeout_ms() -> u64 {
     u64_knob("DOTM_SERVE_IO_TIMEOUT_MS", 10_000).max(1)
-}
-
-/// The `DOTM_SERVE_WORKERS` knob (default 0): how many shard workers the
-/// campaign service gives a job that does not pin its own count. `0`
-/// runs the job as one ordinary (resumable) campaign process.
-///
-/// # Panics
-/// On a malformed value.
-pub fn serve_workers() -> usize {
-    usize_knob("DOTM_SERVE_WORKERS", 0)
 }
 
 /// The `DOTM_MACROS` knob: a comma-separated subset of macro names the
@@ -336,12 +272,6 @@ mod tests {
     // where the harness leaves the real variables unset.
     #[test]
     fn campaign_knob_defaults_and_zero_rules() {
-        if std::env::var("DOTM_SHARD_RETRIES").is_err() {
-            assert_eq!(shard_retries(), 2);
-        }
-        if std::env::var("DOTM_SHARD_ABORT_ONCE").is_err() {
-            assert_eq!(shard_abort_once(), None);
-        }
         if std::env::var("DOTM_ABORT_AFTER").is_err() {
             assert_eq!(abort_after(), None);
         }
@@ -356,9 +286,6 @@ mod tests {
         }
         if std::env::var("DOTM_SERVE_IO_TIMEOUT_MS").is_err() {
             assert_eq!(serve_io_timeout_ms(), 10_000);
-        }
-        if std::env::var("DOTM_SERVE_WORKERS").is_err() {
-            assert_eq!(serve_workers(), 0);
         }
         if std::env::var("DOTM_MACROS").is_err() {
             assert_eq!(macros(), None);

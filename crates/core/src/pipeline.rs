@@ -316,10 +316,10 @@ impl ClassObserver for FanoutObserver<'_> {
 /// macro's class list into `count` contiguous index ranges; worker
 /// `index` evaluates only [`range`](ShardSpec::range) and journals it as
 /// a segment. The partition is a pure function of `(index, count,
-/// classes)` — no coordinator state, no filesystem order — so every
-/// process (and every retry of a crashed worker) derives the same
-/// assignment, and the merged result is bit-identical to a
-/// single-process run at any `(workers × threads)` combination.
+/// classes)` — no shared state, no filesystem order — so every process
+/// (and every re-run of a crashed worker) derives the same assignment,
+/// and the merged result is bit-identical to a single-process run at
+/// any `(shards × threads)` combination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardSpec {
     /// This worker's shard index, `0 ≤ index < count`.

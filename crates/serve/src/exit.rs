@@ -1,8 +1,8 @@
 //! The campaign process exit-code contract.
 //!
-//! The coordinator and the service both supervise `campaign`
-//! subprocesses and must tell failure modes apart *without* string-
-//! matching stderr (stderr is a human channel; its wording changes).
+//! The service and the CI scripts supervise `campaign` subprocesses and
+//! must tell failure modes apart *without* string-matching stderr
+//! (stderr is a human channel; its wording changes).
 //! The contract is the numeric exit code:
 //!
 //! | code | name | meaning |
@@ -16,15 +16,14 @@
 //! Code 1 stays reserved for uncategorised failures (assertion-style
 //! gates such as `DOTM_EXPECT_WARM`), and anything else a child dies
 //! with — panics (101), signals — classifies as [`FailureClass::Io`]:
-//! "something broke that a retry against the same inputs may fix",
-//! which is exactly how the re-dispatch loop treats real I/O trouble.
+//! "something broke that a retry against the same inputs may fix".
 
 /// Successful exit.
 pub const OK: i32 = 0;
 /// Malformed command line or knob combination.
 pub const USAGE: i32 = 2;
 /// Shard segments incomplete, unsealed or context-mismatched: re-run
-/// the workers (or re-dispatch) before merging.
+/// the named workers before merging.
 pub const STALE_SHARD: i32 = 3;
 /// Store or journal I/O failure.
 pub const IO: i32 = 4;
@@ -37,7 +36,8 @@ pub const INTERRUPTED: i32 = 5;
 pub enum FailureClass {
     /// Bad invocation: retrying without changing the command is useless.
     Usage,
-    /// Incomplete/stale shard segments: re-dispatch workers, then retry.
+    /// Incomplete/stale shard segments: re-run the named workers, then
+    /// merge again.
     StaleShard,
     /// Filesystem-level failure (including uncategorised deaths).
     Io,

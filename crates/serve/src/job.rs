@@ -5,12 +5,12 @@
 //!
 //! A job's id is the FNV-128 of its *result-affecting* fields (macro
 //! selection, defect count, seeds, Monte-Carlo sizes, class truncation)
-//! in a canonical sorted-key encoding. Execution details — worker
-//! count, thread count, crash-injection knobs, the `fresh` flag — do
-//! not change a single report byte (the byte-identity gates enforce
-//! exactly that), so they stay out of the id: resubmitting the same
-//! configuration with a different worker count still finds the finished
-//! job and answers from it.
+//! in a canonical sorted-key encoding. Execution details — thread
+//! count, crash-injection knobs, the `fresh` flag — do not change a
+//! single report byte (the byte-identity gates enforce exactly that), so
+//! they stay out of the id: resubmitting the same configuration with a
+//! different thread count still finds the finished job and answers from
+//! it.
 //!
 //! ## Crash safety
 //!
@@ -19,7 +19,8 @@
 //! "crc":"<fnv64>"}` where `data` hex-wraps the flat JSON job body. A
 //! torn or corrupt record reads as absent (the client resubmits — ids
 //! are deterministic, nothing is lost). Body keys the loader does not
-//! know, such as the retired `remote` flag, are ignored. A record in
+//! know, such as the retired `remote` flag and `workers` count, are
+//! ignored. A record in
 //! `running` state at server startup is a crashed run: it re-enters the
 //! queue, and the campaign's own journal resume makes the re-run cheap.
 
@@ -67,8 +68,6 @@ pub struct JobSpec {
     pub max_classes: usize,
     /// Executor threads (`0` = auto).
     pub threads: usize,
-    /// Shard worker processes (`0` = one ordinary campaign process).
-    pub workers: usize,
     /// Force a re-run even when the identical job already finished
     /// (the store still answers warm — `computed=0`).
     pub fresh: bool,
@@ -79,9 +78,9 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// The spec a submission with an empty body gets: the server
-    /// process's own `DOTM_*` environment, all macros, no workers.
+    /// process's own `DOTM_*` environment, all macros.
     pub fn from_env() -> JobSpec {
-        use dotm_core::env::{serve_workers, u64_knob, usize_knob};
+        use dotm_core::env::{u64_knob, usize_knob};
         JobSpec {
             macros: ALL_MACROS.iter().map(|m| m.to_string()).collect(),
             defects: usize_knob("DOTM_DEFECTS", 25_000),
@@ -90,7 +89,6 @@ impl JobSpec {
             gs_mm: usize_knob("DOTM_GS_MM", 4),
             max_classes: usize_knob("DOTM_MAX_CLASSES", 0),
             threads: usize_knob("DOTM_THREADS", 0),
-            workers: serve_workers(),
             fresh: false,
             abort_once: 0,
         }
@@ -123,7 +121,6 @@ impl JobSpec {
         num("gs_mm", &mut spec.gs_mm)?;
         num("max_classes", &mut spec.max_classes)?;
         num("threads", &mut spec.threads)?;
-        num("workers", &mut spec.workers)?;
         if let Some(v) = json_field(text, "seed") {
             spec.seed = v
                 .parse()
@@ -264,7 +261,7 @@ impl Job {
         format!(
             "{{\"abort_once\":{},\"attempts\":{},\"defects\":{},\"exit\":{},\"fresh\":{},\
              \"gs_common\":{},\"gs_mm\":{},\"macros\":\"{}\",\"max_classes\":{},\
-             \"seed\":{},\"seq\":{},\"state\":\"{}\",\"threads\":{},\"workers\":{}}}",
+             \"seed\":{},\"seq\":{},\"state\":\"{}\",\"threads\":{}}}",
             self.spec.abort_once,
             self.attempts,
             self.spec.defects,
@@ -278,7 +275,6 @@ impl Job {
             self.seq,
             self.state.name(),
             self.spec.threads,
-            self.spec.workers,
         )
     }
 
@@ -330,7 +326,6 @@ impl Job {
             gs_mm: json_field(&body, "gs_mm")?.parse().ok()?,
             max_classes: json_field(&body, "max_classes")?.parse().ok()?,
             threads: json_field(&body, "threads")?.parse().ok()?,
-            workers: json_field(&body, "workers")?.parse().ok()?,
             fresh: json_field(&body, "fresh")?.parse().ok()?,
             abort_once: json_field(&body, "abort_once")?.parse().ok()?,
         };
@@ -368,13 +363,11 @@ impl Job {
     /// appends that from live journal snapshots).
     pub fn status_fields(&self) -> String {
         format!(
-            "\"id\":\"{}\",\"state\":\"{}\",\"exit\":{},\"attempts\":{},\"workers\":{},\
-             \"macros\":\"{}\"",
+            "\"id\":\"{}\",\"state\":\"{}\",\"exit\":{},\"attempts\":{},\"macros\":\"{}\"",
             json_escape(&self.id),
             self.state.name(),
             self.exit,
             self.attempts,
-            self.spec.workers,
             json_escape(&self.spec.macros.join(",")),
         )
     }
@@ -400,7 +393,6 @@ mod tests {
             gs_mm: 2,
             max_classes: 8,
             threads: 0,
-            workers: 2,
             fresh: false,
             abort_once: 0,
         }
@@ -410,7 +402,6 @@ mod tests {
     fn id_covers_results_not_execution() {
         let base = spec();
         let mut execution = spec();
-        execution.workers = 7;
         execution.threads = 3;
         execution.fresh = true;
         execution.abort_once = 4;
@@ -441,12 +432,11 @@ mod tests {
         // Only overridden fields are asserted: the defaults are
         // env-driven and the harness environment stays untouched.
         let spec = JobSpec::parse(
-            br#"{"defects":500,"seed":7,"macros":"ladder, comparator","workers":3,"fresh":true}"#,
+            br#"{"defects":500,"seed":7,"macros":"ladder, comparator","fresh":true}"#,
         )
         .expect("valid body");
         assert_eq!(spec.defects, 500);
         assert_eq!(spec.seed, 7);
-        assert_eq!(spec.workers, 3);
         assert!(spec.fresh);
         // Canonical campaign order regardless of request order.
         assert_eq!(spec.macros, ["comparator", "ladder"]);
@@ -455,10 +445,11 @@ mod tests {
         assert!(JobSpec::parse(br#"{"defects":"many"}"#).is_err());
         assert!(JobSpec::parse(br#"{"macros":"mystery"}"#).is_err());
         assert!(JobSpec::parse(br#"{"macros":" , "}"#).is_err());
-        // The retired `remote` flag is an unknown key like any other.
+        // The retired `remote` flag and `workers` count are unknown keys
+        // like any other.
         assert_eq!(
-            JobSpec::parse(br#"{"remote":true,"workers":0}"#).map(|s| s.workers),
-            Ok(0)
+            JobSpec::parse(br#"{"remote":true,"workers":3}"#),
+            JobSpec::parse(b"")
         );
         assert!(
             JobSpec::parse(b"")
@@ -509,12 +500,15 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// The record `job` would have been saved as before the `remote` flag
-    /// was retired: the same envelope, with `"remote":…` in the body.
-    fn parent_format_record(job: &Job, remote: bool) -> String {
-        let body = job
-            .body()
-            .replace(",\"seed\":", &format!(",\"remote\":{remote},\"seed\":"));
+    /// The record `job` would have been saved as by an older server: the
+    /// same envelope, with the retired `"workers":…` count last in the
+    /// body and, before the `remote` flag was retired, `"remote":…` too.
+    fn parent_format_record(job: &Job, workers: usize, remote: Option<bool>) -> String {
+        let mut body = job.body();
+        body.insert_str(body.len() - 1, &format!(",\"workers\":{workers}"));
+        if let Some(remote) = remote {
+            body = body.replace(",\"seed\":", &format!(",\"remote\":{remote},\"seed\":"));
+        }
         format!(
             "{{\"dotm_job\":1,\"id\":\"{}\",\"data\":\"{}\",\"crc\":\"{:016x}\"}}\n",
             job.id,
@@ -524,26 +518,32 @@ mod tests {
     }
 
     #[test]
-    fn parent_format_records_load_with_remote_ignored() {
+    fn parent_format_records_load_with_retired_keys_ignored() {
         let dir = tmpdir("parent");
         let mut job = Job::new(spec(), 5);
         job.state = JobState::Running;
         job.attempts = 1;
-        for remote in [true, false] {
-            let record = parent_format_record(&job, remote);
-            assert!(record.contains(&to_hex(format!("\"remote\":{remote}").as_bytes())));
-            fs::write(Job::path(&dir, &job.id), record).expect("write");
-            assert_eq!(Job::load(&dir, &job.id), Some(job.clone()));
+        for remote in [Some(true), Some(false), None] {
+            for workers in [0, 3] {
+                let record = parent_format_record(&job, workers, remote);
+                assert!(record.contains(&to_hex(format!("\"workers\":{workers}}}").as_bytes())));
+                if let Some(remote) = remote {
+                    assert!(record.contains(&to_hex(format!("\"remote\":{remote}").as_bytes())));
+                }
+                fs::write(Job::path(&dir, &job.id), record).expect("write");
+                assert_eq!(Job::load(&dir, &job.id), Some(job.clone()));
+            }
         }
         let _ = fs::remove_dir_all(&dir);
     }
 
     /// Seeded mutation loop over job records and submission bodies:
-    /// truncations, bit flips and random bytes of a current record and
-    /// of a parent-format `"remote":true` record. Neither parser may
-    /// panic, and a mutated record either reads as absent or as exactly
-    /// the job it was written for — the checksum and id checks must
-    /// never let a corrupt record through as a different job.
+    /// truncations, bit flips and random bytes of a current record, of
+    /// older records carrying `"workers"` (with and without
+    /// `"remote":true`) and of a body with both retired keys. Neither
+    /// parser may panic, and a mutated record either reads as absent or
+    /// as exactly the job it was written for — the checksum and id checks
+    /// must never let a corrupt record through as a different job.
     #[test]
     fn mutated_records_never_panic_or_load_as_another_job() {
         use dotm_rng::{Rng, SeedableRng, StdRng};
@@ -556,7 +556,8 @@ mod tests {
         let path = Job::path(&dir, &job.id);
         let seeds = [
             fs::read(&path).expect("record"),
-            parent_format_record(&job, true).into_bytes(),
+            parent_format_record(&job, 2, None).into_bytes(),
+            parent_format_record(&job, 2, Some(true)).into_bytes(),
             br#"{"defects":500,"seed":7,"macros":"ladder,comparator","workers":3,"fresh":true,"remote":true}"#
                 .to_vec(),
         ];

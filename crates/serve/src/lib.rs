@@ -12,9 +12,8 @@
 //!   the CLI's stdout (it *is* the captured stdout).
 //! * `GET /store/occupancy`, `GET /metrics`, `POST /shutdown`.
 //!
-//! A job with `workers > 0` runs as a local sharded campaign
-//! (`campaign --workers N`); there is no protocol for shard workers on
-//! other hosts.
+//! Every job runs as one campaign process; its parallelism is the
+//! job's executor thread count (`threads`, like `DOTM_THREADS`).
 //!
 //! Jobs persist as checksummed single-line records under
 //! `<store>/jobs/`; the queue survives crashes and restarts, and an

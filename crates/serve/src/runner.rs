@@ -75,26 +75,17 @@ impl SubprocessRunner {
 
     fn command(&self, job: &Job) -> Command {
         let mut cmd = Command::new(&self.exe);
-        if job.spec.workers > 0 {
-            cmd.arg("--workers").arg(job.spec.workers.to_string());
-        } else if job.attempts > 0 {
+        if job.attempts > 0 {
             // Only re-attempts resume: `--resume` stamps a ", resuming"
             // suffix on the report header, and a first attempt's stdout
             // must be byte-identical to the plain CLI campaign.
             cmd.arg("--resume");
         }
         // The job spec fully determines the campaign environment; the
-        // server's own injection/sharding knobs must not leak through.
-        for stale in [
-            "DOTM_ABORT_AFTER",
-            "DOTM_EXPECT_WARM",
-            "DOTM_SHARD",
-            "DOTM_SHARDS",
-            "DOTM_SHARD_ABORT_ONCE",
-        ] {
-            cmd.env_remove(stale);
-        }
-        cmd.env("DOTM_STORE_DIR", &self.store_dir)
+        // server's own injection knobs must not leak through.
+        cmd.env_remove("DOTM_ABORT_AFTER")
+            .env_remove("DOTM_EXPECT_WARM")
+            .env("DOTM_STORE_DIR", &self.store_dir)
             .env("DOTM_DEFECTS", job.spec.defects.to_string())
             .env("DOTM_SEED", job.spec.seed.to_string())
             .env("DOTM_GS_COMMON", job.spec.gs_common.to_string())
@@ -228,16 +219,12 @@ mod tests {
                 .and_then(|(_, v)| v.map(|v| v.to_string_lossy().into_owned()))
         };
 
-        job.spec.workers = 0;
         assert!(
             args(&runner.command(&job)).is_empty(),
             "first attempt runs plain"
         );
         job.attempts = 2;
         assert_eq!(args(&runner.command(&job)), ["--resume"]);
-        job.attempts = 0;
-        job.spec.workers = 3;
-        assert_eq!(args(&runner.command(&job)), ["--workers", "3"]);
 
         // Crash injection only on the very first attempt.
         job.spec.abort_once = 5;

@@ -7,8 +7,8 @@
 //! record and wakes the executor. One executor thread runs jobs
 //! strictly in submission order — jobs share the store's per-macro
 //! journal namespace, so running two at once would interleave writers;
-//! parallelism comes from *within* a job (its shard workers and
-//! executor threads), not from overlapping jobs.
+//! parallelism comes from *within* a job (its executor threads), not
+//! from overlapping jobs.
 //!
 //! ## Crash model
 //!

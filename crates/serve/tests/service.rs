@@ -152,7 +152,7 @@ fn lifecycle_submit_run_report_and_dedup() {
 
     // Identical config — even with different execution knobs — answers
     // from the finished job without running anything.
-    let warm = br#"{"defects":100,"seed":1,"macros":"comparator","workers":4}"#;
+    let warm = br#"{"defects":100,"seed":1,"macros":"comparator","threads":4}"#;
     let (status, cached) = request(addr, "POST", "/jobs", warm);
     assert_eq!(status, 200, "{cached}");
     assert!(cached.contains("\"cached\":true"), "{cached}");

@@ -57,7 +57,5 @@ pub use journal::{
     JournalWriter, ResumeState,
 };
 pub use segment::{create_segment, load_segment, merge_segments, segment_path, MergeReport};
-pub use store::{
-    corrupt_one_entry, occupancy, reap_temp_files, DiskStore, StoreCounters, StoreOccupancy,
-};
+pub use store::{corrupt_one_entry, occupancy, DiskStore, StoreCounters, StoreOccupancy};
 pub use wire::{from_hex, to_hex};

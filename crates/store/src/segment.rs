@@ -28,7 +28,7 @@
 //! [`merge_segments`] folds all segments of one macro in shard order,
 //! verifying every per-record checksum and every context header, and
 //! reports exactly which shards are missing, short or stale — the
-//! coordinator re-dispatches precisely those. A complete merge yields
+//! workers to re-run before merging again. A complete merge yields
 //! the full completed-class vector, from which the merge step replays
 //! the canonical single-process journal and report byte-for-byte.
 
@@ -152,7 +152,7 @@ pub struct MergeReport {
     /// for incomplete shards.
     pub shard_fingerprints: Vec<Option<u64>>,
     /// Shards whose segment is missing, short, unsealed or stale — the
-    /// set the coordinator must (re-)dispatch.
+    /// workers to re-run before the merge can complete.
     pub incomplete: Vec<usize>,
     /// The subset of `incomplete` whose segment file exists but carries
     /// a mismatching header (a knob changed since it was written).

@@ -352,32 +352,6 @@ pub fn occupancy(dir: impl AsRef<Path>) -> io::Result<StoreOccupancy> {
     Ok(occ)
 }
 
-/// Removes stale `.tmp-*` staging files left under `<dir>/meas` by
-/// crashed or killed writers. Safe only while no writer is active in
-/// the tree (e.g. from the shard coordinator between dispatch rounds) —
-/// a live writer's staged file would be reaped mid-write. Returns the
-/// number of files removed; individual unlink failures are absorbed.
-///
-/// # Errors
-/// Any filesystem error during the directory walk.
-pub fn reap_temp_files(dir: impl AsRef<Path>) -> io::Result<usize> {
-    let mut reaped = 0;
-    for shard in read_dir_sorted(&dir.as_ref().join("meas"))? {
-        if !shard.is_dir() {
-            continue;
-        }
-        for f in read_dir_sorted(&shard)? {
-            let stale = f
-                .file_name()
-                .is_some_and(|n| n.to_string_lossy().starts_with(".tmp-"));
-            if stale && fs::remove_file(&f).is_ok() {
-                reaped += 1;
-            }
-        }
-    }
-    Ok(reaped)
-}
-
 /// Deterministically flips one byte of one stored entry — the corruption
 /// probe used by the verify gate and the recovery tests. Entries are
 /// visited in lexicographic path order and the `index`-th one is
@@ -615,30 +589,6 @@ mod tests {
         for dir in &dirs {
             let _ = fs::remove_dir_all(dir);
         }
-    }
-
-    #[test]
-    fn reap_removes_stale_temp_files_only() {
-        let dir = tmpdir("reap");
-        let store = DiskStore::open(&dir, 7).expect("open");
-        store.store(1, &sample());
-        // Fake a dead writer's staged file next to the live entry.
-        let shard_dir = store.entry_path(mix(7, 1));
-        let shard_dir = shard_dir.parent().expect("parent");
-        let stale = shard_dir.join(".tmp-dead-0-cafe");
-        fs::write(&stale, b"partial").expect("write stale");
-        assert_eq!(reap_temp_files(&dir).expect("reap"), 1);
-        assert!(!stale.exists(), "stale temp file must be gone");
-        let fresh = DiskStore::open(&dir, 7).expect("open");
-        assert!(fresh.load(1).is_some(), "live entry must survive the reap");
-        assert_eq!(reap_temp_files(&dir).expect("reap"), 0, "idempotent");
-        // Missing store tree: empty, not an error.
-        assert_eq!(
-            reap_temp_files(dir.join("nonexistent")).expect("reap"),
-            0,
-            "missing tree reaps nothing"
-        );
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,16 +1,16 @@
 #!/usr/bin/env bash
-# Sharded byte-identity gate: a 2-worker coordinator campaign
-# (`campaign --workers 2`) must reproduce a single-process campaign
-# exactly — per-macro fingerprints, the whole report body (only the
-# per-macro store effort counters, the store accounting line and the
-# header naming the store path may differ), the deterministic
-# store-occupancy line and every canonical journal's bytes.
+# Sharded byte-identity gate: two shard workers (`campaign --shard i/2`)
+# and their merge (`campaign --merge --shards 2`) must reproduce a
+# single-process campaign exactly — per-macro fingerprints, the whole
+# report body (only the per-macro store effort counters, the store
+# accounting line and the header naming the store path may differ), the
+# deterministic store-occupancy line and every canonical journal's bytes.
 #
-# Both runs use the smoke size on fresh store trees and inherit the
-# caller's environment. Set DOTM_THREADS to pick the thread count (the
-# workers inherit it), and DOTM_SHARD_ABORT_ONCE=N to kill every
-# first-round worker after N classes, so the merge also proves
-# kill-and-re-dispatch (a single-process run ignores that knob).
+# Worker 0 is killed after 2 classes first (DOTM_ABORT_AFTER, exit 5)
+# and re-run, so the merge also proves that a re-run worker resumes its
+# segment prefix. All runs use the smoke size on fresh store trees and
+# inherit the caller's environment; set DOTM_THREADS to pick the thread
+# count.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,7 +21,18 @@ smoke=(DOTM_DEFECTS=2000 DOTM_MAX_CLASSES=8 DOTM_GS_COMMON=2 DOTM_GS_MM=2)
 camp_cmd="cargo run --release --locked -p dotm-bench --bin campaign"
 
 single=$(env "${smoke[@]}" DOTM_STORE_DIR="$single_dir" $camp_cmd)
-sharded=$(env "${smoke[@]}" DOTM_STORE_DIR="$shard_dir" $camp_cmd -- --workers 2)
+shard() { env "${smoke[@]}" DOTM_STORE_DIR="$shard_dir" "$@"; }
+
+# Worker stdout is bookkeeping, not the report: keep it off stdout.
+set +e
+shard DOTM_ABORT_AFTER=2 $camp_cmd -- --shard 0/2 >&2
+killed_rc=$?
+set -e
+[ "$killed_rc" -eq 5 ] || {
+    echo "FAIL: worker 0/2 killed after 2 classes exited $killed_rc, expected 5"; exit 1; }
+shard $camp_cmd -- --shard 0/2 >&2
+shard $camp_cmd -- --shard 1/2 >&2
+sharded=$(shard $camp_cmd -- --merge --shards 2)
 
 fingerprints() { grep -o 'fingerprint=[0-9a-f]*' || true; }
 # The per-macro `store: loads=… computed=…` counters and the store

@@ -95,7 +95,17 @@ usage_rc=$?
 set -e
 [ "$usage_rc" -eq 2 ] || {
     echo "FAIL: unknown DOTM_MACROS exited $usage_rc, expected 2"; exit 1; }
-echo "    exit codes: abort=5 (interrupted), unknown macro=2 (usage)"
+# So is an argument the campaign does not take (a typo, the retired
+# same-host coordinator flag, a merge of zero shards): nothing runs.
+for args in "--resmue" "--workers 2" "--merge --shards 0" "--resume --shard 0/2"; do
+    set +e
+    env "${camp_env[@]}" $camp_cmd -- $args >/dev/null 2>&1
+    usage_rc=$?
+    set -e
+    [ "$usage_rc" -eq 2 ] || {
+        echo "FAIL: campaign $args exited $usage_rc, expected 2"; exit 1; }
+done
+echo "    exit codes: abort=5 (interrupted), unknown macro or argument=2 (usage)"
 resumed=$(env "${camp_env[@]}" $camp_cmd -- --resume)
 diff <(echo "$cold" | fingerprints) <(echo "$resumed" | fingerprints) || {
     echo "FAIL: resumed campaign fingerprints differ"; exit 1; }
@@ -112,11 +122,10 @@ echo "$corrupt" | grep -q "write_errors=0" || {
     echo "FAIL: store rewrite failed"; echo "$corrupt"; exit 1; }
 echo "    corrupt entry: graceful recompute, fingerprints unchanged"
 
-echo "==> sharding: 2-worker campaign + merge is byte-identical to single-process"
-# Every first-round worker is killed mid-shard (DOTM_SHARD_ABORT_ONCE)
-# and re-dispatched to resume its segment prefix; the merge must still
-# reproduce the single-process run exactly.
-DOTM_SHARD_ABORT_ONCE=2 scripts/shard_identity.sh
+echo "==> sharding: 2 shard workers + merge are byte-identical to single-process"
+# Worker 0 is killed mid-shard and re-run to resume its segment prefix;
+# the merge must still reproduce the single-process run exactly.
+scripts/shard_identity.sh
 
 echo "==> service: campaign-as-a-service round-trip (serve_roundtrip)"
 # Boots campaign --serve on a loopback port, submits the anchor job over

@@ -701,7 +701,7 @@ fn kill_mid_shard_worker_then_redispatch_merges_identically() {
     let s0 = ShardSpec::new(0, 2).expect("shard 0/2");
     let s1 = ShardSpec::new(1, 2).expect("shard 1/2");
 
-    // The first dispatch of shard 0 dies after 3 of its 6 classes.
+    // The first run of shard 0 dies after 3 of its 6 classes.
     match shard_run(&fx, &dir, 2, s0, 3) {
         Err(PathError::Aborted { completed }) => assert_eq!(completed, 3),
         other => panic!("expected abort, got {other:?}"),
@@ -716,12 +716,12 @@ fn kill_mid_shard_worker_then_redispatch_merges_identically() {
     assert_eq!(
         merged.incomplete,
         vec![0, 1],
-        "the coordinator sees exactly the shards to (re-)dispatch"
+        "the merge names exactly the workers to (re-)run"
     );
 
-    // Re-dispatch shard 0 (replays the prefix, finishes, seals) and run
+    // Re-run shard 0 (replays the prefix, finishes, seals) and run
     // shard 1 at a different thread count.
-    let r0 = shard_run(&fx, &dir, 2, s0, usize::MAX).expect("re-dispatched shard 0");
+    let r0 = shard_run(&fx, &dir, 2, s0, usize::MAX).expect("re-run shard 0");
     let r1 = shard_run(&fx, &dir, 1, s1, usize::MAX).expect("shard 1");
     let classes = classes_of(&fx, &cfg);
     assert_eq!(
