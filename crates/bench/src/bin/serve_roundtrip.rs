@@ -25,6 +25,7 @@
 //!
 //! Exits non-zero on any contract violation.
 
+use dotm_store::json_field;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -164,12 +165,6 @@ fn http(addr: &str, method: &str, path: &str, body: &[u8]) -> (u16, String) {
     (status, body)
 }
 
-fn json_str<'a>(body: &'a str, key: &str) -> &'a str {
-    body.split(&format!("\"{key}\":\""))
-        .nth(1)
-        .map_or("", |s| s.split('"').next().unwrap_or(""))
-}
-
 /// Follows the NDJSON event stream to its `end` event. Returns
 /// (progress event count, final state).
 fn stream_events(addr: &str, id: &str) -> (u64, String) {
@@ -193,7 +188,10 @@ fn stream_events(addr: &str, id: &str) -> (u64, String) {
             progress += 1;
         }
         if trimmed.contains("\"event\":\"end\"") {
-            return (progress, json_str(trimmed, "state").to_string());
+            return (
+                progress,
+                json_field(trimmed, "state").unwrap_or("").to_string(),
+            );
         }
     }
 }
@@ -276,7 +274,7 @@ fn main() {
         eprintln!("[dotm] submit: expected 202, got {status}: {submitted}");
         std::process::exit(1);
     }
-    let id = json_str(&submitted, "id").to_string();
+    let id = json_field(&submitted, "id").unwrap_or("").to_string();
     let (progress_events, end_state) = stream_events(&addr, &id);
     let serve_secs = t0.elapsed().as_secs_f64();
     println!("  service run:   {serve_secs:>6.2}s  ({progress_events} progress events, end state {end_state})");

@@ -369,9 +369,10 @@ impl ShardSpec {
     /// `classes` total. Ranges tile `0..classes` exactly (no gaps, no
     /// overlap) and differ in length by at most one class.
     pub fn range(&self, classes: usize) -> std::ops::Range<usize> {
-        let start = self.index * classes / self.count;
-        let end = (self.index + 1) * classes / self.count;
-        start..end
+        // In u128, so a class count read from a corrupt segment header
+        // cannot overflow; every bound is at most `classes`.
+        let bound = |i: usize| (i as u128 * classes as u128 / self.count as u128) as usize;
+        bound(self.index)..bound(self.index + 1)
     }
 }
 

@@ -14,18 +14,19 @@
 //!
 //! ## Crash safety
 //!
-//! A job record is one line, written to a temp file and renamed into
-//! place like a store entry: `{"dotm_job":1,"id":…,"data":"<hex>",
-//! "crc":"<fnv64>"}` where `data` hex-wraps the flat JSON job body. A
-//! torn or corrupt record reads as absent (the client resubmits — ids
-//! are deterministic, nothing is lost). Body keys the loader does not
+//! A job record is one line, written like a store entry (temp file,
+//! fsync, rename — [`write_durably`]):
+//! `{"dotm_job":1,"id":…,"data":"<hex>","crc":"<fnv64>"}` where `data`
+//! hex-wraps the flat JSON job body. A torn or corrupt record reads as
+//! absent (the client resubmits — ids are deterministic, nothing is
+//! lost). Body keys the loader does not
 //! know, such as the retired `remote` flag and `workers` count, are
 //! ignored. A record in
 //! `running` state at server startup is a crashed run: it re-enters the
 //! queue, and the campaign's own journal resume makes the re-run cheap.
 
 use crate::http::json_escape;
-use dotm_store::{fnv64, from_hex, to_hex, Fnv128};
+use dotm_store::{fnv64, from_hex, json_field, to_hex, write_durably, Fnv128};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -37,18 +38,6 @@ pub const ALL_MACROS: [&str; 5] = [
     "clock_gen",
     "decoder_slice",
 ];
-
-/// Extracts the raw value of `"key":` from a flat one-line JSON object.
-pub(crate) fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let at = line.find(&needle)? + needle.len();
-    let rest = &line[at..];
-    if let Some(s) = rest.strip_prefix('"') {
-        s.split('"').next()
-    } else {
-        rest.split([',', '}']).next().map(str::trim)
-    }
-}
 
 /// What a client asks the service to run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -278,14 +267,13 @@ impl Job {
         )
     }
 
-    /// Persists the record: temp file + atomic rename, FNV-checksummed
-    /// like a store entry.
+    /// Persists the record through the store's durable write (temp
+    /// file, fsync, atomic rename), FNV-checksummed like a store entry.
     ///
     /// # Errors
     /// Any filesystem error — job records are load-bearing for the
     /// service's crash contract, so failures are not absorbed.
     pub fn save(&self, jobs_dir: &Path) -> std::io::Result<()> {
-        fs::create_dir_all(jobs_dir)?;
         let body = self.body();
         let line = format!(
             "{{\"dotm_job\":1,\"id\":\"{}\",\"data\":\"{}\",\"crc\":\"{:016x}\"}}\n",
@@ -293,9 +281,7 @@ impl Job {
             to_hex(body.as_bytes()),
             fnv64(body.as_bytes()),
         );
-        let tmp = jobs_dir.join(format!("{}.job.tmp-{}", self.id, std::process::id()));
-        fs::write(&tmp, line)?;
-        fs::rename(&tmp, Job::path(jobs_dir, &self.id))
+        write_durably(&Job::path(jobs_dir, &self.id), line.as_bytes())
     }
 
     /// Loads one record. `None` for a missing, torn or corrupt file —
@@ -591,6 +577,63 @@ mod tests {
             let _ = JobSpec::parse(&bytes);
         }
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Seeded adversarial loop over submission bodies: random bytes,
+    /// truncations and mutations of valid bodies. `JobSpec::parse` may
+    /// reject any of them but must not panic, and whatever it accepts
+    /// names a non-empty set of known macros, in campaign order.
+    #[test]
+    fn job_spec_parse_never_panics_and_accepts_only_known_macros() {
+        use dotm_rng::{Rng, SeedableRng, StdRng};
+
+        let bodies: [&[u8]; 4] = [
+            br#"{"defects":500,"seed":7,"macros":"ladder, comparator","fresh":true}"#,
+            br#"{"macros":"decoder_slice,bias_gen,clock_gen,ladder,comparator","threads":4}"#,
+            br#"{"gs_common":2,"gs_mm":2,"max_classes":8,"abort_once":3,"macros":"bias_gen"}"#,
+            b"",
+        ];
+        const ALPHABET: &[u8] = b"{}\":, 0123456789_abcdeglmnoprstu\xc3\xa9";
+        let mut rng = StdRng::seed_from_u64(0x5EED_5BEC);
+        for round in 0..5000usize {
+            let base = bodies[round % bodies.len()];
+            let bytes: Vec<u8> = match rng.gen_range(0..4u32) {
+                0 => base[..rng.gen_range(0..=base.len())].to_vec(),
+                1 if !base.is_empty() => {
+                    let mut b = base.to_vec();
+                    for _ in 0..rng.gen_range(1..=4usize) {
+                        let at = rng.gen_range(0..b.len());
+                        b[at] ^= 1 << rng.gen_range(0..8u32);
+                    }
+                    b
+                }
+                2 => (0..rng.gen_range(0..120usize))
+                    .map(|_| rng.gen_range(0..=255u32) as u8)
+                    .collect(),
+                _ => (0..rng.gen_range(0..120usize))
+                    .map(|_| ALPHABET[rng.gen_range(0..ALPHABET.len())])
+                    .collect(),
+            };
+            let Ok(spec) = JobSpec::parse(&bytes) else {
+                continue;
+            };
+            let order: Vec<usize> = spec
+                .macros
+                .iter()
+                .map(|m| {
+                    ALL_MACROS
+                        .iter()
+                        .position(|a| a == m)
+                        .unwrap_or_else(|| panic!("round {round}: unknown macro {m:?}"))
+                })
+                .collect();
+            assert!(!order.is_empty(), "round {round}: empty macro list");
+            assert!(
+                order.windows(2).all(|w| w[0] < w[1]),
+                "round {round}: macros {:?} out of campaign order",
+                spec.macros
+            );
+        }
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //!
 //! ## Crash model
 //!
-//! Every state transition is persisted temp+rename before it is
-//! observable over HTTP. A server killed at any point restarts into a
-//! consistent queue: `running` records re-enter the queue (their
+//! Every state transition, and every finished report, is persisted
+//! through the store's [`write_durably`] (temp file, fsync, rename)
+//! before it is observable over HTTP. A server killed at any point
+//! restarts into a consistent queue: `running` records re-enter the queue (their
 //! journals resume), `queued` records keep their order, finished
 //! records keep their reports. The in-memory event hub refills as the
 //! re-run progresses; streams opened against a restarted server start
@@ -31,10 +32,10 @@ use crate::http::{json_escape, read_request, respond, respond_json, start_stream
 use crate::hub::EventHub;
 use crate::job::{Job, JobSpec, JobState};
 use crate::runner::{JobRunner, RunOutcome};
-use dotm_store::journal_progress;
+use dotm_store::{journal_progress, write_durably};
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -189,7 +190,11 @@ impl Server {
                     if self.shutdown.load(Ordering::Acquire) {
                         return;
                     }
+                    // Popped and marked running in one critical
+                    // section: a resubmission of the same spec must
+                    // never find the id neither queued nor running.
                     if let Some(id) = st.queue.pop_front() {
+                        st.running = Some(id.clone());
                         break id;
                     }
                     let (guard, _) = self
@@ -199,16 +204,18 @@ impl Server {
                     st = guard;
                 }
             };
+            let idle = || self.state.lock().unwrap_or_else(|e| e.into_inner()).running = None;
             let Some(mut job) = Job::load(&self.jobs_dir, &id) else {
                 eprintln!("[serve] job {id}: record vanished from the queue");
+                idle();
                 continue;
             };
             job.state = JobState::Running;
             if let Err(e) = job.save(&self.jobs_dir) {
                 eprintln!("[serve] job {id}: cannot persist running state: {e}");
+                idle();
                 continue;
             }
-            self.state.lock().unwrap_or_else(|e| e.into_inner()).running = Some(id.clone());
             self.hub.publish(
                 &id,
                 format!(
@@ -221,18 +228,20 @@ impl Server {
             let outcome = self.runner.run(&job, &events, &self.cancel);
             job.attempts += 1;
             match outcome {
-                RunOutcome::Merged { report } => match write_report(&self.jobs_dir, &id, &report) {
-                    Ok(()) => {
-                        job.state = JobState::Merged;
-                        job.exit = 0;
-                        dotm_obs::counter("serve.jobs_merged", 1);
+                RunOutcome::Merged { report } => {
+                    match write_durably(&Job::report_path(&self.jobs_dir, &id), &report) {
+                        Ok(()) => {
+                            job.state = JobState::Merged;
+                            job.exit = 0;
+                            dotm_obs::counter("serve.jobs_merged", 1);
+                        }
+                        Err(e) => {
+                            eprintln!("[serve] job {id}: report write failed: {e}");
+                            job.state = JobState::Failed;
+                            job.exit = crate::exit::IO;
+                        }
                     }
-                    Err(e) => {
-                        eprintln!("[serve] job {id}: report write failed: {e}");
-                        job.state = JobState::Failed;
-                        job.exit = crate::exit::IO;
-                    }
-                },
+                }
                 RunOutcome::Interrupted => {
                     // Back to the queue, resumable. On shutdown this is
                     // the drain; otherwise it re-enters at the front so
@@ -507,7 +516,7 @@ impl Server {
                 .map(|f| f.to_string_lossy().into_owned())
                 .unwrap_or_default();
             let shard = match p.shard {
-                Some((i, n)) => format!("[{i},{n}]"),
+                Some(s) => format!("[{},{}]", s.index, s.count),
                 None => "null".to_string(),
             };
             parts.push(format!(
@@ -522,19 +531,6 @@ impl Server {
         }
         parts.join(",")
     }
-}
-
-fn write_atomically(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let tmp = path.with_extension(format!("tmp-{}", std::process::id()));
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)
-}
-
-fn write_report(jobs_dir: &Path, id: &str, report: &[u8]) -> std::io::Result<()> {
-    write_atomically(&Job::report_path(jobs_dir, id), report)
 }
 
 /// Builds and runs a server: binds `addr`, serves until shutdown, then

@@ -16,14 +16,18 @@
 //!   campaign resumes from the last completed class and finishes with a
 //!   final report bit-identical to an uninterrupted run.
 //! - Shard *segments* ([`create_segment`] / [`load_segment`] /
-//!   [`merge_segments`]) split one macro's journal into per-worker
-//!   slices for multi-process campaigns; a complete merge replays the
-//!   single-process journal, report and accounting byte-for-byte.
+//!   [`merge_segments`]) are journals over one shard's class range, one
+//!   file per worker of a multi-process campaign; a complete merge
+//!   replays the single-process journal, report and accounting
+//!   byte-for-byte. One header parser and one record scan read both
+//!   kinds, for resume and for the read-only [`journal_progress`].
 //!
 //! ## Crash safety
 //!
-//! Store entries are written to a temporary file and atomically renamed
-//! into place; every entry carries a magic header, its own key and a
+//! Every whole-file write goes through [`write_durably`]: a temporary
+//! file, synced, then atomically renamed into place and the directory
+//! synced. Store entries use it, and so do the service's job records and
+//! reports. Every entry carries a magic header, its own key and a
 //! trailing FNV-64 checksum. A truncated, corrupt or concurrently
 //! rewritten entry is indistinguishable from an absent one: it reads as
 //! a *miss* (recompute), never as an error and never as a wrong value.
@@ -46,16 +50,17 @@ mod context;
 mod entry;
 mod fnv;
 mod journal;
-mod segment;
 mod store;
 mod wire;
 
 pub use context::pipeline_context;
 pub use fnv::{fnv64, Fnv128};
 pub use journal::{
-    journal_progress, journal_progress_text, load_journal, JournalHeader, JournalProgress,
-    JournalWriter, ResumeState,
+    create_segment, journal_progress, journal_progress_text, load_journal, load_segment,
+    merge_segments, segment_path, JournalHeader, JournalProgress, JournalWriter, MergeReport,
+    ResumeState,
 };
-pub use segment::{create_segment, load_segment, merge_segments, segment_path, MergeReport};
-pub use store::{corrupt_one_entry, occupancy, DiskStore, StoreCounters, StoreOccupancy};
-pub use wire::{from_hex, to_hex};
+pub use store::{
+    corrupt_one_entry, occupancy, write_durably, DiskStore, StoreCounters, StoreOccupancy,
+};
+pub use wire::{from_hex, json_field, to_hex};

@@ -70,7 +70,6 @@ pub struct DiskStore {
     context: u128,
     /// The in-memory write-through overlay, keyed by context-mixed keys.
     memory: MemoryStore,
-    nonce: AtomicU64,
     loads: AtomicU64,
     disk_hits: AtomicU64,
     misses: AtomicU64,
@@ -104,7 +103,6 @@ impl DiskStore {
             meas_dir,
             context,
             memory: MemoryStore::new(),
-            nonce: AtomicU64::new(0),
             loads: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -172,49 +170,64 @@ impl DiskStore {
         let checksum = fnv64(&bytes);
         bytes.extend_from_slice(&checksum.to_le_bytes());
 
-        let path = self.entry_path(mixed);
-        let dir = path.parent().expect("entry path has a parent");
-        fs::create_dir_all(dir)?;
-        // Unique temp name per (process, write): concurrent writers of
-        // the same key each stage their own file and the renames settle
-        // on one winner — both wrote identical bytes, so readers can
-        // never observe a torn entry.
-        let nonce = self.nonce.fetch_add(1, Ordering::Relaxed);
-        let tmp = dir.join(format!(
-            ".tmp-{:x}-{nonce:x}-{mixed:032x}",
-            std::process::id()
-        ));
-        let write = (|| {
-            use std::io::Write as _;
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            // Flush the entry to stable storage *before* the rename makes
-            // it visible — otherwise a power loss can surface a renamed
-            // but empty (or torn) entry. Readers would still degrade that
-            // to a miss, but once several worker processes share a store
-            // tree a phantom entry costs every later worker a recompute.
-            f.sync_all()
-        })();
-        if let Err(e) = write {
-            let _ = fs::remove_file(&tmp);
-            return Err(e);
-        }
-        match fs::rename(&tmp, &path) {
-            Ok(()) => {
-                // Best-effort directory sync so the rename itself is
-                // durable. Failure is absorbed: the degrade-to-miss read
-                // path remains the last resort.
-                if let Ok(d) = fs::File::open(dir) {
-                    let _ = d.sync_all();
-                }
-                Ok(())
-            }
-            Err(e) => {
-                let _ = fs::remove_file(&tmp);
-                Err(e)
-            }
-        }
+        write_durably(&self.entry_path(mixed), &bytes)
     }
+}
+
+/// Writes `bytes` to `path` so that a reader sees either the old file or
+/// the whole new one, and the new one survives a power loss once this
+/// returns: the parent directory is created, the bytes go to a temp file
+/// beside `path`, which is synced, renamed over `path`, and the
+/// directory synced (best-effort). On error the temp file is removed.
+/// Store entries, job records and job reports are all written here.
+///
+/// The temp name is unique per process and write (pid plus a
+/// process-wide counter), so concurrent writers of one path each stage
+/// their own file and the renames settle on one winner. It never ends in
+/// `.ent`, `.job` or `.report`, so no directory walk takes it for a
+/// finished file.
+///
+/// # Errors
+/// Any filesystem error but the directory sync.
+pub fn write_durably(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    static NONCE: AtomicU64 = AtomicU64::new(0);
+    let (Some(dir), Some(name)) = (path.parent(), path.file_name()) else {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{} names no file", path.display()),
+        ));
+    };
+    fs::create_dir_all(dir)?;
+    let nonce = NONCE.fetch_add(1, Ordering::Relaxed);
+    let tmp = dir.join(format!(
+        ".{}.tmp-{:x}-{nonce:x}",
+        name.to_string_lossy(),
+        std::process::id()
+    ));
+    let write = (|| {
+        use std::io::Write as _;
+        let mut f = fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
+        // Flush the file to stable storage *before* the rename makes it
+        // visible — otherwise a power loss can surface a renamed but
+        // empty (or torn) file. A store reader would still degrade that
+        // to a miss, but a phantom entry costs every later worker on a
+        // shared store tree a recompute, and a torn job record drops a
+        // queued job.
+        f.sync_all()?;
+        fs::rename(&tmp, path)
+    })();
+    if let Err(e) = write {
+        let _ = fs::remove_file(&tmp);
+        return Err(e);
+    }
+    // Best-effort directory sync so the rename itself is durable.
+    // Failure is absorbed: the readers' degrade-to-absent path remains
+    // the last resort.
+    if let Ok(d) = fs::File::open(dir) {
+        let _ = d.sync_all();
+    }
+    Ok(())
 }
 
 impl MeasurementStore for DiskStore {

@@ -7,6 +7,9 @@
 //! unsigned LEB128 varints: seven bits per byte, low group first, the
 //! high bit set on every byte but the last. Only the shortest form
 //! decodes, so each value has exactly one encoding.
+//!
+//! The line formats (journal, segment, job record) share the text
+//! helpers at the bottom: hex coding and the flat-JSON field reader.
 
 /// Append-only byte buffer writer.
 #[derive(Default)]
@@ -184,9 +187,33 @@ pub fn from_hex(s: &str) -> Option<Vec<u8>> {
     )
 }
 
+/// Extracts the raw value of `"key":` from a flat one-line JSON object:
+/// the token up to the closing quote (string values) or up to the next
+/// `,` / `}` (numbers and booleans). Returns `None` when absent. The
+/// journal, job-record and job-spec readers all go through it.
+pub fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let needle = format!("\"{key}\":");
+    let at = line.find(&needle)? + needle.len();
+    let rest = &line[at..];
+    if let Some(s) = rest.strip_prefix('"') {
+        s.split('"').next()
+    } else {
+        rest.split([',', '}']).next().map(str::trim)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_field_extracts_values() {
+        let line = "{\"a\":1,\"b\":\"two\",\"c\":true}";
+        assert_eq!(json_field(line, "a"), Some("1"));
+        assert_eq!(json_field(line, "b"), Some("two"));
+        assert_eq!(json_field(line, "c"), Some("true"));
+        assert_eq!(json_field(line, "d"), None);
+    }
 
     #[test]
     fn roundtrip_scalars() {

@@ -15,6 +15,13 @@ cargo build --release --locked
 echo "==> tier 1: test suite (workspace)"
 cargo test -q --workspace --locked
 
+echo "==> benchmark tracer: builds against the current public API"
+# A package of its own outside the workspace (campaign_bench/tracer), so
+# the steps above never compile it; its target dir stays out of
+# campaign_bench/.
+CARGO_TARGET_DIR=target/tracer cargo build --release --offline --locked \
+    --manifest-path campaign_bench/tracer/Cargo.toml
+
 echo "==> smoke: table1 (small sprinkle)"
 DOTM_DEFECTS=4000 DOTM_TABLE1_FULL=100000 \
     cargo run --release --locked -p dotm-bench --bin table1
