@@ -30,9 +30,9 @@ fn main() {
                 o.mechanism.to_string(),
                 format!("{:?}", o.voltage),
                 o.detection.missing_code as u8,
-                o.currents.ivdd as u8,
-                o.currents.iddq as u8,
-                o.currents.iinput as u8,
+                o.detection.currents.ivdd as u8,
+                o.detection.currents.iddq as u8,
+                o.detection.currents.iinput as u8,
                 o.shared as u8,
                 &o.key[..o.key.len().min(70)]
             );

@@ -20,9 +20,9 @@ fn main() {
     for o in report.outcomes_of(severity) {
         let key = (
             o.detection.missing_code,
-            o.currents.ivdd,
-            o.currents.iddq,
-            o.currents.iinput,
+            o.detection.currents.ivdd,
+            o.detection.currents.iddq,
+            o.detection.currents.iinput,
         );
         *regions.entry(key).or_insert(0.0) += 100.0 * o.count as f64 / total;
     }

@@ -27,7 +27,7 @@ fn main() {
     rule(70);
     for (label, dft) in [("production", false), ("with DfT", true)] {
         let report = comparator_report(dft);
-        let current_cov = report.pct_where(Severity::Catastrophic, |o| o.currents.any());
+        let current_cov = report.pct_where(Severity::Catastrophic, |o| o.detection.currents.any());
         let full_cov = report.coverage(Severity::Catastrophic);
         println!(
             "{:<12} {:>13.1}% {:>13.1}% {:>8.0} ppm {:>8.0} ppm",

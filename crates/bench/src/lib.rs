@@ -54,13 +54,11 @@
 //! solver escalation (and to which rung), and the total solver work. On a
 //! healthy paper-parity run the failure counters are all zero.
 
-use dotm_core::env::{u64_knob, usize_knob};
 use dotm_core::harnesses::{
     BiasHarness, ClockgenHarness, ComparatorHarness, DecoderHarness, LadderHarness,
 };
 use dotm_core::{
-    par_map, run_macro_path, ExecConfig, GlobalReport, GoodSpaceConfig, MacroHarness, MacroReport,
-    PipelineConfig,
+    par_map, run_macro_path, ExecConfig, GlobalReport, MacroHarness, MacroReport, PipelineConfig,
 };
 
 /// Enables the [`dotm_obs`] recorder when the `DOTM_TRACE` knob is set.
@@ -122,22 +120,9 @@ pub fn obs_finish(label: &str) {
 
 /// The standard pipeline configuration, honouring the environment knobs.
 pub fn standard_config() -> PipelineConfig {
-    let max_classes = match usize_knob("DOTM_MAX_CLASSES", 0) {
-        0 => None,
-        n => Some(n),
-    };
     PipelineConfig {
-        defects: usize_knob("DOTM_DEFECTS", 25_000),
-        seed: u64_knob("DOTM_SEED", 1995),
-        goodspace: GoodSpaceConfig {
-            common_samples: usize_knob("DOTM_GS_COMMON", 5),
-            mismatch_samples: usize_knob("DOTM_GS_MM", 4),
-            seed: u64_knob("DOTM_SEED", 1995) ^ 0xD07,
-            ..GoodSpaceConfig::default()
-        },
-        max_classes,
         sim_failure_policy: dotm_core::env::sim_failure_policy(),
-        ..PipelineConfig::default()
+        ..dotm_core::env::campaign_config()
     }
 }
 

@@ -170,7 +170,6 @@ mod tests {
             severity: Severity::Catastrophic,
             shared: false,
             voltage: VoltageSignature::NoDeviation,
-            currents,
             detection: DetectionSet {
                 missing_code: mc,
                 currents,

@@ -17,6 +17,11 @@
 //!
 //! | knob | meaning | default |
 //! |---|---|---|
+//! | `DOTM_DEFECTS` | defects sprinkled per macro | 25000 |
+//! | `DOTM_SEED` | sprinkle seed (the good space draws from `seed ^ 0xD07`) | 1995 |
+//! | `DOTM_GS_COMMON` | good-space common (die-wide) samples | 5 |
+//! | `DOTM_GS_MM` | good-space mismatch samples per common sample | 4 |
+//! | `DOTM_MAX_CLASSES` | evaluate only the most frequent classes (`0` = all) | 0 |
 //! | `DOTM_THREADS` | executor worker threads (`0` = auto) | auto |
 //! | `DOTM_SIM_FAILURE_POLICY` | accounting for never-converged classes | assume-detected |
 //! | `DOTM_STORE_DIR` | persistent campaign-store directory | unset |
@@ -29,7 +34,7 @@
 //! | `DOTM_SERVE_IO_TIMEOUT_MS` | service per-operation socket read/write timeout (ms) | 10000 |
 //! | `DOTM_MACROS` | comma-separated macro subset the campaign runs | all |
 
-use crate::pipeline::SimFailurePolicy;
+use crate::pipeline::{PipelineConfig, SimFailurePolicy};
 use std::path::PathBuf;
 
 /// Parses a boolean knob value: `1`/`true`/`on`/`yes` vs
@@ -98,6 +103,35 @@ pub fn usize_knob(name: &str, default: usize) -> usize {
 /// On a malformed value.
 pub fn u64_knob(name: &str, default: u64) -> u64 {
     knob(name, parse_u64).unwrap_or(default)
+}
+
+/// The campaign's size and seed knobs over [`PipelineConfig::default`],
+/// which holds their defaults: `DOTM_DEFECTS`, `DOTM_SEED` (the good
+/// space's seed is `seed ^ 0xD07`), `DOTM_GS_COMMON`, `DOTM_GS_MM` and
+/// `DOTM_MAX_CLASSES` (`0` = all classes). Every other field keeps its
+/// default.
+///
+/// # Panics
+/// On a malformed value.
+pub fn campaign_config() -> PipelineConfig {
+    let base = PipelineConfig::default();
+    let seed = u64_knob("DOTM_SEED", base.seed);
+    let max_classes = match usize_knob("DOTM_MAX_CLASSES", 0) {
+        0 => None,
+        n => Some(n),
+    };
+    PipelineConfig {
+        defects: usize_knob("DOTM_DEFECTS", base.defects),
+        seed,
+        goodspace: crate::GoodSpaceConfig {
+            common_samples: usize_knob("DOTM_GS_COMMON", base.goodspace.common_samples),
+            mismatch_samples: usize_knob("DOTM_GS_MM", base.goodspace.mismatch_samples),
+            seed: seed ^ 0xD07,
+            ..base.goodspace
+        },
+        max_classes,
+        ..base
+    }
 }
 
 /// The `DOTM_THREADS` knob: `None` when unset or `0` (both mean "auto" —

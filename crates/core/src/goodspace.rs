@@ -34,10 +34,6 @@ pub struct GoodSpaceConfig {
     pub mismatch_samples: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Parallel execution of the common samples. The result is
-    /// thread-count-invariant: each common sample draws from its own
-    /// `(seed, index)` substream.
-    pub exec: ExecConfig,
     /// No effect. Every DC solve starts from the cold homotopy chain; the
     /// field remains so callers that set it keep compiling.
     pub warm_start: bool,
@@ -62,7 +58,6 @@ impl Default for GoodSpaceConfig {
             common_samples: 5,
             mismatch_samples: 4,
             seed: 1995,
-            exec: ExecConfig::default(),
             warm_start: true,
             factor_reuse: true,
             rank_update: false,
@@ -117,13 +112,14 @@ fn compile_common_sample(
     }
 }
 
-/// Runs the s·m Monte-Carlo corners and estimates σ_common and
-/// σ_mismatch at the `currents` indices. Returns the σ pairs, the
+/// Runs the s·m Monte-Carlo corners on `exec` and estimates σ_common
+/// and σ_mismatch at the `currents` indices. Returns the σ pairs, the
 /// corners' solver telemetry and the redrawn-corner count.
 fn compile_corners(
     harness: &dyn MacroHarness,
     model: &ProcessModel,
     cfg: &GoodSpaceConfig,
+    exec: &ExecConfig,
     currents: &[(usize, CurrentKind)],
 ) -> Result<(Vec<f64>, SimStats, u64), SimError> {
     let s = cfg.common_samples.max(1);
@@ -135,12 +131,11 @@ fn compile_corners(
     // convergence envelope; the good space is a statistical estimate,
     // so such a sample is redrawn from its own stream (bounded
     // retries) rather than failing the whole compilation.
-    let per_sample: Vec<(Vec<Vec<f64>>, SimStats, u64)> =
-        exec::par_map_indices(&cfg.exec, s, |si| {
-            compile_common_sample(harness, model, cfg, m, si as u64)
-        })
-        .into_iter()
-        .collect::<Result<_, _>>()?;
+    let per_sample: Vec<(Vec<Vec<f64>>, SimStats, u64)> = exec::par_map_indices(exec, s, |si| {
+        compile_common_sample(harness, model, cfg, m, si as u64)
+    })
+    .into_iter()
+    .collect::<Result<_, _>>()?;
     // Telemetry is folded in index order: SimStats addition commutes,
     // but a fixed order keeps the reduction trivially reproducible.
     let mut stats = SimStats::default();
@@ -260,7 +255,8 @@ impl GoodRecord {
 }
 
 impl GoodSpace {
-    /// Compiles the good space for a harness.
+    /// Compiles the good space for a harness, its Monte Carlo on the
+    /// default executor.
     ///
     /// # Errors
     /// Propagates simulator failures (a fault-free circuit failing to
@@ -270,13 +266,19 @@ impl GoodSpace {
         model: &ProcessModel,
         cfg: GoodSpaceConfig,
     ) -> Result<GoodSpace, SimError> {
-        Self::compile_in(harness, model, cfg, &MemoryStore::new())
+        Self::compile_in(
+            harness,
+            model,
+            cfg,
+            &ExecConfig::default(),
+            &MemoryStore::new(),
+        )
     }
 
     /// The store key of the record [`GoodSpace::compile`] keeps for
     /// `(harness, model, cfg)`: the testbench content, the Monte-Carlo
-    /// sizes and seed, and the process sigmas. The executor configuration
-    /// and the inert fields are left out; they never change the result.
+    /// sizes and seed, and the process sigmas. The inert fields are left
+    /// out; they never change the result.
     pub fn store_key(
         harness: &dyn MacroHarness,
         model: &ProcessModel,
@@ -316,11 +318,15 @@ impl GoodSpace {
     /// well-formed one, and computed and stored otherwise. For a harness
     /// that [stores its nominal](MacroHarness::stores_nominal) a replay
     /// simulates nothing; for any other the nominal measurement always
-    /// runs. Either way a replay returns the same bits as a compile.
+    /// runs. Either way a replay returns the same bits as a compile. The
+    /// common samples run in parallel on `exec`; the result does not
+    /// depend on it, because each draws from its own `(seed, index)`
+    /// substream.
     pub(crate) fn compile_in(
         harness: &dyn MacroHarness,
         model: &ProcessModel,
         cfg: GoodSpaceConfig,
+        exec: &ExecConfig,
         store: &dyn MeasurementStore,
     ) -> Result<GoodSpace, SimError> {
         let testbench = harness.testbench();
@@ -358,7 +364,7 @@ impl GoodSpace {
                     Vec::new()
                 };
                 let (sigmas, corners, corner_retries) =
-                    compile_corners(harness, model, &cfg, &currents)?;
+                    compile_corners(harness, model, &cfg, exec, &currents)?;
                 delta.merge(&corners);
                 let record = GoodRecord {
                     corner_retries,
@@ -455,6 +461,12 @@ mod tests {
             seed: 11,
             ..GoodSpaceConfig::default()
         }
+    }
+
+    /// [`GoodSpace::compile_in`] at [`cfg`] on the default executor.
+    fn compile_in(h: &dyn MacroHarness, store: &dyn MeasurementStore) -> GoodSpace {
+        let model = ProcessModel::default();
+        GoodSpace::compile_in(h, &model, cfg(), &ExecConfig::default(), store).expect("compiles")
     }
 
     /// Answers every load with one fixed record and counts the stores.
@@ -565,7 +577,7 @@ mod tests {
         let h = BiasHarness::default();
         let model = ProcessModel::default();
         let memo = MemoryStore::new();
-        let compiled = GoodSpace::compile_in(&h, &model, cfg(), &memo).expect("compiles");
+        let compiled = compile_in(&h, &memo);
         let key = GoodSpace::store_key(&h, &model, &cfg());
         let record = memo.load(key).expect("the corners are stored");
         assert!(
@@ -576,7 +588,7 @@ mod tests {
             record: Some(record),
             stores: AtomicUsize::new(0),
         };
-        let replayed = GoodSpace::compile_in(&h, &model, cfg(), &replay).expect("replays");
+        let replayed = compile_in(&h, &replay);
         assert_eq!(
             replay.stores.load(Ordering::Relaxed),
             0,
@@ -614,22 +626,17 @@ mod tests {
                 record: Some((values, stats)),
                 stores: AtomicUsize::new(0),
             };
-            let recompiled = GoodSpace::compile_in(&h, &model, cfg(), &store).expect("compiles");
+            let recompiled = compile_in(&h, &store);
             assert_eq!(store.stores.load(Ordering::Relaxed), 1, "{why}: recomputed");
             assert_same_bits(&compiled, &recompiled);
         }
     }
 
     #[test]
-    fn the_record_key_tracks_its_inputs_but_not_the_executor() {
+    fn the_record_key_tracks_its_inputs_but_not_the_inert_fields() {
         let h = BiasHarness::default();
         let model = ProcessModel::default();
         let base = GoodSpace::store_key(&h, &model, &cfg());
-        let threads = GoodSpaceConfig {
-            exec: ExecConfig::with_threads(4),
-            ..cfg()
-        };
-        assert_eq!(GoodSpace::store_key(&h, &model, &threads), base);
         let cold = GoodSpaceConfig {
             warm_start: false,
             ..cfg()
@@ -664,22 +671,21 @@ mod tests {
     #[test]
     fn a_stored_nominal_replays_without_measuring() {
         let h = Counting::new(true);
-        let model = ProcessModel::default();
         let memo = MemoryStore::new();
-        let compiled = GoodSpace::compile_in(&h, &model, cfg(), &memo).expect("compiles");
+        let compiled = compile_in(&h, &memo);
         // The nominal plus the s·m corners, no redraws on this harness.
         assert_eq!(h.take_measures(), 1 + 2 * 2, "cold");
-        let replayed = GoodSpace::compile_in(&h, &model, cfg(), &memo).expect("replays");
+        let replayed = compile_in(&h, &memo);
         assert_eq!(h.take_measures(), 0, "a replay measures nothing");
         assert_same_bits(&compiled, &replayed);
         // Storing the nominal changes no bit of the good space, and a
         // harness that does not store it measures only its nominal.
         let unstored = Counting::new(false);
         let memo = MemoryStore::new();
-        let plain = GoodSpace::compile_in(&unstored, &model, cfg(), &memo).expect("compiles");
+        let plain = compile_in(&unstored, &memo);
         assert_same_bits(&compiled, &plain);
         unstored.take_measures();
-        let replayed = GoodSpace::compile_in(&unstored, &model, cfg(), &memo).expect("replays");
+        let replayed = compile_in(&unstored, &memo);
         assert_eq!(unstored.take_measures(), 1, "only the nominal");
         assert_same_bits(&plain, &replayed);
     }
@@ -693,14 +699,14 @@ mod tests {
         ] {
             let writer = Counting::new(writer);
             let memo = MemoryStore::new();
-            GoodSpace::compile_in(&writer, &model, cfg(), &memo).expect("compiles");
+            compile_in(&writer, &memo);
             let key = GoodSpace::store_key(&writer, &model, &cfg());
             let store = Fixed {
                 record: Some(memo.load(key).expect("stored")),
                 stores: AtomicUsize::new(0),
             };
             let reader = Counting::new(reader);
-            let reread = GoodSpace::compile_in(&reader, &model, cfg(), &store).expect("compiles");
+            let reread = compile_in(&reader, &store);
             assert_eq!(store.stores.load(Ordering::Relaxed), 1, "{why}: recomputed");
             assert_eq!(reader.take_measures(), 1 + 2 * 2, "{why}: measured");
             let fresh = GoodSpace::compile(&reader, &model, cfg()).expect("compiles");

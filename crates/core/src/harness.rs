@@ -19,35 +19,33 @@ use dotm_sim::{SimError, SimOptions, SimStats, Simulator};
 
 /// The pipeline's measurement store, lent to
 /// [`MacroHarness::classify_voltage_with`] for the follow-up simulations
-/// a classification needs. Each one is memoized like a measurement, and
-/// its solver telemetry lands in the class's stats whether it was
-/// computed or replayed.
+/// a classification needs. Each one is memoized like a measurement,
+/// keyed by its circuit's content and a salt, and its solver telemetry
+/// lands in the class's stats whether it was computed or replayed.
+///
+/// A follow-up belongs to no class: two classes whose follow-ups are
+/// the same circuit at the same salt share one entry, and both merge
+/// the same stats delta. When two workers race for a fresh key, both
+/// compute the same value, so the report never depends on which one
+/// stored it.
 pub struct Probe<'a> {
     store: &'a dyn MeasurementStore,
-    scope: u64,
     solver: &'a mut SimStats,
 }
 
 impl<'a> Probe<'a> {
     /// A probe over `store` that merges solver telemetry into `solver`.
-    /// Probes under different `scope`s never share an entry. The
-    /// pipeline scopes them by fault class: one worker evaluates a whole
-    /// class, so no two threads race to compute the same entry and the
-    /// store's hit and miss counts do not depend on scheduling.
-    pub fn new(store: &'a dyn MeasurementStore, scope: u64, solver: &'a mut SimStats) -> Self {
-        Probe {
-            store,
-            scope,
-            solver,
-        }
+    pub fn new(store: &'a dyn MeasurementStore, solver: &'a mut SimStats) -> Self {
+        Probe { store, solver }
     }
 
     /// Returns the stored result of `simulate` for `nl`, running it (and
-    /// storing the result) on a miss. The key folds the scope and `nl`'s
-    /// content digest with `salt`, which must carry every other input the
-    /// result depends on (time steps, stimulus values, read-out times).
-    /// `simulate` accumulates its solver telemetry into the stats it is
-    /// handed.
+    /// storing the result) on a miss. The key folds `nl`'s content
+    /// digest with `salt`, which must carry every other input the result
+    /// depends on and the store context does not hash for this circuit:
+    /// the code's constants such as time steps, stimulus values and
+    /// read-out times. `simulate` accumulates its solver telemetry into
+    /// the stats it is handed.
     ///
     /// # Errors
     /// Whatever `simulate` returned when the entry was computed.
@@ -58,7 +56,7 @@ impl<'a> Probe<'a> {
         simulate: impl FnOnce(&mut SimStats) -> Result<Vec<f64>, SimError>,
     ) -> Result<Vec<f64>, SimError> {
         let digest = nl.content_digest();
-        let mut words = vec![self.scope, digest as u64, (digest >> 64) as u64];
+        let mut words = vec![digest as u64, (digest >> 64) as u64];
         words.extend_from_slice(salt);
         memoized(
             self.store,

@@ -106,7 +106,7 @@ impl MacroHarness for BiasHarness {
     fn classify_voltage(&self, nominal: &[f64], faulty: &[f64]) -> VoltageSignature {
         let memo = MemoryStore::new();
         let mut stats = SimStats::default();
-        self.classify_voltage_with(nominal, faulty, &mut Probe::new(&memo, 0, &mut stats))
+        self.classify_voltage_with(nominal, faulty, &mut Probe::new(&memo, &mut stats))
     }
 
     fn classify_voltage_with(
@@ -214,7 +214,7 @@ mod tests {
 
         let mut first = SimStats::default();
         let sig =
-            fine.classify_voltage_with(&nominal, &faulty, &mut Probe::new(&store, 0, &mut first));
+            fine.classify_voltage_with(&nominal, &faulty, &mut Probe::new(&store, &mut first));
         assert_eq!(store.stores.load(Ordering::Relaxed), 1);
         assert!(first.nr_solves > 0, "the propagation solves are counted");
         assert_eq!(sig, fine.classify_voltage(&nominal, &faulty));
@@ -222,16 +222,13 @@ mod tests {
         // Another time step is another propagation: it must not replay
         // the first harness's entry.
         let mut other = SimStats::default();
-        coarse.classify_voltage_with(&nominal, &faulty, &mut Probe::new(&store, 0, &mut other));
+        coarse.classify_voltage_with(&nominal, &faulty, &mut Probe::new(&store, &mut other));
         assert_eq!(store.stores.load(Ordering::Relaxed), 2, "dt is in the key");
 
         // The same harness again replays, with the same accounting.
         let mut replayed = SimStats::default();
-        let again = fine.classify_voltage_with(
-            &nominal,
-            &faulty,
-            &mut Probe::new(&store, 0, &mut replayed),
-        );
+        let again =
+            fine.classify_voltage_with(&nominal, &faulty, &mut Probe::new(&store, &mut replayed));
         assert_eq!(
             store.stores.load(Ordering::Relaxed),
             2,
@@ -247,8 +244,7 @@ mod tests {
         let store = Counting::default();
         let mut stats = SimStats::default();
         let h = BiasHarness::default();
-        let sig =
-            h.classify_voltage_with(&nominal, &nominal, &mut Probe::new(&store, 0, &mut stats));
+        let sig = h.classify_voltage_with(&nominal, &nominal, &mut Probe::new(&store, &mut stats));
         assert_eq!(sig, VoltageSignature::NoDeviation);
         assert_eq!(store.stores.load(Ordering::Relaxed), 0);
         assert!(stats.is_empty());

@@ -49,6 +49,10 @@ pub use advisor::{
 };
 pub use compaction::{compact_current_tests, CompactionResult, CompactionStep};
 pub use diagnosis::{Candidate, DictionaryEntry, FaultDictionary};
+/// FNV-1a hashing, re-exported so the crates above this one hash with
+/// the netlist digest's implementation without depending on
+/// `dotm-netlist` themselves.
+pub use dotm_netlist::fnv;
 pub use escapes::YieldModel;
 pub use exec::{par_map, par_map_indices, ExecConfig};
 pub use global::{GlobalDetectability, GlobalReport};

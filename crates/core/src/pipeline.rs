@@ -9,9 +9,11 @@ use crate::harness::{MacroHarness, Probe};
 use crate::memo::{CachedMeasurement, MemoryStore};
 use crate::signature::{CurrentFlags, DetectionSet, VoltageSignature};
 use dotm_defects::{
-    sprinkle_collapsed, CollapseReport, DefectStatistics, FaultEffect, FaultMechanism, Sprinkler,
+    sprinkle_collapsed, CollapseReport, DefectStatistics, FaultClass, FaultEffect, FaultMechanism,
+    Sprinkler,
 };
 use dotm_faults::{InjectError, Injector, Severity};
+use dotm_netlist::fnv::{Fnv128, Fnv64};
 use dotm_netlist::{DeviceKind, Netlist};
 use dotm_sim::{Integration, SimError, SimOptions, SimStats};
 use std::collections::{BTreeMap, HashSet};
@@ -138,9 +140,10 @@ pub struct PipelineConfig {
     /// Also evaluate the non-catastrophic (near-miss) variants of shorts
     /// and extra contacts.
     pub non_catastrophic: bool,
-    /// Parallel execution of the per-class fault evaluations. Reports are
-    /// bit-for-bit identical for every thread count; `threads = 1` is the
-    /// plain serial loop.
+    /// Parallel execution of the per-class fault evaluations and of the
+    /// good space's Monte-Carlo common samples. Reports are bit-for-bit
+    /// identical for every thread count; `threads = 1` is the plain
+    /// serial loop.
     pub exec: ExecConfig,
     /// Accounting policy for classes that fail to simulate even after the
     /// escalation ladder.
@@ -499,9 +502,8 @@ pub struct ClassOutcome {
     pub shared: bool,
     /// Voltage fault signature (worst-case over model variants).
     pub voltage: VoltageSignature,
-    /// Current detections (worst-case variant).
-    pub currents: CurrentFlags,
-    /// Combined detection outcome.
+    /// Combined detection outcome of the worst-case variant: the
+    /// missing-code verdict and the current detections.
     pub detection: DetectionSet,
     /// Indices (into the harness's measurement plan) of the current
     /// measurements that flagged this class — the raw material for
@@ -653,51 +655,43 @@ impl MacroReport {
     /// fingerprint equal iff they are bit-for-bit identical — the
     /// executor's determinism contract is asserted on this value.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        eat(self.name.as_bytes());
-        eat(&(self.instances as u64).to_le_bytes());
-        eat(&self.sprinkle_area_nm2.to_bits().to_le_bytes());
-        eat(&(self.defects as u64).to_le_bytes());
-        eat(&(self.total_faults as u64).to_le_bytes());
-        eat(&(self.class_count as u64).to_le_bytes());
+        let mut h = Fnv64::new();
+        h.bytes(self.name.as_bytes())
+            .u64(self.instances as u64)
+            .u64(self.sprinkle_area_nm2.to_bits())
+            .u64(self.defects as u64)
+            .u64(self.total_faults as u64)
+            .u64(self.class_count as u64);
         for o in &self.outcomes {
-            eat(o.key.as_bytes());
-            eat(format!("{:?}", o.mechanism).as_bytes());
-            eat(&(o.count as u64).to_le_bytes());
-            eat(format!("{:?}", o.severity).as_bytes());
-            eat(format!("{:?}", o.voltage).as_bytes());
-            eat(&[
-                o.shared as u8,
-                o.currents.ivdd as u8,
-                o.currents.iddq as u8,
-                o.currents.iinput as u8,
-                o.detection.missing_code as u8,
-                o.sim_failed as u8,
-                o.inject_failed as u8,
-                o.excluded as u8,
-                o.rung.unwrap_or(u8::MAX),
-            ]);
-            eat(&(o.inject_errors as u64).to_le_bytes());
+            h.bytes(o.key.as_bytes())
+                .bytes(format!("{:?}", o.mechanism).as_bytes())
+                .u64(o.count as u64)
+                .bytes(format!("{:?}", o.severity).as_bytes())
+                .bytes(format!("{:?}", o.voltage).as_bytes())
+                .bytes(&[
+                    o.shared as u8,
+                    o.detection.currents.ivdd as u8,
+                    o.detection.currents.iddq as u8,
+                    o.detection.currents.iinput as u8,
+                    o.detection.missing_code as u8,
+                    o.sim_failed as u8,
+                    o.inject_failed as u8,
+                    o.excluded as u8,
+                    o.rung.unwrap_or(u8::MAX),
+                ])
+                .u64(o.inject_errors as u64);
             for w in o.solver.to_words() {
-                eat(&w.to_le_bytes());
+                h.u64(w);
             }
             for &i in &o.flagged {
-                eat(&(i as u64).to_le_bytes());
+                h.u64(i as u64);
             }
         }
         for w in self.goodspace_solver.to_words() {
-            eat(&w.to_le_bytes());
+            h.u64(w);
         }
-        eat(&self.goodspace_corner_retries.to_le_bytes());
-        h
+        h.u64(self.goodspace_corner_retries);
+        h.finish()
     }
 
     /// Expected number of faults this macro type contributes per sprinkled
@@ -800,7 +794,7 @@ pub fn run_macro_path_with_faults_hooked(
     let _macro_span = dotm_obs::span_with("macro", || format!("macro {}", harness.name()));
     let memo = MemoryStore::new();
     let store = hooks.store.unwrap_or(&memo);
-    let good = GoodSpace::compile_in(harness, &cfg.process, cfg.goodspace, store)
+    let good = GoodSpace::compile_in(harness, &cfg.process, cfg.goodspace, &cfg.exec, store)
         .map_err(PathError::GoodCircuit)?;
     let injector = Injector::default();
     let shared: HashSet<&str> = harness.shared_nets().into_iter().collect();
@@ -855,33 +849,12 @@ pub fn run_macro_path_with_faults_hooked(
         if cfg.non_catastrophic && injector.supports_non_catastrophic(effect) {
             severities.push(Severity::NonCatastrophic);
         }
-        let evaluated: Vec<Evaluated> = severities
-            .iter()
-            .map(|&severity| {
-                evaluate_class(
-                    harness, &injector, &good, &base, effect, severity, is_shared, cfg, store, ci,
-                )
-            })
-            .collect();
         let outcomes: Vec<ClassOutcome> = severities
             .into_iter()
-            .zip(evaluated)
-            .map(|(severity, outcome)| ClassOutcome {
-                key: class.key.clone(),
-                mechanism: class.mechanism(),
-                count: class.count,
-                severity,
-                shared: is_shared,
-                voltage: outcome.voltage,
-                currents: outcome.currents,
-                detection: outcome.detection,
-                flagged: outcome.flagged,
-                sim_failed: outcome.sim_failed,
-                inject_failed: outcome.inject_failed,
-                rung: outcome.rung,
-                inject_errors: outcome.inject_errors,
-                excluded: outcome.excluded,
-                solver: outcome.solver,
+            .map(|severity| {
+                evaluate_class(
+                    harness, &injector, &good, &base, class, severity, is_shared, cfg, store,
+                )
             })
             .collect();
         if let Some(d) = &dispatch {
@@ -912,25 +885,10 @@ pub fn run_macro_path_with_faults_hooked(
     })
 }
 
-/// Evaluation result of one class at one severity (worst-case variant).
-struct Evaluated {
-    voltage: VoltageSignature,
-    currents: CurrentFlags,
-    detection: DetectionSet,
-    flagged: Vec<usize>,
-    sim_failed: bool,
-    inject_failed: bool,
-    rung: Option<u8>,
-    inject_errors: usize,
-    excluded: bool,
-    solver: SimStats,
-}
-
 /// Detection outcome of a single model variant, competing in the
 /// worst-case (minimum-score) selection.
 struct VariantEval {
     voltage: VoltageSignature,
-    currents: CurrentFlags,
     detection: DetectionSet,
     flagged: Vec<usize>,
     sim_failed: bool,
@@ -952,17 +910,12 @@ fn store_key(digest: u128, rung: u8) -> u128 {
 /// words its value depends on. Distinct tags keep the kinds apart, and a
 /// collision with a [`store_key`] is as unlikely as any 128-bit one.
 pub(crate) fn tagged_key(tag: &str, words: &[u64]) -> u128 {
-    let mut h: u128 = 0x6c62272e07bb014262b821756295c58d;
-    let bytes = (tag.len() as u64)
-        .to_le_bytes()
-        .into_iter()
-        .chain(tag.bytes())
-        .chain(words.iter().flat_map(|w| w.to_le_bytes()));
-    for b in bytes {
-        h ^= b as u128;
-        h = h.wrapping_mul(0x0000000001000000000000000000013b);
+    let mut h = Fnv128::new();
+    h.str(tag);
+    for &w in words {
+        h.u64(w);
     }
-    h
+    h.finish()
 }
 
 /// Answers `key` from `store`, or computes it with `compute` and stores
@@ -1026,10 +979,8 @@ fn measure_escalated(
 /// Worst-case competition score of one variant: the number of distinct
 /// detections it earns. Lower is harder to detect.
 fn variant_score(v: &VariantEval) -> u32 {
-    (v.detection.missing_code as u32)
-        + (v.currents.ivdd as u32)
-        + (v.currents.iddq as u32)
-        + (v.currents.iinput as u32)
+    let c = v.detection.currents;
+    (v.detection.missing_code as u32) + (c.ivdd as u32) + (c.iddq as u32) + (c.iinput as u32)
 }
 
 /// Folds one candidate into the running worst-case (minimum-score)
@@ -1065,7 +1016,6 @@ fn measured_eval(
     };
     VariantEval {
         voltage,
-        currents,
         detection,
         flagged,
         sim_failed: false,
@@ -1077,104 +1027,92 @@ fn measured_eval(
 /// ladder rung. `None` under [`SimFailurePolicy::Exclude`]: the variant
 /// simply does not compete.
 fn policy_eval(policy: SimFailurePolicy) -> Option<VariantEval> {
-    match policy {
-        // The paper's reading: a faulty circuit without a stable
-        // solution behaves erratically on the tester — garbage
-        // codes, so the missing-code test flags it.
-        SimFailurePolicy::AssumeDetected => Some(VariantEval {
-            voltage: VoltageSignature::Mixed,
+    // The paper's reading: a faulty circuit without a stable solution
+    // behaves erratically on the tester — garbage codes, so the
+    // missing-code test flags it. Pessimistically, the solver's failure
+    // earns no detection credit, so the variant scores 0 and is always
+    // the worst case. Excluded variants do not compete; if every variant
+    // is excluded the whole class drops from the statistics.
+    let missing_code = match policy {
+        SimFailurePolicy::AssumeDetected => true,
+        SimFailurePolicy::AssumeUndetected => false,
+        SimFailurePolicy::Exclude => return None,
+    };
+    Some(VariantEval {
+        voltage: VoltageSignature::Mixed,
+        detection: DetectionSet {
+            missing_code,
             currents: CurrentFlags::default(),
-            detection: DetectionSet {
-                missing_code: true,
-                currents: CurrentFlags::default(),
-            },
-            flagged: Vec::new(),
-            sim_failed: true,
-            rung: None,
-        }),
-        // Pessimistic: the solver's failure earns no detection
-        // credit, so the variant scores 0 and is always the
-        // worst case.
-        SimFailurePolicy::AssumeUndetected => Some(VariantEval {
-            voltage: VoltageSignature::Mixed,
-            currents: CurrentFlags::default(),
-            detection: DetectionSet {
-                missing_code: false,
-                currents: CurrentFlags::default(),
-            },
-            flagged: Vec::new(),
-            sim_failed: true,
-            rung: None,
-        }),
-        // Excluded variants do not compete; if every variant is
-        // excluded the whole class drops from the statistics.
-        SimFailurePolicy::Exclude => None,
-    }
+        },
+        flagged: Vec::new(),
+        sim_failed: true,
+        rung: None,
+    })
 }
 
-/// Folds the surviving worst case (or its absence) into one severity's
-/// [`Evaluated`] record.
+/// Builds the class's [`ClassOutcome`] at one severity from the
+/// surviving worst case (or its absence).
 fn finish_class(
+    class: &FaultClass,
+    severity: Severity,
+    shared: bool,
     best: Option<(u32, VariantEval)>,
     any_injected: bool,
     inject_errors: usize,
     solver: SimStats,
-) -> Evaluated {
-    match best {
-        // The recorded rung is the *winning* (worst-case) variant's: the
-        // escalation histogram describes what it took to obtain the
-        // reported signature, not the hardest variant that was merely
-        // tried along the way.
-        Some((_, v)) => Evaluated {
-            voltage: v.voltage,
-            currents: v.currents,
-            detection: v.detection,
-            flagged: v.flagged,
-            sim_failed: v.sim_failed,
-            inject_failed: false,
-            rung: v.rung,
-            inject_errors,
-            excluded: false,
-            solver,
-        },
-        None => Evaluated {
+) -> ClassOutcome {
+    // `best` is empty either because nothing injected (inject_failed)
+    // or because `Exclude` dropped every sim-failed variant (excluded,
+    // sim_failed).
+    let excluded = best.is_none() && any_injected;
+    // The recorded rung is the *winning* (worst-case) variant's: the
+    // escalation histogram describes what it took to obtain the reported
+    // signature, not the hardest variant that was merely tried along the
+    // way.
+    let v = best.map_or(
+        VariantEval {
             voltage: VoltageSignature::NoDeviation,
-            currents: CurrentFlags::default(),
-            detection: DetectionSet {
-                missing_code: false,
-                currents: CurrentFlags::default(),
-            },
+            detection: DetectionSet::default(),
             flagged: Vec::new(),
-            // `best` is empty either because nothing injected
-            // (inject_failed) or because `Exclude` dropped every
-            // sim-failed variant (excluded, sim_failed).
-            sim_failed: any_injected,
-            inject_failed: !any_injected,
+            sim_failed: excluded,
             rung: None,
-            inject_errors,
-            excluded: any_injected,
-            solver,
         },
+        |(_, v)| v,
+    );
+    ClassOutcome {
+        key: class.key.clone(),
+        mechanism: class.mechanism(),
+        count: class.count,
+        severity,
+        shared,
+        voltage: v.voltage,
+        detection: v.detection,
+        flagged: v.flagged,
+        sim_failed: v.sim_failed,
+        inject_failed: !any_injected,
+        rung: v.rung,
+        inject_errors,
+        excluded,
+        solver,
     }
 }
 
 /// Evaluates one class at one severity, keeping the worst-case (hardest
 /// to detect) model variant. Variants that fail to simulate at every
-/// ladder rung enter the selection per `policy`. Classifier follow-up
-/// simulations are scoped to `class_index` (see [`Probe::new`]).
+/// ladder rung enter the selection per `policy`.
 #[allow(clippy::too_many_arguments)]
 fn evaluate_class(
     harness: &dyn MacroHarness,
     injector: &Injector,
     good: &GoodSpace,
     base: &Netlist,
-    effect: &FaultEffect,
+    class: &FaultClass,
     severity: Severity,
     shared: bool,
     cfg: &PipelineConfig,
     store: &dyn MeasurementStore,
-    class_index: usize,
-) -> Evaluated {
+) -> ClassOutcome {
+    let effect = &class.representative.effect;
     let policy = cfg.sim_failure_policy;
     let ladder = cfg.escalation;
     let n_variants = injector.variant_count(effect);
@@ -1199,7 +1137,7 @@ fn evaluate_class(
         let candidate =
             match measure_escalated(harness, &nl, &base_opts, ladder, &mut solver, store) {
                 Some((meas, used_rung)) => {
-                    let mut probe = Probe::new(store, class_index as u64, &mut solver);
+                    let mut probe = Probe::new(store, &mut solver);
                     measured_eval(harness, good, shared, &meas, used_rung, &mut probe)
                 }
                 None => match policy_eval(policy) {
@@ -1209,7 +1147,15 @@ fn evaluate_class(
             };
         best = compete(best.take(), candidate);
     }
-    finish_class(best, any_injected, inject_errors, solver)
+    finish_class(
+        class,
+        severity,
+        shared,
+        best,
+        any_injected,
+        inject_errors,
+        solver,
+    )
 }
 
 #[cfg(test)]
@@ -1329,6 +1275,92 @@ mod tests {
         run_macro_path_with_faults(&DividerHarness, &cfg, &collapsed, 1e6).expect("path")
     }
 
+    /// A memory store that also keeps the set of keys it was asked to
+    /// store.
+    #[derive(Default)]
+    struct KeySet {
+        memo: MemoryStore,
+        keys: Mutex<HashSet<u128>>,
+    }
+
+    impl MeasurementStore for KeySet {
+        fn load(&self, key: u128) -> Option<CachedMeasurement> {
+            self.memo.load(key)
+        }
+
+        fn store(&self, key: u128, value: &CachedMeasurement) {
+            self.keys.lock().unwrap().insert(key);
+            self.memo.store(key, value);
+        }
+    }
+
+    #[test]
+    fn classes_with_the_same_follow_up_share_one_probe_entry() {
+        let h = crate::harnesses::BiasHarness::default();
+        let cfg = PipelineConfig {
+            defects: 2_000,
+            goodspace: GoodSpaceConfig {
+                common_samples: 2,
+                mismatch_samples: 2,
+                ..GoodSpaceConfig::default()
+            },
+            non_catastrophic: false,
+            ..PipelineConfig::default()
+        };
+        let layout = h.layout();
+        let sprinkler = Sprinkler::new(&layout, cfg.stats.clone());
+        let sprinkled = sprinkle_collapsed(&sprinkler, cfg.defects, cfg.seed);
+        // Evaluates `classes` at `threads`, returning the report and the
+        // number of distinct store entries it wrote.
+        let run = |classes: Vec<FaultClass>, threads: usize| {
+            let collapsed = CollapseReport {
+                defects: sprinkled.defects,
+                total_faults: sprinkled.total_faults,
+                classes,
+            };
+            let cfg = PipelineConfig {
+                exec: ExecConfig::with_threads(threads),
+                ..cfg.clone()
+            };
+            let store = KeySet::default();
+            let hooks = PipelineHooks {
+                store: Some(&store),
+                ..PipelineHooks::default()
+            };
+            let report = run_macro_path_with_faults_hooked(&h, &cfg, &collapsed, 1.0, &hooks)
+                .expect("bias path");
+            let entries = store.keys.lock().unwrap().len();
+            (report, entries)
+        };
+        // A class whose classifier propagated its bias vector through a
+        // comparator: the bias generator's own measurement is a DC
+        // solve, so transient steps come from the follow-up alone.
+        let (class, (alone, entries)) = sprinkled
+            .classes
+            .iter()
+            .take(12)
+            .map(|c| (c.clone(), run(vec![c.clone()], 1)))
+            .find(|(_, (r, _))| r.outcomes[0].solver.tran_steps > 0)
+            .expect("a class whose classification propagates");
+        // Its twin injects the same circuit under another class key, so
+        // its follow-up is bit-identical.
+        let twin = FaultClass {
+            key: format!("{}#twin", class.key),
+            ..class.clone()
+        };
+        for threads in [1, 4] {
+            let (report, twin_entries) = run(vec![class.clone(), twin.clone()], threads);
+            assert_eq!(
+                twin_entries, entries,
+                "{threads} threads: the twin adds no entry, not even a probe one"
+            );
+            for o in &report.outcomes {
+                assert_eq!(o.solver, alone.outcomes[0].solver, "{threads} threads");
+                assert_eq!(o.voltage, alone.outcomes[0].voltage, "{threads} threads");
+            }
+        }
+    }
+
     #[test]
     fn tagged_keys_stay_clear_of_measurement_keys() {
         let digest = DividerHarness.testbench().content_digest();
@@ -1356,7 +1388,7 @@ mod tests {
             .find(|o| o.severity == Severity::Catastrophic)
             .unwrap();
         assert_eq!(cat.voltage, VoltageSignature::OutputStuckAt);
-        assert!(cat.currents.ivdd);
+        assert!(cat.detection.currents.ivdd);
         assert!(cat.detection.detected());
         assert!(cat.shared, "touches the shared vdd trunk");
     }
@@ -1377,7 +1409,7 @@ mod tests {
             .unwrap();
         // 500 Ω against 10 kΩ legs: mid rises by ~2 V → stuck-class shift.
         assert!(ncat.voltage != VoltageSignature::NoDeviation);
-        assert!(ncat.currents.ivdd);
+        assert!(ncat.detection.currents.ivdd);
     }
 
     #[test]
@@ -1422,7 +1454,7 @@ mod tests {
         // mid floats to 5 V (through R1, no load): a hard deviation.
         assert_eq!(cat.voltage, VoltageSignature::OutputStuckAt);
         // Supply current drops from 250 µA to ~0: IVdd flags it too.
-        assert!(cat.currents.ivdd);
+        assert!(cat.detection.currents.ivdd);
         // Opens have no near-miss variant.
         assert_eq!(report.outcomes.len(), 1);
     }
@@ -1860,7 +1892,6 @@ mod tests {
             severity: Severity::Catastrophic,
             shared: false,
             voltage: VoltageSignature::OutputStuckAt,
-            currents: CurrentFlags::default(),
             detection: DetectionSet {
                 missing_code: true,
                 currents: CurrentFlags::default(),
@@ -1945,7 +1976,6 @@ mod tests {
         // position.
         let eval = |voltage, missing_code| VariantEval {
             voltage,
-            currents: CurrentFlags::default(),
             detection: DetectionSet {
                 missing_code,
                 currents: CurrentFlags::default(),

@@ -65,15 +65,18 @@ pub fn current_table(report: &MacroReport) -> Vec<CurrentRow> {
         .iter()
         .map(|&kind| CurrentRow {
             kind: Some(kind),
-            catastrophic_pct: report.pct_where(Severity::Catastrophic, |o| o.currents.get(kind)),
-            non_catastrophic_pct: report
-                .pct_where(Severity::NonCatastrophic, |o| o.currents.get(kind)),
+            catastrophic_pct: report
+                .pct_where(Severity::Catastrophic, |o| o.detection.currents.get(kind)),
+            non_catastrophic_pct: report.pct_where(Severity::NonCatastrophic, |o| {
+                o.detection.currents.get(kind)
+            }),
         })
         .collect();
     rows.push(CurrentRow {
         kind: None,
-        catastrophic_pct: report.pct_where(Severity::Catastrophic, |o| !o.currents.any()),
-        non_catastrophic_pct: report.pct_where(Severity::NonCatastrophic, |o| !o.currents.any()),
+        catastrophic_pct: report.pct_where(Severity::Catastrophic, |o| !o.detection.currents.any()),
+        non_catastrophic_pct: report
+            .pct_where(Severity::NonCatastrophic, |o| !o.detection.currents.any()),
     });
     rows
 }
@@ -86,8 +89,9 @@ pub fn detectability(report: &MacroReport, severity: Severity) -> DetectabilityB
         current_only_pct: report.pct_where(severity, |o| o.detection.current_only()),
         voltage_only_pct: report.pct_where(severity, |o| o.detection.voltage_only()),
         iddq_only_pct: report.pct_where(severity, |o| o.detection.iddq_only()),
-        missing_code_and_ivdd_pct: report
-            .pct_where(severity, |o| o.detection.missing_code && o.currents.ivdd),
+        missing_code_and_ivdd_pct: report.pct_where(severity, |o| {
+            o.detection.missing_code && o.detection.currents.ivdd
+        }),
         coverage_pct: report.coverage(severity),
     }
 }
@@ -124,7 +128,6 @@ mod tests {
             severity,
             shared: false,
             voltage,
-            currents,
             detection: DetectionSet {
                 missing_code: voltage.causes_missing_code(),
                 currents,

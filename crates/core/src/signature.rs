@@ -134,7 +134,7 @@ impl CurrentFlags {
 
 /// The complete detection outcome of one fault class against the paper's
 /// simple test set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct DetectionSet {
     /// Detected by the missing-code (voltage) test.
     pub missing_code: bool,

@@ -49,9 +49,9 @@ fn comparator_path_produces_plausible_statistics() {
                 o.count,
                 format!("{}", o.mechanism),
                 o.voltage,
-                o.currents.ivdd as u8,
-                o.currents.iddq as u8,
-                o.currents.iinput as u8,
+                o.detection.currents.ivdd as u8,
+                o.detection.currents.iddq as u8,
+                o.detection.currents.iinput as u8,
                 o.shared as u8,
                 o.sim_failed as u8,
                 &o.key[..o.key.len().min(60)]

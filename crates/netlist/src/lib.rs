@@ -35,6 +35,7 @@
 mod device;
 mod edit;
 mod error;
+pub mod fnv;
 mod netlist;
 mod node;
 mod parse;

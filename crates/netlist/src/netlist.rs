@@ -4,6 +4,7 @@ use crate::device::{
     Device, DeviceId, DeviceKind, DiodeParams, MosType, MosfetParams, SwitchParams,
 };
 use crate::error::NetlistError;
+use crate::fnv::Fnv128;
 use crate::node::NodeId;
 use crate::waveform::Waveform;
 use std::collections::HashMap;
@@ -130,109 +131,98 @@ impl Netlist {
     /// the netlist per fault id while distinct faults can degenerate to the
     /// same circuit, and those should share a cache entry.
     pub fn content_digest(&self) -> u128 {
-        struct Fnv(u128);
-        impl Fnv {
-            fn byte(&mut self, b: u8) {
-                // 128-bit FNV-1a prime and xor-multiply step.
-                self.0 ^= b as u128;
-                self.0 = self.0.wrapping_mul(0x0000000001000000000000000000013b);
+        // Every string is length-prefixed, so concatenations cannot
+        // collide ("ab"+"c" vs "a"+"bc").
+        fn f64s(h: &mut Fnv128, vs: &[f64]) {
+            for &v in vs {
+                h.f64(v);
             }
-            fn u64(&mut self, v: u64) {
-                for b in v.to_le_bytes() {
-                    self.byte(b);
+        }
+        fn waveform(h: &mut Fnv128, w: &Waveform) {
+            match w {
+                Waveform::Dc(v) => {
+                    h.u8(0).f64(*v);
                 }
-            }
-            // Length-prefix every variable-size field so concatenations
-            // cannot collide ("ab"+"c" vs "a"+"bc").
-            fn bytes(&mut self, bs: &[u8]) {
-                self.u64(bs.len() as u64);
-                for &b in bs {
-                    self.byte(b);
+                Waveform::Pulse {
+                    v0,
+                    v1,
+                    delay,
+                    rise,
+                    fall,
+                    width,
+                    period,
+                } => {
+                    h.u8(1);
+                    f64s(h, &[*v0, *v1, *delay, *rise, *fall, *width, *period]);
                 }
-            }
-            fn f64s(&mut self, vs: &[f64]) {
-                for v in vs {
-                    self.u64(v.to_bits());
+                Waveform::Pwl(points) => {
+                    h.u8(2).u64(points.len() as u64);
+                    for &(t, v) in points {
+                        h.f64(t).f64(v);
+                    }
                 }
-            }
-            fn waveform(&mut self, w: &Waveform) {
-                match w {
-                    Waveform::Dc(v) => {
-                        self.byte(0);
-                        self.f64s(&[*v]);
-                    }
-                    Waveform::Pulse {
-                        v0,
-                        v1,
-                        delay,
-                        rise,
-                        fall,
-                        width,
-                        period,
-                    } => {
-                        self.byte(1);
-                        self.f64s(&[*v0, *v1, *delay, *rise, *fall, *width, *period]);
-                    }
-                    Waveform::Pwl(points) => {
-                        self.byte(2);
-                        self.u64(points.len() as u64);
-                        for &(t, v) in points {
-                            self.f64s(&[t, v]);
-                        }
-                    }
-                    Waveform::Sin {
-                        offset,
-                        amplitude,
-                        freq,
-                        delay,
-                    } => {
-                        self.byte(3);
-                        self.f64s(&[*offset, *amplitude, *freq, *delay]);
-                    }
+                Waveform::Sin {
+                    offset,
+                    amplitude,
+                    freq,
+                    delay,
+                } => {
+                    h.u8(3);
+                    f64s(h, &[*offset, *amplitude, *freq, *delay]);
                 }
             }
         }
-        let mut h = Fnv(0x6c62272e07bb014262b821756295c58d);
+        let mut h = Fnv128::new();
         for name in &self.node_names {
-            h.bytes(name.as_bytes());
+            h.str(name);
         }
         h.u64(self.devices.len() as u64);
         for dev in &self.devices {
-            h.bytes(dev.name.as_bytes());
-            h.bytes(dev.kind.tag().as_bytes());
+            h.str(&dev.name);
+            h.str(dev.kind.tag());
             for t in dev.terminals() {
                 h.u64(t.index() as u64);
             }
             match &dev.kind {
-                DeviceKind::Resistor { ohms, .. } => h.f64s(&[*ohms]),
-                DeviceKind::Capacitor { farads, .. } => h.f64s(&[*farads]),
+                DeviceKind::Resistor { ohms, .. } => {
+                    h.f64(*ohms);
+                }
+                DeviceKind::Capacitor { farads, .. } => {
+                    h.f64(*farads);
+                }
                 DeviceKind::Vsource { waveform: w, .. }
-                | DeviceKind::Isource { waveform: w, .. } => h.waveform(w),
-                DeviceKind::Diode { params, .. } => h.f64s(&[params.is, params.n]),
+                | DeviceKind::Isource { waveform: w, .. } => waveform(&mut h, w),
+                DeviceKind::Diode { params, .. } => {
+                    h.f64(params.is).f64(params.n);
+                }
                 DeviceKind::Mosfet { ty, params, .. } => {
-                    h.byte(match ty {
+                    h.u8(match ty {
                         MosType::Nmos => 0,
                         MosType::Pmos => 1,
                     });
-                    h.f64s(&[
-                        params.w,
-                        params.l,
-                        params.vt0,
-                        params.kp,
-                        params.lambda,
-                        params.gamma,
-                        params.phi,
-                        params.is_leak,
-                        params.cox,
-                        params.cj,
-                    ]);
+                    f64s(
+                        &mut h,
+                        &[
+                            params.w,
+                            params.l,
+                            params.vt0,
+                            params.kp,
+                            params.lambda,
+                            params.gamma,
+                            params.phi,
+                            params.is_leak,
+                            params.cox,
+                            params.cj,
+                        ],
+                    );
                 }
-                DeviceKind::Switch { params, .. } => {
-                    h.f64s(&[params.v_on, params.v_off, params.r_on, params.r_off])
-                }
+                DeviceKind::Switch { params, .. } => f64s(
+                    &mut h,
+                    &[params.v_on, params.v_off, params.r_on, params.r_off],
+                ),
             }
         }
-        h.0
+        h.finish()
     }
 
     /// Iterates over `(DeviceId, &Device)` pairs.

@@ -69,15 +69,15 @@ impl JobSpec {
     /// The spec a submission with an empty body gets: the server
     /// process's own `DOTM_*` environment, all macros.
     pub fn from_env() -> JobSpec {
-        use dotm_core::env::{u64_knob, usize_knob};
+        let cfg = dotm_core::env::campaign_config();
         JobSpec {
             macros: ALL_MACROS.iter().map(|m| m.to_string()).collect(),
-            defects: usize_knob("DOTM_DEFECTS", 25_000),
-            seed: u64_knob("DOTM_SEED", 1995),
-            gs_common: usize_knob("DOTM_GS_COMMON", 5),
-            gs_mm: usize_knob("DOTM_GS_MM", 4),
-            max_classes: usize_knob("DOTM_MAX_CLASSES", 0),
-            threads: usize_knob("DOTM_THREADS", 0),
+            defects: cfg.defects,
+            seed: cfg.seed,
+            gs_common: cfg.goodspace.common_samples,
+            gs_mm: cfg.goodspace.mismatch_samples,
+            max_classes: cfg.max_classes.unwrap_or(0),
+            threads: dotm_core::env::threads().unwrap_or(0),
             fresh: false,
             abort_once: 0,
         }

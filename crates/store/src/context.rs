@@ -2,7 +2,7 @@
 //! a journaled class outcome depends on *besides* the injected netlist
 //! content and the escalation rung (which are in the per-entry key).
 
-use crate::fnv::Fnv128;
+use dotm_core::fnv::Fnv128;
 use dotm_core::{MacroHarness, MeasureKind, PipelineConfig, SimFailurePolicy};
 use dotm_sim::Integration;
 
@@ -15,9 +15,12 @@ use dotm_sim::Integration;
 /// in its good-space stats; 7: no warm-start seeding, so every DC solve's
 /// stats delta is a cold solve's; 8: the comparator's nominal folded
 /// into its good-space record, and the harness's `Debug` rendering in the
-/// context), so old stores and journals age out as misses instead of
-/// decoding wrongly or replaying another solver's numbers.
-pub const FORMAT_VERSION: u64 = 8;
+/// context; 9: class outcomes hold their current flags once, in the
+/// detection set, the retired AC analysis's error tag is gone, and
+/// classifier follow-ups are keyed without a class index), so old stores
+/// and journals age out as misses instead of decoding wrongly or
+/// replaying another solver's numbers.
+pub const FORMAT_VERSION: u64 = 9;
 
 /// Computes the context fingerprint of one `(harness, config)` pair.
 ///

@@ -17,7 +17,7 @@ use dotm_sim::{SimError, SimStats};
 /// The `&'static str` analysis names a [`SimError`] can carry. An entry
 /// naming an analysis outside this set decodes as corrupt (a miss) —
 /// the strings must come from the binary, not the disk.
-const ANALYSES: [&str; 3] = ["dc", "transient", "ac"];
+const ANALYSES: [&str; 2] = ["dc", "transient"];
 
 fn encode_analysis(w: &mut Writer, analysis: &str) {
     let tag = ANALYSES.iter().position(|a| *a == analysis);
@@ -187,9 +187,6 @@ fn encode_outcome(w: &mut Writer, o: &ClassOutcome) {
     });
     w.u8(o.shared as u8);
     w.u8(voltage_tag(o.voltage));
-    w.u8(o.currents.ivdd as u8);
-    w.u8(o.currents.iddq as u8);
-    w.u8(o.currents.iinput as u8);
     w.u8(o.detection.missing_code as u8);
     w.u8(o.detection.currents.ivdd as u8);
     w.u8(o.detection.currents.iddq as u8);
@@ -225,11 +222,6 @@ fn decode_outcome(r: &mut Reader) -> Option<ClassOutcome> {
     };
     let shared = decode_bool(r)?;
     let voltage = *VoltageSignature::ALL.get(r.u8()? as usize)?;
-    let currents = CurrentFlags {
-        ivdd: decode_bool(r)?,
-        iddq: decode_bool(r)?,
-        iinput: decode_bool(r)?,
-    };
     let detection = DetectionSet {
         missing_code: decode_bool(r)?,
         currents: CurrentFlags {
@@ -259,7 +251,6 @@ fn decode_outcome(r: &mut Reader) -> Option<ClassOutcome> {
         severity,
         shared,
         voltage,
-        currents,
         detection,
         flagged,
         sim_failed,
@@ -324,11 +315,6 @@ mod tests {
             severity: Severity::NonCatastrophic,
             shared: true,
             voltage: VoltageSignature::Offset,
-            currents: CurrentFlags {
-                ivdd: true,
-                iddq: false,
-                iinput: true,
-            },
             detection: DetectionSet {
                 missing_code: true,
                 currents: CurrentFlags {
@@ -374,11 +360,6 @@ mod tests {
                 time: Some(1.5e-9),
                 iterations: 600,
             },
-            SimError::NoConvergence {
-                analysis: "ac",
-                time: None,
-                iterations: 150,
-            },
             SimError::InvalidRequest("bad step".into()),
             SimError::BadSource("R1".into()),
         ] {
@@ -390,11 +371,25 @@ mod tests {
 
     #[test]
     fn unknown_analysis_name_decodes_as_corrupt() {
-        let m: CachedMeasurement = (
-            Err(SimError::Singular { analysis: "noise" }),
-            SimStats::default(),
-        );
-        assert_eq!(decode_measurement(&encode_measurement(&m)), None);
+        // "ac" names the retired AC analysis.
+        for e in [
+            SimError::Singular { analysis: "noise" },
+            SimError::NoConvergence {
+                analysis: "ac",
+                time: None,
+                iterations: 150,
+            },
+        ] {
+            let m: CachedMeasurement = (Err(e), SimStats::default());
+            assert_eq!(decode_measurement(&encode_measurement(&m)), None);
+        }
+        // Nor does the AC analysis's old tag, 2, decode.
+        let mut w = Writer::new();
+        w.u8(1); // an error
+        w.u8(0); // `Singular`
+        w.u8(2);
+        encode_stats(&mut w, &SimStats::default());
+        assert_eq!(decode_measurement(&w.into_bytes()), None);
     }
 
     #[test]
@@ -434,7 +429,6 @@ mod tests {
             assert_eq!(a.severity, b.severity);
             assert_eq!(a.shared, b.shared);
             assert_eq!(a.voltage, b.voltage);
-            assert_eq!(a.currents, b.currents);
             assert_eq!(a.detection, b.detection);
             assert_eq!(a.flagged, b.flagged);
             assert_eq!(a.sim_failed, b.sim_failed);
@@ -453,7 +447,7 @@ mod tests {
     /// fails here.
     #[test]
     fn measurement_encoding_is_pinned_to_the_format_version() {
-        assert_eq!(crate::context::FORMAT_VERSION, 8);
+        assert_eq!(crate::context::FORMAT_VERSION, 9);
         let m: CachedMeasurement = (Ok(vec![1.25, -3.5e-6]), sample_stats_wide());
         assert_eq!(
             crate::wire::to_hex(&encode_measurement(&m)),

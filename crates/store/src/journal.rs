@@ -59,8 +59,8 @@
 //! the canonical single-process journal and report byte-for-byte.
 
 use crate::entry::{decode_outcomes, encode_outcomes};
-use crate::fnv::fnv64;
 use crate::wire::{from_hex, json_field, to_hex};
+use dotm_core::fnv::fnv64;
 use dotm_core::{ClassOutcome, ShardSpec};
 use std::fs::{self, File};
 use std::io::{BufWriter, Write};
@@ -491,7 +491,6 @@ mod tests {
             severity: Severity::Catastrophic,
             shared: false,
             voltage: VoltageSignature::OutputStuckAt,
-            currents: CurrentFlags::default(),
             detection: DetectionSet {
                 missing_code: true,
                 currents: CurrentFlags::default(),

@@ -48,13 +48,12 @@
 
 mod context;
 mod entry;
-mod fnv;
 mod journal;
 mod store;
 mod wire;
 
 pub use context::pipeline_context;
-pub use fnv::{fnv64, Fnv128};
+pub use dotm_core::fnv::{fnv64, Fnv128};
 pub use journal::{
     create_segment, journal_progress, journal_progress_text, load_journal, load_segment,
     merge_segments, segment_path, JournalHeader, JournalProgress, JournalWriter, MergeReport,

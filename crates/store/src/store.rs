@@ -1,8 +1,8 @@
 //! The content-addressed on-disk measurement store.
 
 use crate::entry::{decode_measurement, encode_measurement};
-use crate::fnv::{fnv64, mix};
 use crate::wire::{Reader, Writer};
+use dotm_core::fnv::{fnv64, Fnv128};
 use dotm_core::{CachedMeasurement, MeasurementStore, MemoryStore};
 use std::collections::HashSet;
 use std::fs;
@@ -80,6 +80,15 @@ pub struct DiskStore {
     /// first store only.
     looked_up: Mutex<HashSet<u128>>,
     stored: Mutex<HashSet<u128>>,
+}
+
+/// Folds a campaign context into a pipeline store key: both halves pass
+/// through the full FNV-1a mixing, so contexts differing in a single bit
+/// address disjoint key spaces.
+fn mix(context: u128, key: u128) -> u128 {
+    let mut h = Fnv128::new();
+    h.u128(context).u128(key);
+    h.finish()
 }
 
 /// `true` the first time `key` enters `set`.
@@ -602,6 +611,13 @@ mod tests {
         for dir in &dirs {
             let _ = fs::remove_dir_all(dir);
         }
+    }
+
+    #[test]
+    fn mix_separates_contexts_and_keys() {
+        assert_ne!(mix(1, 2), mix(2, 1));
+        assert_ne!(mix(0, 5), mix(5, 0));
+        assert_eq!(mix(7, 9), mix(7, 9));
     }
 
     #[test]

@@ -40,7 +40,6 @@ fn outcome(i: usize) -> ClassOutcome {
         severity: Severity::Catastrophic,
         shared: false,
         voltage: VoltageSignature::OutputStuckAt,
-        currents: CurrentFlags::default(),
         detection: DetectionSet {
             missing_code: true,
             currents: CurrentFlags::default(),

@@ -129,6 +129,20 @@ echo "$corrupt" | grep -q "write_errors=0" || {
     echo "FAIL: store rewrite failed"; echo "$corrupt"; exit 1; }
 echo "    corrupt entry: graceful recompute, fingerprints unchanged"
 
+echo "==> determinism: cold bias_gen campaign stdout at 1 and 4 threads"
+# Two bias_gen classes can share one propagation entry; the store
+# counters count distinct keys, so the whole stdout, counters and
+# occupancy line included, must not move with the thread schedule. Only
+# the header line naming the store differs.
+bias_env=(DOTM_MACROS=bias_gen DOTM_DEFECTS=2000 DOTM_MAX_CLASSES=8 DOTM_GS_COMMON=2
+    DOTM_GS_MM=2)
+bias1=$(env "${bias_env[@]}" DOTM_THREADS=1 DOTM_STORE_DIR="$store_dir/bias1" $camp_cmd)
+bias4=$(env "${bias_env[@]}" DOTM_THREADS=4 DOTM_STORE_DIR="$store_dir/bias4" $camp_cmd)
+diff <(echo "$bias1" | sed '/^persistent campaign:/d') \
+    <(echo "$bias4" | sed '/^persistent campaign:/d') || {
+    echo "FAIL: bias_gen campaign stdout moved with the thread count"; exit 1; }
+echo "    identical at 1 and 4 threads, store counters included"
+
 echo "==> sharding: 2 shard workers + merge are byte-identical to single-process"
 # Worker 0 is killed mid-shard and re-run to resume its segment prefix;
 # the merge must still reproduce the single-process run exactly.

@@ -44,7 +44,6 @@ fn config(threads: usize) -> PipelineConfig {
             common_samples: 3,
             mismatch_samples: 2,
             seed: 1995 ^ 0xD07,
-            exec: ExecConfig::with_threads(threads),
             ..GoodSpaceConfig::default()
         },
         max_classes: Some(12),
@@ -596,7 +595,6 @@ fn bias_config(threads: usize) -> PipelineConfig {
             common_samples: 2,
             mismatch_samples: 2,
             seed: 7,
-            exec: ExecConfig::with_threads(threads),
             ..GoodSpaceConfig::default()
         },
         max_classes: Some(8),

@@ -21,7 +21,6 @@ fn comparator_config(threads: usize) -> PipelineConfig {
             common_samples: 3,
             mismatch_samples: 2,
             seed: 1995 ^ 0xD07,
-            exec: ExecConfig::with_threads(threads),
             ..GoodSpaceConfig::default()
         },
         max_classes: Some(12),
@@ -92,7 +91,11 @@ fn comparator_report_is_thread_count_invariant() {
         assert_eq!(a.count, b.count, "class {}", a.key);
         assert_eq!(a.severity, b.severity, "class {}", a.key);
         assert_eq!(a.voltage, b.voltage, "class {}", a.key);
-        assert_eq!(a.currents, b.currents, "class {}", a.key);
+        assert_eq!(
+            a.detection.currents, b.detection.currents,
+            "class {}",
+            a.key
+        );
         assert_eq!(a.flagged, b.flagged, "class {}", a.key);
         assert_eq!(a.sim_failed, b.sim_failed, "class {}", a.key);
         assert_eq!(a.inject_failed, b.inject_failed, "class {}", a.key);

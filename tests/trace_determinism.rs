@@ -34,7 +34,6 @@ fn config(threads: usize) -> PipelineConfig {
             common_samples: 2,
             mismatch_samples: 2,
             seed: 1995 ^ 0xD07,
-            exec: ExecConfig::with_threads(threads),
             ..GoodSpaceConfig::default()
         },
         max_classes: Some(6),

@@ -87,7 +87,7 @@ fn render(harness: &dyn MacroHarness, cfg: &PipelineConfig) -> String {
             report.name,
             c.key,
             c.voltage,
-            currents(c.currents),
+            currents(c.detection.currents),
         ));
     }
     out
