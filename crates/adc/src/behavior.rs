@@ -11,7 +11,6 @@
 use crate::decoder::decode_thermometer;
 use crate::ladder::{ideal_tap_voltage, TAPS};
 use crate::process::{VREF_HI, VREF_LO};
-use std::collections::BTreeSet;
 
 /// Behavioural model of one comparator stage, as parameterised by a fault
 /// signature from the circuit-level analysis.
@@ -113,28 +112,148 @@ impl FlashAdc {
     /// Runs the paper's missing-code test: `n` samples of a triangular
     /// sweep spanning slightly beyond the full reference range, then the
     /// set of output codes that never occurred.
+    ///
+    /// Sample `s` sits at `sweep_input(s, n)`: up the ramp for
+    /// `s <= n / 2`, back down after. One sample sits at the bottom of the
+    /// ramp, and no sample leaves every code missing.
+    ///
+    /// The samples are visited in ascending input order, once up the ramp
+    /// and once down it, against the trip points sorted once: each sample
+    /// sets only the stages whose trip point it has just passed, and the
+    /// decoder's output is kept up to date transition by transition. An
+    /// erratic stage is inverted for the one sample that inverts it. The
+    /// code set is exactly that of converting every sample.
     pub fn missing_codes(&self, n: usize) -> Vec<u8> {
-        let mut seen = BTreeSet::new();
-        let lo = VREF_LO - 0.01;
-        let hi = VREF_HI + 0.01;
-        for s in 0..n {
-            // Triangle over the sample index: up then down.
-            let half = n / 2;
-            let frac = if s <= half {
-                s as f64 / half as f64
-            } else {
-                (n - s) as f64 / (n - half) as f64
-            };
-            let vin = lo + (hi - lo) * frac;
-            seen.insert(self.convert(vin, s));
+        // Trip points in ascending order: stage `k` decides 1 once the
+        // input exceeds `trips[..].0`.
+        let mut trips: Vec<(f64, usize)> = Vec::with_capacity(self.stages());
+        let mut erratic = Vec::new();
+        for (k, (c, &vref)) in self.comps.iter().zip(&self.refs).enumerate() {
+            match *c {
+                ComparatorBehavior::Normal { offset } => trips.push((vref + offset, k)),
+                ComparatorBehavior::Erratic { period } => {
+                    trips.push((vref, k));
+                    if period >= 2 {
+                        erratic.push((k, period));
+                    }
+                }
+                ComparatorBehavior::StuckHigh | ComparatorBehavior::StuckLow => {}
+            }
         }
-        (0u8..=255).filter(|c| !seen.contains(c)).collect()
+        // `vin > NaN` never holds: such a stage stays at 0.
+        trips.retain(|(t, _)| !t.is_nan());
+        trips.sort_by(|a, b| a.0.total_cmp(&b.0));
+
+        let mut seen = [false; 256];
+        let half = n / 2;
+        let up = 0..n.min(half + 1);
+        let down = (half + 1..n).rev();
+        for ramp in [up.collect::<Vec<_>>(), down.collect()] {
+            let mut therm = Thermometer::new(self.stages());
+            for (k, c) in self.comps.iter().enumerate() {
+                if *c == ComparatorBehavior::StuckHigh {
+                    therm.set(k, true);
+                }
+            }
+            let mut next = 0;
+            for s in ramp {
+                let vin = sweep_input(s, n);
+                while next < trips.len() && trips[next].0 < vin {
+                    therm.set(trips[next].1, true);
+                    next += 1;
+                }
+                let inverted = erratic.iter().filter(|&&(_, period)| s % period == 0);
+                for &(k, _) in inverted.clone() {
+                    therm.set(k, !therm.bit(k));
+                }
+                seen[therm.code() as usize] = true;
+                for &(k, _) in inverted {
+                    therm.set(k, !therm.bit(k));
+                }
+            }
+        }
+        (0u8..=255).filter(|&c| !seen[c as usize]).collect()
     }
 
     /// `true` if the missing-code test (with the paper's 1000 samples)
     /// flags this converter as faulty.
     pub fn fails_missing_code_test(&self) -> bool {
         !self.missing_codes(1000).is_empty()
+    }
+}
+
+/// The input of sample `s` of the missing-code test's `n`-sample
+/// triangular sweep, from 10 mV below the lowest reference to 10 mV above
+/// the highest: up the ramp for `s <= n / 2`, then back down. With fewer
+/// than two samples the ramp has no length and sample 0 sits at its
+/// bottom.
+fn sweep_input(s: usize, n: usize) -> f64 {
+    let lo = VREF_LO - 0.01;
+    let hi = VREF_HI + 0.01;
+    let half = n / 2;
+    let frac = if half == 0 {
+        0.0
+    } else if s <= half {
+        s as f64 / half as f64
+    } else {
+        (n - s) as f64 / (n - half) as f64
+    };
+    lo + (hi - lo) * frac
+}
+
+/// A thermometer vector and the wired-OR decoder output it drives
+/// ([`decode_thermometer`]), updated one stage at a time.
+struct Thermometer {
+    bits: Vec<bool>,
+    /// Per output bit, how many firing transitions set it.
+    firing: [i32; 8],
+}
+
+impl Thermometer {
+    fn new(stages: usize) -> Self {
+        Thermometer {
+            bits: vec![false; stages],
+            firing: [0; 8],
+        }
+    }
+
+    fn bit(&self, k: usize) -> bool {
+        self.bits[k]
+    }
+
+    /// Adds (`delta = 1`) or removes (`delta = -1`) the ROM row of
+    /// transition `i` if it fires: stage `i` is 1 and the stage above it
+    /// is 0.
+    fn count(&mut self, i: usize, delta: i32) {
+        let above = self.bits.get(i + 1).copied().unwrap_or(false);
+        if self.bits[i] && !above {
+            let code = (i + 1).min(255);
+            for (b, d) in self.firing.iter_mut().enumerate() {
+                if code >> b & 1 == 1 {
+                    *d += delta;
+                }
+            }
+        }
+    }
+
+    fn set(&mut self, k: usize, value: bool) {
+        if self.bits[k] == value {
+            return;
+        }
+        let rows = k.saturating_sub(1)..=k;
+        for i in rows.clone() {
+            self.count(i, -1);
+        }
+        self.bits[k] = value;
+        for i in rows {
+            self.count(i, 1);
+        }
+    }
+
+    fn code(&self) -> u8 {
+        (0..8)
+            .filter(|&b| self.firing[b] > 0)
+            .fold(0, |out, b| out | 1 << b)
     }
 }
 
@@ -147,6 +266,113 @@ impl Default for FlashAdc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dotm_rng::rngs::StdRng;
+    use dotm_rng::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
+
+    /// The missing-code test as it was first written: convert every
+    /// sample of the sweep and collect the codes. The reference for the
+    /// sweep at `n >= 2`; at `n = 1` its input is 0/0.
+    fn missing_codes_by_conversion(adc: &FlashAdc, n: usize) -> Vec<u8> {
+        let mut seen = BTreeSet::new();
+        let lo = VREF_LO - 0.01;
+        let hi = VREF_HI + 0.01;
+        for s in 0..n {
+            // Triangle over the sample index: up then down.
+            let half = n / 2;
+            let frac = if s <= half {
+                s as f64 / half as f64
+            } else {
+                (n - s) as f64 / (n - half) as f64
+            };
+            let vin = lo + (hi - lo) * frac;
+            seen.insert(adc.convert(vin, s));
+        }
+        (0u8..=255).filter(|c| !seen.contains(c)).collect()
+    }
+
+    /// A seeded converter: references jittered (some out of order), and a
+    /// mix of every comparator behaviour.
+    fn random_adc(rng: &mut StdRng) -> FlashAdc {
+        let mut adc = FlashAdc::ideal();
+        let faults = rng.gen_range(0..12usize);
+        for _ in 0..faults {
+            let k = rng.gen_range(0..TAPS);
+            let behavior = match rng.gen_range(0..5u32) {
+                0 => ComparatorBehavior::StuckHigh,
+                1 => ComparatorBehavior::StuckLow,
+                2 => ComparatorBehavior::Erratic {
+                    period: rng.gen_range(0..6usize),
+                },
+                _ => ComparatorBehavior::Normal {
+                    offset: rng.gen_range(-0.05..0.05),
+                },
+            };
+            adc.set_comparator(k, behavior);
+        }
+        for _ in 0..rng.gen_range(0..8usize) {
+            let k = rng.gen_range(0..TAPS);
+            let volts = match rng.gen_range(0..3u32) {
+                // A tap swapped out of order, or a tap at a neighbour's
+                // exact voltage, or one off the ends of the sweep.
+                0 => ideal_tap_voltage(rng.gen_range(1..=TAPS)),
+                1 => adc.refs[(k + 1) % TAPS],
+                _ => rng.gen_range(VREF_LO - 0.5..VREF_HI + 0.5),
+            };
+            adc.set_reference(k, volts);
+        }
+        adc
+    }
+
+    #[test]
+    fn sweep_equals_converting_every_sample() {
+        let mut rng = StdRng::seed_from_u64(26);
+        for case in 0..300 {
+            let adc = random_adc(&mut rng);
+            for n in [2, 3, 7, 64, 255, 256, 999, 1000, 1001] {
+                assert_eq!(
+                    adc.missing_codes(n),
+                    missing_codes_by_conversion(&adc, n),
+                    "case {case}, n {n}: {adc:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_handles_a_sample_exactly_on_a_trip_point() {
+        // vin > trip is strict: a sample landing exactly on a trip point
+        // leaves that stage at 0.
+        let n = 1000;
+        let mut adc = FlashAdc::ideal();
+        adc.set_reference(100, sweep_input(300, n));
+        adc.set_comparator(7, ComparatorBehavior::Normal { offset: f64::NAN });
+        adc.set_comparator(
+            8,
+            ComparatorBehavior::Normal {
+                offset: f64::NEG_INFINITY,
+            },
+        );
+        assert_eq!(adc.missing_codes(n), missing_codes_by_conversion(&adc, n));
+    }
+
+    #[test]
+    fn fewer_than_two_samples() {
+        // No sample: every code is missing.
+        let adc = FlashAdc::ideal();
+        assert_eq!(adc.missing_codes(0), (0u8..=255).collect::<Vec<_>>());
+        // One sample sits at the bottom of the sweep, below every
+        // reference: only code 0 occurs.
+        assert_eq!(sweep_input(0, 1), VREF_LO - 0.01);
+        assert_eq!(adc.missing_codes(1), (1u8..=255).collect::<Vec<_>>());
+        let mut adc = FlashAdc::ideal();
+        adc.set_comparator(0, ComparatorBehavior::Erratic { period: 2 });
+        // Sample 0 inverts the erratic stage 0: the decoder reads code 1.
+        let mut expected: Vec<u8> = (0u8..=255).collect();
+        expected.retain(|&c| c != 1);
+        assert_eq!(adc.missing_codes(1), expected);
+        assert_eq!(adc.missing_codes(0).len(), 256);
+    }
 
     #[test]
     fn ideal_adc_has_no_missing_codes() {

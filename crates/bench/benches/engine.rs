@@ -12,7 +12,7 @@ use dotm_adc::behavior::FlashAdc;
 use dotm_adc::comparator::{comparator_testbench, ComparatorConfig, ComparatorStimulus};
 use dotm_adc::layouts::{comparator_layout, LayoutConfig};
 use dotm_core::MacroHarness;
-use dotm_defects::{collapse, DefectStatistics, Sprinkler};
+use dotm_defects::{collapse, sprinkle_collapsed, DefectStatistics, Sprinkler};
 use dotm_layout::{Layer, Rect, ShapeId, SpatialIndex};
 use dotm_rng::rngs::StdRng;
 use dotm_rng::{Rng, SeedableRng};
@@ -167,6 +167,30 @@ fn bench_sprinkle(filter: &Option<String>) {
     });
 }
 
+/// The campaign's pilot: 25 000 defects sprinkled and collapsed on each of
+/// the five macro layouts.
+fn bench_sprinkle_macros(filter: &Option<String>) {
+    use dotm_core::harnesses::{
+        BiasHarness, ClockgenHarness, ComparatorHarness, DecoderHarness, LadderHarness,
+    };
+    let layouts = [
+        ComparatorHarness::production().layout(),
+        LadderHarness.layout(),
+        BiasHarness::default().layout(),
+        ClockgenHarness::default().layout(),
+        DecoderHarness::default().layout(),
+    ];
+    bench(filter, "sprinkle/collapse_25k_five_macros", || {
+        layouts
+            .iter()
+            .map(|layout| {
+                let sprinkler = Sprinkler::new(layout, DefectStatistics::default());
+                sprinkle_collapsed(&sprinkler, 25_000, 1995).class_count()
+            })
+            .sum::<usize>()
+    });
+}
+
 fn bench_collapse(filter: &Option<String>) {
     let layout = comparator_layout(ComparatorConfig::default(), LayoutConfig::default());
     let sprinkler = Sprinkler::new(&layout, DefectStatistics::default());
@@ -222,6 +246,7 @@ fn main() {
     bench_dense_lu(&filter);
     bench_sparse_lu(&filter);
     bench_sprinkle(&filter);
+    bench_sprinkle_macros(&filter);
     bench_collapse(&filter);
     bench_simulator(&filter);
     bench_behavioral_adc(&filter);

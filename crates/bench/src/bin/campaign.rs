@@ -75,10 +75,10 @@ use dotm_bench::{
     standard_config,
 };
 use dotm_core::{
-    run_macro_path_with_faults_hooked, ClassObserver, ClassOutcome, FanoutObserver, GlobalReport,
-    MacroHarness, MacroReport, PathError, PipelineConfig, PipelineHooks, ShardSpec,
+    run_macro_path_with_faults_hooked, sprinkle_macro, ClassObserver, ClassOutcome, FanoutObserver,
+    GlobalReport, MacroHarness, MacroReport, PathError, PipelineConfig, PipelineHooks, ShardSpec,
 };
-use dotm_defects::{sprinkle_collapsed, CollapseReport, Sprinkler};
+use dotm_defects::CollapseReport;
 use dotm_faults::Severity;
 use dotm_serve::exit;
 use dotm_store::{
@@ -201,10 +201,7 @@ struct MacroPrep {
 }
 
 fn prepare(harness: &dyn MacroHarness, cfg: &PipelineConfig) -> MacroPrep {
-    let layout = harness.layout();
-    let sprinkler = Sprinkler::new(&layout, cfg.stats.clone());
-    let collapsed = sprinkle_collapsed(&sprinkler, cfg.defects, cfg.seed);
-    let area = sprinkler.area_nm2();
+    let (collapsed, area) = sprinkle_macro(harness, cfg);
     let classes = match cfg.max_classes {
         Some(n) => collapsed.class_count().min(n),
         None => collapsed.class_count(),

@@ -61,9 +61,9 @@ pub use harness::{with_instrumented_sim, MacroHarness, Probe};
 pub use measure::{MeasureKind, MeasureLabel, MeasurementPlan};
 pub use memo::{CachedMeasurement, MemoryStore};
 pub use pipeline::{
-    run_macro_path, run_macro_path_with_faults, run_macro_path_with_faults_hooked, ClassObserver,
-    ClassOutcome, EscalationLadder, FanoutObserver, MacroReport, MeasurementStore, PathError,
-    PipelineConfig, PipelineHooks, ShardSpec, SimFailurePolicy, ESCALATION_RUNGS,
+    run_macro_path, run_macro_path_with_faults, run_macro_path_with_faults_hooked, sprinkle_macro,
+    ClassObserver, ClassOutcome, EscalationLadder, FanoutObserver, MacroReport, MeasurementStore,
+    PathError, PipelineConfig, PipelineHooks, ShardSpec, SimFailurePolicy, ESCALATION_RUNGS,
 };
 pub use processvar::{CommonSample, ProcessModel};
 pub use report::{

@@ -741,6 +741,17 @@ fn effect_nets(effect: &FaultEffect, nl: &Netlist) -> Vec<String> {
     nets
 }
 
+/// Sprinkles `cfg.defects` defects (seed `cfg.seed`) on the harness's
+/// layout and collapses the faults, under a `sprinkle <macro>` span.
+/// Returns the population and the sprinkle area in nm².
+pub fn sprinkle_macro(harness: &dyn MacroHarness, cfg: &PipelineConfig) -> (CollapseReport, f64) {
+    let _span = dotm_obs::span_with("sprinkle", || format!("sprinkle {}", harness.name()));
+    let layout = harness.layout();
+    let sprinkler = Sprinkler::new(&layout, cfg.stats.clone());
+    let collapsed = sprinkle_collapsed(&sprinkler, cfg.defects, cfg.seed);
+    (collapsed, sprinkler.area_nm2())
+}
+
 /// Runs the full test path for one macro.
 ///
 /// # Errors
@@ -750,10 +761,8 @@ pub fn run_macro_path(
     harness: &dyn MacroHarness,
     cfg: &PipelineConfig,
 ) -> Result<MacroReport, PathError> {
-    let layout = harness.layout();
-    let sprinkler = Sprinkler::new(&layout, cfg.stats.clone());
-    let collapsed = sprinkle_collapsed(&sprinkler, cfg.defects, cfg.seed);
-    run_macro_path_with_faults(harness, cfg, &collapsed, sprinkler.area_nm2())
+    let (collapsed, area) = sprinkle_macro(harness, cfg);
+    run_macro_path_with_faults(harness, cfg, &collapsed, area)
 }
 
 /// Runs the evaluation part of the test path on an existing collapsed
@@ -1307,9 +1316,7 @@ mod tests {
             non_catastrophic: false,
             ..PipelineConfig::default()
         };
-        let layout = h.layout();
-        let sprinkler = Sprinkler::new(&layout, cfg.stats.clone());
-        let sprinkled = sprinkle_collapsed(&sprinkler, cfg.defects, cfg.seed);
+        let (sprinkled, _) = sprinkle_macro(&h, &cfg);
         // Evaluates `classes` at `threads`, returning the report and the
         // number of distinct store entries it wrote.
         let run = |classes: Vec<FaultClass>, threads: usize| {

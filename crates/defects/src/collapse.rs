@@ -7,8 +7,6 @@
 
 use crate::fault::{Fault, FaultMechanism};
 use crate::sprinkle::Sprinkler;
-use dotm_rng::rngs::StdRng;
-use dotm_rng::SeedableRng;
 use std::collections::HashMap;
 
 /// A class of circuit-level-equivalent faults.
@@ -83,57 +81,62 @@ impl CollapseReport {
     }
 }
 
+/// Folds faults, in the order they arrive, into classes keyed by
+/// [`Fault::canonical_key`]; each class keeps the first fault of its key
+/// as its representative.
+#[derive(Default)]
+struct Collapser {
+    total_faults: usize,
+    classes: HashMap<String, FaultClass>,
+}
+
+impl Collapser {
+    fn add(&mut self, fault: Fault) {
+        self.total_faults += 1;
+        let key = fault.canonical_key();
+        match self.classes.get_mut(&key) {
+            Some(class) => class.count += 1,
+            None => {
+                let class = FaultClass {
+                    key: key.clone(),
+                    representative: fault,
+                    count: 1,
+                };
+                self.classes.insert(key, class);
+            }
+        }
+    }
+
+    fn finish(self, defects: usize) -> CollapseReport {
+        let mut classes: Vec<FaultClass> = self.classes.into_values().collect();
+        sort_classes(&mut classes);
+        CollapseReport {
+            defects,
+            total_faults: self.total_faults,
+            classes,
+        }
+    }
+}
+
+/// Report order: descending count, ties broken by key.
+fn sort_classes(classes: &mut [FaultClass]) {
+    classes.sort_by(|a, b| b.count.cmp(&a.count).then_with(|| a.key.cmp(&b.key)));
+}
+
 /// Collapses an explicit fault list into classes.
 pub fn collapse(defects: usize, faults: Vec<Fault>) -> CollapseReport {
-    let total_faults = faults.len();
-    let mut map: HashMap<String, FaultClass> = HashMap::new();
-    for fault in faults {
-        let key = fault.canonical_key();
-        map.entry(key.clone())
-            .and_modify(|c| c.count += 1)
-            .or_insert(FaultClass {
-                key,
-                representative: fault,
-                count: 1,
-            });
-    }
-    let mut classes: Vec<FaultClass> = map.into_values().collect();
-    classes.sort_by(|a, b| b.count.cmp(&a.count).then_with(|| a.key.cmp(&b.key)));
-    CollapseReport {
-        defects,
-        total_faults,
-        classes,
-    }
+    let mut collapser = Collapser::default();
+    faults.into_iter().for_each(|fault| collapser.add(fault));
+    collapser.finish(defects)
 }
 
 /// Sprinkles `n` defects and collapses on the fly, without materialising
 /// the full fault list — this is how the 10-million-defect Table 1 run
 /// stays in bounded memory.
 pub fn sprinkle_collapsed(sprinkler: &Sprinkler<'_>, n: usize, seed: u64) -> CollapseReport {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut map: HashMap<String, FaultClass> = HashMap::new();
-    let mut total_faults = 0usize;
-    for _ in 0..n {
-        let defect = sprinkler.sample_defect(&mut rng);
-        if let Some(fault) = sprinkler.classify(&defect) {
-            total_faults += 1;
-            let key = fault.canonical_key();
-            map.entry(key.clone())
-                .and_modify(|c| c.count += 1)
-                .or_insert(FaultClass {
-                    key,
-                    representative: fault,
-                    count: 1,
-                });
-        }
-    }
-    let mut classes: Vec<FaultClass> = map.into_values().collect();
-    classes.sort_by(|a, b| b.count.cmp(&a.count).then_with(|| a.key.cmp(&b.key)));
-    CollapseReport {
-        defects: n,
-        total_faults,
-        classes,
-    }
+    let mut collapser = Collapser::default();
+    sprinkler.for_each_fault(n, seed, |fault| collapser.add(fault));
+    collapser.finish(n)
 }
 
 /// Re-counts an existing class set against a fresh, larger sprinkle —
@@ -147,37 +150,26 @@ pub fn recount(
     n: usize,
     seed: u64,
 ) -> usize {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut counts: HashMap<&str, usize> = report
+    let mut counts: HashMap<String, usize> = report
         .classes
         .iter()
-        .map(|c| (c.key.as_str(), 0usize))
+        .map(|c| (c.key.clone(), 0usize))
         .collect();
     let mut unmatched = 0usize;
-    for _ in 0..n {
-        let defect = sprinkler.sample_defect(&mut rng);
-        if let Some(fault) = sprinkler.classify(&defect) {
-            let key = fault.canonical_key();
-            match counts.get_mut(key.as_str()) {
-                Some(c) => *c += 1,
-                None => unmatched += 1,
-            }
+    sprinkler.for_each_fault(n, seed, |fault| {
+        match counts.get_mut(&fault.canonical_key()) {
+            Some(c) => *c += 1,
+            None => unmatched += 1,
         }
-    }
-    let counts: HashMap<String, usize> = counts
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), v))
-        .collect();
+    });
     let mut total = 0usize;
     for class in &mut report.classes {
-        class.count = counts[class.key.as_str()];
+        class.count = counts[&class.key];
         total += class.count;
     }
     report.defects = n;
     report.total_faults = total;
-    report
-        .classes
-        .sort_by(|a, b| b.count.cmp(&a.count).then_with(|| a.key.cmp(&b.key)));
+    sort_classes(&mut report.classes);
     unmatched
 }
 

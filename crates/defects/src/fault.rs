@@ -1,7 +1,7 @@
 //! Circuit-level fault descriptors extracted from defects.
 
 use crate::kinds::Defect;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// The fault taxonomy of the paper's Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -129,6 +129,14 @@ impl FaultEffect {
     /// Canonical key for fault collapsing: equivalent circuit-level faults
     /// (e.g. shorts between the same node pair) share a key.
     pub fn canonical_key(&self) -> String {
+        let mut key = String::new();
+        self.write_key(&mut key)
+            .expect("writing to a String cannot fail");
+        key
+    }
+
+    /// Appends [`FaultEffect::canonical_key`] to `out`.
+    fn write_key(&self, out: &mut String) -> fmt::Result {
         fn group_key(groups: &[Vec<TerminalName>]) -> String {
             let mut gs: Vec<String> = groups
                 .iter()
@@ -143,20 +151,28 @@ impl FaultEffect {
         }
         match self {
             FaultEffect::Bridge { nets, medium } => {
-                format!("bridge:{medium:?}:{}", nets.join("+"))
+                write!(out, "bridge:{medium:?}:")?;
+                for (i, net) in nets.iter().enumerate() {
+                    if i > 0 {
+                        out.push('+');
+                    }
+                    out.push_str(net);
+                }
+                Ok(())
             }
             FaultEffect::NodeSplit { net, groups } => {
-                format!("open:{net}:{}", group_key(groups))
+                write!(out, "open:{net}:{}", group_key(groups))
             }
-            FaultEffect::GateOxide { device } => format!("gos:{device}"),
-            FaultEffect::DeviceShort { device } => format!("dshort:{device}"),
-            FaultEffect::BulkLeak { net, bulk } => format!("leak:{net}->{bulk}"),
+            FaultEffect::GateOxide { device } => write!(out, "gos:{device}"),
+            FaultEffect::DeviceShort { device } => write!(out, "dshort:{device}"),
+            FaultEffect::BulkLeak { net, bulk } => write!(out, "leak:{net}->{bulk}"),
             FaultEffect::NewDevice {
                 net,
                 groups,
                 gate,
                 n_channel,
-            } => format!(
+            } => write!(
+                out,
                 "newdev:{net}:{}:{}:{}",
                 group_key(groups),
                 gate.as_deref().unwrap_or("~float"),
@@ -180,7 +196,11 @@ pub struct Fault {
 impl Fault {
     /// Canonical class key (mechanism + effect key).
     pub fn canonical_key(&self) -> String {
-        format!("{:?}#{}", self.mechanism, self.effect.canonical_key())
+        let mut key = format!("{:?}#", self.mechanism);
+        self.effect
+            .write_key(&mut key)
+            .expect("writing to a String cannot fail");
+        key
     }
 
     /// The net names this fault touches (for the paper's "influences nodes

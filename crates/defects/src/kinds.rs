@@ -98,12 +98,22 @@ impl SizeDistribution {
     /// Samples a defect size via the inverse CDF of `2·x0²/x³` on
     /// `[x0, xmax]`.
     pub fn sample(&self, rng: &mut impl Rng) -> i64 {
-        let u: f64 = rng.gen_range(0.0..1.0);
-        // CDF on the truncated support: F(x) = (1 − x0²/x²)/(1 − x0²/xmax²).
+        self.sample_normed(self.norm(), rng)
+    }
+
+    /// The truncated CDF's denominator `1 − x0²/xmax²`.
+    pub(crate) fn norm(&self) -> f64 {
         let x0 = self.x0 as f64;
         let xmax = self.xmax as f64;
-        let norm = 1.0 - (x0 * x0) / (xmax * xmax);
-        let x = x0 / (1.0 - u * norm).sqrt();
+        1.0 - (x0 * x0) / (xmax * xmax)
+    }
+
+    /// [`SizeDistribution::sample`] with its [`SizeDistribution::norm`]
+    /// computed once by the caller.
+    pub(crate) fn sample_normed(&self, norm: f64, rng: &mut impl Rng) -> i64 {
+        let u: f64 = rng.gen_range(0.0..1.0);
+        // CDF on the truncated support: F(x) = (1 − x0²/x²)/(1 − x0²/xmax²).
+        let x = self.x0 as f64 / (1.0 - u * norm).sqrt();
         (x.round() as i64).clamp(self.x0, self.xmax)
     }
 }
@@ -141,9 +151,17 @@ impl DefectStatistics {
             weights.iter().all(|(_, w)| *w >= 0.0),
             "defect weights must be non-negative"
         );
-        let total: f64 = weights.iter().map(|(_, w)| w).sum();
-        assert!(total > 0.0, "at least one defect weight must be positive");
-        DefectStatistics { weights, size }
+        let stats = DefectStatistics { weights, size };
+        assert!(
+            stats.total_weight() > 0.0,
+            "at least one defect weight must be positive"
+        );
+        stats
+    }
+
+    /// The sum of the relative weights.
+    pub(crate) fn total_weight(&self) -> f64 {
+        self.weights.iter().map(|(_, w)| w).sum()
     }
 
     /// The relative weight of a kind.
@@ -162,15 +180,82 @@ impl DefectStatistics {
 
     /// Samples a defect kind according to the weights.
     pub fn sample_kind(&self, rng: &mut impl Rng) -> DefectKind {
-        let total: f64 = self.weights.iter().map(|(_, w)| w).sum();
-        let mut pick = rng.gen_range(0.0..total);
-        for (kind, w) in &self.weights {
+        let pick = rng.gen_range(0.0..self.total_weight());
+        self.weights[self.kind_index_at(pick)].0
+    }
+
+    /// The weight-table position a uniform `pick` in `[0, total)` selects:
+    /// the walk that subtracts each weight in turn until `pick` falls
+    /// below one. Defines [`DefectStatistics::sample_kind`] bit for bit.
+    fn kind_index_at(&self, mut pick: f64) -> usize {
+        for (i, (_, w)) in self.weights.iter().enumerate() {
             if pick < *w {
-                return *kind;
+                return i;
             }
             pick -= w;
         }
-        self.weights.last().expect("non-empty").0
+        self.weights.len() - 1
+    }
+}
+
+/// [`DefectStatistics::sample_kind`] with its per-draw work done once: the
+/// weight total is summed at construction, and the subtraction walk is
+/// replaced by its breakpoints.
+///
+/// The walk is a non-decreasing function of the pick (each subtraction
+/// and comparison is monotone under IEEE rounding), so the picks that
+/// select position `i` or later form an up-set whose least element is
+/// `bounds[i - 1]`. Each breakpoint is found by bisecting the bit patterns
+/// of the non-negative floats, which are ordered like their values, with
+/// the walk itself as the oracle. A draw then counts the breakpoints at or
+/// below its pick, and selects the same kind as the walk for every pick.
+#[derive(Debug, Clone)]
+pub(crate) struct KindSampler {
+    total: f64,
+    bounds: Vec<f64>,
+    kinds: Vec<DefectKind>,
+}
+
+impl KindSampler {
+    pub(crate) fn new(stats: &DefectStatistics) -> Self {
+        let total = stats.total_weight();
+        let walk = |bits: u64| stats.kind_index_at(f64::from_bits(bits));
+        let bounds = (1..stats.weights.len())
+            .map(|i| {
+                // `pick` never exceeds `total`; past it nothing is reached.
+                if walk(total.to_bits()) < i {
+                    return f64::INFINITY;
+                }
+                let (mut lo, mut hi) = (0u64, total.to_bits());
+                if walk(lo) >= i {
+                    return 0.0;
+                }
+                // Invariant: walk(lo) < i <= walk(hi).
+                while hi - lo > 1 {
+                    let mid = lo + (hi - lo) / 2;
+                    if walk(mid) >= i {
+                        hi = mid;
+                    } else {
+                        lo = mid;
+                    }
+                }
+                f64::from_bits(hi)
+            })
+            .collect();
+        KindSampler {
+            total,
+            bounds,
+            kinds: stats.weights.iter().map(|(k, _)| *k).collect(),
+        }
+    }
+
+    /// The position [`DefectStatistics::kind_index_at`] gives `pick`.
+    fn index_at(&self, pick: f64) -> usize {
+        self.bounds.iter().filter(|&&b| pick >= b).count()
+    }
+
+    pub(crate) fn sample(&self, rng: &mut impl Rng) -> DefectKind {
+        self.kinds[self.index_at(rng.gen_range(0.0..self.total))]
     }
 }
 
@@ -215,7 +300,7 @@ pub struct Defect {
 mod tests {
     use super::*;
     use dotm_rng::rngs::StdRng;
-    use dotm_rng::SeedableRng;
+    use dotm_rng::{Rng, SeedableRng};
 
     #[test]
     fn size_distribution_respects_bounds() {
@@ -255,6 +340,42 @@ mod tests {
         let expect = stats.weight(DefectKind::ExtraMetal1) / total;
         let got = extra_m1 as f64 / n as f64;
         assert!((got - expect).abs() < 0.01, "got {got}, expect {expect}");
+    }
+
+    #[test]
+    fn kind_sampler_draws_what_the_walk_draws() {
+        let skewed = DefectStatistics::from_weights(
+            vec![
+                (DefectKind::ExtraMetal1, 1e-300),
+                (DefectKind::GateOxidePinhole, 0.0),
+                (DefectKind::ExtraPoly, 0.1),
+                (DefectKind::ExtraContact, 3.0),
+                (DefectKind::MissingVia, 0.0),
+            ],
+            SizeDistribution::default(),
+        );
+        for stats in [DefectStatistics::default(), skewed] {
+            let sampler = KindSampler::new(&stats);
+            let total = stats.total_weight();
+            // Every breakpoint and its float neighbours, the ends of the
+            // range, and seeded uniform picks.
+            let mut picks = vec![0.0, total, f64::from_bits(total.to_bits() - 1)];
+            for &b in sampler.bounds.iter().filter(|b| b.is_finite()) {
+                picks.extend([b, f64::from_bits(b.to_bits() + 1)]);
+                if b > 0.0 {
+                    picks.push(f64::from_bits(b.to_bits() - 1));
+                }
+            }
+            let mut rng = StdRng::seed_from_u64(4);
+            picks.extend((0..200_000).map(|_| rng.gen_range(0.0..total)));
+            for p in picks {
+                assert_eq!(sampler.index_at(p), stats.kind_index_at(p), "pick {p:e}");
+            }
+            let (mut a, mut b) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
+            for _ in 0..10_000 {
+                assert_eq!(sampler.sample(&mut a), stats.sample_kind(&mut b));
+            }
+        }
     }
 
     #[test]

@@ -7,10 +7,14 @@
 //! catastrophic faults.
 
 use crate::fault::{BridgeMedium, Fault, FaultEffect, FaultMechanism, TerminalName};
-use crate::kinds::{Defect, DefectKind, DefectStatistics};
-use dotm_layout::{connect, Layer, Layout, NetId, Rect, SpatialIndex};
+use crate::kinds::{Defect, DefectKind, DefectStatistics, KindSampler};
+use dotm_layout::{connect, Layer, Layout, NetId, NetSummary, Rect, SpatialIndex};
 use dotm_rng::rngs::StdRng;
 use dotm_rng::{Rng, SeedableRng};
+
+/// Defects sampled and classified per batch: the sprinkle holds at most
+/// this many defects at any `n`.
+const CHUNK: usize = 1024;
 
 /// Outcome of a sprinkle run.
 #[derive(Debug, Clone)]
@@ -54,6 +58,9 @@ pub struct Sprinkler<'a> {
     index: SpatialIndex,
     stats: DefectStatistics,
     area: Rect,
+    kinds: KindSampler,
+    /// `stats.size.norm()`, computed once.
+    size_norm: f64,
 }
 
 impl<'a> Sprinkler<'a> {
@@ -69,6 +76,8 @@ impl<'a> Sprinkler<'a> {
         Sprinkler {
             layout,
             index: SpatialIndex::build(layout),
+            kinds: KindSampler::new(&stats),
+            size_norm: stats.size.norm(),
             stats,
             area,
         }
@@ -94,25 +103,57 @@ impl<'a> Sprinkler<'a> {
     /// Samples one defect.
     pub fn sample_defect(&self, rng: &mut impl Rng) -> Defect {
         Defect {
-            kind: self.stats.sample_kind(rng),
+            kind: self.kinds.sample(rng),
             x: rng.gen_range(self.area.x0..=self.area.x1),
             y: rng.gen_range(self.area.y0..=self.area.y1),
-            size: self.stats.size.sample(rng),
+            size: self.stats.size.sample_normed(self.size_norm, rng),
         }
     }
 
     /// Sprinkles `n` defects with a deterministic seed and collects the
     /// resulting faults.
     pub fn sprinkle(&self, n: usize, seed: u64) -> SprinkleReport {
-        let mut rng = StdRng::seed_from_u64(seed);
         let mut faults = Vec::new();
-        for _ in 0..n {
-            let defect = self.sample_defect(&mut rng);
-            if let Some(fault) = self.classify(&defect) {
-                faults.push(fault);
-            }
-        }
+        self.for_each_fault(n, seed, |fault| faults.push(fault));
         SprinkleReport { defects: n, faults }
+    }
+
+    /// The one sprinkle loop: samples `n` defects from `seed` and hands
+    /// every fault to `sink` in defect order. Defects are sampled in
+    /// chunks of [`CHUNK`]; each chunk is classified grouped by kind, and
+    /// its faults are then passed on in the order their defects were
+    /// drawn, so a collapse keeps each class's first representative.
+    pub(crate) fn for_each_fault(&self, n: usize, seed: u64, mut sink: impl FnMut(Fault)) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut defects = Vec::with_capacity(CHUNK.min(n));
+        let mut by_kind = vec![0u32; CHUNK.min(n)];
+        let mut hits: Vec<(u32, Fault)> = Vec::new();
+        let mut done = 0;
+        while done < n {
+            let m = CHUNK.min(n - done);
+            defects.clear();
+            defects.extend((0..m).map(|_| self.sample_defect(&mut rng)));
+            // Counting sort of the chunk's defect numbers by kind.
+            let mut starts = [0usize; DefectKind::ALL.len() + 1];
+            for d in &defects {
+                starts[d.kind as usize + 1] += 1;
+            }
+            for k in 0..DefectKind::ALL.len() {
+                starts[k + 1] += starts[k];
+            }
+            for (i, d) in defects.iter().enumerate() {
+                by_kind[starts[d.kind as usize]] = i as u32;
+                starts[d.kind as usize] += 1;
+            }
+            hits.extend(
+                by_kind[..m]
+                    .iter()
+                    .filter_map(|&i| Some((i, self.classify(&defects[i as usize])?))),
+            );
+            hits.sort_unstable_by_key(|&(i, _)| i);
+            hits.drain(..).for_each(|(_, fault)| sink(fault));
+            done += m;
+        }
     }
 
     /// Classifies a single defect into a circuit-level fault, if any.
@@ -138,17 +179,24 @@ impl<'a> Sprinkler<'a> {
         }
     }
 
-    /// Distinct nets with shapes on `layer` touching `spot`.
-    fn nets_touching(&self, layer: Layer, spot: &Rect) -> Vec<NetId> {
-        let mut nets: Vec<NetId> = self
-            .index
-            .query(self.layout, layer, spot)
-            .into_iter()
-            .map(|id| self.layout.shape(id).net)
-            .collect();
+    /// Distinct nets with shapes on `layer` touching `spot`, sorted.
+    fn net_list(&self, layer: Layer, spot: &Rect) -> Vec<NetId> {
+        let mut nets = Vec::new();
+        self.index.for_each_candidate(layer, spot, |id| {
+            let shape = self.layout.shape(id);
+            if shape.rect.touches(spot) {
+                nets.push(shape.net);
+            }
+        });
         nets.sort_unstable();
         nets.dedup();
         nets
+    }
+
+    /// How many nets have shapes on `layer` touching `spot`, without
+    /// allocating.
+    fn nets_touching(&self, layer: Layer, spot: &Rect) -> NetSummary {
+        self.index.nets_touching(self.layout, layer, spot)
     }
 
     fn net_names(&self, nets: &[NetId]) -> Vec<String> {
@@ -161,10 +209,14 @@ impl<'a> Sprinkler<'a> {
     }
 
     fn extra_material(&self, defect: &Defect, spot: &Rect, layer: Layer) -> Option<Fault> {
-        let nets = self.nets_touching(layer, spot);
-        if nets.len() < 2 {
+        // A bridge needs two nets: the cell summaries rule out most spots
+        // before a shape is loaded.
+        if self.index.cell_nets(layer, spot) != NetSummary::Several
+            || self.nets_touching(layer, spot) != NetSummary::Several
+        {
             return None;
         }
+        let nets = self.net_list(layer, spot);
         let medium = match layer {
             Layer::Metal1 | Layer::Metal2 => BridgeMedium::Metal,
             Layer::Poly => BridgeMedium::Poly,
@@ -248,15 +300,12 @@ impl<'a> Sprinkler<'a> {
     fn thick_oxide(&self, defect: &Defect, spot: &Rect) -> Option<Fault> {
         // Field-oxide pinhole: conductor poly over field (not over active)
         // leaks to the bulk underneath.
-        let polys = self.nets_touching(Layer::Poly, spot);
-        if polys.is_empty() {
+        if self.nets_touching(Layer::Poly, spot) == NetSummary::Empty {
             return None;
         }
-        if !self
-            .index
-            .query_overlapping(self.layout, Layer::Active, spot)
-            .is_empty()
-        {
+        if self.index.any_candidate(Layer::Active, spot, |id| {
+            self.layout.shape(id).rect.overlaps(spot)
+        }) {
             return None; // over active: that is gate/junction territory
         }
         if self
@@ -267,6 +316,7 @@ impl<'a> Sprinkler<'a> {
         {
             return None; // over a channel: gate-oxide territory
         }
+        let polys = self.net_list(Layer::Poly, spot);
         let bulk = self.bulk_net_at(defect.x, defect.y)?;
         let net = self.layout.net_name(polys[0]).to_string();
         let bulk_name = self.layout.net_name(bulk).to_string();
@@ -284,8 +334,10 @@ impl<'a> Sprinkler<'a> {
     }
 
     fn junction(&self, defect: &Defect, spot: &Rect) -> Option<Fault> {
-        let actives = self.nets_touching(Layer::Active, spot);
-        let net = *actives.first()?;
+        if self.nets_touching(Layer::Active, spot) == NetSummary::Empty {
+            return None;
+        }
+        let net = self.net_list(Layer::Active, spot)[0];
         let bulk = self.bulk_net_at(defect.x, defect.y)?;
         if net == bulk {
             return None; // substrate/well tap — junction to itself
@@ -301,12 +353,21 @@ impl<'a> Sprinkler<'a> {
     }
 
     fn extra_contact(&self, defect: &Defect, spot: &Rect) -> Option<Fault> {
-        let metals = self.nets_touching(Layer::Metal1, spot);
-        if metals.is_empty() {
+        // A contact bridges when a metal net and a different poly or
+        // active net both touch the spot; the summaries decide that
+        // before any net list is built.
+        let metal = self.nets_touching(Layer::Metal1, spot);
+        let bridges = |under: Layer| match (metal, self.nets_touching(under, spot)) {
+            (NetSummary::Empty, _) | (_, NetSummary::Empty) => false,
+            (NetSummary::One(m), NetSummary::One(u)) => m != u,
+            _ => true,
+        };
+        if !bridges(Layer::Poly) && !bridges(Layer::Active) {
             return None;
         }
+        let metals = self.net_list(Layer::Metal1, spot);
         for under in [Layer::Poly, Layer::Active] {
-            let unders = self.nets_touching(under, spot);
+            let unders = self.net_list(under, spot);
             for &m in &metals {
                 for &u in &unders {
                     if m != u {
@@ -329,12 +390,17 @@ impl<'a> Sprinkler<'a> {
     fn new_device(&self, defect: &Defect, spot: &Rect) -> Option<Fault> {
         // Extra poly spanning a diffusion blocks the S/D implant: the net
         // splits and a parasitic FET bridges the pieces.
+        if !self.index.any_candidate(Layer::Active, spot, |id| {
+            self.layout.shape(id).rect.splits(spot)
+        }) {
+            return None;
+        }
         let actives = self
             .index
             .query_overlapping(self.layout, Layer::Active, spot);
         for sid in actives {
             let shape = self.layout.shape(sid);
-            if shape.rect.sever(spot).is_some_and(|p| p.len() >= 2) {
+            if shape.rect.splits(spot) {
                 if let Some(partition) =
                     connect::open_partition(self.layout, shape.net, Layer::Active, spot)
                 {
@@ -344,7 +410,7 @@ impl<'a> Sprinkler<'a> {
                         .map(|g| g.iter().map(|p| (p.device.clone(), p.terminal)).collect())
                         .collect();
                     let gate = self
-                        .nets_touching(Layer::Poly, spot)
+                        .net_list(Layer::Poly, spot)
                         .first()
                         .map(|&n| self.layout.net_name(n).to_string());
                     let n_channel = self.well_net_at(defect.x, defect.y).is_none();

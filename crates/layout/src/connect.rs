@@ -277,12 +277,13 @@ pub fn open_partition(
     }
     let mut groups: Vec<Vec<Pin>> = groups.into_values().collect();
     // Deterministic order: largest group (the "main" side) first, then by
-    // first pin name.
-    groups.sort_by(|a, b| {
-        b.len()
-            .cmp(&a.len())
-            .then_with(|| a[0].device.cmp(&b[0].device))
-    });
+    // the groups' (device, terminal) lists. The map's iteration order is
+    // random, so the order must be total: two one-pin groups on the same
+    // device differ only in their terminals.
+    fn pins(g: &[Pin]) -> impl Iterator<Item = (&str, usize)> {
+        g.iter().map(|p| (p.device.as_str(), p.terminal))
+    }
+    groups.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| pins(a).cmp(pins(b))));
     Some(OpenPartition { groups })
 }
 

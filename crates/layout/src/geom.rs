@@ -173,6 +173,19 @@ impl Rect {
     }
 }
 
+impl Rect {
+    /// `true` when [`Rect::sever`] would cut `self` into two pieces: the
+    /// defect spans the shape's full cross-section strictly inside its
+    /// length. Answers without allocating.
+    pub fn splits(&self, defect: &Rect) -> bool {
+        let spans_y = defect.y0 <= self.y0 && defect.y1 >= self.y1;
+        let spans_x = defect.x0 <= self.x0 && defect.x1 >= self.x1;
+        self.overlaps(defect)
+            && ((spans_y && defect.x0 > self.x0 && defect.x1 < self.x1)
+                || (spans_x && defect.y0 > self.y0 && defect.y1 < self.y1))
+    }
+}
+
 impl fmt::Display for Rect {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "({},{})..({},{})", self.x0, self.y0, self.x1, self.y1)
@@ -262,6 +275,24 @@ mod tests {
         let defect = Rect::new(80, -5, 120, 15);
         let pieces = wire.sever(&defect).unwrap();
         assert_eq!(pieces, vec![Rect::new(0, 0, 80, 10)]);
+    }
+
+    #[test]
+    fn splits_is_sever_into_two_pieces() {
+        // Every defect with corners on a grid around a 10 × 6 shape.
+        let shape = Rect::new(0, 0, 10, 6);
+        let coords = -2..=12;
+        for x0 in coords.clone() {
+            for x1 in x0..=12 {
+                for y0 in coords.clone() {
+                    for y1 in y0..=12 {
+                        let d = Rect::new(x0, y0, x1, y1);
+                        let two = shape.sever(&d).is_some_and(|p| p.len() >= 2);
+                        assert_eq!(shape.splits(&d), two, "{d}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ mod render;
 
 pub use connect::{ExtractViolation, Extracted, OpenPartition, UnionFind};
 pub use geom::Rect;
-pub use index::SpatialIndex;
+pub use index::{NetSummary, SpatialIndex};
 pub use layer::Layer;
 pub use layout::{ChannelType, Layout, NetId, Pin, Shape, ShapeId, TransistorGeom};
 pub use render::{render_svg, RenderOptions};

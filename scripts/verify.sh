@@ -22,9 +22,14 @@ echo "==> benchmark tracer: builds against the current public API"
 CARGO_TARGET_DIR=target/tracer cargo build --release --offline --locked \
     --manifest-path campaign_bench/tracer/Cargo.toml
 
-echo "==> smoke: table1 (small sprinkle)"
-DOTM_DEFECTS=4000 DOTM_TABLE1_FULL=100000 \
-    cargo run --release --locked -p dotm-bench --bin table1
+echo "==> smoke: table1 (small sprinkle) against its golden"
+# The pilot goes through sprinkle_collapsed and the full run through
+# recount: a population drift on either path changes this stdout.
+table1_smoke=$(DOTM_DEFECTS=4000 DOTM_TABLE1_FULL=100000 \
+    cargo run --release --locked -p dotm-bench --bin table1)
+echo "$table1_smoke"
+diff tests/golden/table1_smoke.txt <(echo "$table1_smoke") || {
+    echo "FAIL: table1 smoke differs from tests/golden/table1_smoke.txt"; exit 1; }
 
 echo "==> smoke: fig4 (truncated classes, small good space)"
 fig4_plain=$(DOTM_DEFECTS=3000 DOTM_MAX_CLASSES=10 DOTM_GS_COMMON=3 DOTM_GS_MM=2 \

@@ -14,10 +14,11 @@
 
 use dotm::core::harnesses::ComparatorHarness;
 use dotm::core::{
-    run_macro_path_with_faults, run_macro_path_with_faults_hooked, ClassObserver, ClassOutcome,
-    ExecConfig, GoodSpaceConfig, MacroHarness, MacroReport, PipelineConfig, PipelineHooks,
+    run_macro_path_with_faults, run_macro_path_with_faults_hooked, sprinkle_macro, ClassObserver,
+    ClassOutcome, ExecConfig, GoodSpaceConfig, MacroHarness, MacroReport, PipelineConfig,
+    PipelineHooks,
 };
-use dotm::defects::{sprinkle_collapsed, CollapseReport, Sprinkler};
+use dotm::defects::CollapseReport;
 use dotm_store::{pipeline_context, DiskStore, JournalHeader, JournalWriter};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -51,11 +52,7 @@ struct Fixture {
 
 fn fixture() -> Fixture {
     let harness = ComparatorHarness::production();
-    let cfg = config(1);
-    let layout = harness.layout();
-    let sprinkler = Sprinkler::new(&layout, cfg.stats.clone());
-    let collapsed = sprinkle_collapsed(&sprinkler, cfg.defects, cfg.seed);
-    let area = sprinkler.area_nm2();
+    let (collapsed, area) = sprinkle_macro(&harness, &config(1));
     Fixture {
         harness,
         collapsed,
@@ -218,4 +215,75 @@ fn exported_trace_is_valid_and_nested() {
     ] {
         assert!(ndjson.contains(needle), "trace is missing {needle}");
     }
+}
+
+/// The value of the integer field `"field":N` in one NDJSON record.
+fn field(line: &str, field: &str) -> Option<u64> {
+    let rest = &line[line.find(&format!("\"{field}\":"))? + field.len() + 3..];
+    rest[..rest.find(|c: char| !c.is_ascii_digit())?]
+        .parse()
+        .ok()
+}
+
+#[test]
+fn sprinkle_span_nests_under_its_root_and_changes_no_byte() {
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let harness = ComparatorHarness::production();
+    let cfg = config(1);
+
+    dotm_obs::set_enabled(false);
+    let (collapsed, area) = sprinkle_macro(&harness, &cfg);
+    let off = Fixture {
+        harness: harness.clone(),
+        collapsed,
+        area,
+    };
+
+    dotm_obs::reset();
+    dotm_obs::set_enabled(true);
+    let root = dotm_obs::span("campaign", "campaign");
+    let (collapsed, area) = sprinkle_macro(&harness, &cfg);
+    drop(root);
+    let ndjson = dotm_obs::render_ndjson();
+    dotm_obs::set_enabled(false);
+    let on = Fixture {
+        harness,
+        collapsed,
+        area,
+    };
+
+    dotm_obs::validate_ndjson(&ndjson).expect("exported NDJSON must validate");
+    let span = |name: &str| {
+        let needle = format!("\"name\":\"{name}\"");
+        let found: Vec<&str> = ndjson.lines().filter(|l| l.contains(&needle)).collect();
+        assert_eq!(found.len(), 1, "one {name} span in:\n{ndjson}");
+        found[0]
+    };
+    let (root, sprinkle) = (span("campaign"), span("sprinkle comparator"));
+    assert!(sprinkle.contains("\"cat\":\"sprinkle\""));
+    assert_eq!(
+        field(sprinkle, "parent"),
+        field(root, "id"),
+        "the sprinkle span nests under its root"
+    );
+
+    // The traced sprinkle yields the same population, and runs built on
+    // either persist the same bytes.
+    assert_eq!(on.area, off.area);
+    assert_eq!(on.collapsed.total_faults, off.collapsed.total_faults);
+    let classes = |fx: &Fixture| -> Vec<_> {
+        fx.collapsed
+            .classes
+            .iter()
+            .map(|c| (c.key.clone(), c.count, c.representative.clone()))
+            .collect()
+    };
+    assert_eq!(classes(&on), classes(&off));
+    let (dir_off, dir_on) = (tmpdir("sprinkle-off"), tmpdir("sprinkle-on"));
+    let a = campaign_run(&off, &dir_off, 1);
+    let b = campaign_run(&on, &dir_on, 1);
+    assert_eq!(a.fingerprint(), b.fingerprint());
+    assert_eq!(snapshot(&dir_off), snapshot(&dir_on));
+    let _ = fs::remove_dir_all(&dir_off);
+    let _ = fs::remove_dir_all(&dir_on);
 }
