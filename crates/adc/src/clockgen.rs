@@ -188,22 +188,22 @@ mod tests {
     fn phases_reproduce_inputs() {
         let nl = clockgen_testbench();
         let mut sim = Simulator::new(&nl);
-        let tr = sim.transient(CLOCK_PERIOD, 0.5e-9).unwrap();
-        for (i, phase) in Phase::ALL.iter().enumerate() {
-            let y = nl.find_node(&format!("ck{}", i + 1)).unwrap();
+        let mids = Phase::ALL.map(|phase| {
             let (s, e) = phase.window();
-            let mid = tr.index_at((s + e) / 2.0);
+            (s + e) / 2.0
+        });
+        let reads = sim.transient(CLOCK_PERIOD, 0.5e-9, &mids).unwrap();
+        for (i, read) in reads.iter().enumerate() {
+            let y = nl.find_node(&format!("ck{}", i + 1)).unwrap();
             assert!(
-                tr.voltage(mid, y) > VDD - 0.2,
+                read.voltage(y) > VDD - 0.2,
                 "ck{} must be high mid-phase",
                 i + 1
             );
-            for (j, other) in Phase::ALL.iter().enumerate() {
+            for (j, other) in reads.iter().enumerate() {
                 if i != j {
-                    let (os, oe) = other.window();
-                    let k = tr.index_at((os + oe) / 2.0);
                     assert!(
-                        tr.voltage(k, y) < 0.2,
+                        other.voltage(y) < 0.2,
                         "ck{} must be low during phase {}",
                         i + 1,
                         j + 1
@@ -237,13 +237,12 @@ mod tests {
         nl.add_vsource("VX3", x3, Netlist::GROUND, Waveform::dc(0.0))
             .unwrap();
         let mut sim = Simulator::new(&nl);
-        let tr = sim.transient(45e-9, 0.5e-9).unwrap();
+        // At 30 ns: x1 and x2 both high; interlock must hold ck2 low.
+        let op = &sim.transient(45e-9, 0.5e-9, &[30e-9]).unwrap()[0];
         let ck1 = nl.find_node("ck1").unwrap();
         let ck2 = nl.find_node("ck2").unwrap();
-        // At 30 ns: x1 and x2 both high; interlock must hold ck2 low.
-        let k = tr.index_at(30e-9);
-        assert!(tr.voltage(k, ck1) > VDD - 0.3);
-        assert!(tr.voltage(k, ck2) < 0.3, "interlock failed: ck2 high");
+        assert!(op.voltage(ck1) > VDD - 0.3);
+        assert!(op.voltage(ck2) < 0.3, "interlock failed: ck2 high");
     }
 
     #[test]
@@ -252,10 +251,10 @@ mod tests {
         // leakage — the tight IDDQ baseline the paper exploits.
         let nl = clockgen_testbench();
         let mut sim = Simulator::new(&nl);
-        let tr = sim.transient(CLOCK_PERIOD, 0.5e-9).unwrap();
-        let id = nl.device_id("VDDDIG").unwrap();
         let t = Phase::Sample.settle_time();
-        let i = tr.branch_current(tr.index_at(t), id).unwrap().abs();
+        let op = &sim.transient(CLOCK_PERIOD, 0.5e-9, &[t]).unwrap()[0];
+        let id = nl.device_id("VDDDIG").unwrap();
+        let i = op.branch_current(id).unwrap().abs();
         assert!(i < 1e-6, "IDDQ must be sub-µA, got {i}");
     }
 
@@ -268,10 +267,10 @@ mod tests {
         nl.insert_bridge("F", ck1, Netlist::GROUND, 0.2, None)
             .unwrap();
         let mut sim = Simulator::new(&nl);
-        let tr = sim.transient(CLOCK_PERIOD, 0.5e-9).unwrap();
-        let id = nl.device_id("VDDDIG").unwrap();
         let t = Phase::Sample.settle_time();
-        let i = tr.branch_current(tr.index_at(t), id).unwrap().abs();
+        let op = &sim.transient(CLOCK_PERIOD, 0.5e-9, &[t]).unwrap()[0];
+        let id = nl.device_id("VDDDIG").unwrap();
+        let i = op.branch_current(id).unwrap().abs();
         assert!(i > 1e-3, "shorted clock must pull mA-scale IDDQ, got {i}");
     }
 }

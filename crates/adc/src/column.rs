@@ -4,10 +4,10 @@
 //! full circuit simulation, and the natural testbench for faults that
 //! couple *between* comparator instances.
 
-use crate::comparator::{comparator_macro, decision_time, ComparatorConfig};
+use crate::comparator::{comparator_macro, ComparatorConfig};
 use crate::process::{BiasValues, Phase, VDD};
 use dotm_netlist::{MosType, MosfetParams, Netlist, Waveform};
-use dotm_sim::TranResult;
+use dotm_sim::OpPoint;
 
 /// A built flash slice: the netlist plus the output node names per stage.
 #[derive(Debug, Clone)]
@@ -170,14 +170,14 @@ impl FlashColumn {
         }
     }
 
-    /// Reads the thermometer decisions from a finished transient.
-    pub fn read_thermometer(&self, tr: &TranResult) -> Vec<bool> {
-        let k = tr.index_at(decision_time());
+    /// Reads the thermometer decisions from the column's operating point
+    /// at [`decision_time`](crate::comparator::decision_time).
+    pub fn read_thermometer(&self, op: &OpPoint) -> Vec<bool> {
         self.outputs
             .iter()
             .map(|(fa, fb)| {
-                let a = tr.voltage(k, self.netlist.find_node(fa).expect("fa"));
-                let b = tr.voltage(k, self.netlist.find_node(fb).expect("fb"));
+                let a = op.voltage(self.netlist.find_node(fa).expect("fa"));
+                let b = op.voltage(self.netlist.find_node(fb).expect("fb"));
                 a - b > 0.0
             })
             .collect()
@@ -196,14 +196,20 @@ impl FlashColumn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comparator::decision_sim_time;
+    use crate::comparator::{decision_sim_time, decision_time};
     use dotm_sim::Simulator;
+
+    /// The column's operating point at the decision instant.
+    fn decide(col: &FlashColumn) -> OpPoint {
+        let mut sim = Simulator::new(&col.netlist);
+        sim.transient(decision_sim_time(), 0.5e-9, &[decision_time()])
+            .unwrap()
+            .remove(0)
+    }
 
     fn convert(vin: f64) -> (usize, usize) {
         let col = FlashColumn::build(ComparatorConfig::default(), 3, 2.0, 3.0, vin);
-        let mut sim = Simulator::new(&col.netlist);
-        let tr = sim.transient(decision_sim_time(), 0.5e-9).unwrap();
-        let therm = col.read_thermometer(&tr);
+        let therm = col.read_thermometer(&decide(&col));
         let height = therm.iter().take_while(|&&t| t).count();
         (height, col.ideal_code(vin))
     }
@@ -244,9 +250,7 @@ mod tests {
         col.netlist
             .insert_bridge("FCROSS", la0, la1, 0.2, None)
             .unwrap();
-        let mut sim = Simulator::new(&col.netlist);
-        let tr = sim.transient(decision_sim_time(), 0.5e-9).unwrap();
-        let therm = col.read_thermometer(&tr);
+        let therm = col.read_thermometer(&decide(&col));
         // Fault-free thermometer would be [true, false, false]; the
         // bridge ties both latches together, so one of the two stages is
         // now wrong.

@@ -22,7 +22,7 @@
 
 use crate::process::{BiasValues, Phase, CLOCK_PERIOD, VDD};
 use dotm_netlist::{MosType, MosfetParams, Netlist, Waveform};
-use dotm_sim::TranResult;
+use dotm_sim::{SimError, Simulator};
 
 /// Build options for the comparator macro.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -396,20 +396,24 @@ pub fn decision_sim_time() -> f64 {
     CLOCK_PERIOD + Phase::Amplify.window().1
 }
 
-/// Reads the differential flipflop decision `v(fa) − v(fb)` at
-/// [`decision_time`] from a transient result.
-pub fn read_decision(nl: &Netlist, tr: &TranResult) -> f64 {
+/// Runs one decision transient of the comparator testbench `nl` on `sim`
+/// (bound to `nl`, with the stimulus's source overrides installed) at
+/// time step `dt`, and reads the differential flipflop decision
+/// `v(fa) − v(fb)` at [`decision_time`].
+///
+/// # Errors
+/// Whatever the transient returns.
+pub fn decision(nl: &Netlist, sim: &mut Simulator<'_>, dt: f64) -> Result<f64, SimError> {
     let fa = nl.find_node("fa").expect("fa exists");
     let fb = nl.find_node("fb").expect("fb exists");
-    let k = tr.index_at(decision_time());
-    tr.voltage(k, fa) - tr.voltage(k, fb)
+    let op = &sim.transient(decision_sim_time(), dt, &[decision_time()])?[0];
+    Ok(op.voltage(fa) - op.voltage(fb))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::process::VREF_HI;
-    use dotm_sim::Simulator;
 
     const DT: f64 = 0.25e-9;
 
@@ -417,10 +421,7 @@ mod tests {
         let stim = ComparatorStimulus::dc_offset(2.5, dv);
         let nl = comparator_testbench(cfg, &stim);
         let mut sim = Simulator::new(&nl);
-        let tr = sim
-            .transient(decision_sim_time(), DT)
-            .expect("comparator transient must converge");
-        read_decision(&nl, &tr)
+        decision(&nl, &mut sim, DT).expect("comparator transient must converge")
     }
 
     #[test]
@@ -470,8 +471,8 @@ mod tests {
             let stim = ComparatorStimulus::dc_offset(vref, 0.03);
             let nl = comparator_testbench(ComparatorConfig::default(), &stim);
             let mut sim = Simulator::new(&nl);
-            let tr = sim.transient(decision_sim_time(), DT).unwrap();
-            assert!(read_decision(&nl, &tr) > 2.0, "failed at vref = {vref}");
+            let d = decision(&nl, &mut sim, DT).unwrap();
+            assert!(d > 2.0, "failed at vref = {vref}");
         }
     }
 
@@ -484,12 +485,11 @@ mod tests {
         for (k, dft) in [(0usize, false), (1usize, true)] {
             let nl = comparator_testbench(ComparatorConfig { dft_flipflop: dft }, &stim);
             let mut sim = Simulator::new(&nl);
-            let tr = sim.transient(decision_sim_time(), DT).unwrap();
             // Measure in cycle 1's sampling phase (state fully settled).
             let t = CLOCK_PERIOD + Phase::Sample.settle_time();
-            let idx = tr.index_at(t);
+            let op = &sim.transient(decision_sim_time(), DT, &[t]).unwrap()[0];
             let id = nl.device_id("VDD").unwrap();
-            ivdd[k] = tr.branch_current(idx, id).unwrap().abs();
+            ivdd[k] = op.branch_current(id).unwrap().abs();
         }
         assert!(
             ivdd[0] > ivdd[1] + 20e-6,

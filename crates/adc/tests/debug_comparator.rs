@@ -10,7 +10,6 @@ fn dump_waveforms() {
     let stim = ComparatorStimulus::dc_offset(1.6, 0.03);
     let nl = comparator_testbench(ComparatorConfig::default(), &stim);
     let mut sim = Simulator::new(&nl);
-    let tr = sim.transient(decision_sim_time(), 0.25e-9).unwrap();
     let nodes = [
         "ck1", "ck2", "ck3", "na", "nb", "ga", "gb", "oa", "ob", "ntail", "nls", "la", "lb", "fa",
         "fb", "xa", "xb", "ck2b",
@@ -32,12 +31,13 @@ fn dump_waveforms() {
         (CLOCK_PERIOD + Phase::Sample.settle_time(), "end sample c1"),
         (decision_time(), "decision"),
     ];
-    for (t, label) in probe_times {
-        let k = tr.index_at(t);
+    let at: Vec<f64> = probe_times.iter().map(|&(t, _)| t).collect();
+    let reads = sim.transient(decision_sim_time(), 0.25e-9, &at).unwrap();
+    for ((t, label), op) in probe_times.into_iter().zip(&reads) {
         print!("t={:6.1}ns {:16}", t * 1e9, label);
         for n in nodes {
             let id = nl.find_node(n).unwrap();
-            print!(" {n}={:5.2}", tr.voltage(k, id));
+            print!(" {n}={:5.2}", op.voltage(id));
         }
         println!();
     }
@@ -53,23 +53,24 @@ fn dump_clockgen_nodes() {
         ..dotm_sim::SimOptions::default()
     };
     let mut sim = Simulator::with_options(&nl, opts);
-    let tr = sim.transient(CLOCK_PERIOD, 0.5e-9).unwrap();
-    let t = Phase::Sample.settle_time();
-    let k = tr.index_at(t);
+    let current_times = [20e-9, 30e-9, 36e-9, 50e-9, 60e-9];
+    let mut at = vec![Phase::Sample.settle_time()];
+    at.extend(current_times);
+    let reads = sim.transient(CLOCK_PERIOD, 0.5e-9, &at).unwrap();
     for n in [
         "x1", "x2", "x3", "a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2", "c3", "nmid1", "nmid2",
         "nmid3", "ck1", "ck2", "ck3",
     ] {
         let id = nl.find_node(n).unwrap();
-        print!(" {n}={:5.2}", tr.voltage(k, id));
+        print!(" {n}={:5.2}", reads[0].voltage(id));
     }
     println!();
     let id = nl.device_id("VDDDIG").unwrap();
-    for tt in [20e-9, 30e-9, 36e-9, 50e-9, 60e-9] {
+    for (tt, op) in current_times.iter().zip(&reads[1..]) {
         println!(
             "i({:.0}ns) = {:.3e}",
             tt * 1e9,
-            tr.branch_current(tr.index_at(tt), id).unwrap()
+            op.branch_current(id).unwrap()
         );
     }
 }

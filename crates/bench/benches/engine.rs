@@ -205,8 +205,7 @@ fn bench_simulator(filter: &Option<String>) {
     let nl = comparator_testbench(ComparatorConfig::default(), &stim);
     bench(filter, "simulator/comparator_decision_transient", || {
         let mut sim = Simulator::new(&nl);
-        sim.transient(dotm_adc::comparator::decision_sim_time(), 0.25e-9)
-            .expect("must converge")
+        dotm_adc::comparator::decision(&nl, &mut sim, 0.25e-9).expect("must converge")
     });
     let ladder = dotm_adc::ladder::ladder_testbench();
     bench(filter, "simulator/ladder_dc_op_273_nodes", || {

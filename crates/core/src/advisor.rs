@@ -8,8 +8,9 @@
 //!    such a way that in a fault-free circuit the quiescent current is
 //!    negligible small"* (so boundary faults light up IDDQ).
 
+use crate::harness::with_instrumented_sim;
 use dotm_netlist::Netlist;
-use dotm_sim::{SimError, Simulator};
+use dotm_sim::{OpPoint, SimError, SimOptions, SimStats};
 use std::fmt;
 
 /// One advisory produced by the checks.
@@ -62,6 +63,16 @@ pub const SIMILARITY_THRESHOLD: f64 = 0.3;
 /// Quiescent digital current above which IDDQ is considered blunted (A).
 pub const IDDQ_BUDGET: f64 = 5e-6;
 
+/// The DC operating point of `nl` at default solver options.
+fn solve_dc(nl: &Netlist) -> Result<OpPoint, SimError> {
+    with_instrumented_sim(
+        nl,
+        &SimOptions::default(),
+        &mut SimStats::default(),
+        |sim| sim.dc_op(),
+    )
+}
+
 /// Checks an ordered list of routed trunk lines against a solved DC
 /// operating point: every *adjacent* pair of **static analog** lines with
 /// nearly identical values is flagged.
@@ -78,8 +89,7 @@ pub fn check_trunk_order(
     trunk_order: &[&str],
     is_static: &dyn Fn(&str) -> bool,
 ) -> Result<Vec<Advisory>, SimError> {
-    let mut sim = Simulator::new(nl);
-    let op = sim.dc_op()?;
+    let op = solve_dc(nl)?;
     let mut advisories = Vec::new();
     let is_rail = |n: &str| n.starts_with("vdd") || n == "gnd";
     for pair in trunk_order.windows(2) {
@@ -112,8 +122,7 @@ pub fn check_iddq_budget(nl: &Netlist, supply: &str) -> Result<Vec<Advisory>, Si
     let id = nl
         .device_id(supply)
         .ok_or_else(|| SimError::BadSource(supply.to_string()))?;
-    let mut sim = Simulator::new(nl);
-    let op = sim.dc_op()?;
+    let op = solve_dc(nl)?;
     let current = op
         .branch_current(id)
         .ok_or_else(|| SimError::BadSource(supply.to_string()))?

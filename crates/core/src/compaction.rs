@@ -177,8 +177,7 @@ mod tests {
         fn measure_with(
             &self,
             _nl: &Netlist,
-            _opts: &dotm_sim::SimOptions,
-            _stats: &mut dotm_sim::SimStats,
+            _sim: &mut dotm_sim::Simulator<'_>,
         ) -> Result<Vec<f64>, dotm_sim::SimError> {
             Ok(vec![0.0; 5])
         }

@@ -15,7 +15,7 @@
 //! of re-simulating every corner.
 
 use crate::exec::{self, ExecConfig};
-use crate::harness::MacroHarness;
+use crate::harness::{with_instrumented_sim, MacroHarness};
 use crate::measure::{MeasureKind, MeasurementPlan};
 use crate::memo::MemoryStore;
 use crate::pipeline::{tagged_key, MeasurementStore};
@@ -91,7 +91,9 @@ fn compile_common_sample(
         for _ in 0..m {
             let mut nl = harness.testbench();
             harness.perturb(&mut nl, model, &common, &mut rng, &mut stats);
-            match harness.measure_with(&nl, &opts, &mut stats) {
+            match with_instrumented_sim(&nl, &opts, &mut stats, |sim| {
+                harness.measure_with(&nl, sim)
+            }) {
                 Ok(v) => per_mm.push(v),
                 Err(e) => {
                     corner_error = Some(e);
@@ -334,8 +336,11 @@ impl GoodSpace {
         let currents = current_measurements(&plan);
         let stores_nominal = harness.stores_nominal();
         let nominal_len = if stores_nominal { plan.len() } else { 0 };
-        let measure_nominal =
-            |stats: &mut SimStats| harness.measure_with(&testbench, &harness.sim_options(), stats);
+        let measure_nominal = |stats: &mut SimStats| {
+            with_instrumented_sim(&testbench, &harness.sim_options(), stats, |sim| {
+                harness.measure_with(&testbench, sim)
+            })
+        };
         // A stored nominal is loaded before anything solves; an unstored
         // one is measured before the load.
         let mut solver = SimStats::default();
@@ -451,7 +456,7 @@ mod tests {
     use crate::processvar::CommonSample;
     use crate::signature::VoltageSignature;
     use dotm_layout::Layout;
-    use dotm_sim::SimOptions;
+    use dotm_sim::Simulator;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn cfg() -> GoodSpaceConfig {
@@ -536,11 +541,10 @@ mod tests {
         fn measure_with(
             &self,
             nl: &Netlist,
-            opts: &SimOptions,
-            stats: &mut SimStats,
+            sim: &mut Simulator<'_>,
         ) -> Result<Vec<f64>, SimError> {
             self.measures.fetch_add(1, Ordering::Relaxed);
-            self.inner.measure_with(nl, opts, stats)
+            self.inner.measure_with(nl, sim)
         }
 
         fn perturb(

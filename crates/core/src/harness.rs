@@ -118,27 +118,26 @@ pub trait MacroHarness: Sync + std::fmt::Debug {
     /// non-converging faulty circuit through the retry ladder before
     /// applying its [`SimFailurePolicy`](crate::SimFailurePolicy).
     fn measure(&self, nl: &Netlist) -> Result<Vec<f64>, SimError> {
-        self.measure_with(nl, &self.sim_options(), &mut SimStats::default())
+        with_instrumented_sim(nl, &self.sim_options(), &mut SimStats::default(), |sim| {
+            self.measure_with(nl, sim)
+        })
     }
 
-    /// Runs the measurement procedure with explicit solver options,
-    /// merging the solver telemetry of every simulator it spins up into
-    /// `stats` — on failure as well as success, so the accounting sees
-    /// the work spent on circuits that never converged.
+    /// Runs the measurement procedure on `sim`, a simulator bound to `nl`
+    /// with the solver options to measure with.
     ///
-    /// Implementations should build every simulator through
-    /// [`with_instrumented_sim`] (or merge
-    /// [`Simulator::stats`](dotm_sim::Simulator::stats) manually on all
-    /// exit paths).
+    /// Every analysis of the procedure runs on `sim`, so the stamp plan
+    /// and symbolic analysis are built once per measurement. An
+    /// analysis's stimulus is a set of source overrides
+    /// ([`Simulator::override_source`]); an override that a later
+    /// analysis must not see is removed with
+    /// [`Simulator::clear_override`]. Callers build `sim` with
+    /// [`with_instrumented_sim`], which accounts its solver telemetry on
+    /// failure as well as success.
     ///
     /// # Errors
     /// Propagates simulator failures.
-    fn measure_with(
-        &self,
-        nl: &Netlist,
-        opts: &SimOptions,
-        stats: &mut SimStats,
-    ) -> Result<Vec<f64>, SimError>;
+    fn measure_with(&self, nl: &Netlist, sim: &mut Simulator<'_>) -> Result<Vec<f64>, SimError>;
 
     /// Applies one process Monte-Carlo sample. The default perturbs every
     /// device generically; harnesses whose bias inputs track the process
@@ -193,9 +192,15 @@ pub trait MacroHarness: Sync + std::fmt::Debug {
 }
 
 /// Runs `f` over a fresh simulator bound to `nl` with `opts`, merging the
-/// simulator's solver telemetry into `stats` whether or not the analysis
-/// succeeds — the building block for [`MacroHarness::measure_with`]
-/// implementations.
+/// simulator's solver telemetry into `stats` whether or not `f` succeeds.
+///
+/// This is where the program builds its simulators: one per
+/// measurement ([`MacroHarness::measure_with`] runs all its analyses on
+/// it) and one per bias solve or follow-up. The `analysis[<netlist>]`
+/// trace span covers construction (stamp plan and symbolic analysis) as
+/// well as `f`. While the recorder is on, the telemetry is also added to
+/// the `solved.<word>` counters, named by [`SimStats::WORD_NAMES`]: the
+/// work solved in this process, where a store replay adds nothing.
 ///
 /// # Errors
 /// Whatever `f` returns.
@@ -205,9 +210,17 @@ pub fn with_instrumented_sim<R>(
     stats: &mut SimStats,
     f: impl FnOnce(&mut Simulator<'_>) -> Result<R, SimError>,
 ) -> Result<R, SimError> {
-    let mut sim = Simulator::with_options(nl, opts.clone());
     let _span = dotm_obs::span_with("analysis", || format!("analysis[{}]", nl.name()));
+    let mut sim = Simulator::with_options(nl, opts.clone());
     let result = f(&mut sim);
-    stats.merge(sim.stats());
+    let solved = sim.stats();
+    stats.merge(solved);
+    if dotm_obs::enabled() {
+        for (name, value) in SimStats::WORD_NAMES.iter().zip(solved.to_words()) {
+            if value > 0 {
+                dotm_obs::counter(&format!("solved.{name}"), value);
+            }
+        }
+    }
     result
 }

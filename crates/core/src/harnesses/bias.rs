@@ -5,13 +5,13 @@ use crate::measure::{MeasureKind, MeasureLabel, MeasurementPlan};
 use crate::memo::MemoryStore;
 use crate::signature::{CurrentKind, VoltageSignature};
 use dotm_adc::comparator::{
-    comparator_testbench, decision_sim_time, decision_time, read_decision, ComparatorConfig,
+    comparator_testbench, decision, decision_sim_time, decision_time, ComparatorConfig,
     ComparatorStimulus,
 };
 use dotm_adc::process::BiasValues;
 use dotm_layout::Layout;
 use dotm_netlist::Netlist;
-use dotm_sim::{SimError, SimOptions, SimStats};
+use dotm_sim::{SimError, SimOptions, SimStats, Simulator};
 
 use super::comparator::{DECISION_DVS, VREF_MID};
 
@@ -36,19 +36,19 @@ impl Default for BiasHarness {
 
 impl BiasHarness {
     /// The comparator's decision at each of [`DECISION_DVS`] on the
-    /// propagation testbench `nl`: one transient per input step.
+    /// propagation testbench `nl`: one transient per input step, all on
+    /// one simulator.
     fn propagate(&self, nl: &Netlist, stats: &mut SimStats) -> Result<Vec<f64>, SimError> {
         let _span = dotm_obs::span("bias propagation", "propagation");
-        DECISION_DVS
-            .iter()
-            .map(|dv| {
-                let tr = with_instrumented_sim(nl, &SimOptions::default(), stats, |sim| {
+        with_instrumented_sim(nl, &SimOptions::default(), stats, |sim| {
+            DECISION_DVS
+                .iter()
+                .map(|dv| {
                     sim.override_source("VIN", VREF_MID + dv)?;
-                    sim.transient(decision_sim_time(), self.dt)
-                })?;
-                Ok(read_decision(nl, &tr))
-            })
-            .collect()
+                    decision(nl, sim, self.dt)
+                })
+                .collect()
+        })
     }
 }
 
@@ -81,13 +81,8 @@ impl MacroHarness for BiasHarness {
         MeasurementPlan { labels }
     }
 
-    fn measure_with(
-        &self,
-        nl: &Netlist,
-        opts: &SimOptions,
-        stats: &mut SimStats,
-    ) -> Result<Vec<f64>, SimError> {
-        let op = with_instrumented_sim(nl, opts, stats, |sim| sim.dc_op())?;
+    fn measure_with(&self, nl: &Netlist, sim: &mut Simulator<'_>) -> Result<Vec<f64>, SimError> {
+        let op = sim.dc_op()?;
         let mut out = Vec::with_capacity(5);
         for net in ["vbn", "vbnc", "vbp", "vaz"] {
             out.push(match nl.find_node(net) {

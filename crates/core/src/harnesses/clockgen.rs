@@ -1,14 +1,14 @@
 //! Harness for the clock generator — the digital cell whose quiescent
 //! supply current is the IDDQ measurement.
 
-use crate::harness::{with_instrumented_sim, MacroHarness};
+use crate::harness::MacroHarness;
 use crate::measure::{MeasureKind, MeasureLabel, MeasurementPlan};
 use crate::signature::{CurrentKind, VoltageSignature};
 use dotm_adc::clockgen::clockgen_testbench;
 use dotm_adc::process::{Phase, CLOCK_PERIOD};
 use dotm_layout::Layout;
 use dotm_netlist::Netlist;
-use dotm_sim::{SimError, SimOptions, SimStats};
+use dotm_sim::{OpPoint, SimError, Simulator};
 
 /// Level deviation that still counts as a working (but shifted) clock.
 const LEVEL_DEV: f64 = 0.30;
@@ -70,40 +70,28 @@ impl MacroHarness for ClockgenHarness {
         MeasurementPlan { labels }
     }
 
-    fn measure_with(
-        &self,
-        nl: &Netlist,
-        opts: &SimOptions,
-        stats: &mut SimStats,
-    ) -> Result<Vec<f64>, SimError> {
-        let tr =
-            with_instrumented_sim(nl, opts, stats, |sim| sim.transient(CLOCK_PERIOD, self.dt))?;
+    fn measure_with(&self, nl: &Netlist, sim: &mut Simulator<'_>) -> Result<Vec<f64>, SimError> {
+        let settled = Phase::ALL.map(|phase| phase.settle_time());
+        let reads = sim.transient(CLOCK_PERIOD, self.dt, &settled)?;
+        let branch = |op: &OpPoint, name: &str| -> f64 {
+            nl.device_id(name)
+                .and_then(|id| op.branch_current(id))
+                .unwrap_or(0.0)
+        };
         let mut out = Vec::new();
         for ck in 1..=3 {
             let node = nl.find_node(&format!("ck{ck}"));
-            for phase in Phase::ALL {
-                let k = tr.index_at(phase.settle_time());
-                out.push(match node {
-                    Some(n) => tr.voltage(k, n),
-                    None => 0.0,
-                });
+            for op in &reads {
+                out.push(node.map_or(0.0, |n| op.voltage(n)));
             }
         }
-        for phase in Phase::ALL {
-            let k = tr.index_at(phase.settle_time());
-            out.push(
-                nl.device_id("VDDDIG")
-                    .and_then(|id| tr.branch_current(k, id))
-                    .unwrap_or(0.0),
-            );
+        for op in &reads {
+            out.push(branch(op, "VDDDIG"));
         }
+        // The inputs are read in the sampling phase, `Phase::ALL[0]`.
+        let sample = &reads[0];
         for x in 1..=3 {
-            let k = tr.index_at(Phase::Sample.settle_time());
-            out.push(
-                nl.device_id(&format!("VX{x}"))
-                    .and_then(|id| tr.branch_current(k, id))
-                    .unwrap_or(0.0),
-            );
+            out.push(branch(sample, &format!("VX{x}")));
         }
         Ok(out)
     }

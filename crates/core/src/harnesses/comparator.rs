@@ -5,9 +5,7 @@ use crate::harness::{with_instrumented_sim, MacroHarness};
 use crate::measure::{MeasureKind, MeasureLabel, MeasurementPlan};
 use crate::processvar::{CommonSample, ProcessModel};
 use crate::signature::{CurrentKind, VoltageSignature};
-use dotm_adc::comparator::{
-    comparator_testbench, decision_sim_time, read_decision, ComparatorConfig, ComparatorStimulus,
-};
+use dotm_adc::comparator::{comparator_testbench, decision, ComparatorConfig, ComparatorStimulus};
 use dotm_adc::layouts::{comparator_layout, LayoutConfig};
 use dotm_adc::process::{Phase, CLOCK_PERIOD, VREF_HI, VREF_LO};
 use dotm_layout::Layout;
@@ -165,45 +163,33 @@ impl MacroHarness for ComparatorHarness {
         true
     }
 
-    fn measure_with(
-        &self,
-        nl: &Netlist,
-        opts: &SimOptions,
-        stats: &mut SimStats,
-    ) -> Result<Vec<f64>, SimError> {
+    fn measure_with(&self, nl: &Netlist, sim: &mut Simulator<'_>) -> Result<Vec<f64>, SimError> {
         let mut out = Vec::new();
         // Voltage test: four decisions around the mid reference, plus one
         // pair at each range extreme.
         for dv in DECISION_DVS {
-            let tr = with_instrumented_sim(nl, opts, stats, |sim| {
-                sim.override_source("VIN", VREF_MID + dv)?;
-                sim.transient(decision_sim_time(), self.dt)
-            })?;
-            out.push(read_decision(nl, &tr));
+            sim.override_source("VIN", VREF_MID + dv)?;
+            out.push(decision(nl, sim, self.dt)?);
         }
         for vref in EXTREME_VREFS {
+            sim.override_source("VREF", vref)?;
             for dv in [-EXTREME_DV, EXTREME_DV] {
-                let tr = with_instrumented_sim(nl, opts, stats, |sim| {
-                    sim.override_source("VREF", vref)?;
-                    sim.override_source("VIN", vref + dv)?;
-                    sim.transient(decision_sim_time(), self.dt)
-                })?;
-                out.push(read_decision(nl, &tr));
+                sim.override_source("VIN", vref + dv)?;
+                out.push(decision(nl, sim, self.dt)?);
             }
         }
+        sim.clear_override("VREF");
         // Current test: two input extremes, three phases each; the clock
         // levels ride along on the first condition.
+        let settled = Phase::ALL.map(|phase| CLOCK_PERIOD + phase.settle_time());
         let mut clock_levels = Vec::new();
         for (ci, vin) in CURRENT_VINS.iter().enumerate() {
-            let tr = with_instrumented_sim(nl, opts, stats, |sim| {
-                sim.override_source("VIN", *vin)?;
-                sim.transient(2.0 * CLOCK_PERIOD, self.dt)
-            })?;
-            for phase in Phase::ALL {
-                let k = tr.index_at(CLOCK_PERIOD + phase.settle_time());
+            sim.override_source("VIN", *vin)?;
+            let reads = sim.transient(2.0 * CLOCK_PERIOD, self.dt, &settled)?;
+            for op in &reads {
                 let branch = |name: &str| -> f64 {
                     nl.device_id(name)
-                        .and_then(|id| tr.branch_current(k, id))
+                        .and_then(|id| op.branch_current(id))
                         .unwrap_or(0.0)
                 };
                 out.push(branch("VDD"));
@@ -215,12 +201,8 @@ impl MacroHarness for ComparatorHarness {
             if ci == 0 {
                 for ck in 1..=3 {
                     let node = nl.find_node(&format!("ck{ck}"));
-                    for phase in Phase::ALL {
-                        let k = tr.index_at(CLOCK_PERIOD + phase.settle_time());
-                        clock_levels.push(match node {
-                            Some(n) => tr.voltage(k, n),
-                            None => 0.0,
-                        });
+                    for op in &reads {
+                        clock_levels.push(node.map_or(0.0, |n| op.voltage(n)));
                     }
                 }
             }
@@ -244,9 +226,7 @@ impl MacroHarness for ComparatorHarness {
         // biases).
         let mut bias_nl = dotm_adc::bias::bias_testbench();
         model.perturb(&mut bias_nl, common, rng);
-        let mut sim = Simulator::new(&bias_nl);
-        let op = sim.dc_op();
-        stats.merge(sim.stats());
+        let op = with_instrumented_sim(&bias_nl, &SimOptions::default(), stats, |sim| sim.dc_op());
         if let Ok(op) = op {
             for (src, net) in [
                 ("VBN", "vbn"),

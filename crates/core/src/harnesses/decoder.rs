@@ -1,12 +1,12 @@
 //! Harness for the decoder column section.
 
-use crate::harness::{with_instrumented_sim, MacroHarness};
+use crate::harness::MacroHarness;
 use crate::measure::{MeasureKind, MeasureLabel, MeasurementPlan};
 use crate::signature::{CurrentKind, VoltageSignature};
 use dotm_adc::decoder::{decoder_slice_testbench, SLICE_CODES, SLICE_INPUTS};
 use dotm_layout::Layout;
 use dotm_netlist::Netlist;
-use dotm_sim::{SimError, SimOptions, SimStats};
+use dotm_sim::{OpPoint, SimError, Simulator};
 
 /// Bitline deviation counting as a corrupted code (V).
 const BIT_DEV: f64 = 1.0;
@@ -75,45 +75,30 @@ impl MacroHarness for DecoderHarness {
         MeasurementPlan { labels }
     }
 
-    fn measure_with(
-        &self,
-        nl: &Netlist,
-        opts: &SimOptions,
-        stats: &mut SimStats,
-    ) -> Result<Vec<f64>, SimError> {
+    fn measure_with(&self, nl: &Netlist, sim: &mut Simulator<'_>) -> Result<Vec<f64>, SimError> {
         let mut out = Vec::new();
+        let branch = |op: &OpPoint, name: &str| -> f64 {
+            nl.device_id(name)
+                .and_then(|id| op.branch_current(id))
+                .unwrap_or(0.0)
+        };
         for h in HEIGHTS {
-            let tr = with_instrumented_sim(nl, opts, stats, |sim| {
-                for i in 0..SLICE_INPUTS {
-                    let level = if i < h { 5.0 } else { 0.0 };
-                    sim.override_source(&format!("VT{i}"), level)?;
-                }
-                sim.transient(30e-9, self.dt)
-            })?;
-            let k = tr.index_at(29e-9);
+            for i in 0..SLICE_INPUTS {
+                let level = if i < h { 5.0 } else { 0.0 };
+                sim.override_source(&format!("VT{i}"), level)?;
+            }
+            let op = &sim.transient(30e-9, self.dt, &[29e-9])?[0];
             for bit in 0..8 {
                 out.push(match nl.find_node(&format!("bl{bit}")) {
-                    Some(n) => tr.voltage(k, n),
+                    Some(n) => op.voltage(n),
                     None => 0.0,
                 });
             }
-            out.push(
-                nl.device_id("VDDDIG")
-                    .and_then(|id| tr.branch_current(k, id))
-                    .unwrap_or(0.0),
-            );
+            out.push(branch(op, "VDDDIG"));
             for i in 0..SLICE_INPUTS {
-                out.push(
-                    nl.device_id(&format!("VT{i}"))
-                        .and_then(|id| tr.branch_current(k, id))
-                        .unwrap_or(0.0),
-                );
+                out.push(branch(op, &format!("VT{i}")));
             }
-            out.push(
-                nl.device_id("VPC")
-                    .and_then(|id| tr.branch_current(k, id))
-                    .unwrap_or(0.0),
-            );
+            out.push(branch(op, "VPC"));
         }
         Ok(out)
     }

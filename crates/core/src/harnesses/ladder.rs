@@ -1,13 +1,13 @@
 //! Harness for the dual-ladder reference string.
 
-use crate::harness::{with_instrumented_sim, MacroHarness};
+use crate::harness::MacroHarness;
 use crate::measure::{MeasureKind, MeasureLabel, MeasurementPlan};
 use crate::signature::{CurrentKind, VoltageSignature};
 use dotm_adc::behavior::FlashAdc;
 use dotm_adc::ladder::{ideal_tap_voltage, ladder_testbench, tap_node, TAPS};
 use dotm_layout::Layout;
 use dotm_netlist::Netlist;
-use dotm_sim::{SimError, SimOptions, SimStats};
+use dotm_sim::{SimError, Simulator};
 
 /// Deviation treated as a hard (stuck) reference failure (V).
 const RAIL_DEV: f64 = 0.5;
@@ -58,13 +58,8 @@ impl MacroHarness for LadderHarness {
         MeasurementPlan { labels }
     }
 
-    fn measure_with(
-        &self,
-        nl: &Netlist,
-        opts: &SimOptions,
-        stats: &mut SimStats,
-    ) -> Result<Vec<f64>, SimError> {
-        let op = with_instrumented_sim(nl, opts, stats, |sim| sim.dc_op())?;
+    fn measure_with(&self, nl: &Netlist, sim: &mut Simulator<'_>) -> Result<Vec<f64>, SimError> {
+        let op = sim.dc_op()?;
         let mut out = Vec::with_capacity(TAPS + 2);
         for k in 1..=TAPS {
             out.push(op.voltage(tap_node(nl, k)));

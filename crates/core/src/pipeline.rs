@@ -5,7 +5,7 @@
 
 use crate::exec::{self, ExecConfig};
 use crate::goodspace::{GoodSpace, GoodSpaceConfig};
-use crate::harness::{MacroHarness, Probe};
+use crate::harness::{with_instrumented_sim, MacroHarness, Probe};
 use crate::memo::{CachedMeasurement, MemoryStore};
 use crate::signature::{CurrentFlags, DetectionSet, VoltageSignature};
 use dotm_defects::{
@@ -973,7 +973,7 @@ fn measure_escalated(
         // itself costs (rung 0 is the ordinary first attempt).
         let rung_span = dotm_obs::span_with("rung", || format!("rung {rung}"));
         let outcome = memoized(store, store_key(digest, rung), solver, |delta| {
-            harness.measure_with(nl, &opts, delta)
+            with_instrumented_sim(nl, &opts, delta, |sim| harness.measure_with(nl, sim))
         });
         drop(rung_span);
         match outcome {
@@ -1176,6 +1176,7 @@ mod tests {
     use dotm_defects::{collapse, BridgeMedium, Defect, DefectKind, Fault};
     use dotm_layout::{Layer, Layout};
     use dotm_netlist::{Netlist, Waveform};
+    use dotm_sim::Simulator;
 
     /// A minimal harness: a 5 V divider whose mid voltage is the decision
     /// and whose supply current is the IVdd measurement.
@@ -1225,10 +1226,9 @@ mod tests {
         fn measure_with(
             &self,
             nl: &Netlist,
-            opts: &SimOptions,
-            stats: &mut SimStats,
+            sim: &mut Simulator<'_>,
         ) -> Result<Vec<f64>, dotm_sim::SimError> {
-            let op = crate::harness::with_instrumented_sim(nl, opts, stats, |sim| sim.dc_op())?;
+            let op = sim.dc_op()?;
             Ok(vec![
                 op.voltage(nl.find_node("mid").expect("mid")),
                 nl.device_id("VDD")
@@ -1500,6 +1500,16 @@ mod tests {
         assert_eq!(nets, vec!["0".to_string(), "a".to_string()]);
     }
 
+    /// Fails a DC solve on `sim`, whose netlist has a `VDD` source, the
+    /// way a circuit that never converges does: a NaN supply makes every
+    /// Newton update non-finite, so each homotopy gives up and the
+    /// failure lands in the simulator's telemetry.
+    fn fail_dc(sim: &mut Simulator<'_>) -> dotm_sim::SimError {
+        sim.override_source("VDD", f64::NAN)
+            .expect("VDD is a source");
+        sim.dc_op().expect_err("a NaN supply never solves")
+    }
+
     /// A divider whose measurement refuses to converge on *faulted*
     /// netlists until the solver's iteration budget reaches
     /// `needs_iters` — fault-free circuits (good-space compilation)
@@ -1533,20 +1543,13 @@ mod tests {
         fn measure_with(
             &self,
             nl: &Netlist,
-            opts: &SimOptions,
-            stats: &mut SimStats,
+            sim: &mut Simulator<'_>,
         ) -> Result<Vec<f64>, dotm_sim::SimError> {
             let faulted = nl.devices().any(|(_, d)| d.name.starts_with("flt"));
-            if faulted && opts.max_iter < self.needs_iters {
-                stats.nr_solves += 1;
-                stats.dc_failures += 1;
-                return Err(dotm_sim::SimError::NoConvergence {
-                    analysis: "dc",
-                    time: None,
-                    iterations: opts.max_iter,
-                });
+            if faulted && sim.options().max_iter < self.needs_iters {
+                return Err(fail_dc(sim));
             }
-            DividerHarness.measure_with(nl, opts, stats)
+            DividerHarness.measure_with(nl, sim)
         }
 
         fn classify_voltage(&self, nominal: &[f64], faulty: &[f64]) -> VoltageSignature {
@@ -1765,19 +1768,12 @@ mod tests {
         fn measure_with(
             &self,
             nl: &Netlist,
-            opts: &SimOptions,
-            stats: &mut SimStats,
+            sim: &mut Simulator<'_>,
         ) -> Result<Vec<f64>, dotm_sim::SimError> {
-            if nl.device("flt.gd").is_some() && opts.max_iter < 600 {
-                stats.nr_solves += 1;
-                stats.dc_failures += 1;
-                return Err(dotm_sim::SimError::NoConvergence {
-                    analysis: "dc",
-                    time: None,
-                    iterations: opts.max_iter,
-                });
+            if nl.device("flt.gd").is_some() && sim.options().max_iter < 600 {
+                return Err(fail_dc(sim));
             }
-            stats.nr_solves += 1;
+            sim.dc_op()?;
             if nl.device("flt.gs").is_some() || nl.device("flt.gd").is_some() {
                 Ok(vec![5.0, 0.0]) // hard deviation: detected
             } else {

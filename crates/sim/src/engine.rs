@@ -118,97 +118,6 @@ struct TranCtx<'c> {
     trap: bool,
 }
 
-/// Result of a transient analysis: node voltages and source branch currents
-/// on a uniform output time grid.
-#[derive(Debug, Clone)]
-pub struct TranResult {
-    times: Vec<f64>,
-    states: Vec<Vec<f64>>,
-    n_nodes: usize,
-    vsrc: Vec<DeviceId>,
-}
-
-impl TranResult {
-    /// The output time grid.
-    pub fn times(&self) -> &[f64] {
-        &self.times
-    }
-
-    /// Number of stored time points.
-    pub fn len(&self) -> usize {
-        self.times.len()
-    }
-
-    /// `true` if the result holds no time points.
-    pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
-    }
-
-    /// Voltage of `node` at time index `step`.
-    pub fn voltage(&self, step: usize, node: NodeId) -> f64 {
-        if node.is_ground() {
-            0.0
-        } else {
-            self.states[step][node.index() - 1]
-        }
-    }
-
-    /// The full voltage waveform of `node`.
-    pub fn series(&self, node: NodeId) -> Vec<f64> {
-        (0..self.len()).map(|k| self.voltage(k, node)).collect()
-    }
-
-    /// Branch current of voltage source `id` at time index `step`
-    /// (see [`OpPoint::branch_current`] for sign convention).
-    pub fn branch_current(&self, step: usize, id: DeviceId) -> Option<f64> {
-        let k = self.vsrc.iter().position(|&d| d == id)?;
-        Some(self.states[step][self.n_nodes - 1 + k])
-    }
-
-    /// The full branch-current waveform of voltage source `id`.
-    pub fn branch_series(&self, id: DeviceId) -> Option<Vec<f64>> {
-        let k = self.vsrc.iter().position(|&d| d == id)?;
-        Some(
-            (0..self.len())
-                .map(|s| self.states[s][self.n_nodes - 1 + k])
-                .collect(),
-        )
-    }
-
-    /// Index of the stored point closest to time `t`.
-    ///
-    /// The lookup is total: a NaN query time maps to index 0 (the initial
-    /// condition) rather than panicking — a faulty-circuit measurement
-    /// chain can produce NaN probe times, and blaming the stored grid
-    /// (which is finite by construction) would point at the wrong side.
-    pub fn index_at(&self, t: f64) -> usize {
-        if t.is_nan() {
-            return 0;
-        }
-        match self.times.binary_search_by(|probe| probe.total_cmp(&t)) {
-            Ok(i) => i,
-            Err(0) => 0,
-            Err(i) if i >= self.times.len() => self.times.len() - 1,
-            Err(i) => {
-                if (self.times[i] - t).abs() < (t - self.times[i - 1]).abs() {
-                    i
-                } else {
-                    i - 1
-                }
-            }
-        }
-    }
-
-    /// Snapshot of time index `step` as an [`OpPoint`].
-    pub fn op_at(&self, step: usize) -> OpPoint {
-        OpPoint {
-            x: self.states[step].clone(),
-            n_nodes: self.n_nodes,
-            vsrc: self.vsrc.clone(),
-        }
-    }
-}
-
 enum NrOutcome {
     Converged,
     MaxIter,
@@ -268,8 +177,12 @@ pub(crate) enum PlanOp<'a> {
 /// A circuit simulator bound to a netlist.
 ///
 /// Compiles the netlist's stamp plan, matrix pattern and sparse-LU
-/// symbolic analysis once; every analysis (operating point, DC sweep,
-/// transient) reuses them.
+/// symbolic analysis once; every analysis (operating point, transient)
+/// reuses them. Several analyses on one simulator solve to the same bits
+/// as a fresh simulator per analysis with the same source overrides: the
+/// factor cache is exact and every DC solve drops the chord factors, so
+/// reuse shows only in [`SimStats::factor_reuse_hits`] and
+/// [`SimStats::factor_refactor_fallbacks`].
 ///
 /// ```
 /// use dotm_netlist::{Netlist, Waveform};
@@ -391,6 +304,11 @@ impl<'a> Simulator<'a> {
     /// currents (see [`OpPoint::unknowns`]).
     pub fn dim(&self) -> usize {
         self.n_unknowns
+    }
+
+    /// The options this simulator solves with.
+    pub fn options(&self) -> &SimOptions {
+        &self.opts
     }
 
     /// Solver telemetry accumulated over every analysis run so far.
@@ -794,8 +712,15 @@ impl<'a> Simulator<'a> {
     }
 
     /// Runs a transient analysis from `t = 0` to `tstop` with output grid
-    /// spacing `dt`. The initial condition is the DC operating point with
+    /// spacing `dt`, and returns the solution at each instant of `at`, in
+    /// order. The initial condition is the DC operating point with
     /// sources evaluated at `t = 0`.
+    ///
+    /// Each read is the output grid point nearest its instant: a read
+    /// before `0` or after `tstop` takes the grid's end, a tie takes the
+    /// earlier point, and a NaN instant reads the initial condition (a
+    /// faulty circuit's measurement chain can produce one, and blaming
+    /// the grid, finite by construction, would point at the wrong side).
     ///
     /// Internally the step is halved (up to
     /// [`SimOptions::max_step_halvings`] times) when Newton fails, so sharp
@@ -804,16 +729,24 @@ impl<'a> Simulator<'a> {
     /// # Errors
     /// [`SimError::InvalidRequest`] for a non-positive `dt` or `tstop`;
     /// [`SimError::NoConvergence`] / [`SimError::Singular`] from the solver.
-    pub fn transient(&mut self, tstop: f64, dt: f64) -> Result<TranResult, SimError> {
+    pub fn transient(&mut self, tstop: f64, dt: f64, at: &[f64]) -> Result<Vec<OpPoint>, SimError> {
         if !(dt > 0.0 && tstop > 0.0 && tstop.is_finite()) {
             return Err(SimError::InvalidRequest(format!(
                 "transient requires dt > 0 and tstop > 0 (dt = {dt}, tstop = {tstop})"
             )));
         }
+        let grid = output_grid(tstop, dt);
+        let picks: Vec<usize> = at.iter().map(|&t| nearest(&grid, t)).collect();
+        let mut reads: Vec<Option<OpPoint>> = vec![None; at.len()];
+        let mut read = |k: usize, x: &[f64], this: &Self| {
+            for (slot, _) in reads.iter_mut().zip(&picks).filter(|(_, p)| **p == k) {
+                *slot = Some(this.op_point(x.to_vec()));
+            }
+        };
         let caps = collect_caps(self.nl);
         // Initial condition: DC at t = 0.
-        let op0 = self.transient_initial()?;
-        let mut x = op0.x.clone();
+        let mut x = self.transient_initial()?.x;
+        read(0, &x, self);
         let mut states: Vec<CapState> = caps
             .iter()
             .map(|c| CapState {
@@ -821,33 +754,6 @@ impl<'a> Simulator<'a> {
                 i: 0.0,
             })
             .collect();
-
-        // Output grid: when `tstop` is an integer multiple of `dt` (to fp
-        // tolerance), the grid is exactly `k·dt` as before. Otherwise the
-        // old `.round()` silently simulated to the wrong end time (e.g.
-        // tstop = 1 ns, dt = 0.3 ns stopped at 0.9 ns); now the grid gains
-        // a final point clamped to `tstop` itself.
-        // The tolerance must scale with `dt`, not only `tstop`: a pure
-        // `1e-9·tstop` bound grows toward a full step at large step
-        // counts and misclassifies near-divisors, while a pure `1e-9·dt`
-        // bound is tighter than the rounding noise of a divisor computed
-        // in floating point (`dt = tstop/3.0` accumulates error of order
-        // `eps·tstop` in `ratio.round()·dt`). Use both terms.
-        let ratio = tstop / dt;
-        let exact = (ratio.round() * dt - tstop).abs() <= 1e-9 * dt + 4.0 * f64::EPSILON * tstop;
-        let n_out = if exact {
-            ratio.round() as usize
-        } else {
-            ratio.ceil() as usize
-        };
-        let mut result = TranResult {
-            times: Vec::with_capacity(n_out + 1),
-            states: Vec::with_capacity(n_out + 1),
-            n_nodes: self.n_nodes,
-            vsrc: self.vsrc.clone(),
-        };
-        result.times.push(0.0);
-        result.states.push(x.clone());
 
         let trap_ok = self.opts.integration == Integration::Trapezoidal;
         let mut first_step = true;
@@ -860,12 +766,7 @@ impl<'a> Simulator<'a> {
         // edge-resolving size; without halvings every step is the full
         // remaining interval either way.
         let mut carried: Option<f64> = None;
-        for k in 1..=n_out {
-            let t_target = if !exact && k == n_out {
-                tstop
-            } else {
-                k as f64 * dt
-            };
+        for (k, &t_target) in grid.iter().enumerate().skip(1) {
             while t < t_target - 1e-18 * t_target.max(1.0) {
                 let remaining = t_target - t;
                 let mut h = carried.map_or(remaining, |c| c.min(remaining));
@@ -923,10 +824,12 @@ impl<'a> Simulator<'a> {
                     }
                 }
             }
-            result.times.push(t_target);
-            result.states.push(x.clone());
+            read(k, &x, self);
         }
-        Ok(result)
+        Ok(reads
+            .into_iter()
+            .map(|r| r.expect("every read snaps to a grid point"))
+            .collect())
     }
 
     /// DC solve with time-zero source values (for the transient initial
@@ -936,6 +839,56 @@ impl<'a> Simulator<'a> {
     fn transient_initial(&mut self) -> Result<OpPoint, SimError> {
         let zeros = vec![0.0; self.n_unknowns];
         self.robust_dc(&zeros, Some(0.0), "transient")
+    }
+}
+
+/// The output grid of a transient to `tstop` at spacing `dt`: `k·dt`
+/// for every whole step, and, when `tstop` is not a whole number of
+/// steps, a final point clamped to `tstop` itself (rounding alone would
+/// stop 1 ns at 0.9 ns for a 0.3 ns step).
+///
+/// "Whole" is judged to a tolerance that scales with both `dt` and
+/// `tstop`: a `tstop`-only bound grows toward a full step at large step
+/// counts and misclassifies near-divisors, while a `dt`-only bound is
+/// tighter than the rounding of a divisor computed in floating point
+/// (`dt = tstop/3.0` errs by about `eps·tstop` in `ratio.round()·dt`).
+fn output_grid(tstop: f64, dt: f64) -> Vec<f64> {
+    let ratio = tstop / dt;
+    let exact = (ratio.round() * dt - tstop).abs() <= 1e-9 * dt + 4.0 * f64::EPSILON * tstop;
+    let n_out = if exact {
+        ratio.round() as usize
+    } else {
+        ratio.ceil() as usize
+    };
+    (0..=n_out)
+        .map(|k| {
+            if !exact && k == n_out {
+                tstop
+            } else {
+                k as f64 * dt
+            }
+        })
+        .collect()
+}
+
+/// The index of the point of the ascending, non-empty `grid` nearest `t`:
+/// clamped to the ends, the earlier point on a tie, and 0 (the initial
+/// condition) for a NaN `t`.
+fn nearest(grid: &[f64], t: f64) -> usize {
+    if t.is_nan() {
+        return 0;
+    }
+    match grid.binary_search_by(|probe| probe.total_cmp(&t)) {
+        Ok(i) => i,
+        Err(0) => 0,
+        Err(i) if i >= grid.len() => grid.len() - 1,
+        Err(i) => {
+            if (grid[i] - t).abs() < (t - grid[i - 1]).abs() {
+                i
+            } else {
+                i - 1
+            }
+        }
     }
 }
 
@@ -1252,4 +1205,77 @@ fn collect_caps(nl: &Netlist) -> Vec<CapInst> {
         }
     }
     caps
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{nearest, output_grid};
+
+    #[test]
+    fn transient_grid_reaches_tstop_for_non_multiple_dt() {
+        // 1 ns / 0.3 ns is not an integer ratio: rounding alone stopped
+        // at 0.9 ns. The final point must land exactly on tstop.
+        let grid = output_grid(1e-9, 0.3e-9);
+        assert_eq!(grid.len(), 5, "0, .3, .6, .9, 1.0 ns");
+        assert_eq!(*grid.last().unwrap(), 1e-9);
+        assert!((grid[3] - 0.9e-9).abs() < 1e-24);
+    }
+
+    #[test]
+    fn transient_grid_unchanged_for_exact_multiple_dt() {
+        let grid = output_grid(1e-9, 0.25e-9);
+        assert_eq!(grid.len(), 5);
+        for (k, &t) in grid.iter().enumerate() {
+            assert_eq!(t, k as f64 * 0.25e-9, "uniform grid must be exactly k·dt");
+        }
+    }
+
+    #[test]
+    fn transient_grid_exact_for_fp_divisor_dt() {
+        // `dt = tstop/3.0` is not an exact divisor in binary, but the grid
+        // classification must still treat it as one: 3 uniform steps, no
+        // spurious fourth point.
+        let tstop = 1e-6;
+        let dt = tstop / 3.0;
+        let grid = output_grid(tstop, dt);
+        assert_eq!(grid.len(), 4, "0, dt, 2·dt, 3·dt");
+        for (k, &t) in grid.iter().enumerate() {
+            assert_eq!(t, k as f64 * dt);
+        }
+    }
+
+    #[test]
+    fn transient_grid_keeps_final_partial_step_near_divisor() {
+        // Near-divisor dt at a large step count: tstop overshoots
+        // 10000·dt by 5e-5 of a step. A `1e-9·tstop` tolerance (1e-5 of
+        // a step here) would classify this as exact and truncate the grid
+        // one point short of tstop; the dt-relative tolerance must not.
+        let dt = 1e-10;
+        let tstop = 10_000.0 * dt * (1.0 + 5e-10);
+        let grid = output_grid(tstop, dt);
+        assert_eq!(grid.len(), 10_002, "10000 full steps + final partial step");
+        assert_eq!(*grid.last().unwrap(), tstop);
+    }
+
+    #[test]
+    fn index_at_is_total_over_nan_queries() {
+        let grid = output_grid(1e-9, 0.25e-9);
+        assert_eq!(nearest(&grid, f64::NAN), 0);
+        assert_eq!(nearest(&grid, 0.26e-9), 1);
+        assert_eq!(nearest(&grid, f64::INFINITY), grid.len() - 1);
+        assert_eq!(nearest(&grid, f64::NEG_INFINITY), 0);
+    }
+
+    #[test]
+    fn nearest_clamps_to_the_ends_and_rounds_to_the_nearest_point() {
+        let grid = output_grid(1e-6, 10e-9);
+        assert_eq!(grid.len(), 101);
+        assert_eq!(grid[0], 0.0);
+        assert_eq!(nearest(&grid, -1.0), 0);
+        assert_eq!(nearest(&grid, 10.0), 100);
+        assert_eq!(nearest(&grid, 54e-9), 5);
+        assert_eq!(nearest(&grid, 56e-9), 6);
+        // A tie takes the earlier point.
+        assert_eq!(nearest(&[0.0, 1.0, 2.0], 1.5), 1);
+    }
 }

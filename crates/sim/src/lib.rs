@@ -21,7 +21,14 @@
 //!   channel-length modulation and bulk-junction leakage diodes; junction
 //!   diodes; voltage-controlled switches; R, C, V, I.
 //! * **Transient analysis** with trapezoidal integration (backward-Euler
-//!   start-up) and automatic step halving on non-convergence.
+//!   start-up) and automatic step halving on non-convergence. It returns
+//!   the operating points at the instants the caller reads, snapped to
+//!   the output grid, not whole waveforms.
+//!
+//! One [`Simulator`] serves every analysis of a measurement: the stamp
+//! plan and symbolic analysis are built once per netlist, and the stimuli
+//! of each analysis are source overrides
+//! ([`Simulator::override_source`], [`Simulator::clear_override`]).
 //!
 //! ## Example: an inverter at both input levels
 //!
@@ -58,7 +65,7 @@ mod models;
 mod sparse;
 mod stats;
 
-pub use engine::{Integration, OpPoint, SimOptions, Simulator, TranResult};
+pub use engine::{Integration, OpPoint, SimOptions, Simulator};
 pub use error::SimError;
 pub use matrix::{DenseMatrix, LuFactors, SingularInfo};
 pub use models::{diode_eval, mosfet_eval, switch_eval, MosChannel, VT_THERMAL};

@@ -278,17 +278,15 @@ fn rc_transient_time_constant() {
     nl.add_resistor("R1", inp, out, 1e3).unwrap();
     nl.add_capacitor("C1", out, Netlist::GROUND, 1e-6).unwrap();
     let mut sim = Simulator::new(&nl);
-    let tr = sim.transient(5e-3, 10e-6).unwrap();
-    let out_id = out;
+    let reads = sim.transient(5e-3, 10e-6, &[1e-3, 5e-3]).unwrap();
     // At t = τ the output must be 1 − e⁻¹ ≈ 0.632.
-    let k = tr.index_at(1e-3);
-    let v_tau = tr.voltage(k, out_id);
+    let v_tau = reads[0].voltage(out);
     assert!(
         (v_tau - 0.6321).abs() < 0.01,
         "v(τ) = {v_tau}, expected ≈ 0.632 (BE, dt = τ/100)"
     );
     // At 5τ the output is settled.
-    let v_end = tr.voltage(tr.len() - 1, out_id);
+    let v_end = reads[1].voltage(out);
     assert!((v_end - 1.0).abs() < 0.01);
 }
 
@@ -312,9 +310,8 @@ fn rc_transient_trapezoidal_is_more_accurate() {
             ..SimOptions::default()
         };
         let mut sim = Simulator::with_options(&nl, opts);
-        let tr = sim.transient(2e-3, 50e-6).unwrap();
-        let k = tr.index_at(1e-3);
-        (tr.voltage(k, out) - 0.632_120_6).abs()
+        let reads = sim.transient(2e-3, 50e-6, &[1e-3]).unwrap();
+        (reads[0].voltage(out) - 0.632_120_6).abs()
     };
     let be = err(Integration::BackwardEuler);
     let trap = err(Integration::Trapezoidal);
@@ -340,8 +337,8 @@ fn rc_transient_backward_euler_also_converges() {
         ..SimOptions::default()
     };
     let mut sim = Simulator::with_options(&nl, opts);
-    let tr = sim.transient(5e-3, 10e-6).unwrap();
-    let v_end = tr.voltage(tr.len() - 1, out);
+    let reads = sim.transient(5e-3, 10e-6, &[5e-3]).unwrap();
+    let v_end = reads[0].voltage(out);
     assert!((v_end - 1.0).abs() < 0.02);
 }
 
@@ -360,12 +357,10 @@ fn transient_tracks_triangle_through_rc_with_small_tau() {
     nl.add_resistor("R1", inp, out, 100.0).unwrap();
     nl.add_capacitor("C1", out, Netlist::GROUND, 1e-9).unwrap();
     let mut sim = Simulator::new(&nl);
-    let tr = sim.transient(1e-3, 5e-6).unwrap();
+    let reads = sim.transient(1e-3, 5e-6, &[0.5e-3, 0.25e-3]).unwrap();
     // τ = 100 ns ≪ ramp, so the output tracks the triangle closely.
-    let k = tr.index_at(0.5e-3);
-    assert!((tr.voltage(k, out) - 1.0).abs() < 0.02);
-    let k = tr.index_at(0.25e-3);
-    assert!((tr.voltage(k, out) - 0.5).abs() < 0.02);
+    assert!((reads[0].voltage(out) - 1.0).abs() < 0.02);
+    assert!((reads[1].voltage(out) - 0.5).abs() < 0.02);
 }
 
 #[test]
@@ -528,7 +523,7 @@ V2 vdd2 0 DC 5
 }
 
 #[test]
-fn tran_result_accessors_and_index_lookup() {
+fn transient_reads_snap_to_the_nearest_grid_point() {
     let mut nl = Netlist::new("rc");
     let inp = nl.node("in");
     let out = nl.node("out");
@@ -542,30 +537,26 @@ fn tran_result_accessors_and_index_lookup() {
     nl.add_resistor("R1", inp, out, 1e3).unwrap();
     nl.add_capacitor("C1", out, Netlist::GROUND, 1e-9).unwrap();
     let mut sim = Simulator::new(&nl);
-    let tr = sim.transient(1e-6, 10e-9).unwrap();
-    assert_eq!(tr.len(), 101);
-    assert!(!tr.is_empty());
-    assert_eq!(tr.times()[0], 0.0);
-    // index_at clamps to the grid ends and rounds to the nearest point.
-    assert_eq!(tr.index_at(-1.0), 0);
-    assert_eq!(tr.index_at(10.0), 100);
-    assert_eq!(tr.index_at(54e-9), 5);
-    assert_eq!(tr.index_at(56e-9), 6);
+    // One read per instant, in the order asked: the ends clamp, and an
+    // instant between grid points takes the nearer one.
+    let at = [-1.0, 0.0, 10.0, 1e-6, 54e-9, 50e-9, 56e-9, 60e-9];
+    let reads = sim.transient(1e-6, 10e-9, &at).unwrap();
+    assert_eq!(reads.len(), at.len());
+    let bits = |k: usize| -> Vec<u64> { reads[k].unknowns().iter().map(|v| v.to_bits()).collect() };
+    for (a, b) in [(0, 1), (2, 3), (4, 5), (6, 7)] {
+        assert_eq!(bits(a), bits(b), "read at {} vs {}", at[a], at[b]);
+    }
+    assert_ne!(bits(5), bits(7), "50 ns and 60 ns are different points");
+    assert!(reads[0].voltage(out).abs() < 1e-9, "initial condition");
     // Ground is always zero.
-    assert_eq!(tr.voltage(50, Netlist::GROUND), 0.0);
-    // series matches per-step voltage.
-    let series = tr.series(out);
-    assert_eq!(series.len(), tr.len());
-    assert_eq!(series[40], tr.voltage(40, out));
-    // branch current series exists for the source and not for a resistor.
+    assert_eq!(reads[5].voltage(Netlist::GROUND), 0.0);
+    // Branch currents exist for the source and not for a resistor.
     let vid = nl.device_id("VIN").unwrap();
     let rid = nl.device_id("R1").unwrap();
-    assert!(tr.branch_series(vid).is_some());
-    assert!(tr.branch_series(rid).is_none());
-    // op_at snapshots agree with the series.
-    let op = tr.op_at(40);
-    assert_eq!(op.voltage(out), series[40]);
-    assert_eq!(op.branch_current(rid), None);
+    assert!(reads[5].branch_current(vid).is_some());
+    assert_eq!(reads[5].branch_current(rid), None);
+    // No instant, no read.
+    assert!(sim.transient(1e-6, 10e-9, &[]).unwrap().is_empty());
 }
 
 #[test]
@@ -577,16 +568,16 @@ fn override_source_affects_transient_too() {
     nl.add_resistor("R1", a, Netlist::GROUND, 1e3).unwrap();
     let mut sim = Simulator::new(&nl);
     sim.override_source("V1", 2.0).unwrap();
-    let tr = sim.transient(1e-6, 50e-9).unwrap();
-    for k in 0..tr.len() {
+    let grid: Vec<f64> = (0..=20).map(|k| k as f64 * 50e-9).collect();
+    for op in sim.transient(1e-6, 50e-9, &grid).unwrap() {
         assert!(
-            (tr.voltage(k, a) - 2.0).abs() < 1e-6,
+            (op.voltage(a) - 2.0).abs() < 1e-6,
             "override must pin the source"
         );
     }
     sim.clear_override("V1");
-    let tr = sim.transient(1e-6, 50e-9).unwrap();
-    let mid = tr.voltage(tr.index_at(0.5e-6), a);
+    let reads = sim.transient(1e-6, 50e-9, &[0.5e-6]).unwrap();
+    let mid = reads[0].voltage(a);
     assert!(
         mid > 4.5,
         "triangle must be back after clearing the override"

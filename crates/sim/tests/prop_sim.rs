@@ -191,16 +191,22 @@ fn rc_transient_never_overshoots_supply() {
         nl.add_capacitor("C1", b, Netlist::GROUND, c).unwrap();
         let tau = r * c;
         let mut sim = Simulator::new(&nl);
-        let tr = sim.transient(5.0 * tau, tau / 20.0).unwrap();
-        for k in 0..tr.len() {
-            let vb = tr.voltage(k, b);
+        // Every grid point, then the last one again (an instant past
+        // the end reads the final point).
+        let at: Vec<f64> = (0..=100)
+            .map(|k| k as f64 * (tau / 20.0))
+            .chain([f64::INFINITY])
+            .collect();
+        let reads = sim.transient(5.0 * tau, tau / 20.0, &at).unwrap();
+        for op in &reads {
+            let vb = op.voltage(b);
             assert!(
                 vb >= -1e-6 && vb <= v + 1e-6,
                 "r {r} c {c}: v(b) = {vb} outside [0, {v}]"
             );
         }
         // Settled at 5τ.
-        let end = tr.voltage(tr.len() - 1, b);
+        let end = reads[101].voltage(b);
         assert!((end - v).abs() < 0.02 * v, "r {r} c {c}: end {end}");
     }
 }

@@ -5,9 +5,7 @@
 //!
 //! Run with: `cargo run --release --example comparator_fault_sim`
 
-use dotm::adc::comparator::{
-    comparator_testbench, decision_sim_time, read_decision, ComparatorConfig, ComparatorStimulus,
-};
+use dotm::adc::comparator::{comparator_testbench, decision, ComparatorConfig, ComparatorStimulus};
 use dotm::adc::process::{Phase, CLOCK_PERIOD};
 use dotm::defects::{BridgeMedium, FaultEffect};
 use dotm::faults::{Injector, Severity};
@@ -16,15 +14,15 @@ use dotm::sim::Simulator;
 
 const DT: f64 = 0.25e-9;
 
-/// Runs one decision at vin = vref + dv and the sampling-phase currents.
+/// Runs one decision at vin = vref + dv and the sampling-phase currents,
+/// every analysis on one simulator.
 fn characterize(nl: &Netlist, label: &str) -> Result<(), Box<dyn std::error::Error>> {
     print!("{label:<28}");
+    let mut sim = Simulator::new(nl);
     for dv in [-0.02, 0.02] {
-        let mut sim = Simulator::new(nl);
         sim.override_source("VIN", 2.5 + dv)?;
-        match sim.transient(decision_sim_time(), DT) {
-            Ok(tr) => {
-                let d = read_decision(nl, &tr);
+        match decision(nl, &mut sim, DT) {
+            Ok(d) => {
                 let sym = if d > 2.0 {
                     "1"
                 } else if d < -2.0 {
@@ -38,16 +36,15 @@ fn characterize(nl: &Netlist, label: &str) -> Result<(), Box<dyn std::error::Err
         }
     }
     // Quiescent currents at the end of the sampling phase.
-    let mut sim = Simulator::new(nl);
     sim.override_source("VIN", 1.3)?;
-    let tr = sim.transient(2.0 * CLOCK_PERIOD, DT)?;
-    let k = tr.index_at(CLOCK_PERIOD + Phase::Sample.settle_time());
-    let ivdd = tr
-        .branch_current(k, nl.device_id("VDD").unwrap())
+    let sampled = CLOCK_PERIOD + Phase::Sample.settle_time();
+    let op = &sim.transient(2.0 * CLOCK_PERIOD, DT, &[sampled])?[0];
+    let ivdd = op
+        .branch_current(nl.device_id("VDD").unwrap())
         .unwrap()
         .abs();
-    let iddq = tr
-        .branch_current(k, nl.device_id("VDDDIG").unwrap())
+    let iddq = op
+        .branch_current(nl.device_id("VDDDIG").unwrap())
         .unwrap()
         .abs();
     println!("  IVdd={:7.1}µA  IDDQ={:9.3}µA", ivdd * 1e6, iddq * 1e6);

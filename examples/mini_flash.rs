@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example mini_flash` (a few seconds).
 
 use dotm::adc::column::FlashColumn;
-use dotm::adc::comparator::{decision_sim_time, ComparatorConfig};
+use dotm::adc::comparator::{decision_sim_time, decision_time, ComparatorConfig};
 use dotm::sim::Simulator;
 
 const N_STAGES: usize = 7; // 3-bit flash: 2³−1 comparators
@@ -18,10 +18,10 @@ fn convert(vin: f64) -> (usize, usize, usize) {
     let col = FlashColumn::build(ComparatorConfig::default(), N_STAGES, V_LO, V_HI, vin);
     let devices = col.netlist.device_count();
     let mut sim = Simulator::new(&col.netlist);
-    let tr = sim
-        .transient(decision_sim_time(), 0.5e-9)
+    let decided = sim
+        .transient(decision_sim_time(), 0.5e-9, &[decision_time()])
         .expect("mini-flash transient");
-    let therm = col.read_thermometer(&tr);
+    let therm = col.read_thermometer(&decided[0]);
     let silicon = therm.iter().take_while(|&&t| t).count();
     (silicon, col.ideal_code(vin), devices)
 }

@@ -25,7 +25,7 @@ use dotm::core::{
 use dotm::defects::{sprinkle_collapsed, CollapseReport, Sprinkler};
 use dotm::layout::Layout;
 use dotm::netlist::Netlist;
-use dotm::sim::{SimError, SimOptions, SimStats};
+use dotm::sim::{SimError, SimOptions, SimStats, Simulator};
 use dotm_rng::rngs::StdRng;
 use dotm_store::{
     corrupt_one_entry, create_segment, load_journal, load_segment, merge_segments,
@@ -219,14 +219,9 @@ impl MacroHarness for CountingComparator<'_> {
         self.inner.stores_nominal()
     }
 
-    fn measure_with(
-        &self,
-        nl: &Netlist,
-        opts: &SimOptions,
-        stats: &mut SimStats,
-    ) -> Result<Vec<f64>, SimError> {
+    fn measure_with(&self, nl: &Netlist, sim: &mut Simulator<'_>) -> Result<Vec<f64>, SimError> {
         self.simulations.fetch_add(1, Ordering::Relaxed);
-        self.inner.measure_with(nl, opts, stats)
+        self.inner.measure_with(nl, sim)
     }
 
     fn perturb(

@@ -287,3 +287,54 @@ fn sprinkle_span_nests_under_its_root_and_changes_no_byte() {
     let _ = fs::remove_dir_all(&dir_off);
     let _ = fs::remove_dir_all(&dir_on);
 }
+
+/// The recorder's value of counter `name` (0 if it was never bumped).
+fn counter(name: &str) -> u64 {
+    dotm_obs::counters_snapshot()
+        .into_iter()
+        .find(|(n, _)| n == name)
+        .map_or(0, |(_, v)| v)
+}
+
+#[test]
+fn solved_counters_count_work_done_not_work_replayed() {
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let fx = fixture();
+
+    let dir_off = tmpdir("solved-off");
+    dotm_obs::set_enabled(false);
+    let off = campaign_run(&fx, &dir_off, 1);
+
+    // A cold run fills the store, a warm run on the same store replays it.
+    let dir = tmpdir("solved");
+    let traced = || {
+        dotm_obs::reset();
+        dotm_obs::set_enabled(true);
+        let report = campaign_run(&fx, &dir, 1);
+        dotm_obs::set_enabled(false);
+        (report, counter("solved.nr_solves"))
+    };
+    let (cold, cold_solved) = traced();
+    let (warm, warm_solved) = traced();
+
+    let rendered = |r: &MacroReport| format!("{r:?}");
+    assert_eq!(
+        rendered(&cold),
+        rendered(&off),
+        "tracing changed the report"
+    );
+    assert_eq!(
+        rendered(&warm),
+        rendered(&off),
+        "a replay changed the report"
+    );
+    let total = cold.solver_totals().nr_solves;
+    assert_eq!(warm.solver_totals(), cold.solver_totals());
+    assert!(
+        cold_solved > 0 && cold_solved <= total,
+        "a cold run solves {cold_solved} of the {total} solves it reports"
+    );
+    assert_eq!(warm_solved, 0, "a warm run solves nothing");
+    let _ = fs::remove_dir_all(&dir_off);
+    let _ = fs::remove_dir_all(&dir);
+}
