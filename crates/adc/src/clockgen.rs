@@ -192,7 +192,7 @@ mod tests {
             let (s, e) = phase.window();
             (s + e) / 2.0
         });
-        let reads = sim.transient(CLOCK_PERIOD, 0.5e-9, &mids).unwrap();
+        let reads = sim.transient(0.5e-9, &mids).unwrap();
         for (i, read) in reads.iter().enumerate() {
             let y = nl.find_node(&format!("ck{}", i + 1)).unwrap();
             assert!(
@@ -238,7 +238,7 @@ mod tests {
             .unwrap();
         let mut sim = Simulator::new(&nl);
         // At 30 ns: x1 and x2 both high; interlock must hold ck2 low.
-        let op = &sim.transient(45e-9, 0.5e-9, &[30e-9]).unwrap()[0];
+        let op = &sim.transient(0.5e-9, &[30e-9]).unwrap()[0];
         let ck1 = nl.find_node("ck1").unwrap();
         let ck2 = nl.find_node("ck2").unwrap();
         assert!(op.voltage(ck1) > VDD - 0.3);
@@ -252,7 +252,7 @@ mod tests {
         let nl = clockgen_testbench();
         let mut sim = Simulator::new(&nl);
         let t = Phase::Sample.settle_time();
-        let op = &sim.transient(CLOCK_PERIOD, 0.5e-9, &[t]).unwrap()[0];
+        let op = &sim.transient(0.5e-9, &[t]).unwrap()[0];
         let id = nl.device_id("VDDDIG").unwrap();
         let i = op.branch_current(id).unwrap().abs();
         assert!(i < 1e-6, "IDDQ must be sub-µA, got {i}");
@@ -268,7 +268,7 @@ mod tests {
             .unwrap();
         let mut sim = Simulator::new(&nl);
         let t = Phase::Sample.settle_time();
-        let op = &sim.transient(CLOCK_PERIOD, 0.5e-9, &[t]).unwrap()[0];
+        let op = &sim.transient(0.5e-9, &[t]).unwrap()[0];
         let id = nl.device_id("VDDDIG").unwrap();
         let i = op.branch_current(id).unwrap().abs();
         assert!(i > 1e-3, "shorted clock must pull mA-scale IDDQ, got {i}");

@@ -196,15 +196,13 @@ impl FlashColumn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comparator::{decision_sim_time, decision_time};
+    use crate::comparator::decision_time;
     use dotm_sim::Simulator;
 
     /// The column's operating point at the decision instant.
     fn decide(col: &FlashColumn) -> OpPoint {
         let mut sim = Simulator::new(&col.netlist);
-        sim.transient(decision_sim_time(), 0.5e-9, &[decision_time()])
-            .unwrap()
-            .remove(0)
+        sim.transient(0.5e-9, &[decision_time()]).unwrap().remove(0)
     }
 
     fn convert(vin: f64) -> (usize, usize) {

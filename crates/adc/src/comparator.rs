@@ -391,11 +391,6 @@ pub fn decision_time() -> f64 {
     CLOCK_PERIOD + (Phase::Amplify.window().0 + Phase::Amplify.window().1) / 2.0
 }
 
-/// Total transient length needed to read one decision.
-pub fn decision_sim_time() -> f64 {
-    CLOCK_PERIOD + Phase::Amplify.window().1
-}
-
 /// Runs one decision transient of the comparator testbench `nl` on `sim`
 /// (bound to `nl`, with the stimulus's source overrides installed) at
 /// time step `dt`, and reads the differential flipflop decision
@@ -406,7 +401,7 @@ pub fn decision_sim_time() -> f64 {
 pub fn decision(nl: &Netlist, sim: &mut Simulator<'_>, dt: f64) -> Result<f64, SimError> {
     let fa = nl.find_node("fa").expect("fa exists");
     let fb = nl.find_node("fb").expect("fb exists");
-    let op = &sim.transient(decision_sim_time(), dt, &[decision_time()])?[0];
+    let op = &sim.transient(dt, &[decision_time()])?[0];
     Ok(op.voltage(fa) - op.voltage(fb))
 }
 
@@ -487,7 +482,7 @@ mod tests {
             let mut sim = Simulator::new(&nl);
             // Measure in cycle 1's sampling phase (state fully settled).
             let t = CLOCK_PERIOD + Phase::Sample.settle_time();
-            let op = &sim.transient(decision_sim_time(), DT, &[t]).unwrap()[0];
+            let op = &sim.transient(DT, &[t]).unwrap()[0];
             let id = nl.device_id("VDD").unwrap();
             ivdd[k] = op.branch_current(id).unwrap().abs();
         }

@@ -289,7 +289,7 @@ mod tests {
     fn read_bitlines(height: usize) -> Vec<f64> {
         let nl = decoder_slice_testbench(SLICE_CODES, height);
         let mut sim = Simulator::new(&nl);
-        let op = &sim.transient(30e-9, 0.2e-9, &[29e-9]).unwrap()[0];
+        let op = &sim.transient(0.2e-9, &[29e-9]).unwrap()[0];
         (0..8)
             .map(|bit| op.voltage(nl.find_node(&format!("bl{bit}")).unwrap()))
             .collect()

@@ -32,7 +32,7 @@ fn dump_waveforms() {
         (decision_time(), "decision"),
     ];
     let at: Vec<f64> = probe_times.iter().map(|&(t, _)| t).collect();
-    let reads = sim.transient(decision_sim_time(), 0.25e-9, &at).unwrap();
+    let reads = sim.transient(0.25e-9, &at).unwrap();
     for ((t, label), op) in probe_times.into_iter().zip(&reads) {
         print!("t={:6.1}ns {:16}", t * 1e9, label);
         for n in nodes {
@@ -56,7 +56,7 @@ fn dump_clockgen_nodes() {
     let current_times = [20e-9, 30e-9, 36e-9, 50e-9, 60e-9];
     let mut at = vec![Phase::Sample.settle_time()];
     at.extend(current_times);
-    let reads = sim.transient(CLOCK_PERIOD, 0.5e-9, &at).unwrap();
+    let reads = sim.transient(0.5e-9, &at).unwrap();
     for n in [
         "x1", "x2", "x3", "a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2", "c3", "nmid1", "nmid2",
         "nmid3", "ck1", "ck2", "ck3",

@@ -73,8 +73,9 @@ pub fn obs_init() -> bool {
 
 /// Folds the solver-effort telemetry into the observability counter
 /// registry under `sim.*` names (no-op with the recorder off), so the
-/// exported trace carries the same 13 words that the report fingerprint
-/// covers.
+/// exported trace carries every word of
+/// [`SimStats::WORD_NAMES`](dotm_sim::SimStats::WORD_NAMES), the words
+/// the report fingerprint covers.
 pub fn obs_fold_solver(solver: &dotm_sim::SimStats) {
     if !dotm_obs::enabled() {
         return;

@@ -5,8 +5,7 @@ use crate::measure::{MeasureKind, MeasureLabel, MeasurementPlan};
 use crate::memo::MemoryStore;
 use crate::signature::{CurrentKind, VoltageSignature};
 use dotm_adc::comparator::{
-    comparator_testbench, decision, decision_sim_time, decision_time, ComparatorConfig,
-    ComparatorStimulus,
+    comparator_testbench, decision, decision_time, ComparatorConfig, ComparatorStimulus,
 };
 use dotm_adc::process::BiasValues;
 use dotm_layout::Layout;
@@ -128,11 +127,7 @@ impl MacroHarness for BiasHarness {
         let mut stim = ComparatorStimulus::dc_offset(VREF_MID, 0.0);
         stim.bias = bias;
         let nl = comparator_testbench(ComparatorConfig::default(), &stim);
-        let mut salt = vec![
-            self.dt.to_bits(),
-            decision_sim_time().to_bits(),
-            decision_time().to_bits(),
-        ];
+        let mut salt = vec![self.dt.to_bits(), decision_time().to_bits()];
         salt.extend(DECISION_DVS.iter().map(|dv| dv.to_bits()));
         let Ok(decisions) = probe.simulate(&nl, &salt, |stats| self.propagate(&nl, stats)) else {
             return VoltageSignature::Mixed;

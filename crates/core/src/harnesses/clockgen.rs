@@ -5,7 +5,7 @@ use crate::harness::MacroHarness;
 use crate::measure::{MeasureKind, MeasureLabel, MeasurementPlan};
 use crate::signature::{CurrentKind, VoltageSignature};
 use dotm_adc::clockgen::clockgen_testbench;
-use dotm_adc::process::{Phase, CLOCK_PERIOD};
+use dotm_adc::process::Phase;
 use dotm_layout::Layout;
 use dotm_netlist::Netlist;
 use dotm_sim::{OpPoint, SimError, Simulator};
@@ -72,7 +72,7 @@ impl MacroHarness for ClockgenHarness {
 
     fn measure_with(&self, nl: &Netlist, sim: &mut Simulator<'_>) -> Result<Vec<f64>, SimError> {
         let settled = Phase::ALL.map(|phase| phase.settle_time());
-        let reads = sim.transient(CLOCK_PERIOD, self.dt, &settled)?;
+        let reads = sim.transient(self.dt, &settled)?;
         let branch = |op: &OpPoint, name: &str| -> f64 {
             nl.device_id(name)
                 .and_then(|id| op.branch_current(id))

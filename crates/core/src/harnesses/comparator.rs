@@ -185,7 +185,7 @@ impl MacroHarness for ComparatorHarness {
         let mut clock_levels = Vec::new();
         for (ci, vin) in CURRENT_VINS.iter().enumerate() {
             sim.override_source("VIN", *vin)?;
-            let reads = sim.transient(2.0 * CLOCK_PERIOD, self.dt, &settled)?;
+            let reads = sim.transient(self.dt, &settled)?;
             for op in &reads {
                 let branch = |name: &str| -> f64 {
                     nl.device_id(name)

@@ -87,7 +87,7 @@ impl MacroHarness for DecoderHarness {
                 let level = if i < h { 5.0 } else { 0.0 };
                 sim.override_source(&format!("VT{i}"), level)?;
             }
-            let op = &sim.transient(30e-9, self.dt, &[29e-9])?[0];
+            let op = &sim.transient(self.dt, &[29e-9])?[0];
             for bit in 0..8 {
                 out.push(match nl.find_node(&format!("bl{bit}")) {
                     Some(n) => op.voltage(n),

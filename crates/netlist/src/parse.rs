@@ -52,7 +52,8 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
 }
 
 /// Parses an engineering-notation value like `10k`, `1.5p`, `3meg`,
-/// `100nF` (unit text after the suffix is ignored).
+/// `100nF` (unit text after the suffix is ignored). A value that
+/// overflows to infinity is not a number: no card could write it back.
 pub fn parse_value(text: &str) -> Option<f64> {
     let t = text.trim().to_ascii_lowercase();
     // Split the leading numeric part.
@@ -95,7 +96,7 @@ pub fn parse_value(text: &str) -> Option<f64> {
             Some(_) => 1.0,
         }
     };
-    Some(base * mult)
+    Some(base * mult).filter(|v| v.is_finite())
 }
 
 /// Splits a card into tokens, honouring `(` `)` `=` as separators but
@@ -381,7 +382,7 @@ pub fn write_spice(nl: &Netlist) -> Result<String, crate::NetlistError> {
                 amplitude,
                 freq,
                 delay,
-            } => format!("SIN({offset} {amplitude} {freq} 0 {delay})"),
+            } => format!("SIN({offset} {amplitude} {freq} {delay})"),
             Waveform::Pwl(pts) => {
                 let body: Vec<String> = pts.iter().map(|(t, v)| format!("{t} {v}")).collect();
                 format!("PWL({})", body.join(" "))
@@ -465,6 +466,22 @@ mod tests {
         assert_eq!(parse_value("2E6"), Some(2e6));
         assert_eq!(parse_value("5v"), Some(5.0));
         assert_eq!(parse_value("abc"), None);
+        assert_eq!(parse_value("1e999"), None);
+        assert_eq!(parse_value("1e308t"), None);
+    }
+
+    #[test]
+    fn sin_delay_survives_a_round_trip() {
+        let nl = parse_spice("VS s 0 SIN(2.5 0.5 1MEG 20n)").unwrap();
+        let back = parse_spice(&write_spice(&nl).unwrap()).unwrap();
+        match &back.device("VS").unwrap().kind {
+            DeviceKind::Vsource {
+                waveform: Waveform::Sin { delay, .. },
+                ..
+            } => assert_eq!(*delay, 20e-9),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(back.content_digest(), nl.content_digest());
     }
 
     #[test]

@@ -711,32 +711,46 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Runs a transient analysis from `t = 0` to `tstop` with output grid
-    /// spacing `dt`, and returns the solution at each instant of `at`, in
-    /// order. The initial condition is the DC operating point with
-    /// sources evaluated at `t = 0`.
+    /// Runs a transient analysis from `t = 0` on the output grid `k·dt`
+    /// and returns the solution at each instant of `at`, in order. The
+    /// analysis steps only as far as the grid point its last read snaps
+    /// to, so an empty `at` solves nothing. The initial condition is the
+    /// DC operating point with sources evaluated at `t = 0`.
     ///
-    /// Each read is the output grid point nearest its instant: a read
-    /// before `0` or after `tstop` takes the grid's end, a tie takes the
-    /// earlier point, and a NaN instant reads the initial condition (a
-    /// faulty circuit's measurement chain can produce one, and blaming
-    /// the grid, finite by construction, would point at the wrong side).
+    /// Each read is the grid point nearest its instant: a tie takes the
+    /// earlier point, a read before `0` takes the initial condition, and
+    /// so does a NaN instant (a faulty circuit's measurement chain can
+    /// produce one, and blaming the grid, finite by construction, would
+    /// point at the wrong side).
     ///
     /// Internally the step is halved (up to
     /// [`SimOptions::max_step_halvings`] times) when Newton fails, so sharp
     /// source edges do not abort the analysis.
     ///
     /// # Errors
-    /// [`SimError::InvalidRequest`] for a non-positive `dt` or `tstop`;
+    /// [`SimError::InvalidRequest`] for a non-finite or non-positive `dt`,
+    /// or an instant with no grid point to snap to (`+∞`, or `t/dt` past
+    /// 2^52, where grid points stop being distinct);
     /// [`SimError::NoConvergence`] / [`SimError::Singular`] from the solver.
-    pub fn transient(&mut self, tstop: f64, dt: f64, at: &[f64]) -> Result<Vec<OpPoint>, SimError> {
-        if !(dt > 0.0 && tstop > 0.0 && tstop.is_finite()) {
+    pub fn transient(&mut self, dt: f64, at: &[f64]) -> Result<Vec<OpPoint>, SimError> {
+        if !(dt > 0.0 && dt.is_finite()) {
             return Err(SimError::InvalidRequest(format!(
-                "transient requires dt > 0 and tstop > 0 (dt = {dt}, tstop = {tstop})"
+                "transient requires a finite dt > 0 (dt = {dt})"
             )));
         }
-        let grid = output_grid(tstop, dt);
-        let picks: Vec<usize> = at.iter().map(|&t| nearest(&grid, t)).collect();
+        let picks = at
+            .iter()
+            .map(|&t| {
+                grid_index(t, dt).ok_or_else(|| {
+                    SimError::InvalidRequest(format!(
+                        "transient read at t = {t} has no grid point at dt = {dt}"
+                    ))
+                })
+            })
+            .collect::<Result<Vec<usize>, SimError>>()?;
+        let Some(&last) = picks.iter().max() else {
+            return Ok(Vec::new());
+        };
         let mut reads: Vec<Option<OpPoint>> = vec![None; at.len()];
         let mut read = |k: usize, x: &[f64], this: &Self| {
             for (slot, _) in reads.iter_mut().zip(&picks).filter(|(_, p)| **p == k) {
@@ -766,7 +780,8 @@ impl<'a> Simulator<'a> {
         // edge-resolving size; without halvings every step is the full
         // remaining interval either way.
         let mut carried: Option<f64> = None;
-        for (k, &t_target) in grid.iter().enumerate().skip(1) {
+        for k in 1..=last {
+            let t_target = k as f64 * dt;
             while t < t_target - 1e-18 * t_target.max(1.0) {
                 let remaining = t_target - t;
                 let mut h = carried.map_or(remaining, |c| c.min(remaining));
@@ -842,54 +857,33 @@ impl<'a> Simulator<'a> {
     }
 }
 
-/// The output grid of a transient to `tstop` at spacing `dt`: `k·dt`
-/// for every whole step, and, when `tstop` is not a whole number of
-/// steps, a final point clamped to `tstop` itself (rounding alone would
-/// stop 1 ns at 0.9 ns for a 0.3 ns step).
-///
-/// "Whole" is judged to a tolerance that scales with both `dt` and
-/// `tstop`: a `tstop`-only bound grows toward a full step at large step
-/// counts and misclassifies near-divisors, while a `dt`-only bound is
-/// tighter than the rounding of a divisor computed in floating point
-/// (`dt = tstop/3.0` errs by about `eps·tstop` in `ratio.round()·dt`).
-fn output_grid(tstop: f64, dt: f64) -> Vec<f64> {
-    let ratio = tstop / dt;
-    let exact = (ratio.round() * dt - tstop).abs() <= 1e-9 * dt + 4.0 * f64::EPSILON * tstop;
-    let n_out = if exact {
-        ratio.round() as usize
+/// The index `k` of the grid point `k·dt` nearest `t`, the earlier
+/// point on a tie, for a finite `dt > 0`: 0 for a NaN or non-positive
+/// `t`, and `None` where `t/dt` reaches 2^52 (`t = +∞` among them),
+/// beyond which neighbouring points `k·dt` can round to one value.
+fn grid_index(t: f64, dt: f64) -> Option<usize> {
+    if t.is_nan() || t <= 0.0 {
+        return Some(0);
+    }
+    let ratio = t / dt;
+    if ratio >= (1u64 << 52) as f64 {
+        return None;
+    }
+    // The quotient can round across a point, so `k` is settled against
+    // the points themselves: the last one at or before `t`.
+    let point = |k: usize| k as f64 * dt;
+    let mut k = ratio.floor() as usize;
+    while k > 0 && point(k) > t {
+        k -= 1;
+    }
+    while point(k + 1) <= t {
+        k += 1;
+    }
+    Some(if point(k + 1) - t < t - point(k) {
+        k + 1
     } else {
-        ratio.ceil() as usize
-    };
-    (0..=n_out)
-        .map(|k| {
-            if !exact && k == n_out {
-                tstop
-            } else {
-                k as f64 * dt
-            }
-        })
-        .collect()
-}
-
-/// The index of the point of the ascending, non-empty `grid` nearest `t`:
-/// clamped to the ends, the earlier point on a tie, and 0 (the initial
-/// condition) for a NaN `t`.
-fn nearest(grid: &[f64], t: f64) -> usize {
-    if t.is_nan() {
-        return 0;
-    }
-    match grid.binary_search_by(|probe| probe.total_cmp(&t)) {
-        Ok(i) => i,
-        Err(0) => 0,
-        Err(i) if i >= grid.len() => grid.len() - 1,
-        Err(i) => {
-            if (grid[i] - t).abs() < (t - grid[i - 1]).abs() {
-                i
-            } else {
-                i - 1
-            }
-        }
-    }
+        k
+    })
 }
 
 /// Where assembly's matrix stamps go: the symbolic pass records their
@@ -1209,73 +1203,34 @@ fn collect_caps(nl: &Netlist) -> Vec<CapInst> {
 
 #[cfg(test)]
 mod tests {
-    use super::{nearest, output_grid};
+    use super::grid_index;
 
     #[test]
-    fn transient_grid_reaches_tstop_for_non_multiple_dt() {
-        // 1 ns / 0.3 ns is not an integer ratio: rounding alone stopped
-        // at 0.9 ns. The final point must land exactly on tstop.
-        let grid = output_grid(1e-9, 0.3e-9);
-        assert_eq!(grid.len(), 5, "0, .3, .6, .9, 1.0 ns");
-        assert_eq!(*grid.last().unwrap(), 1e-9);
-        assert!((grid[3] - 0.9e-9).abs() < 1e-24);
+    fn grid_index_is_total_over_nan_and_negative_instants() {
+        let dt = 0.25e-9;
+        assert_eq!(grid_index(f64::NAN, dt), Some(0));
+        assert_eq!(grid_index(f64::NEG_INFINITY, dt), Some(0));
+        assert_eq!(grid_index(-1.0, dt), Some(0));
+        assert_eq!(grid_index(-0.0, dt), Some(0));
+        assert_eq!(grid_index(0.26e-9, dt), Some(1));
+        assert_eq!(grid_index(f64::INFINITY, dt), None);
+        assert_eq!(grid_index(1.0, f64::MIN_POSITIVE), None);
     }
 
     #[test]
-    fn transient_grid_unchanged_for_exact_multiple_dt() {
-        let grid = output_grid(1e-9, 0.25e-9);
-        assert_eq!(grid.len(), 5);
-        for (k, &t) in grid.iter().enumerate() {
-            assert_eq!(t, k as f64 * 0.25e-9, "uniform grid must be exactly k·dt");
-        }
-    }
-
-    #[test]
-    fn transient_grid_exact_for_fp_divisor_dt() {
-        // `dt = tstop/3.0` is not an exact divisor in binary, but the grid
-        // classification must still treat it as one: 3 uniform steps, no
-        // spurious fourth point.
-        let tstop = 1e-6;
-        let dt = tstop / 3.0;
-        let grid = output_grid(tstop, dt);
-        assert_eq!(grid.len(), 4, "0, dt, 2·dt, 3·dt");
-        for (k, &t) in grid.iter().enumerate() {
-            assert_eq!(t, k as f64 * dt);
-        }
-    }
-
-    #[test]
-    fn transient_grid_keeps_final_partial_step_near_divisor() {
-        // Near-divisor dt at a large step count: tstop overshoots
-        // 10000·dt by 5e-5 of a step. A `1e-9·tstop` tolerance (1e-5 of
-        // a step here) would classify this as exact and truncate the grid
-        // one point short of tstop; the dt-relative tolerance must not.
-        let dt = 1e-10;
-        let tstop = 10_000.0 * dt * (1.0 + 5e-10);
-        let grid = output_grid(tstop, dt);
-        assert_eq!(grid.len(), 10_002, "10000 full steps + final partial step");
-        assert_eq!(*grid.last().unwrap(), tstop);
-    }
-
-    #[test]
-    fn index_at_is_total_over_nan_queries() {
-        let grid = output_grid(1e-9, 0.25e-9);
-        assert_eq!(nearest(&grid, f64::NAN), 0);
-        assert_eq!(nearest(&grid, 0.26e-9), 1);
-        assert_eq!(nearest(&grid, f64::INFINITY), grid.len() - 1);
-        assert_eq!(nearest(&grid, f64::NEG_INFINITY), 0);
-    }
-
-    #[test]
-    fn nearest_clamps_to_the_ends_and_rounds_to_the_nearest_point() {
-        let grid = output_grid(1e-6, 10e-9);
-        assert_eq!(grid.len(), 101);
-        assert_eq!(grid[0], 0.0);
-        assert_eq!(nearest(&grid, -1.0), 0);
-        assert_eq!(nearest(&grid, 10.0), 100);
-        assert_eq!(nearest(&grid, 54e-9), 5);
-        assert_eq!(nearest(&grid, 56e-9), 6);
+    fn grid_index_rounds_to_the_nearest_point() {
+        let dt = 10e-9;
+        assert_eq!(grid_index(0.0, dt), Some(0));
+        assert_eq!(grid_index(54e-9, dt), Some(5));
+        assert_eq!(grid_index(56e-9, dt), Some(6));
+        assert_eq!(grid_index(10.0, dt), Some(1_000_000_000));
         // A tie takes the earlier point.
-        assert_eq!(nearest(&[0.0, 1.0, 2.0], 1.5), 1);
+        assert_eq!(grid_index(1.5, 1.0), Some(1));
+        // An instant on a point reads that point, though `t/dt` rounds
+        // off it (`3·(1e-6/3)` is not `1e-6` in binary).
+        let dt = 1e-6 / 3.0;
+        for k in 0..10usize {
+            assert_eq!(grid_index(k as f64 * dt, dt), Some(k));
+        }
     }
 }

@@ -278,7 +278,7 @@ fn rc_transient_time_constant() {
     nl.add_resistor("R1", inp, out, 1e3).unwrap();
     nl.add_capacitor("C1", out, Netlist::GROUND, 1e-6).unwrap();
     let mut sim = Simulator::new(&nl);
-    let reads = sim.transient(5e-3, 10e-6, &[1e-3, 5e-3]).unwrap();
+    let reads = sim.transient(10e-6, &[1e-3, 5e-3]).unwrap();
     // At t = τ the output must be 1 − e⁻¹ ≈ 0.632.
     let v_tau = reads[0].voltage(out);
     assert!(
@@ -310,7 +310,7 @@ fn rc_transient_trapezoidal_is_more_accurate() {
             ..SimOptions::default()
         };
         let mut sim = Simulator::with_options(&nl, opts);
-        let reads = sim.transient(2e-3, 50e-6, &[1e-3]).unwrap();
+        let reads = sim.transient(50e-6, &[1e-3]).unwrap();
         (reads[0].voltage(out) - 0.632_120_6).abs()
     };
     let be = err(Integration::BackwardEuler);
@@ -337,7 +337,7 @@ fn rc_transient_backward_euler_also_converges() {
         ..SimOptions::default()
     };
     let mut sim = Simulator::with_options(&nl, opts);
-    let reads = sim.transient(5e-3, 10e-6, &[5e-3]).unwrap();
+    let reads = sim.transient(10e-6, &[5e-3]).unwrap();
     let v_end = reads[0].voltage(out);
     assert!((v_end - 1.0).abs() < 0.02);
 }
@@ -357,7 +357,7 @@ fn transient_tracks_triangle_through_rc_with_small_tau() {
     nl.add_resistor("R1", inp, out, 100.0).unwrap();
     nl.add_capacitor("C1", out, Netlist::GROUND, 1e-9).unwrap();
     let mut sim = Simulator::new(&nl);
-    let reads = sim.transient(1e-3, 5e-6, &[0.5e-3, 0.25e-3]).unwrap();
+    let reads = sim.transient(5e-6, &[0.5e-3, 0.25e-3]).unwrap();
     // τ = 100 ns ≪ ramp, so the output tracks the triangle closely.
     assert!((reads[0].voltage(out) - 1.0).abs() < 0.02);
     assert!((reads[1].voltage(out) - 0.5).abs() < 0.02);
@@ -537,10 +537,11 @@ fn transient_reads_snap_to_the_nearest_grid_point() {
     nl.add_resistor("R1", inp, out, 1e3).unwrap();
     nl.add_capacitor("C1", out, Netlist::GROUND, 1e-9).unwrap();
     let mut sim = Simulator::new(&nl);
-    // One read per instant, in the order asked: the ends clamp, and an
-    // instant between grid points takes the nearer one.
-    let at = [-1.0, 0.0, 10.0, 1e-6, 54e-9, 50e-9, 56e-9, 60e-9];
-    let reads = sim.transient(1e-6, 10e-9, &at).unwrap();
+    // One read per instant, in the order asked: an instant before 0
+    // reads the initial condition, and one between grid points takes
+    // the nearer point.
+    let at = [-1.0, 0.0, 1.004e-6, 1e-6, 54e-9, 50e-9, 56e-9, 60e-9];
+    let reads = sim.transient(10e-9, &at).unwrap();
     assert_eq!(reads.len(), at.len());
     let bits = |k: usize| -> Vec<u64> { reads[k].unknowns().iter().map(|v| v.to_bits()).collect() };
     for (a, b) in [(0, 1), (2, 3), (4, 5), (6, 7)] {
@@ -556,7 +557,7 @@ fn transient_reads_snap_to_the_nearest_grid_point() {
     assert!(reads[5].branch_current(vid).is_some());
     assert_eq!(reads[5].branch_current(rid), None);
     // No instant, no read.
-    assert!(sim.transient(1e-6, 10e-9, &[]).unwrap().is_empty());
+    assert!(sim.transient(10e-9, &[]).unwrap().is_empty());
 }
 
 #[test]
@@ -569,14 +570,14 @@ fn override_source_affects_transient_too() {
     let mut sim = Simulator::new(&nl);
     sim.override_source("V1", 2.0).unwrap();
     let grid: Vec<f64> = (0..=20).map(|k| k as f64 * 50e-9).collect();
-    for op in sim.transient(1e-6, 50e-9, &grid).unwrap() {
+    for op in sim.transient(50e-9, &grid).unwrap() {
         assert!(
             (op.voltage(a) - 2.0).abs() < 1e-6,
             "override must pin the source"
         );
     }
     sim.clear_override("V1");
-    let reads = sim.transient(1e-6, 50e-9, &[0.5e-6]).unwrap();
+    let reads = sim.transient(50e-9, &[0.5e-6]).unwrap();
     let mid = reads[0].voltage(a);
     assert!(
         mid > 4.5,

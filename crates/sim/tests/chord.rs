@@ -107,7 +107,7 @@ fn rc_current_step(delay: f64) -> Netlist {
 fn mos_load_transient_settles_on_the_level1_operating_point() {
     let (nl, d) = nmos_stage();
     let mut sim = Simulator::new(&nl);
-    let end = sim.transient(30e-9, 0.25e-9, &[30e-9]).expect("transient");
+    let end = sim.transient(0.25e-9, &[30e-9]).expect("transient");
     let vd = end[0].voltage(d);
     // The analytic saturation current of `nmos_saturation_current_matches_level1`
     // in analytic.rs must equal the load current at the settled point.
@@ -145,7 +145,7 @@ fn halved_step_refactors_instead_of_reusing_the_old_step_factors() {
             ..SimOptions::default()
         },
     );
-    let end = sim.transient(3e-6, 0.5e-6, &[3e-6]).expect("transient");
+    let end = sim.transient(0.5e-6, &[3e-6]).expect("transient");
     let s = sim.stats();
     // Two grid intervals (ending at 1.0 and 1.5 µs) need one halving
     // each; every halved attempt converges first time.
@@ -171,7 +171,7 @@ fn trapezoidal_switch_refactors_instead_of_reusing_backward_euler_factors() {
             ..SimOptions::default()
         },
     );
-    sim.transient(3e-6, 0.5e-6, &[]).expect("transient");
+    sim.transient(0.5e-6, &[3e-6]).expect("transient");
     let s = sim.stats();
     assert_eq!(s.rejected_steps, 0, "{s:?}");
     assert_eq!(s.tran_steps, 6, "{s:?}");
@@ -193,7 +193,7 @@ fn first_step_after_dc_refactors_instead_of_reusing_dc_factors() {
         },
     );
     for _ in 0..2 {
-        sim.transient(3e-6, 0.5e-6, &[]).expect("transient");
+        sim.transient(0.5e-6, &[3e-6]).expect("transient");
     }
     let s = sim.stats();
     assert_eq!(s.rejected_steps, 0, "{s:?}");
@@ -205,7 +205,7 @@ fn first_step_after_dc_refactors_instead_of_reusing_dc_factors() {
 fn run_bits(nl: &Netlist, opts: SimOptions) -> (Vec<u64>, SimStats) {
     let mut sim = Simulator::with_options(nl, opts);
     let grid: Vec<f64> = (0..=50).map(|k| k as f64 * 1e-9).collect();
-    let reads = sim.transient(50e-9, 1e-9, &grid).expect("transient");
+    let reads = sim.transient(1e-9, &grid).expect("transient");
     let bits = reads
         .iter()
         .flat_map(|op| op.unknowns().iter().map(|v| v.to_bits()))

@@ -45,7 +45,7 @@ fn a_solve_refactors_once_its_chord_budget_is_spent() {
     let mut sim = Simulator::new(&nl);
     dotm_obs::reset();
     dotm_obs::set_enabled(true);
-    sim.transient(2e-9, 2e-9, &[]).expect("transient");
+    sim.transient(2e-9, &[2e-9]).expect("transient");
     dotm_obs::set_enabled(false);
     assert_eq!(sim.stats().tran_steps, 1);
     assert_eq!(sim.stats().rejected_steps, 0);

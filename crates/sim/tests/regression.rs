@@ -42,7 +42,7 @@ fn telemetry_counts_dc_and_transient_work() {
 
     let rc_nl = rc();
     let mut sim = Simulator::new(&rc_nl);
-    sim.transient(1e-9, 0.25e-9, &[]).expect("transient");
+    sim.transient(0.25e-9, &[1e-9]).expect("transient");
     let s = *sim.stats();
     assert_eq!(s.tran_steps, 4, "one step per grid interval");
     assert!(s.converged_plain >= 1, "initial DC point recorded");
@@ -303,7 +303,7 @@ fn step_carry_cuts_rejected_steps_without_flipping_the_answer() {
             ..SimOptions::default()
         };
         let mut sim = Simulator::with_options(&nl, o);
-        let end = sim.transient(50e-9, 1e-9, &[50e-9]).expect("transient");
+        let end = sim.transient(1e-9, &[50e-9]).expect("transient");
         let out = nl.find_node("out").unwrap();
         (*sim.stats(), end[0].voltage(out))
     };

@@ -1,6 +1,8 @@
 //! One simulator can run every analysis of a measurement: a sequence of
 //! analyses on one `Simulator` must solve to the same bits as a fresh
 //! simulator per analysis with the same source overrides installed.
+//! And a transient runs to its last read and no further, so a read never
+//! depends on the reads after it.
 
 use dotm_netlist::{MosType, MosfetParams, Netlist, Waveform};
 use dotm_sim::{OpPoint, SimError, Simulator};
@@ -34,7 +36,6 @@ fn biased_inverter() -> Netlist {
     nl
 }
 
-const TSTOP: f64 = 20e-9;
 const DT: f64 = 0.5e-9;
 const AT: [f64; 4] = [0.0, 2.5e-9, 5e-9, 20e-9];
 
@@ -67,9 +68,9 @@ fn one_simulator_solves_every_analysis_to_the_bits_of_fresh_ones() {
 
     // A transient with two overrides.
     sim.override_source("VIN", 1.0).unwrap();
-    let pinned = sim.transient(TSTOP, DT, &AT).unwrap();
+    let pinned = sim.transient(DT, &AT).unwrap();
     let pinned_fresh = fresh(&nl, &[("VB", 2.0), ("VIN", 1.0)])
-        .transient(TSTOP, DT, &AT)
+        .transient(DT, &AT)
         .unwrap();
     assert_eq!(bits(&pinned), bits(&pinned_fresh), "transient, VB and VIN");
 
@@ -77,17 +78,72 @@ fn one_simulator_solves_every_analysis_to_the_bits_of_fresh_ones() {
     // that must see VIN's pulse again.
     sim.clear_override("VIN");
     assert!(matches!(
-        sim.transient(TSTOP, 0.0, &AT),
+        sim.transient(0.0, &AT),
         Err(SimError::InvalidRequest(_))
     ));
-    let pulsed = sim.transient(TSTOP, DT, &AT).unwrap();
-    let pulsed_fresh = fresh(&nl, &[("VB", 2.0)])
-        .transient(TSTOP, DT, &AT)
-        .unwrap();
+    let pulsed = sim.transient(DT, &AT).unwrap();
+    let pulsed_fresh = fresh(&nl, &[("VB", 2.0)]).transient(DT, &AT).unwrap();
     assert_eq!(bits(&pulsed), bits(&pulsed_fresh), "transient after clear");
     assert_ne!(
         bits(&pulsed),
         bits(&pinned),
         "the pulse must move the output, or the clear is untested"
     );
+}
+
+#[test]
+fn a_read_does_not_depend_on_the_reads_after_it() {
+    let nl = biased_inverter();
+    for a in [0.0, 2.5e-9, 5.2e-9] {
+        let alone = fresh(&nl, &[]).transient(DT, &[a]).unwrap();
+        let first = fresh(&nl, &[]).transient(DT, &[a, 20e-9]).unwrap();
+        assert_eq!(bits(&alone), bits(&first[..1]), "read at {a}");
+    }
+}
+
+#[test]
+fn a_transient_steps_to_the_grid_point_of_its_last_read() {
+    let nl = biased_inverter();
+    let mut sim = fresh(&nl, &[]);
+    // 12.2 ns snaps to 24·dt; the order of the reads does not matter.
+    sim.transient(DT, &[12.2e-9, 5e-9]).unwrap();
+    let s = *sim.stats();
+    assert_eq!(s.step_halvings, 0, "every step is one grid interval");
+    assert_eq!(s.tran_steps, 24, "{s:?}");
+}
+
+#[test]
+fn no_read_solves_nothing_and_an_unreachable_read_is_refused() {
+    let nl = biased_inverter();
+    let mut sim = fresh(&nl, &[]);
+    assert!(sim.transient(DT, &[]).unwrap().is_empty());
+    for (dt, at) in [
+        (DT, f64::INFINITY),
+        (f64::MIN_POSITIVE, 1.0),
+        (0.0, 1e-9),
+        (-DT, 1e-9),
+        (f64::NAN, 1e-9),
+        (f64::INFINITY, 1e-9),
+    ] {
+        assert!(
+            matches!(
+                sim.transient(dt, &[1e-9, at]),
+                Err(SimError::InvalidRequest(_))
+            ),
+            "dt = {dt}, t = {at}"
+        );
+    }
+    assert!(sim.stats().is_empty(), "{:?}", sim.stats());
+}
+
+#[test]
+fn nan_and_negative_instants_read_the_initial_condition() {
+    let nl = biased_inverter();
+    let initial = fresh(&nl, &[]).transient(DT, &[0.0]).unwrap();
+    let reads = fresh(&nl, &[])
+        .transient(DT, &[f64::NAN, -1e-9, f64::NEG_INFINITY])
+        .unwrap();
+    for op in &reads {
+        assert_eq!(bits(std::slice::from_ref(op)), bits(&initial));
+    }
 }

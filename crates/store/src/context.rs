@@ -17,10 +17,11 @@ use dotm_sim::Integration;
 /// into its good-space record, and the harness's `Debug` rendering in the
 /// context; 9: class outcomes hold their current flags once, in the
 /// detection set, the retired AC analysis's error tag is gone, and
-/// classifier follow-ups are keyed without a class index), so old stores
-/// and journals age out as misses instead of decoding wrongly or
-/// replaying another solver's numbers.
-pub const FORMAT_VERSION: u64 = 9;
+/// classifier follow-ups are keyed without a class index; 10: a
+/// transient steps only to its last read, so every transient's effort
+/// words shrink), so old stores and journals age out as misses instead
+/// of decoding wrongly or replaying another solver's numbers.
+pub const FORMAT_VERSION: u64 = 10;
 
 /// Computes the context fingerprint of one `(harness, config)` pair.
 ///

@@ -38,7 +38,7 @@ fn characterize(nl: &Netlist, label: &str) -> Result<(), Box<dyn std::error::Err
     // Quiescent currents at the end of the sampling phase.
     sim.override_source("VIN", 1.3)?;
     let sampled = CLOCK_PERIOD + Phase::Sample.settle_time();
-    let op = &sim.transient(2.0 * CLOCK_PERIOD, DT, &[sampled])?[0];
+    let op = &sim.transient(DT, &[sampled])?[0];
     let ivdd = op
         .branch_current(nl.device_id("VDD").unwrap())
         .unwrap()

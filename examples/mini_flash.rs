@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example mini_flash` (a few seconds).
 
 use dotm::adc::column::FlashColumn;
-use dotm::adc::comparator::{decision_sim_time, decision_time, ComparatorConfig};
+use dotm::adc::comparator::{decision_time, ComparatorConfig};
 use dotm::sim::Simulator;
 
 const N_STAGES: usize = 7; // 3-bit flash: 2³−1 comparators
@@ -19,7 +19,7 @@ fn convert(vin: f64) -> (usize, usize, usize) {
     let devices = col.netlist.device_count();
     let mut sim = Simulator::new(&col.netlist);
     let decided = sim
-        .transient(decision_sim_time(), 0.5e-9, &[decision_time()])
+        .transient(0.5e-9, &[decision_time()])
         .expect("mini-flash transient");
     let therm = col.read_thermometer(&decided[0]);
     let silicon = therm.iter().take_while(|&&t| t).count();

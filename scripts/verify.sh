@@ -134,6 +134,27 @@ echo "$corrupt" | grep -q "write_errors=0" || {
     echo "FAIL: store rewrite failed"; echo "$corrupt"; exit 1; }
 echo "    corrupt entry: graceful recompute, fingerprints unchanged"
 
+echo "==> benchmark: its own tests, and its gate on a cold campaign at its knobs"
+# campaign_bench/run.py refuses a run whose stdout it cannot parse or
+# whose Fig. 4 panels moved; its unit tests and the same gate
+# (run.check_campaign: exit code, parse_campaign, the recorded panels)
+# run here on one cold campaign at the benchmark's knobs, seed and
+# thread count, so a format drift fails before the benchmark does.
+# `-B` keeps __pycache__ out of campaign_bench/.
+python3 -B -m unittest discover -s campaign_bench -p 'test_*.py'
+python3 -B - "$store_dir/bench" <<'PY'
+import os, sys
+sys.path.insert(0, "campaign_bench")
+import run
+workload = run.WORKLOADS["campaign_cold"]
+env = run.child_env(workload, run.DEFAULT_SEED, sys.argv[1])
+child = run.run_child(["target/release/campaign"], env, sys.argv[1] + ".log")
+out, _, _, problems = run.check_campaign(child, workload, run.DEFAULT_SEED, None, False)
+if problems:
+    sys.exit("FAIL: the benchmark would reject this campaign: " + "; ".join(problems))
+print(f"    parsed; Fig. 4 panels {out['fig4']} as recorded")
+PY
+
 echo "==> determinism: cold bias_gen campaign stdout at 1 and 4 threads"
 # Two bias_gen classes can share one propagation entry; the store
 # counters count distinct keys, so the whole stdout, counters and
