@@ -15,6 +15,12 @@ cargo build --release --locked
 echo "==> tier 1: test suite (workspace)"
 cargo test -q --workspace --locked
 
+echo "==> verdicts: every class of the full-size fig4 and fig5 populations"
+# #[ignore]d in the tier-1 suite (about a minute on two threads): the
+# referee for any change to solver arithmetic, against
+# tests/golden/verdicts_fig4.txt and verdicts_fig5.txt.
+cargo test -q --release --locked --test verdicts -- --ignored
+
 echo "==> benchmark tracer: builds against the current public API"
 # A package of its own outside the workspace (campaign_bench/tracer), so
 # the steps above never compile it; its target dir stays out of
