@@ -123,8 +123,11 @@ fn source_waveform(tokens: &[String], line: usize) -> Result<Waveform, ParseErro
     if tokens.is_empty() {
         return Err(err(line, "source needs a value"));
     }
+    // Exactly `n` numeric arguments after the keyword: a missing one and
+    // a trailing extra one are both errors, never silently defaulted or
+    // dropped.
     let need = |n: usize| -> Result<Vec<f64>, ParseError> {
-        if tokens.len() < n + 1 {
+        if tokens.len() != n + 1 {
             return Err(err(line, format!("expected {n} numeric arguments")));
         }
         tokens[1..=n]
@@ -142,15 +145,18 @@ fn source_waveform(tokens: &[String], line: usize) -> Result<Waveform, ParseErro
             Ok(Waveform::pulse(v[0], v[1], v[2], v[3], v[4], v[5], v[6]))
         }
         "sin" => {
-            if tokens.len() < 4 {
-                return Err(err(line, "SIN needs offset, amplitude, frequency"));
+            if !(4..=5).contains(&tokens.len()) {
+                return Err(err(
+                    line,
+                    "SIN needs offset, amplitude, frequency and an optional delay",
+                ));
             }
-            let v = need(3)?;
+            let v = need(tokens.len() - 1)?;
             Ok(Waveform::Sin {
                 offset: v[0],
                 amplitude: v[1],
                 freq: v[2],
-                delay: tokens.get(4).and_then(|t| parse_value(t)).unwrap_or(0.0),
+                delay: v.get(3).copied().unwrap_or(0.0),
             })
         }
         "pwl" => {
@@ -168,10 +174,22 @@ fn source_waveform(tokens: &[String], line: usize) -> Result<Waveform, ParseErro
         }
         // A bare number is a DC value.
         _ => {
+            if tokens.len() > 1 {
+                return Err(err(line, "unexpected tokens after the source value"));
+            }
             let v = parse_value(&tokens[0])
                 .ok_or_else(|| err(line, format!("bad source value `{}`", tokens[0])))?;
             Ok(Waveform::dc(v))
         }
+    }
+}
+
+/// The one value of an R or C card, its fourth and last token.
+fn value(tokens: &[String], line: usize, what: &str) -> Result<f64, ParseError> {
+    match tokens {
+        [_, _, _, v] => parse_value(v).ok_or_else(|| err(line, format!("bad {what} value `{v}`"))),
+        [_, _, _] => Err(err(line, format!("{what} needs a value"))),
+        _ => Err(err(line, "unexpected tokens after the value")),
     }
 }
 
@@ -260,20 +278,14 @@ fn parse_card(nl: &mut Netlist, kind: char, line: &str, lineno: usize) -> Result
             'r' => {
                 let a = nl.node(&tokens[1]);
                 let b = nl.node(&tokens[2]);
-                let v = tokens
-                    .get(3)
-                    .and_then(|t| parse_value(t))
-                    .ok_or_else(|| err(lineno, "resistor needs a value"))?;
+                let v = value(&tokens, lineno, "resistor")?;
                 nl.add_resistor(&name, a, b, v)
                     .map_err(|e| err(lineno, e.to_string()))?;
             }
             'c' => {
                 let a = nl.node(&tokens[1]);
                 let b = nl.node(&tokens[2]);
-                let v = tokens
-                    .get(3)
-                    .and_then(|t| parse_value(t))
-                    .ok_or_else(|| err(lineno, "capacitor needs a value"))?;
+                let v = value(&tokens, lineno, "capacitor")?;
                 nl.add_capacitor(&name, a, b, v)
                     .map_err(|e| err(lineno, e.to_string()))?;
             }
@@ -564,6 +576,30 @@ IB  e 0 1m";
         assert!(e.message.contains("value"), "{e}");
         let e = parse_spice("title\nM1 d g s 0 BJT").unwrap_err();
         assert!(e.message.contains("unknown model"), "{e}");
+    }
+
+    #[test]
+    fn trailing_and_malformed_arguments_are_rejected() {
+        // Each deck used to parse as a different valid one: the extra
+        // tokens were dropped, or the bad delay read as 0.
+        for (card, needle) in [
+            ("R1 a 0 1k junk more", "unexpected tokens"),
+            ("C1 a 0 1p 2p", "unexpected tokens"),
+            ("R1 a 0 junk", "bad resistor value"),
+            ("V1 a 0 DC 5 7 8", "expected 1 numeric"),
+            ("V1 a 0 PULSE(0 5 1n 1n 1n 5n 10n 3)", "expected 7 numeric"),
+            ("V1 a 0 5 7", "unexpected tokens"),
+            ("I1 a 0 1m 2m", "unexpected tokens"),
+            ("V1 a 0 SIN(1 2 3 zz)", "bad number `zz`"),
+            ("V1 a 0 SIN(1 2 3 4 5)", "SIN needs"),
+        ] {
+            let e = parse_spice(&format!("title\n{card}")).unwrap_err();
+            assert_eq!(e.line, 2, "{card}");
+            assert!(e.message.contains(needle), "{card}: {e}");
+        }
+        // The forms the writer emits still parse.
+        let nl = parse_spice("title\nV1 a 0 SIN(1 2 3)\nV2 b 0 SIN(1 2 3 4)\nV3 c 0 5").unwrap();
+        assert_eq!(nl.device_count(), 3);
     }
 
     #[test]
