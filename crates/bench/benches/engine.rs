@@ -207,6 +207,13 @@ fn bench_simulator(filter: &Option<String>) {
         let mut sim = Simulator::new(&nl);
         dotm_adc::comparator::decision(&nl, &mut sim, 0.25e-9).expect("must converge")
     });
+    // One transient Newton iteration's assembly at the operating point:
+    // the baseline copy plus the compiled MOSFET kernels.
+    let mut sim = Simulator::new(&nl);
+    let op = sim.dc_op().expect("comparator operating point");
+    bench(filter, "simulator/comparator_transient_assembly", || {
+        sim.jacobian(op.unknowns(), Some(0.25e-9)).dim()
+    });
     let ladder = dotm_adc::ladder::ladder_testbench();
     bench(filter, "simulator/ladder_dc_op_273_nodes", || {
         let mut sim = Simulator::new(&ladder);

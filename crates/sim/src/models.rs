@@ -57,12 +57,44 @@ pub struct MosChannel {
 /// gate, bulk relative to source). Handles both polarities and the
 /// `vds < 0` source/drain role reversal internally.
 pub fn mosfet_eval(vgs: f64, vds: f64, vbs: f64, ty: MosType, p: &MosfetParams) -> MosChannel {
+    mosfet_channel(vgs, vds, vbs, ty, p, MosConsts::of(p))
+}
+
+/// The bias-independent factors of a MOSFET's channel law, computed once
+/// per device by the engine's compiled kernel.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MosConsts {
+    /// `β = kp·w/l`.
+    beta: f64,
+    /// `√φ`.
+    sqrt_phi: f64,
+}
+
+impl MosConsts {
+    pub(crate) fn of(p: &MosfetParams) -> Self {
+        MosConsts {
+            beta: p.kp * p.w / p.l,
+            sqrt_phi: p.phi.sqrt(),
+        }
+    }
+}
+
+/// [`mosfet_eval`] with the device's [`MosConsts`] supplied: the same
+/// arithmetic, so the same bits.
+pub(crate) fn mosfet_channel(
+    vgs: f64,
+    vds: f64,
+    vbs: f64,
+    ty: MosType,
+    p: &MosfetParams,
+    k: MosConsts,
+) -> MosChannel {
     match ty {
-        MosType::Nmos => nmos_eval(vgs, vds, vbs, p, p.vt0),
+        MosType::Nmos => nmos_eval(vgs, vds, vbs, p, k, p.vt0),
         MosType::Pmos => {
             // Evaluate the mirrored N-device and negate the current. With
             // ids_p(v) = -ids_n(-v), the partials keep their sign.
-            let m = nmos_eval(-vgs, -vds, -vbs, p, -p.vt0);
+            let m = nmos_eval(-vgs, -vds, -vbs, p, k, -p.vt0);
             MosChannel {
                 ids: -m.ids,
                 gm: m.gm,
@@ -73,12 +105,12 @@ pub fn mosfet_eval(vgs: f64, vds: f64, vbs: f64, ty: MosType, p: &MosfetParams) 
     }
 }
 
-fn nmos_eval(vgs: f64, vds: f64, vbs: f64, p: &MosfetParams, vt0: f64) -> MosChannel {
+fn nmos_eval(vgs: f64, vds: f64, vbs: f64, p: &MosfetParams, k: MosConsts, vt0: f64) -> MosChannel {
     if vds >= 0.0 {
-        nmos_eval_forward(vgs, vds, vbs, p, vt0)
+        nmos_eval_forward(vgs, vds, vbs, p, k, vt0)
     } else {
         // Source and drain exchange roles: ids(v) = -i'(vgd, -vds, vbd).
-        let m = nmos_eval_forward(vgs - vds, -vds, vbs - vds, p, vt0);
+        let m = nmos_eval_forward(vgs - vds, -vds, vbs - vds, p, k, vt0);
         MosChannel {
             ids: -m.ids,
             gm: -m.gm,
@@ -88,18 +120,25 @@ fn nmos_eval(vgs: f64, vds: f64, vbs: f64, p: &MosfetParams, vt0: f64) -> MosCha
     }
 }
 
-fn nmos_eval_forward(vgs: f64, vds: f64, vbs: f64, p: &MosfetParams, vt0: f64) -> MosChannel {
+fn nmos_eval_forward(
+    vgs: f64,
+    vds: f64,
+    vbs: f64,
+    p: &MosfetParams,
+    k: MosConsts,
+    vt0: f64,
+) -> MosChannel {
     debug_assert!(vds >= 0.0);
-    let beta = p.kp * p.w / p.l;
+    let beta = k.beta;
     // Body effect with clamped square roots: for vbs >= phi the argument
     // would go negative; clamp and zero the derivative there.
     let (vt, dvt_dvbs) = {
         let arg = p.phi - vbs;
         if arg > 1e-9 {
             let sq = arg.sqrt();
-            (vt0 + p.gamma * (sq - p.phi.sqrt()), -p.gamma / (2.0 * sq))
+            (vt0 + p.gamma * (sq - k.sqrt_phi), -p.gamma / (2.0 * sq))
         } else {
-            (vt0 + p.gamma * (0.0 - p.phi.sqrt()), 0.0)
+            (vt0 + p.gamma * (0.0 - k.sqrt_phi), 0.0)
         }
     };
     let vov = vgs - vt;

@@ -120,6 +120,14 @@ impl SparseMatrix {
         self.vals.fill(0.0);
     }
 
+    /// Overwrites every value with `other`'s, which must share this
+    /// matrix's pattern.
+    #[inline]
+    pub(crate) fn copy_values_from(&mut self, other: &SparseMatrix) {
+        debug_assert!(self.row_ptr == other.row_ptr && self.cols == other.cols);
+        self.vals.copy_from_slice(&other.vals);
+    }
+
     /// Adds `v` to the value in `slot`.
     #[inline]
     pub(crate) fn add_at(&mut self, slot: usize, v: f64) {

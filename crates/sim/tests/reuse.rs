@@ -1,11 +1,13 @@
 //! One simulator can run every analysis of a measurement: a sequence of
 //! analyses on one `Simulator` must solve to the same bits as a fresh
-//! simulator per analysis with the same source overrides installed.
+//! simulator per analysis with the same source overrides installed, also
+//! where the analyses stamp different baseline matrices (gmin rungs, step
+//! sizes).
 //! And a transient runs to its last read and no further, so a read never
 //! depends on the reads after it.
 
 use dotm_netlist::{MosType, MosfetParams, Netlist, Waveform};
-use dotm_sim::{OpPoint, SimError, Simulator};
+use dotm_sim::{OpPoint, SimError, SimOptions, Simulator};
 
 /// A CMOS inverter with an extra biased pull-down on its capacitive
 /// load: three sources, nonlinear devices and a real transient.
@@ -89,6 +91,38 @@ fn one_simulator_solves_every_analysis_to_the_bits_of_fresh_ones() {
         bits(&pinned),
         "the pulse must move the output, or the clear is untested"
     );
+}
+
+#[test]
+fn a_gmin_ladder_and_two_step_sizes_on_one_simulator_match_fresh_ones() {
+    let nl = biased_inverter();
+    // Eight iterations are too few for plain Newton at VIN = 2 V, so the
+    // DC climbs the gmin ladder: a baseline per rung.
+    let opts = SimOptions {
+        max_iter: 8,
+        ..SimOptions::default()
+    };
+    let fresh = || Simulator::with_options(&nl, opts.clone());
+    let mut sim = fresh();
+    sim.override_source("VIN", 2.0).unwrap();
+    let dc = sim.dc_op().unwrap();
+    assert_eq!(sim.stats().converged_gmin, 1, "{:?}", sim.stats());
+    let mut dc_fresh = fresh();
+    dc_fresh.override_source("VIN", 2.0).unwrap();
+    assert_eq!(
+        bits(&[dc]),
+        bits(&[dc_fresh.dc_op().unwrap()]),
+        "gmin ladder"
+    );
+
+    sim.clear_override("VIN");
+    let coarse = sim.transient(DT, &AT).unwrap();
+    let coarse_fresh = fresh().transient(DT, &AT).unwrap();
+    assert_eq!(bits(&coarse), bits(&coarse_fresh), "transient at dt");
+    let fine = sim.transient(DT / 2.0, &AT).unwrap();
+    let fine_fresh = fresh().transient(DT / 2.0, &AT).unwrap();
+    assert_eq!(bits(&fine), bits(&fine_fresh), "transient at dt/2");
+    assert_ne!(bits(&coarse), bits(&fine), "the step size must matter");
 }
 
 #[test]

@@ -19,9 +19,11 @@ use dotm_sim::Integration;
 /// detection set, the retired AC analysis's error tag is gone, and
 /// classifier follow-ups are keyed without a class index; 10: a
 /// transient steps only to its last read, so every transient's effort
-/// words shrink), so old stores and journals age out as misses instead
-/// of decoding wrongly or replaying another solver's numbers.
-pub const FORMAT_VERSION: u64 = 10;
+/// words shrink; 11: assembly stamps a baseline matrix and compiled
+/// MOSFET kernels, so every solution moves by round-off), so old stores
+/// and journals age out as misses instead of decoding wrongly or
+/// replaying another solver's numbers.
+pub const FORMAT_VERSION: u64 = 11;
 
 /// Computes the context fingerprint of one `(harness, config)` pair.
 ///

@@ -447,7 +447,7 @@ mod tests {
     /// fails here.
     #[test]
     fn measurement_encoding_is_pinned_to_the_format_version() {
-        assert_eq!(crate::context::FORMAT_VERSION, 10);
+        assert_eq!(crate::context::FORMAT_VERSION, 11);
         let m: CachedMeasurement = (Ok(vec![1.25, -3.5e-6]), sample_stats_wide());
         assert_eq!(
             crate::wire::to_hex(&encode_measurement(&m)),
