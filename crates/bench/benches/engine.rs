@@ -90,7 +90,8 @@ fn bench_dense_lu(filter: &Option<String>) {
 }
 
 /// The comparator's transient Jacobian (n = 50) at its operating point,
-/// refactored by the static-order sparse LU and by the dense fallback.
+/// refactored by the static-order sparse LU and by the dense fallback,
+/// and its DC Jacobian, whose weakly held node needs a repaired order.
 fn bench_sparse_lu(filter: &Option<String>) {
     let stim = ComparatorStimulus::dc_offset(2.5, 0.02);
     let nl = comparator_testbench(ComparatorConfig::default(), &stim);
@@ -100,6 +101,11 @@ fn bench_sparse_lu(filter: &Option<String>) {
     let mut lu = SparseLu::analyse(&a);
     bench(filter, "sparse_lu/refactor_comparator", || {
         lu.refactor(&a).expect("static pivots pass");
+        assert!(!lu.is_dense());
+    });
+    let dc = sim.jacobian(op.unknowns(), None).clone();
+    bench(filter, "sparse_lu/refactor_comparator_dc", || {
+        lu.refactor(&dc).expect("nonsingular");
         assert!(!lu.is_dense());
     });
     let dense = a.to_dense();
@@ -213,6 +219,11 @@ fn bench_simulator(filter: &Option<String>) {
     let op = sim.dc_op().expect("comparator operating point");
     bench(filter, "simulator/comparator_transient_assembly", || {
         sim.jacobian(op.unknowns(), Some(0.25e-9)).dim()
+    });
+    // One operating point from zero, as each transient's initial
+    // condition solves it.
+    bench(filter, "simulator/comparator_dc_op", || {
+        sim.dc_op().expect("must converge")
     });
     let ladder = dotm_adc::ladder::ladder_testbench();
     bench(filter, "simulator/ladder_dc_op_273_nodes", || {

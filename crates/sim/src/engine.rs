@@ -122,13 +122,17 @@ struct TranCtx<'c> {
     trap: bool,
 }
 
+/// The companion-stamp parameters of a transient step: its size `h` and
+/// whether it integrates with the trapezoidal rule.
+type Step = (f64, bool);
+
 /// What the baseline matrix was stamped for: the gmin of the solve and,
-/// on a transient step, its `(h, trap)`. Compared exactly, so a baseline
+/// on a transient step, its [`Step`]. Compared exactly, so a baseline
 /// is reused only for the very parameters it was built from.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct BaseKey {
     gmin: f64,
-    step: Option<(f64, bool)>,
+    step: Option<Step>,
 }
 
 enum NrOutcome {
@@ -140,24 +144,6 @@ enum NrOutcome {
 /// Chord iterations one transient Newton solve may spend on factors
 /// built for an earlier iterate or time step before it refactors.
 const CHORD_BUDGET: usize = 2;
-
-/// The companion-stamp parameters of a transient step: factors built for
-/// one step may serve chord iterations of another only if these match.
-#[derive(Debug, Clone, Copy)]
-struct ChordBasis {
-    h: f64,
-    trap: bool,
-}
-
-impl ChordBasis {
-    /// Same integration rule and the same step size. "Same" forgives the
-    /// last-bit jitter of the step loop's `t_target − t` arithmetic, which
-    /// gives consecutive full-grid steps sizes a few ULPs apart; a halving
-    /// or the BE → trapezoidal switch never matches.
-    fn matches(self, other: ChordBasis) -> bool {
-        self.trap == other.trap && (self.h - other.h).abs() <= 1e-9 * other.h
-    }
-}
 
 /// One x-independent step of the compiled stamp plan.
 ///
@@ -403,9 +389,9 @@ pub struct Simulator<'a> {
     factor_key: Vec<f64>,
     factor_fresh: bool,
     /// The transient step `lu` was last factored for, while those factors
-    /// may serve chord iterations; `None` after any DC solve and after a
-    /// failed factorisation.
-    chord_basis: Option<ChordBasis>,
+    /// may serve chord iterations of steps with exactly this [`Step`];
+    /// `None` after any DC solve and after a failed factorisation.
+    chord_step: Option<Step>,
 }
 
 impl<'a> std::fmt::Debug for Simulator<'a> {
@@ -505,7 +491,7 @@ impl<'a> Simulator<'a> {
             lu,
             factor_key: Vec::new(),
             factor_fresh: false,
-            chord_basis: None,
+            chord_step: None,
         }
     }
 
@@ -687,8 +673,8 @@ impl<'a> Simulator<'a> {
     /// `A_old·d = z − A·x` for the update instead of refactoring. It
     /// refactors when the solve has spent its [`CHORD_BUDGET`] without
     /// converging, on the first step after a DC solve, when the step size
-    /// or rule changed ([`ChordBasis::matches`]), and after a failed
-    /// factorisation.
+    /// or rule changed (the [`Step`] differs in any bit), and after a
+    /// failed factorisation.
     fn newton_inner(
         &mut self,
         x: &mut [f64],
@@ -700,21 +686,15 @@ impl<'a> Simulator<'a> {
         let n_v = self.n_nodes - 1;
         let mut xnext = vec![0.0; self.n_unknowns];
         self.stats.nr_solves += 1;
-        let basis = tran.map(|c| ChordBasis {
-            h: c.h,
-            trap: c.trap,
-        });
-        if basis.is_none() {
+        let step = tran.map(|c| (c.h, c.trap));
+        if step.is_none() {
             // A DC solve may replace `lu`: the first transient step after
             // it factors its own matrix.
-            self.chord_basis = None;
+            self.chord_step = None;
         }
         let mut chord_left = CHORD_BUDGET;
         let t_asm = dotm_obs::start();
-        self.load_baseline(BaseKey {
-            gmin,
-            step: basis.map(|b| (b.h, b.trap)),
-        });
+        self.load_baseline(BaseKey { gmin, step });
         self.load_rhs(t, tran, src_scale);
         dotm_obs::phase(dotm_obs::Phase::Assembly, t_asm);
         for iter in 0..self.opts.max_iter {
@@ -729,10 +709,8 @@ impl<'a> Simulator<'a> {
             // against the fresh residual, so the fixed point — and the
             // clamp and convergence test below — are those of full
             // Newton; only the rate of approach differs.
-            if chord_left > 0
-                && matches!((self.chord_basis, basis), (Some(held), Some(b)) if held.matches(b))
-            {
-                // The basis is only set after factoring this simulator's
+            if chord_left > 0 && step.is_some() && self.chord_step == step {
+                // The step is only set after factoring this simulator's
                 // own matrix, whose dimension the netlist fixes.
                 debug_assert_eq!(self.lu.dim(), self.n_unknowns);
                 chord_left -= 1;
@@ -766,14 +744,14 @@ impl<'a> Simulator<'a> {
                     if factored.is_err() {
                         dotm_obs::phase(dotm_obs::Phase::Lu, t_lu);
                         self.stats.singular_pivots += 1;
-                        self.chord_basis = None;
+                        self.chord_step = None;
                         return NrOutcome::Singular;
                     }
                     self.factor_key.clear();
                     self.factor_key.extend_from_slice(self.a.values());
                     self.factor_fresh = true;
                 }
-                self.chord_basis = basis;
+                self.chord_step = step;
                 self.lu.solve(&mut xnext);
                 dotm_obs::phase(dotm_obs::Phase::Lu, t_lu);
             }
@@ -960,9 +938,12 @@ impl<'a> Simulator<'a> {
     /// produce one, and blaming the grid, finite by construction, would
     /// point at the wrong side).
     ///
-    /// Internally the step is halved (up to
+    /// A step from one grid point to the next is exactly `dt` and lands
+    /// on `k·dt` itself. Internally the step is halved (up to
     /// [`SimOptions::max_step_halvings`] times) when Newton fails, so sharp
-    /// source edges do not abort the analysis.
+    /// source edges do not abort the analysis. Halved steps and the ×2
+    /// ramp after them keep their own sizes, and a step that completes
+    /// an interval from off the grid is `k·dt − t`.
     ///
     /// # Errors
     /// [`SimError::InvalidRequest`] for a non-finite or non-positive `dt`,
@@ -1019,9 +1000,19 @@ impl<'a> Simulator<'a> {
         let mut carried: Option<f64> = None;
         for k in 1..=last {
             let t_target = k as f64 * dt;
+            // A step that starts on the previous grid point is the grid's
+            // own `dt`, not `t_target − t`, which differs from it by a few
+            // ULPs on most steps: every full step then shares one `h`, so
+            // one baseline matrix and chord factors serve the whole
+            // transient.
+            let t_prev = (k - 1) as f64 * dt;
             while t < t_target - 1e-18 * t_target.max(1.0) {
                 let remaining = t_target - t;
-                let mut h = carried.map_or(remaining, |c| c.min(remaining));
+                let rest = if t == t_prev { dt } else { remaining };
+                let mut h = carried.map_or(rest, |c| if c < remaining { c } else { rest });
+                // The step lands on the grid point itself, so the sources
+                // are evaluated there and `t` is set to it exactly.
+                let mut lands = h == rest;
                 let mut halvings = 0;
                 loop {
                     // BE on the very first step (no stored cap current yet).
@@ -1032,7 +1023,8 @@ impl<'a> Simulator<'a> {
                         trap,
                     };
                     let mut xt = x.clone();
-                    match self.newton(&mut xt, Some(t + h), Some(&ctx), self.opts.gmin, 1.0) {
+                    let t_next = if lands { t_target } else { t + h };
+                    match self.newton(&mut xt, Some(t_next), Some(&ctx), self.opts.gmin, 1.0) {
                         NrOutcome::Converged => {
                             // Accept: update capacitor states with the
                             // companion conductances this step stamped.
@@ -1049,7 +1041,7 @@ impl<'a> Simulator<'a> {
                                 st.i = inew;
                             }
                             x = xt;
-                            t += h;
+                            t = t_next;
                             first_step = false;
                             self.stats.tran_steps += 1;
                             carried = Some(2.0 * h);
@@ -1067,12 +1059,13 @@ impl<'a> Simulator<'a> {
                             if halvings > self.opts.max_step_halvings {
                                 return Err(SimError::NoConvergence {
                                     analysis: "transient",
-                                    time: Some(t + h),
+                                    time: Some(t_next),
                                     iterations: self.opts.max_iter,
                                 });
                             }
                             self.stats.step_halvings += 1;
                             h /= 2.0;
+                            lands = false;
                         }
                     }
                 }

@@ -14,15 +14,27 @@ pub const VT_THERMAL: f64 = 0.02585;
 /// linearised so Newton iterations cannot overflow.
 const EXP_CLAMP: f64 = 40.0;
 
+/// Floor on a junction's conductance, so deeply reverse-biased junctions
+/// still contribute a tiny conductance (numerical robustness).
+const GD_FLOOR: f64 = 1e-15;
+
 /// Evaluates a junction diode at voltage `vd` (anode minus cathode).
 ///
 /// Returns `(id, gd)`: the diode current and its derivative. The
 /// exponential is linearised above `EXP_CLAMP·n·Vt` so the function is
 /// finite and continuously differentiable for all inputs.
+///
+/// Below `−EXP_CLAMP·n·Vt` a junction with `is < 200·n·Vt` is dead, and
+/// its result is `(−is, GD_FLOOR)` without calling `exp`: the same bits
+/// as the formula, since `exp(x) < e⁻⁴⁰ < 2⁻⁵⁴` makes `exp(x) − 1`
+/// round to exactly `−1`, and `is·exp(x)/(n·Vt) < 200·e⁻⁴⁰ < 1e-15`
+/// leaves the floor as `gd`.
 pub fn diode_eval(vd: f64, params: &DiodeParams) -> (f64, f64) {
     let nvt = params.n * VT_THERMAL;
     let x = vd / nvt;
-    if x > EXP_CLAMP {
+    if x < -EXP_CLAMP && params.n > 0.0 && params.is < 200.0 * nvt {
+        (-params.is, GD_FLOOR)
+    } else if x > EXP_CLAMP {
         let e = EXP_CLAMP.exp();
         let id = params.is * (e * (1.0 + (x - EXP_CLAMP)) - 1.0);
         let gd = params.is * e / nvt;
@@ -30,9 +42,7 @@ pub fn diode_eval(vd: f64, params: &DiodeParams) -> (f64, f64) {
     } else {
         let e = x.exp();
         let id = params.is * (e - 1.0);
-        // Keep a floor on gd so deeply reverse-biased junctions still
-        // contribute a tiny conductance (numerical robustness).
-        let gd = (params.is * e / nvt).max(1e-15);
+        let gd = (params.is * e / nvt).max(GD_FLOOR);
         (id, gd)
     }
 }
@@ -224,6 +234,42 @@ mod tests {
         let p = DiodeParams::default();
         let (i, _) = diode_eval(-5.0, &p);
         assert!((i + p.is).abs() < 1e-16);
+    }
+
+    #[test]
+    fn dead_junctions_give_the_bits_of_the_exp_formula() {
+        // The exponential branch as written before the closed form.
+        let formula = |vd: f64, p: &DiodeParams| {
+            let nvt = p.n * VT_THERMAL;
+            let e = (vd / nvt).exp();
+            (p.is * (e - 1.0), (p.is * e / nvt).max(GD_FLOOR))
+        };
+        let mos_leak = MosfetParams::nmos_default().is_leak;
+        for n in [0.5, 1.0, 1.7, 2.0] {
+            let guard = 200.0 * n * VT_THERMAL;
+            for is in [
+                1e-14,
+                mos_leak,
+                DiodeParams::default().is,
+                1e-3,
+                guard * (1.0 - 1e-12),
+                guard * (1.0 + 1e-12),
+                10.0 * guard,
+            ] {
+                let p = DiodeParams { is, n };
+                let edge = -EXP_CLAMP * n * VT_THERMAL;
+                for k in -2000..=2000 {
+                    let vd = edge * (1.0 + k as f64 * 1e-5);
+                    let (id, gd) = diode_eval(vd, &p);
+                    let (fid, fgd) = formula(vd, &p);
+                    assert_eq!(
+                        (id.to_bits(), gd.to_bits()),
+                        (fid.to_bits(), fgd.to_bits()),
+                        "vd {vd:e}, is {is:e}, n {n}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

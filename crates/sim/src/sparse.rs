@@ -21,9 +21,13 @@
 //! finite, at least [`PIVOT_TOL`] times the largest active entry of its
 //! column, and pass the dense path's scale-relative singularity test
 //! against the whole factored column. A pivot that fails any of these
-//! sends that one factorisation to the dense [`LuFactors`] with partial
-//! pivoting, which also makes every singular verdict; the next refactor
-//! tries the sparse order again.
+//! swaps its row with the row of its column's largest active entry; the
+//! fill is redone for that row order (same column order, cached by the
+//! swaps that led to it) and the factorisation starts over. After
+//! [`MAX_REPAIRS`] swaps, or when no row is larger, that one
+//! factorisation is the dense [`LuFactors`] with partial pivoting, which
+//! also makes every singular verdict. Every refactor starts from the
+//! primary order again, so its factors depend on its matrix alone.
 
 use crate::matrix::{DenseMatrix, LuFactors, SingularInfo, SINGULAR_RATIO};
 use std::cmp::Reverse;
@@ -198,6 +202,14 @@ struct Symbolic {
     upd: Vec<u32>,
 }
 
+/// Row swaps a factorisation may make to repair failed static pivots
+/// before it takes the dense fallback.
+const MAX_REPAIRS: usize = 4;
+
+/// Repaired analyses a [`SparseLu`] keeps; a further one replaces the
+/// newest.
+const MAX_REPAIRED: usize = 8;
+
 /// Sparse LU factors of a [`SparseMatrix`] pattern, with the dense
 /// partial-pivot factorisation as the fallback.
 ///
@@ -206,38 +218,51 @@ struct Symbolic {
 /// minimum-degree order of the symmetrised pattern, then the fill.
 /// [`SparseLu::refactor`] is numeric only. Each static pivot must be
 /// finite, at least `1e-3` of the largest active entry of its column,
-/// and pass the dense path's scale-relative singularity test; otherwise
-/// that one factorisation is [`LuFactors`]' partial pivoting, which also
-/// makes every singular verdict.
+/// and pass the dense path's scale-relative singularity test. A pivot
+/// that fails is *repaired*: its row swaps with the row of its column's
+/// largest active entry, the fill is redone in the same column order, and
+/// the factorisation starts over. After four swaps, or when no row is
+/// larger, that one factorisation is [`LuFactors`]' partial pivoting,
+/// which also makes every singular verdict.
 #[derive(Debug, Clone)]
 pub struct SparseLu {
     n: usize,
-    /// `None` when the pattern has no transversal (structurally
-    /// singular): every factorisation then takes the dense path.
-    sym: Option<Symbolic>,
-    /// Factor values, laid out by `Symbolic::blk`.
+    /// The primary analysis, keyed by no swap, then every repaired one
+    /// keyed by the swaps `(step, row position)` that led to it from the
+    /// primary order. Empty when the pattern has no transversal
+    /// (structurally singular): every factorisation then takes the dense
+    /// path.
+    analyses: Vec<(Vec<(u32, u32)>, Symbolic)>,
+    /// Factor values, laid out by the held analysis' `Symbolic::blk`.
     lu: Vec<f64>,
     /// Permuted right-hand side scratch of `solve`.
     work: Vec<f64>,
     /// The dense fallback's matrix and factors, allocated on first use.
     dense: Option<Box<(DenseMatrix, LuFactors)>>,
-    /// The held factors came from the dense fallback.
-    on_dense: bool,
+    /// The analysis the held factors were computed in, `None` when they
+    /// came from the dense fallback.
+    held: Option<usize>,
 }
 
 impl SparseLu {
     /// The symbolic analysis of `a`'s pattern (its values are ignored).
     pub fn analyse(a: &SparseMatrix) -> Self {
         let n = a.n;
-        let sym = transversal(a).map(|rmatch| symbolic(a, &rmatch));
-        let nnz = sym.as_ref().map_or(0, |s| s.idx.len());
+        let analyses: Vec<_> = transversal(a)
+            .map(|rmatch| {
+                let (prow, pcol) = order(a, &rmatch);
+                (Vec::new(), symbolic_in_order(a, prow, pcol))
+            })
+            .into_iter()
+            .collect();
+        let nnz = analyses.first().map_or(0, |(_, s)| s.idx.len());
         SparseLu {
             n,
-            sym,
+            analyses,
             lu: vec![0.0; nnz],
             work: vec![0.0; n],
             dense: None,
-            on_dense: false,
+            held: Some(0),
         }
     }
 
@@ -247,73 +272,67 @@ impl SparseLu {
         self.n
     }
 
-    /// Entries of `L` and `U` under the static order (pivots included),
-    /// or `None` for a structurally singular pattern.
+    /// Entries of `L` and `U` under the primary static order (pivots
+    /// included), or `None` for a structurally singular pattern.
     pub fn factor_nnz(&self) -> Option<usize> {
-        self.sym.as_ref().map(|s| s.idx.len())
+        self.analyses.first().map(|(_, s)| s.idx.len())
     }
 
     /// `true` when the held factors came from the dense fallback.
     #[inline]
     pub fn is_dense(&self) -> bool {
-        self.on_dense
+        self.held.is_none()
     }
 
-    /// Factors `a`, which must have the analysed pattern: in the static
-    /// sparse order when every pivot passes its test, otherwise (and for
-    /// a structurally singular pattern) with the dense partial-pivot LU.
-    /// [`SparseLu::is_dense`] tells which path ran.
+    /// `true` when the held factors are sparse in a repaired order.
+    #[inline]
+    pub fn is_repaired(&self) -> bool {
+        self.held.is_some_and(|k| k > 0)
+    }
+
+    /// Factors `a`, which must have the analysed pattern: in the primary
+    /// static order when every pivot passes its test, else in the order
+    /// that up to four row swaps repair, otherwise (and for a
+    /// structurally singular pattern) with the dense partial-pivot LU.
+    /// The primary order is always tried first, so the factors depend on
+    /// `a` alone, not on earlier factorisations.
+    /// [`SparseLu::is_dense`] and [`SparseLu::is_repaired`] tell which
+    /// path ran.
     ///
     /// # Errors
     /// [`SingularInfo`] from the dense path; the sparse path never calls
     /// a matrix singular.
     pub fn refactor(&mut self, a: &SparseMatrix) -> Result<(), SingularInfo> {
         assert_eq!(a.n, self.n, "matrix and analysis differ in dimension");
-        let Some(sym) = &self.sym else {
+        if self.analyses.is_empty() {
             return self.dense_refactor(a);
-        };
-        debug_assert_eq!(a.nnz(), sym.a_to_lu.len());
-        let lu = &mut self.lu;
-        lu.fill(0.0);
-        for (&t, &v) in sym.a_to_lu.iter().zip(&a.vals) {
-            lu[t as usize] = v;
         }
-        let mut next = 0;
-        for k in 0..self.n {
-            let d = sym.blk[k] as usize;
-            let le = sym.lend[k] as usize;
-            let end = sym.blk[k + 1] as usize;
-            let piv = lu[d];
-            let mut active = piv.abs();
-            for &v in &lu[d + 1..le] {
-                active = active.max(v.abs());
-            }
-            let mut col = active;
-            for &u in &sym.ucol[sym.ucol_ptr[k] as usize..sym.ucol_ptr[k + 1] as usize] {
-                col = col.max(lu[u as usize].abs());
-            }
-            let mag = piv.abs();
-            if !(mag.is_finite() && mag >= PIVOT_TOL * active && mag > SINGULAR_RATIO * col) {
+        let mut at = 0;
+        let mut swaps: Vec<(u32, u32)> = Vec::new();
+        loop {
+            let sym = &self.analyses[at].1;
+            let Err(repair) = numeric(sym, a, &mut self.lu) else {
+                self.held = Some(at);
+                return Ok(());
+            };
+            let Some((k, i)) = repair.filter(|_| swaps.len() < MAX_REPAIRS) else {
                 return self.dense_refactor(a);
-            }
-            let width = end - le;
-            for l in d + 1..le {
-                let m = lu[l] / piv;
-                lu[l] = m;
-                let targets = &sym.upd[next..next + width];
-                next += width;
-                // An underflowed multiplier skips its row, as in the
-                // dense path (a later `inf · 0` must not become NaN).
-                if m == 0.0 {
-                    continue;
+            };
+            swaps.push((k as u32, i as u32));
+            at = match self.analyses.iter().position(|(key, _)| *key == swaps) {
+                Some(j) => j,
+                None => {
+                    let mut prow = sym.prow.clone();
+                    prow.swap(k, i);
+                    let repaired = symbolic_in_order(a, prow, sym.pcol.clone());
+                    if self.analyses.len() > MAX_REPAIRED {
+                        self.analyses.pop();
+                    }
+                    self.analyses.push((swaps.clone(), repaired));
+                    self.analyses.len() - 1
                 }
-                for (u, &t) in (le..end).zip(targets) {
-                    lu[t as usize] -= m * lu[u];
-                }
-            }
+            };
         }
-        self.on_dense = false;
-        Ok(())
     }
 
     fn dense_refactor(&mut self, a: &SparseMatrix) -> Result<(), SingularInfo> {
@@ -322,7 +341,7 @@ impl SparseLu {
             .dense
             .get_or_insert_with(|| Box::new((DenseMatrix::zeros(n), LuFactors::new())));
         a.scatter_into(&mut fallback.0);
-        self.on_dense = true;
+        self.held = None;
         fallback.1.refactor(&fallback.0)
     }
 
@@ -332,12 +351,12 @@ impl SparseLu {
     /// Panics if `b.len() != self.dim()`.
     pub fn solve(&mut self, b: &mut [f64]) {
         assert_eq!(b.len(), self.n);
-        if self.on_dense {
+        let Some(at) = self.held else {
             let fallback = self.dense.as_ref().expect("dense factors held");
             fallback.1.solve(b);
             return;
-        }
-        let sym = self.sym.as_ref().expect("sparse factors held");
+        };
+        let sym = &self.analyses.get(at).expect("sparse factors held").1;
         let (lu, y) = (&self.lu, &mut self.work);
         for (yk, &r) in y.iter_mut().zip(&sym.prow) {
             *yk = b[r as usize];
@@ -367,6 +386,64 @@ impl SparseLu {
             b[c as usize] = yk;
         }
     }
+}
+
+/// Factors `a` in `sym`'s static order into `lu`. A pivot that fails its
+/// test stops it with the repair to try: `Some((k, i))` swaps pivot `k`'s
+/// row with row position `i`, which holds the largest active entry of
+/// its column, and `None` means no row is larger (or a value is not
+/// finite), so only the dense path can help.
+fn numeric(
+    sym: &Symbolic,
+    a: &SparseMatrix,
+    lu: &mut Vec<f64>,
+) -> Result<(), Option<(usize, usize)>> {
+    debug_assert_eq!(a.nnz(), sym.a_to_lu.len());
+    lu.clear();
+    lu.resize(sym.idx.len(), 0.0);
+    for (&t, &v) in sym.a_to_lu.iter().zip(&a.vals) {
+        lu[t as usize] = v;
+    }
+    let mut next = 0;
+    for k in 0..sym.prow.len() {
+        let d = sym.blk[k] as usize;
+        let le = sym.lend[k] as usize;
+        let end = sym.blk[k + 1] as usize;
+        let piv = lu[d];
+        let mut active = piv.abs();
+        let mut largest = None;
+        for (l, v) in (d + 1..le).zip(&lu[d + 1..le]) {
+            if v.abs() > active {
+                active = v.abs();
+                largest = Some(l);
+            }
+        }
+        let mut col = active;
+        for &u in &sym.ucol[sym.ucol_ptr[k] as usize..sym.ucol_ptr[k + 1] as usize] {
+            col = col.max(lu[u as usize].abs());
+        }
+        let mag = piv.abs();
+        if !(mag.is_finite() && mag >= PIVOT_TOL * active && mag > SINGULAR_RATIO * col) {
+            let finite = lu[d..le].iter().all(|v| v.is_finite());
+            return Err(largest.filter(|_| finite).map(|l| (k, sym.idx[l] as usize)));
+        }
+        let width = end - le;
+        for l in d + 1..le {
+            let m = lu[l] / piv;
+            lu[l] = m;
+            let targets = &sym.upd[next..next + width];
+            next += width;
+            // An underflowed multiplier skips its row, as in the
+            // dense path (a later `inf · 0` must not become NaN).
+            if m == 0.0 {
+                continue;
+            }
+            for (u, &t) in (le..end).zip(targets) {
+                lu[t as usize] -= m * lu[u];
+            }
+        }
+    }
+    Ok(())
 }
 
 /// A maximum transversal: `rmatch[c]` is the row matched to column `c`,
@@ -555,21 +632,16 @@ fn minimum_degree(n: usize, mut adj: BitRows) -> Vec<u32> {
     order
 }
 
-/// The symbolic factorisation of `a` with row `rmatch[c]` on column
-/// `c`'s diagonal.
-fn symbolic(a: &SparseMatrix, rmatch: &[u32]) -> Symbolic {
+/// The primary pivot order of `a` with row `rmatch[c]` on column `c`'s
+/// diagonal: the minimum-degree order of the symmetrised pattern, as
+/// `(prow, pcol)`, pivot `k` at row `prow[k]` and column `pcol[k]`.
+fn order(a: &SparseMatrix, rmatch: &[u32]) -> (Vec<u32>, Vec<u32>) {
     let n = a.n;
-    // The column each original row is matched to: its index in B.
-    let mut col_of_row = vec![0u32; n];
-    for (c, &r) in rmatch.iter().enumerate() {
-        col_of_row[r as usize] = c as u32;
-    }
     // Symmetrised pattern of the row-permuted matrix B (B row c = A row
     // rmatch[c]).
     let mut adj = BitRows::new(n);
-    for (r, &i) in col_of_row.iter().enumerate() {
-        let i = i as usize;
-        for k in a.row(r) {
+    for (i, &r) in rmatch.iter().enumerate() {
+        for k in a.row(r as usize) {
             let j = a.cols[k] as usize;
             if i != j {
                 adj.set(i, j);
@@ -577,22 +649,29 @@ fn symbolic(a: &SparseMatrix, rmatch: &[u32]) -> Symbolic {
             }
         }
     }
-    let order = minimum_degree(n, adj);
-    let mut pos = vec![0u32; n]; // permuted index of each B index
-    for (k, &v) in order.iter().enumerate() {
-        pos[v as usize] = k as u32;
+    let pcol = minimum_degree(n, adj);
+    let prow = pcol.iter().map(|&c| rmatch[c as usize]).collect();
+    (prow, pcol)
+}
+
+/// The symbolic factorisation of `a` with pivot `k` at row `prow[k]` and
+/// column `pcol[k]`.
+fn symbolic_in_order(a: &SparseMatrix, prow: Vec<u32>, pcol: Vec<u32>) -> Symbolic {
+    let n = a.n;
+    // The pivot position of each original row and column.
+    let (mut rpos, mut cpos) = (vec![0u32; n], vec![0u32; n]);
+    for k in 0..n {
+        rpos[prow[k] as usize] = k as u32;
+        cpos[pcol[k] as usize] = k as u32;
     }
-    let prow: Vec<u32> = order.iter().map(|&c| rmatch[c as usize]).collect();
-    let pcol = order.clone();
 
     // Fill, row by row: row `i` of the permuted matrix gains row `k`'s
     // columns right of `k` for every `k < i` in its own growing pattern
     // (rows above `i` are final by then).
     let mut rows = BitRows::new(n);
-    for (r, &b) in col_of_row.iter().enumerate() {
-        let i = pos[b as usize] as usize;
+    for (r, &i) in rpos.iter().enumerate() {
         for k in a.row(r) {
-            rows.set(i, pos[a.cols[k] as usize] as usize);
+            rows.set(i as usize, cpos[a.cols[k] as usize] as usize);
         }
     }
     let mut lcols: Vec<Vec<u32>> = vec![Vec::new(); n];
@@ -634,10 +713,9 @@ fn symbolic(a: &SparseMatrix, rmatch: &[u32]) -> Symbolic {
     };
 
     let mut a_to_lu = Vec::with_capacity(a.nnz());
-    for r in 0..n {
-        let i = pos[col_of_row[r] as usize] as usize;
+    for (r, &i) in rpos.iter().enumerate() {
         for k in a.row(r) {
-            a_to_lu.push(find(i, pos[a.cols[k] as usize] as usize));
+            a_to_lu.push(find(i as usize, cpos[a.cols[k] as usize] as usize));
         }
     }
     let mut upd = Vec::new();

@@ -20,10 +20,13 @@ use dotm_sim::Integration;
 /// classifier follow-ups are keyed without a class index; 10: a
 /// transient steps only to its last read, so every transient's effort
 /// words shrink; 11: assembly stamps a baseline matrix and compiled
-/// MOSFET kernels, so every solution moves by round-off), so old stores
+/// MOSFET kernels, so every solution moves by round-off; 12: full
+/// transient steps are exactly `dt` and failed sparse pivots are repaired
+/// by row swaps, so solutions move by round-off and the dense-fallback
+/// count falls), so old stores
 /// and journals age out as misses instead of decoding wrongly or
 /// replaying another solver's numbers.
-pub const FORMAT_VERSION: u64 = 11;
+pub const FORMAT_VERSION: u64 = 12;
 
 /// Computes the context fingerprint of one `(harness, config)` pair.
 ///

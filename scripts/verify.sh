@@ -18,8 +18,10 @@ cargo test -q --workspace --locked
 echo "==> verdicts: every class of the full-size fig4 and fig5 populations"
 # #[ignore]d in the tier-1 suite (about a minute on two threads): the
 # referee for any change to solver arithmetic, against
-# tests/golden/verdicts_fig4.txt and verdicts_fig5.txt.
-cargo test -q --release --locked --test verdicts -- --ignored
+# tests/golden/verdicts_fig4.txt and verdicts_fig5.txt. The other
+# ignored test there, the dt/2 step-size audit, is a report run by hand.
+cargo test -q --release --locked --test verdicts -- --ignored \
+    full_fig4_and_fig5_verdicts_match_the_goldens
 
 echo "==> benchmark tracer: builds against the current public API"
 # A package of its own outside the workspace (campaign_bench/tracer), so

@@ -6,9 +6,10 @@
 //! random operating points in DC and transient) and the real netlists of
 //! all five macros at their nominal operating points. Every system is
 //! factored both ways; the solutions must agree to 1e-9 relative. A
-//! forced tiny pivot must take the dense fallback (and bump the
-//! simulator's fallback counter), and structurally singular systems must
-//! be singular on both paths.
+//! forced tiny pivot must never be the one used (the order is repaired or
+//! the factorisation is dense), a repaired order must depend on the
+//! matrix alone, and structurally singular systems must be singular on
+//! both paths.
 
 use dotm::core::harnesses::{
     BiasHarness, ClockgenHarness, ComparatorHarness, DecoderHarness, LadderHarness,
@@ -26,8 +27,8 @@ use common::random_netlist;
 const RANDOM_NETLISTS: u64 = 150;
 
 /// Solves `a·x = b` both ways; returns the sparse and the dense solution
-/// and whether the sparse path fell back to dense.
-fn solve_both(a: &SparseMatrix, b: &[f64]) -> (Vec<f64>, Vec<f64>, bool) {
+/// and the sparse factors, which tell the path they took.
+fn solve_both(a: &SparseMatrix, b: &[f64]) -> (Vec<f64>, Vec<f64>, SparseLu) {
     let mut lu = SparseLu::analyse(a);
     lu.refactor(a).expect("nonsingular system");
     let mut xs = b.to_vec();
@@ -36,7 +37,7 @@ fn solve_both(a: &SparseMatrix, b: &[f64]) -> (Vec<f64>, Vec<f64>, bool) {
     dense.refactor(&a.to_dense()).expect("nonsingular system");
     let mut xd = b.to_vec();
     dense.solve(&mut xd);
-    (xs, xd, lu.is_dense())
+    (xs, xd, lu)
 }
 
 /// Normwise relative agreement to 1e-9.
@@ -77,10 +78,10 @@ fn random_mna_systems_agree_with_dense() {
             if LuFactors::new().refactor(&a.to_dense()).is_err() {
                 continue;
             }
-            let (xs, xd, fell_back) = solve_both(&a, &b);
+            let (xs, xd, lu) = solve_both(&a, &b);
             assert_agree(&xs, &xd, &format!("netlist {k}, h {h:?}"));
             checked += 1;
-            sparse += usize::from(!fell_back);
+            sparse += usize::from(!lu.is_dense());
         }
     }
     assert!(checked >= 200, "only {checked} nonsingular systems drawn");
@@ -107,34 +108,87 @@ fn five_macro_netlists_agree_with_dense() {
         let b: Vec<f64> = (0..x.len()).map(|i| ((i * 7 % 13) as f64) - 6.0).collect();
         for h in [None, Some(0.25e-9)] {
             let a = sim.jacobian(&x, h).clone();
-            let (xs, xd, fell_back) = solve_both(&a, &b);
+            let (xs, xd, lu) = solve_both(&a, &b);
             // Transient Jacobians carry every node's capacitor companion on
-            // the diagonal and must take the static order. DC ones may
-            // fall back: the comparator's DC system has a node held by
-            // off transistors whose pivot is ~1e-4 of its column.
-            assert!(
-                h.is_none() || !fell_back,
-                "{}: static pivots rejected in transient",
-                nl.name()
-            );
+            // the diagonal; DC ones may need a repaired order (the
+            // comparator's has a node held only by off transistors), but
+            // none needs the dense path.
+            assert!(!lu.is_dense(), "{} h {h:?}: factored dense", nl.name());
             assert_agree(&xs, &xd, &format!("{} h {h:?}", nl.name()));
         }
     }
 }
 
+/// The comparator's DC Jacobian at its operating point and right-hand
+/// side, and a transient Jacobian of the same pattern.
+fn comparator_jacobians() -> (SparseMatrix, SparseMatrix, Vec<f64>) {
+    let nl = ComparatorHarness::production().testbench();
+    let mut sim = Simulator::new(&nl);
+    let op = sim.dc_op().expect("nominal operating point");
+    let x = op.unknowns().to_vec();
+    let b: Vec<f64> = (0..x.len()).map(|i| ((i * 5 % 11) as f64) - 5.0).collect();
+    let dc = sim.jacobian(&x, None).clone();
+    let tran = sim.jacobian(&x, Some(0.25e-9)).clone();
+    (dc, tran, b)
+}
+
 #[test]
-fn tiny_pivot_takes_the_dense_fallback() {
+fn comparator_dc_jacobian_factors_sparse_after_repair() {
+    let (dc, _, b) = comparator_jacobians();
+    let (xs, xd, lu) = solve_both(&dc, &b);
+    assert!(lu.is_repaired(), "the primary order's weak pivot must fail");
+    assert!(!lu.is_dense(), "a repaired order must factor it sparse");
+    assert_agree(&xs, &xd, "comparator DC");
+}
+
+#[test]
+fn repaired_factors_depend_on_the_matrix_alone() {
+    let (dc, tran, b) = comparator_jacobians();
+    let solve = |lu: &mut SparseLu, a: &SparseMatrix| {
+        lu.refactor(a).expect("nonsingular system");
+        let mut x = b.clone();
+        lu.solve(&mut x);
+        x.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
+    };
+    let mut fresh = SparseLu::analyse(&dc);
+    let first = solve(&mut fresh, &dc);
+    // A₁, A₂, A₁ on one analysis: the repaired order is cached the first
+    // time and replayed the second, after a primary-order factorisation.
+    for (a1, a2) in [(&dc, &tran), (&tran, &dc)] {
+        let mut lu = SparseLu::analyse(a1);
+        let once = solve(&mut lu, a1);
+        let other = solve(&mut lu, a2);
+        let again = solve(&mut lu, a1);
+        assert_eq!(once, again, "A₁'s bits after A₂");
+        assert_eq!(other, solve(&mut SparseLu::analyse(a2), a2), "A₂'s bits");
+        if std::ptr::eq(a1, &dc) {
+            assert_eq!(once, first, "a fresh analysis' bits");
+        }
+    }
+}
+
+#[test]
+fn tiny_pivot_is_never_used() {
     // The diagonal is a valid transversal, so the static order pivots on
-    // 1e-9 against an active entry of 1: rejected, dense pivots instead.
+    // 1e-9 against an active entry of 1: rejected, and the order is
+    // repaired (or the factorisation dense) instead.
     let mut m = DenseMatrix::zeros(2);
     m.set(0, 0, 1e-9);
     m.set(0, 1, 1.0);
     m.set(1, 0, 1.0);
     m.set(1, 1, 1.0);
     let a = SparseMatrix::from_dense(&m);
-    let (xs, xd, fell_back) = solve_both(&a, &[1.0, 2.0]);
-    assert!(fell_back, "a 1e-9 pivot must not pass the threshold test");
-    assert_eq!(xs, xd, "the fallback is the dense path itself");
+    let (xs, xd, lu) = solve_both(&a, &[1.0, 2.0]);
+    assert!(
+        lu.is_repaired() || lu.is_dense(),
+        "a 1e-9 pivot must not pass the threshold test"
+    );
+    assert_agree(&xs, &xd, "2x2");
+    // Pivoting on 1e-9 costs about eight digits of x₀ = 1/(1 − 1e-9).
+    let exact = [1.0 / (1.0 - 1e-9), 2.0 - 1.0 / (1.0 - 1e-9)];
+    for (x, e) in xs.iter().zip(exact) {
+        assert!((x - e).abs() <= 4.0 * f64::EPSILON, "{x} vs {e}");
+    }
 
     // The same shape in a circuit: a MOSFET gate held by nothing but a
     // teraohm, its drain column-coupled through gm.
@@ -157,12 +211,15 @@ fn tiny_pivot_takes_the_dense_fallback() {
     )
     .unwrap();
     let mut sim = Simulator::new(&nl);
-    sim.dc_op().expect("operating point");
+    let op = sim.dc_op().expect("operating point");
+    let a = sim.jacobian(op.unknowns(), None).clone();
+    let b: Vec<f64> = (0..a.dim()).map(|i| i as f64 + 1.0).collect();
+    let (xs, xd, lu) = solve_both(&a, &b);
     assert!(
-        sim.stats().factor_refactor_fallbacks > 0,
-        "the gate pivot must fall back: {:?}",
-        sim.stats()
+        lu.is_repaired() || lu.is_dense(),
+        "the gate pivot must not be used"
     );
+    assert_agree(&xs, &xd, "tiny_pivot circuit");
 }
 
 #[test]

@@ -68,19 +68,26 @@ fn currents(c: CurrentFlags) -> String {
 /// One tab-separated line per class and fault model, in report order:
 /// macro, `key/severity`, voltage signature, current set, detection.
 fn render(harness: &dyn MacroHarness, cfg: &PipelineConfig) -> String {
+    let (out, failed) = render_report(harness, cfg);
+    if let Some(failure) = failed.first() {
+        panic!("{}: class {failure}", harness.name());
+    }
+    out
+}
+
+/// [`render`]'s lines, and one entry per class that failed to simulate
+/// or to inject.
+fn render_report(harness: &dyn MacroHarness, cfg: &PipelineConfig) -> (String, Vec<String>) {
     let report = run_macro_path(harness, cfg).expect("macro path must run");
     let mut out = String::new();
+    let mut failed = Vec::new();
     for c in &report.outcomes {
-        assert!(
-            !c.sim_failed,
-            "{}: class {} failed to simulate",
-            report.name, c.key
-        );
-        assert!(
-            !c.inject_failed,
-            "{}: class {} failed to inject",
-            report.name, c.key
-        );
+        if c.sim_failed {
+            failed.push(format!("{} failed to simulate", c.key));
+        }
+        if c.inject_failed {
+            failed.push(format!("{} failed to inject", c.key));
+        }
         let severity = match c.severity {
             Severity::Catastrophic => "cat",
             Severity::NonCatastrophic => "noncat",
@@ -98,7 +105,7 @@ fn render(harness: &dyn MacroHarness, cfg: &PipelineConfig) -> String {
             currents(c.detection.currents),
         ));
     }
-    out
+    (out, failed)
 }
 
 fn check(harness: &dyn MacroHarness, max_classes: Option<usize>, min_classes: usize) {
@@ -164,21 +171,26 @@ fn decoder_slice_verdicts_match_the_golden() {
     check(&DecoderHarness::default(), None, 300);
 }
 
-/// The full default-knob `fig4` and `fig5` populations (25 000 defects,
-/// 5 × 4 good space, every class), as the paper binaries run them with
-/// no knob set. Only the comparator differs between the two figures (the
-/// DfT one in fig5), so the other four macros are run once and rendered
-/// into both.
-#[test]
-#[ignore = "full-size run, about a minute on two threads; scripts/verify.sh runs it"]
-fn full_fig4_and_fig5_verdicts_match_the_goldens() {
-    let cfg = PipelineConfig {
+/// The full default-knob configuration of `fig4` and `fig5` (25 000
+/// defects, 5 × 4 good space, every class), as the paper binaries run it
+/// with no knob set.
+fn full_config() -> PipelineConfig {
+    PipelineConfig {
         goodspace: GoodSpaceConfig {
             seed: 1995 ^ 0xD07,
             ..GoodSpaceConfig::default()
         },
         ..PipelineConfig::default()
-    };
+    }
+}
+
+/// The full `fig4` and `fig5` populations. Only the comparator differs
+/// between the two figures (the DfT one in fig5), so the other four
+/// macros are run once and rendered into both.
+#[test]
+#[ignore = "full-size run, about a minute on two threads; scripts/verify.sh runs it"]
+fn full_fig4_and_fig5_verdicts_match_the_goldens() {
+    let cfg = full_config();
     let rest: Vec<Box<dyn MacroHarness>> = vec![
         Box::new(LadderHarness),
         Box::new(BiasHarness::default()),
@@ -193,5 +205,67 @@ fn full_fig4_and_fig5_verdicts_match_the_goldens() {
         let actual = render(&comparator, &cfg) + &rest;
         let golden: Vec<&str> = golden.lines().collect();
         compare(label, &golden, &actual, min_classes);
+    }
+}
+
+/// The step-size audit: both full populations with every harness's
+/// transient step `dt` halved (the ladder is DC only), each line that
+/// differs from the full-size goldens printed and counted per macro. It
+/// reports and never fails: the flips are the tolerance a change to
+/// transient step control must meet. About two minutes on two threads,
+/// and run by hand only: `cargo test --release --test verdicts --
+/// --ignored --nocapture half_dt`.
+#[test]
+#[ignore = "step-size audit, a report rather than a gate; run by hand"]
+fn half_dt_audit_lists_flips_against_the_full_size_goldens() {
+    let cfg = full_config();
+    let rest: Vec<Box<dyn MacroHarness>> = vec![
+        Box::new(LadderHarness),
+        Box::new(BiasHarness {
+            dt: BiasHarness::default().dt / 2.0,
+        }),
+        Box::new(ClockgenHarness {
+            dt: ClockgenHarness::default().dt / 2.0,
+        }),
+        Box::new(DecoderHarness {
+            dt: DecoderHarness::default().dt / 2.0,
+        }),
+    ];
+    let rest: Vec<(String, Vec<String>)> = rest
+        .iter()
+        .map(|h| render_report(h.as_ref(), &cfg))
+        .collect();
+    let half = |c: ComparatorHarness| ComparatorHarness {
+        dt: c.dt / 2.0,
+        ..c
+    };
+    for (label, comparator, golden) in [
+        ("fig4", half(ComparatorHarness::production()), GOLDEN_FIG4),
+        ("fig5", half(ComparatorHarness::dft()), GOLDEN_FIG5),
+    ] {
+        let mut runs = vec![render_report(&comparator, &cfg)];
+        runs.extend(rest.iter().cloned());
+        let actual: String = runs.iter().map(|(out, _)| out.as_str()).collect();
+        let (golden, got): (Vec<&str>, Vec<&str>) =
+            (golden.lines().collect(), actual.lines().collect());
+        println!(
+            "{label} at dt/2: {} golden vs {} actual classes",
+            golden.len(),
+            got.len()
+        );
+        let mut flips: Vec<(&str, usize)> = Vec::new();
+        for (g, a) in golden.iter().zip(&got).filter(|(g, a)| g != a) {
+            let name = g.split('\t').next().unwrap_or_default();
+            match flips.iter_mut().find(|(m, _)| *m == name) {
+                Some((_, n)) => *n += 1,
+                None => flips.push((name, 1)),
+            }
+            println!("  golden: {g}\n  dt/2:   {a}");
+        }
+        let total: usize = flips.iter().map(|(_, n)| n).sum();
+        println!("{label} at dt/2: {total} flips {flips:?}");
+        for failure in runs.iter().flat_map(|(_, failed)| failed) {
+            println!("{label} at dt/2: {failure}");
+        }
     }
 }
