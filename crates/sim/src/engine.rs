@@ -1009,7 +1009,10 @@ impl<'a> Simulator<'a> {
             while t < t_target - 1e-18 * t_target.max(1.0) {
                 let remaining = t_target - t;
                 let rest = if t == t_prev { dt } else { remaining };
-                let mut h = carried.map_or(rest, |c| if c < remaining { c } else { rest });
+                let mut h = match carried {
+                    Some(c) if c < remaining => c,
+                    _ => rest,
+                };
                 // The step lands on the grid point itself, so the sources
                 // are evaluated there and `t` is set to it exactly.
                 let mut lands = h == rest;
