@@ -212,7 +212,7 @@ fn full_fig4_and_fig5_verdicts_match_the_goldens() {
 /// transient step `dt` halved (the ladder is DC only), each line that
 /// differs from the full-size goldens printed and counted per macro. It
 /// reports and never fails: the flips are the tolerance a change to
-/// transient step control must meet. About two minutes on two threads,
+/// transient step control must meet. About 40 s on two threads,
 /// and run by hand only: `cargo test --release --test verdicts --
 /// --ignored --nocapture half_dt`.
 #[test]
